@@ -3,8 +3,10 @@
 The one-sided relaxation couples a distribution over assortments for each
 initiating agent with a distribution over backlog sets for each responder
 through flow-consistency rows; its optimum upper-bounds the one-sided
-adaptive optimum.  UB_OA is a concave program solved by Frank-Wolfe, UB_FA a
-packing LP; both need MNL weights.
+adaptive optimum.  UB_OA is a concave program solved by Frank-Wolfe whose
+linear oracle is closed form: the load polytope is a product of MNL blocks, and
+each block's LP is solved by its best revenue-ordered prefix.  UB_FA is a
+packing LP.  Both need MNL weights.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .exact import (DEFAULT_CAPS, SolveCaps, opt_fully_adaptive,
 from .greedy import (GreedyOneSidedPolicy, SamplingConfig, cointoss_exact_value,
                      exact_greedy_value, sampling_side_selector)
 from .instances import UNBOUNDED, Instance, demand_table
-from .lp import LpProblem, maximize_concave, solve_lp
+from .lp import LpProblem, solve_lp
 from .policies import exact_value_one_sided_static, monte_carlo, simulate_once
 
 
@@ -46,7 +48,8 @@ class RelaxationSolution:
 
 
 def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: bool = False,
-                           caps: SolveCaps = DEFAULT_CAPS, max_side: int = 6) -> RelaxationSolution:
+                           caps: SolveCaps = DEFAULT_CAPS, max_side: int = 6,
+                           deadline=None) -> RelaxationSolution:
     """Exact optimum of the one-sided relaxation by explicit subset enumeration."""
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
@@ -106,7 +109,7 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: boo
                     row[nl + k] = -phi[i][smask, j]
             problem.add_equality(row, 0.0)
 
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, deadline)
     if sol.status != "optimal":
         raise RuntimeError(f"relaxation LP came back {sol.status}")
     lam = {}
@@ -155,52 +158,94 @@ def _mnl_or_raise(instance: Instance):
     return mw
 
 
-def _ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int) -> float:
+def _block_oracle(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Linear oracle of the load polytope, one MNL block per row:
+    argmax_y sum_ij g_ij y_ij  s.t.  y_ij + sum_l v_il y_il <= 1, y >= 0.
+
+    Each block's optimum is its best revenue-ordered prefix S: options sorted
+    by g_ij / v_ij, value sum_S g / (1 + V(S)), or the empty set when no prefix
+    is positive (Talluri & van Ryzin 2004).  Its vertex is y_ij = 1/(1+V(S))
+    for j in S."""
+    n, m = g.shape
+    take = g > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(take, g / v, -np.inf)  # v = 0 < g: ratio +inf, in every S
+    flat = np.argsort(-ratio, axis=1, kind="stable") + np.arange(0, n * m, m)[:, None]
+    cum_v = np.where(take, v, 0.0).ravel()[flat].cumsum(axis=1)
+    prefix = np.where(take, g, 0.0).ravel()[flat].cumsum(axis=1) / (1.0 + cum_v)
+    k = prefix.argmax(axis=1)
+    rows = np.arange(n)
+    level = np.where(prefix[rows, k] > 0, 1.0 / (1.0 + cum_v[rows, k]), 0.0)
+    y = np.zeros(n * m)
+    y[flat] = (np.arange(m) <= k[:, None]) * level[:, None]
+    return y.reshape(n, m)
+
+
+def _line_search(z: np.ndarray, zd: np.ndarray) -> float:
+    """argmax over t in [0, 1] of sum_j (z_j + t zd_j)/(1 + z_j + t zd_j).
+
+    The function is concave in t, so its slope sum_j zd_j/(1 + z_j + t zd_j)^2
+    decreases; Newton on the slope, kept inside a bisection bracket."""
+    if (zd / (1.0 + z + zd) ** 2).sum() >= 0.0:
+        return 1.0
+    lo, hi, t = 0.0, 1.0, 0.0
+    for _ in range(60):
+        d = 1.0 + z + t * zd
+        slope = (zd / d ** 2).sum()
+        if slope > 0.0:
+            lo = t
+        elif slope < 0.0:
+            hi = t
+        else:
+            return t
+        nxt = t + slope / (2.0 * (zd * zd / d ** 3).sum())
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= 1e-15:
+            return nxt
+        t = nxt
+    return t
+
+
+def _ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int, deadline=None) -> float:
     """Certified upper bound on the oriented concave program
-    max sum_j z_j/(1+z_j), z_j = sum_i v_ij w_ji y_ij, over the load polytope."""
+    max f = sum_j z_j/(1+z_j), z_j = sum_i v_ij w_ji y_ij, over the load polytope.
+
+    Frank-Wolfe from y = 0 that keeps only the loads z: the gradient in y is
+    v_ij w_ji / (1+z_j)^2, ``_block_oracle`` is the linear oracle and
+    ``_line_search`` the step.  The certificate is min_k f(y_k) + gap_k, valid
+    under any exact oracle because f is concave (as in ``lp.maximize_concave``)."""
     n, m = v.shape
     if n == 0 or m == 0:
         return 0.0
-    ne = n * m
-    coef = (v * w.T).ravel()  # coefficient of y_ij inside z_j
-
-    def z_of(y):
-        return (coef * y).reshape(n, m).sum(axis=0)
-
-    def f(y):
-        z = z_of(y)
-        return float((z / (1.0 + z)).sum())
-
-    def grad(y):
-        z = z_of(y)
-        g = coef.reshape(n, m) / (1.0 + z[None, :]) ** 2
-        return g.ravel()
-
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(m):
-            row = np.zeros(ne)
-            row[i * m: (i + 1) * m] += v[i]
-            row[i * m + j] += 1.0
-            rows.append(row)
-            rhs.append(1.0)
-    feasible = LpProblem(np.zeros(ne), np.array(rows), np.array(rhs))
-    res = maximize_concave(f, grad, feasible, iters=iters)
-    if res.status != "optimal":
-        raise RuntimeError(f"UB_OA solve came back {res.status}")
-    return float(res.certified_upper)
+    coef = v * w.T  # coefficient of y_ij inside z_j
+    z = np.zeros(m)
+    best, certified, gap = 0.0, np.inf, np.inf
+    for _ in range(iters):
+        if deadline is not None:
+            deadline.check()
+        zd = (coef * _block_oracle(coef / (1.0 + z) ** 2, v)).sum(axis=0) - z
+        gap = float((zd / (1.0 + z) ** 2).sum())
+        fz = float((z / (1.0 + z)).sum())
+        certified = min(certified, fz + max(gap, 0.0))
+        best = max(best, fz)
+        if gap <= 1e-6:
+            break
+        z = z + _line_search(z, zd) * zd
+    best = max(best, float((z / (1.0 + z)).sum()))
+    certified = min(certified, best + max(gap, 0.0)) if np.isfinite(certified) else best
+    return float(max(certified, best))
 
 
-def ub_oa(instance: Instance, iters: int = 300) -> float:
+def ub_oa(instance: Instance, iters: int = 1000, deadline=None) -> float:
     """Upper bound on the one-sided adaptive optimum: max of both orientations."""
     v, w = _mnl_or_raise(instance)
-    zc = _ub_oa_oriented(v, w, iters)
-    zs = _ub_oa_oriented(w, v, iters)
+    zc = _ub_oa_oriented(v, w, iters, deadline)
+    zs = _ub_oa_oriented(w, v, iters, deadline)
     return max(zc, zs)
 
 
-def ub_fa(instance: Instance) -> float:
+def ub_fa(instance: Instance, deadline=None) -> float:
     """LP upper bound on the fully adaptive optimum:
     max sum x_ij s.t. x_ij <= v_ij (1 - sum_l x_il), x_ij <= w_ji (1 - sum_k x_kj)."""
     v, w = _mnl_or_raise(instance)
@@ -221,7 +266,7 @@ def ub_fa(instance: Instance) -> float:
             row[i * m + j] += 1.0
             rows.append(row)
             rhs.append(w[j, i])
-    sol = solve_lp(LpProblem(np.ones(ne), np.array(rows), np.array(rhs)))
+    sol = solve_lp(LpProblem(np.ones(ne), np.array(rows), np.array(rhs)), deadline)
     if sol.status != "optimal":
         raise RuntimeError(f"UB_FA LP came back {sol.status}")
     return float(sol.value)

@@ -142,12 +142,13 @@ def _solve_one(inst, what, caps: SolveCaps, seed: int, deadline=None):
     if "alg_fs" in what:
         values["ALG_FS"] = approx_fully_static(inst, rng=np.random.default_rng([seed, 3])).value
     if "ub_oa" in what:
-        values["UB_OA"] = ub_oa(inst)
+        values["UB_OA"] = ub_oa(inst, deadline=deadline)
     if "ub_fa" in what:
-        values["UB_FA"] = ub_fa(inst)
+        values["UB_FA"] = ub_fa(inst, deadline=deadline)
     if "rel2" in what:
-        values["REL2"] = max(lp_relaxation_onesided(inst, "C", inst.constrained).value,
-                             lp_relaxation_onesided(inst, "S", inst.constrained).value)
+        values["REL2"] = max(
+            lp_relaxation_onesided(inst, "C", inst.constrained, deadline=deadline).value,
+            lp_relaxation_onesided(inst, "S", inst.constrained, deadline=deadline).value)
     return values
 
 

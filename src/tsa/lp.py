@@ -2,9 +2,12 @@
 
 ``solve_lp`` maximizes c.x subject to A x <= b, x >= 0 with a two-phase
 tableau simplex under Bland's rule (anti-cycling).  Equality rows are encoded
-by callers as <=/>= pairs via ``add_equality``.  ``maximize_concave`` runs
+by callers as <=/>= pairs via ``add_equality``.  The simplex serves UB_FA, the
+one-sided relaxation (REL2) and the low-low LP.  ``maximize_concave`` runs
 Frank-Wolfe with the simplex as linear oracle and reports a certified upper
-bound (best iterate value plus duality gap).
+bound (best iterate value plus duality gap).  It is the LP-backed reference
+the tests compare UB_OA against; UB_OA itself uses the closed-form oracle of
+its MNL load blocks (``bounds._block_oracle``).
 """
 
 from __future__ import annotations
@@ -54,22 +57,27 @@ class LpSolution:
 
 
 def _bland_enter(obj_row: np.ndarray, allowed: int) -> int:
-    for j in range(allowed):
-        if obj_row[j] < -PIVOT_TOL:
-            return j
-    return -1
+    """Lowest-index column with a negative reduced cost, or -1."""
+    cols = np.flatnonzero(obj_row[:allowed] < -PIVOT_TOL)
+    return int(cols[0]) if cols.size else -1
 
 
 def _bland_leave(T: np.ndarray, basis: np.ndarray, col: int) -> int:
-    rows = T.shape[0] - 1
+    """Ratio-test row for ``col``; ratios within PIVOT_TOL tie and go to the
+    lowest basic index, scanned in row order.  -1 when ``col`` is unbounded."""
+    a = T[:-1, col]
+    rows = np.flatnonzero(a > PIVOT_TOL)
+    if rows.size == 0:
+        return -1
+    ratios = T[rows, -1] / a[rows]
+    near = ratios <= ratios.min() + PIVOT_TOL
+    if np.count_nonzero(near) == 1:
+        return int(rows[np.argmax(near)])
     best, best_ratio = -1, None
-    for i in range(rows):
-        a = T[i, col]
-        if a > PIVOT_TOL:
-            ratio = T[i, -1] / a
-            if best == -1 or ratio < best_ratio - PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best]):
-                best, best_ratio = i, ratio
+    for i, ratio in zip(rows.tolist(), ratios.tolist()):
+        if best == -1 or ratio < best_ratio - PIVOT_TOL or (
+                abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best]):
+            best, best_ratio = i, ratio
     return best
 
 
@@ -145,7 +153,8 @@ def solve_lp(problem: LpProblem, deadline=None) -> LpSolution:
         cost1[art_cols] = -1.0
         _set_objective(T, basis, cost1)
         status = _run(T, basis, total, deadline)
-        assert status == "optimal"  # phase 1 is bounded
+        if status != "optimal":  # -sum(artificials) <= 0 bounds phase 1
+            raise RuntimeError(f"simplex phase 1 came back {status}")
         if T[-1, -1] < -RHS_TOL:
             return LpSolution("infeasible")
         # Drive leftover artificials out of the basis; drop redundant rows.

@@ -1,15 +1,17 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
-from tsa.bounds import (gap_report, independent_objective_from_tau,
+from tsa.bounds import (_block_oracle, gap_report, independent_objective_from_tau,
                         lp_relaxation_onesided, reports_to_csv, ub_fa, ub_oa)
 from tsa.errors import SizeRefusalError, UnsupportedOracleError
 from tsa.exact import (opt_fully_adaptive, opt_one_sided_adaptive,
                        opt_one_sided_static)
 from tsa.instances import (MNL, Instance, generate_random_instance,
                            tight_instance)
+from tsa.lp import LpProblem, maximize_concave, solve_lp
 
 E_RATIO = math.e / (math.e - 1.0)
 
@@ -131,3 +133,61 @@ def test_csv_round_trip_shape():
     header = lines[0].split(",")
     assert header[0] == "label"
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
+
+
+def _block_lp_value(g, v):
+    """solve_lp on one load block: max g.y  s.t.  y_j + v.y <= 1, y >= 0."""
+    m = g.size
+    sol = solve_lp(LpProblem(g, np.eye(m) + v[None, :], np.ones(m)))
+    assert sol.status == "optimal"
+    return sol.value
+
+
+def test_block_oracle_matches_simplex():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n, m = rng.integers(1, 5), rng.integers(1, 7)
+        v = rng.exponential(1.0, size=(n, m)) * (rng.random((n, m)) > 0.25)
+        g = rng.normal(0.3, 1.0, size=(n, m)) * (rng.random((n, m)) > 0.2)
+        y = _block_oracle(g, v)
+        assert (y >= 0).all()
+        assert (y + (v * y).sum(axis=1, keepdims=True) <= 1 + 1e-12).all()
+        for i in range(n):
+            assert float(g[i] @ y[i]) == pytest.approx(_block_lp_value(g[i], v[i]), abs=1e-12)
+
+
+def _ub_oa_simplex(v, w, iters=300):
+    """UB_OA of one orientation through lp.maximize_concave with the simplex as
+    linear oracle: the bound's LP-backed reference."""
+    n, m = v.shape
+    coef = (v * w.T).ravel()
+
+    def f(y):
+        z = (coef * y).reshape(n, m).sum(axis=0)
+        return float((z / (1.0 + z)).sum())
+
+    def grad(y):
+        z = (coef * y).reshape(n, m).sum(axis=0)
+        return (coef.reshape(n, m) / (1.0 + z[None, :]) ** 2).ravel()
+
+    rows = np.zeros((n * m, n * m))
+    for i in range(n):
+        for j in range(m):
+            rows[i * m + j, i * m: (i + 1) * m] += v[i]
+            rows[i * m + j, i * m + j] += 1.0
+    res = maximize_concave(f, grad, LpProblem(np.zeros(n * m), rows, np.ones(n * m)),
+                           iters=iters)
+    return res.certified_upper
+
+
+def test_ub_oa_between_opt_and_simplex_reference():
+    for n, m in [(2, 2), (2, 4), (3, 3), (4, 2), (4, 4)]:
+        for seed in range(3):
+            inst = generate_random_instance(n, m, seed=seed)
+            v, w = inst.mnl_weights()
+            oa = max(opt_one_sided_adaptive(inst, "C").value,
+                     opt_one_sided_adaptive(inst, "S").value)
+            ref = max(_ub_oa_simplex(v, w), _ub_oa_simplex(w, v))
+            ub = ub_oa(inst)
+            assert ub >= oa - 1e-9, (n, m, seed)
+            assert ub <= ref + 1e-6, (n, m, seed)

@@ -116,3 +116,10 @@ def test_unknown_policy_is_config_error(tmp_path):
     save_instance(generate_random_instance(2, 2, seed=1), path)
     assert run(["simulate", "--instance", str(path), "--policy", "greedy-c",
                 "--runs", "0"]) == 2
+
+
+def test_time_limit_stops_ub_oa(tmp_path):
+    path = tmp_path / "big.json"
+    save_instance(generate_random_instance(12, 12, seed=0), path)
+    assert run(["solve", "--instance", str(path), "--what", "ub_oa",
+                "--time-limit", "0.001"]) == 4

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsa.lp import (LpProblem, enumerate_vertices_best, maximize_concave,
-                    solve_lp)
+from tsa.lp import (PIVOT_TOL, LpProblem, _bland_enter, _bland_leave,
+                    enumerate_vertices_best, maximize_concave, solve_lp)
 
 
 def test_single_bound():
@@ -153,3 +153,36 @@ def test_frank_wolfe_infeasible_region():
     res = maximize_concave(lambda x: float(x[0]), lambda x: np.array([1.0]),
                            LpProblem(np.zeros(1), A, b))
     assert res.status == "infeasible"
+
+
+def _bland_enter_loop(obj_row, allowed):
+    for j in range(allowed):
+        if obj_row[j] < -PIVOT_TOL:
+            return j
+    return -1
+
+
+def _bland_leave_loop(T, basis, col):
+    best, best_ratio = -1, None
+    for i in range(T.shape[0] - 1):
+        a = T[i, col]
+        if a > PIVOT_TOL:
+            ratio = T[i, -1] / a
+            if best == -1 or ratio < best_ratio - PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best]):
+                best, best_ratio = i, ratio
+    return best
+
+
+def test_bland_rules_match_row_loops_on_degenerate_tableaux():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 9), rng.integers(1, 9)
+        T = rng.integers(-2, 4, size=(rows + 1, cols + 1)).astype(float)
+        T[:-1, -1] = rng.integers(0, 3, size=rows)  # many zero and tied ratios
+        T[rng.random(T.shape) < 0.1] += rng.choice([1e-10, -1e-10, 1e-12])
+        basis = rng.permutation(rows + cols)[:rows]
+        for allowed in range(cols + 1):
+            assert _bland_enter(T[-1], allowed) == _bland_enter_loop(T[-1], allowed)
+        for col in range(cols):
+            assert _bland_leave(T, basis, col) == _bland_leave_loop(T, basis, col)
