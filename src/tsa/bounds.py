@@ -23,9 +23,10 @@ from .exact import (DEFAULT_CAPS, SolveCaps, opt_fully_adaptive,
                     opt_one_sided_static)
 from .greedy import (GreedyOneSidedPolicy, SamplingConfig, cointoss_exact_value,
                      exact_greedy_value, sampling_side_selector)
-from .instances import UNBOUNDED, Instance, demand_table
+from .instances import UNBOUNDED, Instance, demand_table, prob_table
 from .lp import LpProblem, solve_lp
-from .policies import exact_value_one_sided_static, monte_carlo, simulate_once
+from .policies import (backlog_distribution, exact_value_one_sided_static, monte_carlo,
+                       simulate_once)
 
 
 @dataclass
@@ -48,8 +49,7 @@ class RelaxationSolution:
 
 
 def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: bool = False,
-                           caps: SolveCaps = DEFAULT_CAPS, max_side: int = 6,
-                           deadline=None) -> RelaxationSolution:
+                           max_side: int = 6, deadline=None) -> RelaxationSolution:
     """Exact optimum of the one-sided relaxation by explicit subset enumeration."""
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
@@ -75,8 +75,6 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: boo
 
     f_tables = [demand_table(instance.model(resp_side, j), ninit, resp_budget[j])
                 for j in range(nresp)]
-    from .instances import prob_table
-
     phi = [prob_table(instance.model(side, i), nresp) for i in range(ninit)]
 
     nl, nt = len(lam_cols), len(tau_cols)
@@ -140,10 +138,7 @@ def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution
     for j in range(nresp):
         budget = instance.budget(resp_side, j) if constrained else UNBOUNDED
         f = demand_table(instance.model(resp_side, j), ninit, budget)
-        dist = np.array([1.0])
-        for i in range(ninit):
-            dist = np.concatenate([dist * (1.0 - x[i, j]), dist * x[i, j]])
-        total += float(dist @ f)
+        total += float(backlog_distribution(x[:, j]) @ f)
     return total
 
 
@@ -355,9 +350,11 @@ def alg_fully_adaptive_value(instance: Instance, seed: int = 0, mc_runs: int = 1
 
 def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DEFAULT_CAPS,
                seed: int = 0, with_algs: bool = True, with_bounds: bool = True,
-               relax_max_side: int = 6) -> GapReport:
+               relax_max_side: int = 6, deadline=None) -> GapReport:
     """Compute every size-feasible optimum, algorithm value and bound, then the
-    ratio table and theorem-bound verdicts; unavailable entries stay None."""
+    ratio table and theorem-bound verdicts; unavailable entries stay None.
+    ``deadline`` reaches the adaptive DPs and the bounds, which raise
+    ``TimeLimitError`` once it has passed."""
     q: Dict[str, Optional[float]] = {k: None for k in QUANTITY_ORDER}
 
     fs = _try(opt_fully_static, instance, caps)
@@ -366,25 +363,25 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
     os_s = _try(opt_one_sided_static, instance, "S", caps)
     if os_c is not None and os_s is not None:
         q["OPT_OS"] = max(os_c, os_s)
-    oa_c = _try(opt_one_sided_adaptive, instance, "C", caps)
-    oa_s = _try(opt_one_sided_adaptive, instance, "S", caps)
+    oa_c = _try(opt_one_sided_adaptive, instance, "C", caps, deadline)
+    oa_s = _try(opt_one_sided_adaptive, instance, "S", caps, deadline)
     oa_c_val = oa_c.value if oa_c is not None else None
     if oa_c is not None and oa_s is not None:
         q["OPT_OA"] = max(oa_c.value, oa_s.value)
-    fa = _try(opt_fully_adaptive, instance, caps)
+    fa = _try(opt_fully_adaptive, instance, caps, deadline)
     q["OPT_FA"] = fa.value if fa is not None else None
 
     rel = None
     if with_bounds:
         rel_c = _try(lp_relaxation_onesided, instance, "C", instance.constrained,
-                     caps, relax_max_side)
+                     relax_max_side, deadline)
         rel_s = _try(lp_relaxation_onesided, instance, "S", instance.constrained,
-                     caps, relax_max_side)
+                     relax_max_side, deadline)
         rel = rel_c
         if rel_c is not None and rel_s is not None:
             q["REL2"] = max(rel_c.value, rel_s.value)
-        q["UB_OA"] = _try(ub_oa, instance)
-        q["UB_FA"] = _try(ub_fa, instance)
+        q["UB_OA"] = _try(ub_oa, instance, deadline=deadline)
+        q["UB_FA"] = _try(ub_fa, instance, deadline)
 
     if with_algs:
         from .fullystatic import approx_fully_static

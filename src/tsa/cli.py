@@ -207,22 +207,29 @@ def cmd_simulate(args) -> int:
 
 
 def _gap_one(task):
-    label, payload, caps_kw, seed = task
+    label, payload, caps_kw, seed, seconds = task
     from .instances import instance_from_dict
 
     inst = instance_from_dict(payload)
-    return gap_report(inst, label, SolveCaps(**caps_kw), seed)
+    deadline = Deadline(seconds) if seconds is not None else None
+    return gap_report(inst, label, SolveCaps(**caps_kw), seed, deadline=deadline)
 
 
-def _run_reports(cfg: ExperimentConfig, caps: SolveCaps, instances):
-    tasks = []
-    for label, n, m, seed in instances:
+def _run_reports(cfg: ExperimentConfig, caps: SolveCaps, instances, deadline=None):
+    """Yield one gap report per instance, in order; each task carries the
+    seconds left on ``deadline`` when it is made (serially, just before it
+    runs)."""
+    def task(label, n, m, seed):
         inst = generate_random_instance(n, m, seed, cfg.profile())
-        tasks.append((label, instance_to_dict(inst), caps.__dict__, seed))
+        seconds = deadline.remaining() if deadline is not None else None
+        return (label, instance_to_dict(inst), caps.__dict__, seed, seconds)
+
     if cfg.jobs and cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(_gap_one, tasks))
-    return [_gap_one(t) for t in tasks]
+            yield from pool.map(_gap_one, [task(*x) for x in instances])
+    else:
+        for x in instances:
+            yield _gap_one(task(*x))
 
 
 def cmd_gaps(args) -> int:
@@ -239,13 +246,14 @@ def cmd_gaps(args) -> int:
             try:
                 if deadline is not None:
                     deadline.check()
-                reports.append(gap_report(inst, label, caps, cfg.seed + k))
+                reports.append(gap_report(inst, label, caps, cfg.seed + k, deadline=deadline))
             except TimeLimitError:
                 timed_out = True
                 break
     else:
         try:
-            reports = _run_reports(cfg, caps, _instances_of(cfg))
+            for rep in _run_reports(cfg, caps, _instances_of(cfg), deadline):
+                reports.append(rep)
         except TimeLimitError:
             timed_out = True
     path = os.path.join(cfg.out, "gaps.csv")
@@ -277,7 +285,7 @@ def cmd_tables(args) -> int:
     by_size = []
     for (n, m) in cfg.sizes:
         instances = [(f"n{n}m{m}_s{cfg.seed + k}", n, m, cfg.seed + k) for k in range(cfg.seeds)]
-        by_size.append((f"{n}x{m}", _run_reports(cfg, caps, instances)))
+        by_size.append((f"{n}x{m}", list(_run_reports(cfg, caps, instances))))
 
     all_reports = [r for _, reps in by_size for r in reps]
     with open(os.path.join(cfg.out, "instances.csv"), "w", encoding="utf-8") as fh:

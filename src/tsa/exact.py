@@ -9,16 +9,18 @@ refuses instances above its size cap instead of approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import SizeRefusalError
+from .fullystatic import mnl_static_values
 from .instances import (UNBOUNDED, Instance, demand_table, is_mnl, mask_of,
                         prob_table)
-from .oracles import best_weighted_assortment
-from .policies import PolicyAction
+from .oracles import mnl_best
+from .policies import PolicyAction, backlog_distribution
 
 
 @dataclass(frozen=True)
@@ -44,19 +46,6 @@ class DpValue:
 _THETA_TOL = 1e-12
 
 
-def _mnl_prefix_value(items) -> float:
-    """Best sum theta_j*phi(j, prefix) over theta-descending prefixes; items are
-    (theta, weight) pairs already sorted by theta descending."""
-    num, den, best = 0.0, 1.0, 0.0
-    for theta, w in items:
-        num += theta * w
-        den += w
-        val = num / den
-        if val > best:
-            best = val
-    return best
-
-
 def _budget_masks(count: int, budget) -> list:
     """All assortment bitmasks over ``count`` options with |S| <= budget, ordered
     by cardinality then lexicographically by option ids."""
@@ -68,8 +57,13 @@ def _budget_masks(count: int, budget) -> list:
     return masks
 
 
-def _enumeration_oracle(phi: np.ndarray, masks, theta) -> Tuple[float, int]:
-    """Max over assortment masks of sum_j phi[mask, j] * theta_j."""
+def _enumeration_oracle(phi: np.ndarray, masks, items, budget):
+    """Max over assortment masks of sum_j phi[mask, j] * theta_j for
+    (theta, weight, option) triples; returns (value, chosen triples).  The
+    budget is already applied by ``masks``."""
+    theta = [0.0] * phi.shape[1]
+    for th, _, j in items:
+        theta[j] = th
     best_val, best_mask = 0.0, 0
     for mask in masks:
         row = phi[mask]
@@ -82,7 +76,30 @@ def _enumeration_oracle(phi: np.ndarray, masks, theta) -> Tuple[float, int]:
             mm ^= low
         if val > best_val + _THETA_TOL:
             best_val, best_mask = val, mask
-    return best_val, best_mask
+    return best_val, [t for t in items if best_mask >> t[2] & 1]
+
+
+def _agent_oracle(model, n_opts: int, budget):
+    """(weights, usable options, oracle) for one agent: an MNL agent skips its
+    zero-weight options and runs ``mnl_best``; any other model enumerates its
+    budget-feasible assortments.  The oracle maps (triples, budget) to
+    (value, chosen triples)."""
+    if is_mnl(model):
+        w = model.weights
+        return w, [j for j in range(n_opts) if w[j] > 0.0], mnl_best
+    oracle = partial(_enumeration_oracle, prob_table(model, n_opts), _budget_masks(n_opts, budget))
+    return [0.0] * n_opts, list(range(n_opts)), oracle
+
+
+def _root_action(agent_value, agents):
+    """Best (agent, assortment) at the root; a later agent wins only by more
+    than 1e-12."""
+    best, action = 0.0, None
+    for a, agent in enumerate(agents):
+        cand, chosen = agent_value(a)
+        if action is None or cand > best + 1e-12:
+            best, action = cand, PolicyAction(agent, frozenset(j for _, _, j in chosen))
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -110,61 +127,32 @@ def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
     done_bit = [offsets[a] + opp_count[a] for a in range(total)]
     slot_mask = [((1 << (opp_count[a] + 1)) - 1) << offsets[a] for a in range(total)]
     opp_global = [[n + l for l in range(m)] if a < n else list(range(n)) for a in range(total)]
-    local_id = [a if a < n else a - n for a in range(total)]  # index within own side
-
-    models = [instance.customer_models[i] for i in range(n)] + \
-             [instance.supplier_models[j] for j in range(m)]
-    budgets = [instance.k_customer[i] for i in range(n)] + \
-              [instance.k_supplier[j] for j in range(m)]
-    mnl_w = [mod.weights if is_mnl(mod) else None for mod in models]
-    phi = [None if mnl_w[a] is not None else prob_table(models[a], opp_count[a]) for a in range(total)]
-    masks = [None if mnl_w[a] is not None else _budget_masks(opp_count[a], budgets[a])
-             for a in range(total)]
+    agents = [("C", i) for i in range(n)] + [("S", j) for j in range(m)]
+    local_id = [idx for _, idx in agents]  # index within own side
+    budgets = [instance.budget(*agent) for agent in agents]
+    weights, usable, oracle = zip(*(_agent_oracle(instance.model(*agents[a]), opp_count[a],
+                                                  budgets[a])
+                                    for a in range(total)))
 
     memo = {}
     counter = [0]
 
-    def agent_value(key: int, a: int) -> float:
+    def agent_value(key: int, a: int):
         base = (key & ~slot_mask[a]) | (1 << done_bit[a])
         v_out = value(base)
         backlog = (key >> offsets[a]) & ((1 << opp_count[a]) - 1)
-        if mnl_w[a] is not None:
-            w = mnl_w[a]
-            items = []
-            for l in range(opp_count[a]):
-                if w[l] <= 0.0:
-                    continue
-                o = opp_global[a][l]
-                if backlog >> l & 1:
-                    items.append((1.0, w[l]))
-                elif key >> done_bit[o] & 1:
-                    continue
-                else:
-                    child = base | (1 << (offsets[o] + local_id[a]))
-                    th = value(child) - v_out
-                    if th > _THETA_TOL:
-                        items.append((th, w[l]))
-            if not items:
-                return v_out
-            items.sort(key=lambda t: -t[0])
-            k = budgets[a]
-            if k is not UNBOUNDED and k < len(items):
-                return v_out + _budgeted_mnl_value(items, k)
-            return v_out + _mnl_prefix_value(items)
-        theta = [0.0] * opp_count[a]
-        for l in range(opp_count[a]):
+        w = weights[a]
+        items = []
+        for l in usable[a]:
             o = opp_global[a][l]
             if backlog >> l & 1:
-                theta[l] = 1.0
-            elif key >> done_bit[o] & 1:
-                continue
-            else:
-                child = base | (1 << (offsets[o] + local_id[a]))
-                th = value(child) - v_out
+                items.append((1.0, w[l], l))
+            elif not key >> done_bit[o] & 1:
+                th = value(base | (1 << (offsets[o] + local_id[a]))) - v_out
                 if th > _THETA_TOL:
-                    theta[l] = th
-        val, _ = _enumeration_oracle(phi[a], masks[a], theta)
-        return v_out + val
+                    items.append((th, w[l], l))
+        val, chosen = oracle[a](items, budgets[a])
+        return v_out + val, chosen
 
     def value(key: int) -> float:
         v = memo.get(key)
@@ -177,65 +165,15 @@ def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
         for a in range(total):
             if key >> done_bit[a] & 1:
                 continue
-            cand = agent_value(key, a)
+            cand = agent_value(key, a)[0]
             if cand > best:
                 best = cand
         memo[key] = best
         return best
 
     opt = value(0)
-    action = _fa_first_action(instance, opt, memo, offsets, done_bit, slot_mask,
-                              opp_count, opp_global, local_id, models, budgets,
-                              mnl_w, phi, masks)
+    action = _root_action(partial(agent_value, 0), agents)
     return DpValue(opt, len(memo), action)
-
-
-def _budgeted_mnl_value(items, budget: int) -> float:
-    """Exact budgeted weighted-MNL value on (theta, weight) pairs via the
-    candidate-intersection sweep."""
-    thetas = [t for t, _ in items]
-    ws = [w for _, w in items]
-    lams = {0.0}
-    lams.update(thetas)
-    for a, b in combinations(range(len(items)), 2):
-        if abs(ws[a] - ws[b]) > 1e-15:
-            lams.add((ws[a] * thetas[a] - ws[b] * thetas[b]) / (ws[a] - ws[b]))
-    points = sorted(lams)
-    probes = list(points) + [(x + y) / 2 for x, y in zip(points, points[1:])]
-    best = 0.0
-    for lam in probes:
-        order = sorted(range(len(items)), key=lambda idx: -(ws[idx] * (thetas[idx] - lam)))
-        num, den = 0.0, 1.0
-        for idx in order[:budget]:
-            num += thetas[idx] * ws[idx]
-            den += ws[idx]
-            if num / den > best:
-                best = num / den
-    return best
-
-
-def _fa_first_action(instance, opt, memo, offsets, done_bit, slot_mask, opp_count,
-                     opp_global, local_id, models, budgets, mnl_w, phi, masks):
-    """Recover an optimal (agent, assortment) at the root from the filled memo."""
-    n, m = instance.n, instance.m
-    total = n + m
-    best = None
-    for a in range(total):
-        base = 1 << done_bit[a]
-        v_out = memo.get(base, 0.0)
-        theta = [0.0] * opp_count[a]
-        for l in range(opp_count[a]):
-            o = opp_global[a][l]
-            child = base | (1 << (offsets[o] + local_id[a]))
-            if child in memo:
-                theta[l] = max(memo[child] - v_out, 0.0)
-        res = best_weighted_assortment(models[a], theta, budgets[a],
-                                       ground=range(opp_count[a]))
-        cand = v_out + res.value
-        if best is None or cand > best[0] + 1e-12:
-            agent = ("C", a) if a < n else ("S", a - n)
-            best = (cand, PolicyAction(agent, res.assortment))
-    return best[1] if best else None
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +197,11 @@ def opt_one_sided_adaptive(instance: Instance, side: str,
     F = [demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
          for j in range(nresp)]
     models = [instance.model(side, i) for i in range(ninit)]
-    budgets = [instance.budget(side, i) for i in range(ninit)]
-    mnl_w = [mod.weights if is_mnl(mod) else None for mod in models]
-    need_enum = any(w is None for w in mnl_w)
-    if need_enum and nresp > 16:
+    if nresp > 16 and not all(is_mnl(mod) for mod in models):
         raise SizeRefusalError("assortment enumeration refuses responding side > 16 for non-MNL models")
-    phi = [None if mnl_w[i] is not None else prob_table(models[i], nresp) for i in range(ninit)]
-    masks = [None if mnl_w[i] is not None else _budget_masks(nresp, budgets[i]) for i in range(ninit)]
+    budgets = [instance.budget(side, i) for i in range(ninit)]
+    weights, usable, oracle = zip(*(_agent_oracle(models[i], nresp, budgets[i])
+                                    for i in range(ninit)))
 
     memo = {}
     counter = [0]
@@ -281,6 +217,17 @@ def opt_one_sided_adaptive(instance: Instance, side: str,
             val += F[j][rmask[j]]
         return val
 
+    def agent_value(key: int, processed: int, i: int):
+        v_out = value(key + mult[i], processed + 1)
+        w = weights[i]
+        items = []
+        for j in usable[i]:
+            th = value(key + (2 + j) * mult[i], processed + 1) - v_out
+            if th > _THETA_TOL:
+                items.append((th, w[j], j))
+        val, chosen = oracle[i](items, budgets[i])
+        return v_out + val, chosen
+
     def value(key: int, processed: int) -> float:
         if processed == ninit:
             return terminal(key)
@@ -294,52 +241,15 @@ def opt_one_sided_adaptive(instance: Instance, side: str,
         for i in range(ninit):
             if (key // mult[i]) % radix != 0:
                 continue
-            base = key + mult[i]
-            v_out = value(base, processed + 1)
-            if mnl_w[i] is not None:
-                w = mnl_w[i]
-                items = []
-                for j in range(nresp):
-                    if w[j] <= 0.0:
-                        continue
-                    th = value(key + (2 + j) * mult[i], processed + 1) - v_out
-                    if th > _THETA_TOL:
-                        items.append((th, w[j]))
-                if items:
-                    items.sort(key=lambda t: -t[0])
-                    k = budgets[i]
-                    if k is not UNBOUNDED and k < len(items):
-                        cand = v_out + _budgeted_mnl_value(items, k)
-                    else:
-                        cand = v_out + _mnl_prefix_value(items)
-                else:
-                    cand = v_out
-            else:
-                theta = [0.0] * nresp
-                for j in range(nresp):
-                    th = value(key + (2 + j) * mult[i], processed + 1) - v_out
-                    if th > _THETA_TOL:
-                        theta[j] = th
-                val, _ = _enumeration_oracle(phi[i], masks[i], theta)
-                cand = v_out + val
+            cand = agent_value(key, processed, i)[0]
             if cand > best:
                 best = cand
         memo[key] = best
         return best
 
     opt = value(0, 0)
-    # First action: best initiating agent and assortment at the root.
-    best_action = None
-    best_val = -1.0
-    for i in range(ninit):
-        v_out = value(mult[i], 1)
-        theta = [max(value((2 + j) * mult[i], 1) - v_out, 0.0) for j in range(nresp)]
-        res = best_weighted_assortment(models[i], theta, budgets[i], ground=range(nresp))
-        cand = v_out + res.value
-        if cand > best_val + 1e-12:
-            best_val = cand
-            best_action = PolicyAction((side, i), res.assortment)
-    return DpValue(opt, len(memo), best_action)
+    action = _root_action(partial(agent_value, 0, 0), [(side, i) for i in range(ninit)])
+    return DpValue(opt, len(memo), action)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +285,9 @@ def opt_one_sided_static(instance: Instance, side: str,
 
     value = np.zeros(total)
     for j in range(nresp):
-        # p[i] = probability initiating agent i picks j under its family choice
-        p = [P[i][np.asarray(mask_lists[i])[sel[i]], j] for i in range(ninit)]
-        dist = np.ones((total, 1))
-        for i in range(ninit):
-            pi = p[i][:, None]
-            dist = np.hstack([dist * (1.0 - pi), dist * pi])
-        value += dist @ F[j]
+        # p[:, i] = probability initiating agent i picks j under its family choice
+        p = np.stack([P[i][np.asarray(mask_lists[i])[sel[i]], j] for i in range(ninit)], axis=1)
+        value += backlog_distribution(p) @ F[j]
     return float(value.max())
 
 
@@ -412,13 +318,8 @@ def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
         if k is not UNBOUNDED:
             feasible &= grid[:, :, j].sum(axis=1) <= k
 
-    mw = instance.mnl_weights()
-    if mw is not None:
-        v, w = mw
-        V = 1.0 + (grid * v[None, :, :]).sum(axis=2)          # (P, n)
-        W = 1.0 + (grid * w.T[None, :, :]).sum(axis=1)        # (P, m)
-        num = grid * (v * w.T)[None, :, :]
-        vals = (num / (V[:, :, None] * W[:, None, :])).sum(axis=(1, 2))
+    if instance.mnl_weights() is not None:
+        vals = mnl_static_values(instance, grid)
     else:
         phi_c = [prob_table(instance.customer_models[i], m) for i in range(n)]
         phi_s = [prob_table(instance.supplier_models[j], n) for j in range(m)]

@@ -366,69 +366,3 @@ def approx_fully_static(instance: Instance, alpha: float = DEFAULT_ALPHA,
     best.branch_values = branch_values
     return best
 
-
-# ---------------------------------------------------------------------------
-# Bilinear alternating heuristic
-
-
-def bilinear_alternation(instance: Instance, starts: int = 8, rng=None,
-                         max_rounds: int = 200):
-    """Alternating LP ascent on the disjoint bilinear reformulation; extracts an
-    integral edge set from the vertex structure.  Returns (FsSolution, z_B)
-    where z_B is the best bilinear objective reached (a lower bound on the
-    fully static optimum)."""
-    v, w = _require_mnl(instance)
-    n, m = instance.n, instance.m
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if n == 0 or m == 0:
-        return FsSolution(frozenset(), 0.0, "bilinear"), 0.0
-
-    def y_step(z):
-        y = np.zeros((n, m))
-        for i in range(n):
-            c = z[i]
-            A = np.zeros((m, m))
-            for j in range(m):
-                A[j] = v[i]
-                A[j, j] += 1.0
-            sol = solve_lp(LpProblem(c, A, v[i].copy()))
-            y[i] = np.clip(sol.x, 0.0, None)
-        return y
-
-    def z_step(y):
-        z = np.zeros((n, m))
-        for j in range(m):
-            c = y[:, j]
-            A = np.zeros((n, n))
-            for k in range(n):
-                A[k] = w[j]
-                A[k, k] += 1.0
-            sol = solve_lp(LpProblem(c, A, w[j].copy()))
-            z[:, j] = np.clip(sol.x, 0.0, None)
-        return z
-
-    best_sol = FsSolution(frozenset(), -1.0, "bilinear")
-    best_zb = 0.0
-    for s in range(max(starts, 1)):
-        x0 = rng.random((n, m)) < 0.5
-        denom = 1.0 + (x0 * w.T).sum(axis=0)
-        z = np.where(x0, w.T, 0.0) / denom[None, :]
-        obj = -1.0
-        history = []
-        for _ in range(max_rounds):
-            y = y_step(z)
-            z = z_step(y)
-            new_obj = float((y * z).sum())
-            history.append(new_obj)
-            if new_obj <= obj + 1e-8:
-                obj = new_obj
-                break
-            obj = new_obj
-        edges = frozenset((i, j) for i in range(n) for j in range(m)
-                          if y[i, j] > 1e-9 and z[i, j] > 1e-9)
-        val = exact_value_edges(instance, edges)
-        best_zb = max(best_zb, obj)
-        if val > best_sol.value:
-            best_sol = FsSolution(edges, val, "bilinear",
-                                  branch_values={"objective_history": history})
-    return best_sol, best_zb

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractViolationError, SizeRefusalError
 from .instances import (UNBOUNDED, Instance, demand_table, is_mnl, prob_table)
-from .oracles import best_weighted_assortment
+from .oracles import best_weighted_assortment, constrained_demand
 from .policies import (PolicyAction, PolicyState, respond_with_backlog,
                        simulate_once)
 
@@ -51,7 +51,6 @@ class GreedyOneSidedPolicy:
                 base = model.demand(backlog)
                 grown = model.demand(backlog | {self._current})
             else:
-                from .oracles import constrained_demand
                 base = constrained_demand(model, backlog, k).value
                 grown = constrained_demand(model, backlog | {self._current}, k).value
             theta[j] = max(grown - base, 0.0)

@@ -1,16 +1,19 @@
 """Single-agent weighted assortment oracles and constrained demand functions.
 
 The weighted problem is max over S (|S| <= budget) of sum_{j in S} theta_j *
-phi(j, S).  MNL admits exact fast paths: theta-ordered prefixes when
-unconstrained, and an O(n^2) candidate-value sweep under a cardinality budget.
-Every other model is solved by exhaustive enumeration up to universe size 20;
-beyond that the oracle refuses rather than approximate silently.
+phi(j, S).  MNL has one exact oracle, ``mnl_best``, shared with the exact DPs:
+the best theta-ordered prefix when unconstrained, and under a cardinality
+budget Dinkelbach's iteration on the ratio z, each step keeping the K largest
+positive w_j (theta_j - z) (Rusmevichientong, Shen & Shmoys 2010).  Every other
+model is solved by exhaustive enumeration up to universe size 20; beyond that
+the oracle refuses rather than approximate silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import UnsupportedOracleError
@@ -18,6 +21,7 @@ from .instances import UNBOUNDED, ChoiceSpec, is_mnl
 
 ENUMERATION_LIMIT = 20
 _TOL = 1e-12
+_THETA = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -43,17 +47,31 @@ def _enumerate_best(model: ChoiceSpec, theta, candidates, budget) -> OracleResul
     return OracleResult(best_set, best_val)
 
 
-def _mnl_prefix_best(weights, theta, order, kmax) -> OracleResult:
-    best_set, best_val = frozenset(), 0.0
-    num = 0.0
-    den = 1.0
-    for rank, j in enumerate(order[:kmax], start=1):
-        num += theta[j] * weights[j]
-        den += weights[j]
-        val = num / den
-        if val > best_val + _TOL:
-            best_set, best_val = frozenset(order[:rank]), val
-    return best_set, best_val
+def mnl_best(items, budget=UNBOUNDED):
+    """Exact MNL weighted assortment over (theta, weight, option) triples with
+    theta > 0 and weight > 0, in ascending option order; returns (value,
+    chosen triples).  A larger set wins only by more than ``_TOL``."""
+    if budget is UNBOUNDED or budget >= len(items):
+        # Theta-ordered prefixes contain an optimum for unconstrained MNL.
+        ranked = sorted(items, key=_THETA, reverse=True)  # stable: ties keep option order
+        best, size, num, den, k = 0.0, 0, 0.0, 1.0, 0
+        for theta, w, _ in ranked:
+            num += theta * w
+            den += w
+            k += 1
+            val = num / den
+            if val > best + _TOL:
+                best, size = val, k
+        return best, ranked[:size]
+    # Dinkelbach: the set reaching ratio z' > z keeps the K largest positive
+    # w_j (theta_j - z); the ratio rises until it stops improving.
+    z, chosen = 0.0, []
+    while True:
+        top = sorted((t for t in items if t[0] > z), key=lambda t: t[1] * (z - t[0]))[:budget]
+        ratio = sum(t[0] * t[1] for t in top) / (1.0 + sum(t[1] for t in top))
+        if ratio <= z + _TOL:
+            return z, chosen
+        z, chosen = ratio, top
 
 
 def best_weighted_assortment(model: ChoiceSpec, theta: Sequence[float],
@@ -67,42 +85,10 @@ def best_weighted_assortment(model: ChoiceSpec, theta: Sequence[float],
             raise UnsupportedOracleError(
                 f"no exact oracle for {type(model).__name__} with {len(ground)} options")
         return _enumerate_best(model, theta, ground, budget)
-
     w = model.weights
-    candidates = [j for j in ground if w[j] > 0 and theta[j] > 0]
-    if not candidates:
-        return OracleResult(frozenset(), 0.0)
-    if budget is UNBOUNDED or budget >= len(candidates):
-        # Theta-ordered prefixes contain an optimum for unconstrained MNL.
-        order = sorted(candidates, key=lambda j: (-theta[j], j))
-        best_set, best_val = _mnl_prefix_best(w, theta, order, len(order))
-        return OracleResult(best_set, best_val)
-
-    # Budgeted MNL: the optimum is a top-K set of the line family
-    # l_j(lam) = w_j * (theta_j - lam) for some candidate lam (pairwise
-    # intersections plus zero crossings).
-    lams = {0.0}
-    for j in candidates:
-        lams.add(theta[j])
-    for a, b in combinations(candidates, 2):
-        if abs(w[a] - w[b]) > _TOL:
-            lams.add((w[a] * theta[a] - w[b] * theta[b]) / (w[a] - w[b]))
-    points = sorted(lams)
-    probes = list(points)
-    probes += [(x + y) / 2.0 for x, y in zip(points, points[1:])]
-    best = OracleResult(frozenset(), 0.0)
-    for lam in probes:
-        order = sorted(candidates, key=lambda j: (-(w[j] * (theta[j] - lam)), j))
-        s, val = _mnl_prefix_best(w, theta, order, budget)
-        if val > best.value + _TOL or (abs(val - best.value) <= _TOL and s and _tie_before(s, best.assortment)):
-            best = OracleResult(s, val)
-    return best
-
-
-def _tie_before(a: frozenset, b: frozenset) -> bool:
-    if not b:
-        return False
-    return (len(a), sorted(a)) < (len(b), sorted(b))
+    value, chosen = mnl_best([(theta[j], w[j], j) for j in ground if w[j] > 0 and theta[j] > 0],
+                             budget)
+    return OracleResult(frozenset(j for _, _, j in chosen), value)
 
 
 def constrained_demand(model: ChoiceSpec, ground: Iterable[int], budget=UNBOUNDED) -> OracleResult:

@@ -208,11 +208,20 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments,
     for j in range(resp_n):
         p = np.array([instance.model(side, i).prob(j, assortments[i]) for i in range(init_n)])
         f = demand_table(instance.model(resp_side, j), init_n, instance.budget(resp_side, j))
-        dist = np.array([1.0])
-        for i in range(init_n):
-            dist = np.concatenate([dist * (1.0 - p[i]), dist * p[i]])
-        value += float(dist @ f)
+        value += float(backlog_distribution(p) @ f)
     return value
+
+
+def backlog_distribution(p) -> np.ndarray:
+    """Law of a responder's backlog when initiating agent i joins it
+    independently with probability p[..., i]: shape (..., 2^n), indexed by the
+    backlog's bitmask.  Batched over the leading axes."""
+    p = np.asarray(p, dtype=float)
+    dist = np.ones(p.shape[:-1] + (1,))
+    for i in range(p.shape[-1]):
+        pi = p[..., i, None]
+        dist = np.concatenate([dist * (1.0 - pi), dist * pi], axis=-1)
+    return dist
 
 
 def exact_value_deterministic_adaptive(instance: Instance, policy, max_agents: int = 8) -> float:

@@ -123,3 +123,18 @@ def test_time_limit_stops_ub_oa(tmp_path):
     save_instance(generate_random_instance(12, 12, seed=0), path)
     assert run(["solve", "--instance", str(path), "--what", "ub_oa",
                 "--time-limit", "0.001"]) == 4
+
+
+def test_gaps_time_limit_exit_code(tmp_path, capsys):
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert run(["gaps", "--sizes", "4", "--seeds", "2", "--time-limit", "0.001",
+                    "--jobs", jobs, "--out", str(out_dir)]) == 4
+        assert (out_dir / "gaps.csv").exists()
+    # The 2x2 report finishes well inside the limit and is written; the 7x7
+    # one-sided adaptive DP cannot finish and stops at the limit.
+    out_dir = tmp_path / "partial"
+    assert run(["gaps", "--sizes", "2,7", "--seeds", "1", "--time-limit", "2",
+                "--out", str(out_dir)]) == 4
+    rows = (out_dir / "gaps.csv").read_text().strip().split("\n")
+    assert [r.split(",")[0] for r in rows[1:]] == ["n2m2_s0"]

@@ -280,3 +280,82 @@ def test_os_enumeration_matches_direct_families():
         best = max(exact_value_one_sided_static(inst, "C", list(family))
                    for family in product(subsets, repeat=2))
         assert opt_one_sided_static(inst, "C") == pytest.approx(best, abs=1e-9)
+
+
+def naive_first_action_value(instance, action, side=None):
+    """Expected matches of ``action`` at the root followed by optimal play, by
+    memoized recursion over explicit sets.  ``side=None`` is the fully adaptive
+    game; otherwise ``side`` initiates and each responder is then shown its
+    backlog (its best budget-feasible subset when it has a budget)."""
+    from functools import lru_cache
+
+    from tsa.oracles import constrained_demand
+
+    opposite = {"C": "S", "S": "C"}
+    if side is None:
+        movers = [("C", i) for i in range(instance.n)] + [("S", j) for j in range(instance.m)]
+    else:
+        movers = [(side, i) for i in range(instance.side_size(side))]
+
+    def terminal(backlogs):
+        if side is None:
+            return 0.0
+        resp = opposite[side]
+        total = 0.0
+        for j in range(instance.side_size(resp)):
+            backlog = frozenset(i for (b, (_, i)) in backlogs if b == (resp, j))
+            model, k = instance.model(resp, j), instance.budget(resp, j)
+            total += model.demand(backlog) if k is None else constrained_demand(model, backlog, k).value
+        return total
+
+    def outcome(remaining, backlogs, agent, s):
+        """Show ``s`` to ``agent``; ``backlogs`` holds (chosen, chooser) pairs."""
+        model = instance.model(*agent)
+        rest = remaining - {agent}
+        val, out_p = 0.0, 1.0
+        for j in sorted(s):
+            p = model.prob(j, s)
+            out_p -= p
+            if p <= 0:
+                continue
+            other = (opposite[agent[0]], j)
+            if (agent, other) in backlogs:
+                val += p * (1.0 + play(rest, backlogs))
+            elif other in rest or side is not None:
+                val += p * play(rest, backlogs | {(other, agent)})
+            else:
+                val += p * play(rest, backlogs)
+        if out_p > 1e-15:
+            val += out_p * play(rest, backlogs)
+        return val
+
+    @lru_cache(maxsize=None)
+    def play(remaining, backlogs):
+        if not remaining:
+            return terminal(backlogs)
+        best = 0.0
+        for agent in sorted(remaining):
+            k = instance.budget(*agent)
+            for s in _subsets(range(instance.side_size(opposite[agent[0]]))):
+                if k is None or len(s) <= k:
+                    best = max(best, outcome(remaining, backlogs, agent, s))
+        return best
+
+    return outcome(frozenset(movers), frozenset(), action.agent, action.assortment)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("budget", [None, 1, 2])
+def test_first_action_replay_attains_opt(n, m, budget):
+    for seed in range(2):
+        base = generate_random_instance(n, m, seed=350 + seed)
+        inst = Instance(n, m, base.customer_models, base.supplier_models,
+                        (budget,) * n, (budget,) * m)
+        fa = opt_fully_adaptive(inst)
+        assert naive_first_action_value(inst, fa.optimal_first_action) == pytest.approx(
+            fa.value, abs=1e-9)
+        for side in ("C", "S"):
+            oa = opt_one_sided_adaptive(inst, side)
+            assert oa.optimal_first_action.agent[0] == side
+            assert naive_first_action_value(inst, oa.optimal_first_action, side) == pytest.approx(
+                oa.value, abs=1e-9)

@@ -7,8 +7,7 @@ import pytest
 from conftest import low_value_instance
 from tsa.errors import SizeRefusalError, UnsupportedOracleError
 from tsa.exact import opt_fully_static
-from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static,
-                             bilinear_alternation, dependent_rounding,
+from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static, dependent_rounding,
                              highvalue_subproblem, independent_rounding,
                              lowlow_lp, mnl_static_values, partition_edges)
 from tsa.instances import MNL, Instance, UniformNoOutside, generate_random_instance
@@ -220,21 +219,3 @@ def test_mnl_static_values_matches_scalar():
         edges = [(i, j) for i in range(3) for j in range(3) if xs[t, i, j]]
         assert batch[t] == pytest.approx(exact_value_edges(inst, edges), abs=1e-12)
 
-
-def test_bilinear_1x1_recovery(unit_1x1):
-    sol, zb = bilinear_alternation(unit_1x1, starts=3, rng=np.random.default_rng(0))
-    assert sol.edges == {(0, 0)}
-    assert sol.value == pytest.approx(0.25)
-    assert zb == pytest.approx(0.25, abs=1e-6)
-
-
-def test_bilinear_below_opt_and_monotone():
-    for seed in range(5):
-        inst = generate_random_instance(3, 3, seed=seed)
-        opt, _ = opt_fully_static(inst)
-        sol, zb = bilinear_alternation(inst, starts=4, rng=np.random.default_rng(seed))
-        assert sol.value <= opt + 1e-9
-        assert zb <= opt + 1e-6
-        assert sol.value >= 0.0
-        hist = sol.branch_values["objective_history"]
-        assert all(hist[k + 1] >= hist[k] - 1e-8 for k in range(len(hist) - 1))

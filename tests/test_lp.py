@@ -1,10 +1,37 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsa.lp import (PIVOT_TOL, LpProblem, _bland_enter, _bland_leave,
-                    enumerate_vertices_best, maximize_concave, solve_lp)
+                    maximize_concave, solve_lp)
+
+
+def enumerate_vertices_best(problem: LpProblem):
+    """Brute-force LP optimum via basis enumeration; test oracle for tiny LPs."""
+    n = problem.c.size
+    rows = [(problem.A[i], problem.b[i]) for i in range(problem.b.size)]
+    rows += [(-(np.eye(n)[j]), 0.0) for j in range(n)]
+    best = None
+    feasible_any = False
+    for combo in combinations(range(len(rows)), n):
+        M = np.array([rows[i][0] for i in combo])
+        rhs = np.array([rows[i][1] for i in combo])
+        try:
+            x = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if (x < -1e-9).any() or (problem.A @ x - problem.b > 1e-9).any():
+            continue
+        feasible_any = True
+        val = float(problem.c @ x)
+        if best is None or val > best:
+            best = val
+    if not feasible_any:
+        return None
+    return best
 
 
 def test_single_bound():

@@ -62,6 +62,18 @@ def test_mnl_matches_brute_force(n, seed):
     for k in range(1, n + 1):
         assert best_weighted_assortment(model, theta, budget=k).value == pytest.approx(
             brute_force_weighted(model, theta, budget=k), abs=1e-9)
+    # Zero weights and zero thetas; the returned set respects the budget and
+    # re-values to the reported value.
+    weights = rng.random(n) * 3
+    weights[rng.random(n) < 0.3] = 0.0
+    theta = [0.0 if drop else t for t, drop in zip(theta, rng.random(n) < 0.3)]
+    model = MNL(tuple(weights))
+    for k in [None] + list(range(1, n + 1)):
+        res = best_weighted_assortment(model, theta, budget=k)
+        assert res.value == pytest.approx(brute_force_weighted(model, theta, budget=k), abs=1e-9)
+        assert k is None or len(res.assortment) <= k
+        recomputed = sum(theta[j] * model.prob(j, res.assortment) for j in res.assortment)
+        assert abs(res.value - recomputed) <= 1e-12
 
 
 def test_constrained_demand_top_two():
