@@ -146,13 +146,6 @@ def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution
 # Concave and LP upper bounds (MNL only)
 
 
-def _mnl_or_raise(instance: Instance):
-    mw = instance.mnl_weights()
-    if mw is None:
-        raise UnsupportedOracleError("this bound requires MNL models on both sides")
-    return mw
-
-
 def _block_oracle(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Linear oracle of the load polytope, one MNL block per row:
     argmax_y sum_ij g_ij y_ij  s.t.  y_ij + sum_l v_il y_il <= 1, y >= 0.
@@ -234,7 +227,7 @@ def _ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int, deadline=None) -> 
 
 def ub_oa(instance: Instance, iters: int = 1000, deadline=None) -> float:
     """Upper bound on the one-sided adaptive optimum: max of both orientations."""
-    v, w = _mnl_or_raise(instance)
+    v, w = instance.require_mnl_weights("this bound")
     zc = _ub_oa_oriented(v, w, iters, deadline)
     zs = _ub_oa_oriented(w, v, iters, deadline)
     return max(zc, zs)
@@ -243,7 +236,7 @@ def ub_oa(instance: Instance, iters: int = 1000, deadline=None) -> float:
 def ub_fa(instance: Instance, deadline=None) -> float:
     """LP upper bound on the fully adaptive optimum:
     max sum x_ij s.t. x_ij <= v_ij (1 - sum_l x_il), x_ij <= w_ji (1 - sum_k x_kj)."""
-    v, w = _mnl_or_raise(instance)
+    v, w = instance.require_mnl_weights("this bound")
     n, m = instance.n, instance.m
     if n == 0 or m == 0:
         return 0.0
@@ -323,38 +316,44 @@ def alg_one_sided_static_value(instance: Instance, seed: int = 0) -> float:
     return best
 
 
-def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0, runs: int = 100,
-                                 mc_runs: int = 10_000, max_exact: int = 8):
+# The algorithm values: side-selector sampling runs per side, Monte Carlo runs
+# per policy, and the largest initiating side whose greedy is valued exactly.
+_SELECTOR_RUNS = 100
+_MC_RUNS = 10_000
+_MAX_EXACT_SIDE = 8
+
+
+def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0, deadline=None):
     """Value of the sampling side-selector's committed greedy: exact when the
     initiating side is small enough, else Monte Carlo."""
-    policy = sampling_side_selector(instance, SamplingConfig(runs_override=runs), seed=seed)
+    policy = sampling_side_selector(instance, SamplingConfig(runs_override=_SELECTOR_RUNS),
+                                    seed, deadline)
     side = policy.metadata["side"]
-    if instance.side_size(side) <= max_exact:
+    if instance.side_size(side) <= _MAX_EXACT_SIDE:
         return exact_greedy_value(instance, side), policy.metadata
-    res = monte_carlo(instance, policy, mc_runs, seed)
+    res = monte_carlo(instance, policy, _MC_RUNS, seed, deadline)
     return res.mean, {**policy.metadata, "ci_half_width": res.half_width}
 
 
-def alg_fully_adaptive_value(instance: Instance, seed: int = 0, mc_runs: int = 10_000,
-                             max_exact: int = 8):
+def alg_fully_adaptive_value(instance: Instance, seed: int = 0, deadline=None):
     """Expected value of the coin-toss policy: exact average of both sides when
     both are small enough, else Monte Carlo per side."""
-    if max(instance.n, instance.m) <= max_exact:
-        return cointoss_exact_value(instance, max_initiating=max_exact)
+    if max(instance.n, instance.m) <= _MAX_EXACT_SIDE:
+        return cointoss_exact_value(instance, max_initiating=_MAX_EXACT_SIDE)
     vals = []
     for k, side in enumerate(("C", "S")):
         pol = GreedyOneSidedPolicy(instance, side)
-        vals.append(monte_carlo(instance, pol, mc_runs, seed + k).mean)
+        vals.append(monte_carlo(instance, pol, _MC_RUNS, seed + k, deadline).mean)
     return 0.5 * sum(vals)
 
 
 def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DEFAULT_CAPS,
                seed: int = 0, with_algs: bool = True, with_bounds: bool = True,
-               relax_max_side: int = 6, deadline=None) -> GapReport:
+               deadline=None) -> GapReport:
     """Compute every size-feasible optimum, algorithm value and bound, then the
     ratio table and theorem-bound verdicts; unavailable entries stay None.
-    ``deadline`` reaches the adaptive DPs and the bounds, which raise
-    ``TimeLimitError`` once it has passed."""
+    ``deadline`` reaches the adaptive DPs, the bounds and the Monte Carlo runs
+    of the algorithm values, which raise ``TimeLimitError`` once it has passed."""
     q: Dict[str, Optional[float]] = {k: None for k in QUANTITY_ORDER}
 
     fs = _try(opt_fully_static, instance, caps)
@@ -374,9 +373,9 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
     rel = None
     if with_bounds:
         rel_c = _try(lp_relaxation_onesided, instance, "C", instance.constrained,
-                     relax_max_side, deadline)
+                     deadline=deadline)
         rel_s = _try(lp_relaxation_onesided, instance, "S", instance.constrained,
-                     relax_max_side, deadline)
+                     deadline=deadline)
         rel = rel_c
         if rel_c is not None and rel_s is not None:
             q["REL2"] = max(rel_c.value, rel_s.value)
@@ -389,9 +388,9 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
         sol = _try(approx_fully_static, instance, rng=np.random.default_rng([seed, 3]))
         q["ALG_FS"] = sol.value if sol is not None else None
         q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed)
-        oa_alg = _try(alg_one_sided_adaptive_value, instance, seed)
+        oa_alg = _try(alg_one_sided_adaptive_value, instance, seed, deadline)
         q["ALG_OA"] = oa_alg[0] if oa_alg is not None else None
-        q["ALG_FA"] = _try(alg_fully_adaptive_value, instance, seed)
+        q["ALG_FA"] = _try(alg_fully_adaptive_value, instance, seed, deadline)
 
     ratios: Dict[str, Optional[float]] = {}
     for name, num, den in RATIO_DEFS:

@@ -215,21 +215,27 @@ def _gap_one(task):
     return gap_report(inst, label, SolveCaps(**caps_kw), seed, deadline=deadline)
 
 
-def _run_reports(cfg: ExperimentConfig, caps: SolveCaps, instances, deadline=None):
-    """Yield one gap report per instance, in order; each task carries the
-    seconds left on ``deadline`` when it is made (serially, just before it
-    runs)."""
+def _run_reports(cfg: ExperimentConfig, caps: SolveCaps, deadline=None):
+    """(reports, timed_out): one gap report per generated instance, in order,
+    up to the first that hit ``deadline``.  Each task carries the seconds left
+    on ``deadline`` when it is made (serially, just before it runs)."""
     def task(label, n, m, seed):
         inst = generate_random_instance(n, m, seed, cfg.profile())
         seconds = deadline.remaining() if deadline is not None else None
         return (label, instance_to_dict(inst), caps.__dict__, seed, seconds)
 
-    if cfg.jobs and cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            yield from pool.map(_gap_one, [task(*x) for x in instances])
-    else:
-        for x in instances:
-            yield _gap_one(task(*x))
+    reports = []
+    try:
+        if cfg.jobs and cfg.jobs > 1:
+            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+                for rep in pool.map(_gap_one, [task(*x) for x in _instances_of(cfg)]):
+                    reports.append(rep)
+        else:
+            for x in _instances_of(cfg):
+                reports.append(_gap_one(task(*x)))
+    except TimeLimitError:
+        return reports, True
+    return reports, False
 
 
 def cmd_gaps(args) -> int:
@@ -251,11 +257,7 @@ def cmd_gaps(args) -> int:
                 timed_out = True
                 break
     else:
-        try:
-            for rep in _run_reports(cfg, caps, _instances_of(cfg), deadline):
-                reports.append(rep)
-        except TimeLimitError:
-            timed_out = True
+        reports, timed_out = _run_reports(cfg, caps, deadline)
     path = os.path.join(cfg.out, "gaps.csv")
     with open(path, "w", encoding="utf-8") as fh:
         reports_to_csv(reports, fh)
@@ -282,14 +284,14 @@ def cmd_tables(args) -> int:
     cfg = _load_config(args)
     caps = SolveCaps()
     os.makedirs(cfg.out, exist_ok=True)
-    by_size = []
-    for (n, m) in cfg.sizes:
-        instances = [(f"n{n}m{m}_s{cfg.seed + k}", n, m, cfg.seed + k) for k in range(cfg.seeds)]
-        by_size.append((f"{n}x{m}", list(_run_reports(cfg, caps, instances))))
-
-    all_reports = [r for _, reps in by_size for r in reps]
+    deadline = Deadline(cfg.time_limit) if cfg.time_limit else None
+    reports, timed_out = _run_reports(cfg, caps, deadline)
     with open(os.path.join(cfg.out, "instances.csv"), "w", encoding="utf-8") as fh:
-        reports_to_csv(all_reports, fh)
+        reports_to_csv(reports, fh)
+    # _instances_of lists cfg.seeds instances per size, size by size.
+    by_size = [(f"{n}x{m}", reports[k * cfg.seeds:(k + 1) * cfg.seeds])
+               for k, (n, m) in enumerate(cfg.sizes)]
+    by_size = [(size, reps) for size, reps in by_size if reps]
 
     tables = {
         "table_fullystatic.csv": ["ALG_FS/OPT_FS"],
@@ -307,7 +309,7 @@ def cmd_tables(args) -> int:
             for row in _summary_rows(by_size, names):
                 fh.write(",".join(row) + "\n")
         print(os.path.join(cfg.out, fname))
-    return EXIT_OK
+    return EXIT_TIME if timed_out else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

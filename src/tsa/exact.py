@@ -16,11 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeRefusalError
-from .fullystatic import mnl_static_values
 from .instances import (UNBOUNDED, Instance, demand_table, is_mnl, mask_of,
                         prob_table)
 from .oracles import mnl_best
-from .policies import PolicyAction, backlog_distribution
+from .policies import PolicyAction, backlog_distribution, static_values
 
 
 @dataclass(frozen=True)
@@ -305,43 +304,19 @@ def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
         return 0.0, []
 
     patterns = 1 << nm
-    bits = ((np.arange(patterns)[:, None] >> np.arange(nm)[None, :]) & 1).astype(float)
-    grid = bits.reshape(patterns, n, m)
+    grid = ((np.arange(patterns)[:, None] >> np.arange(nm)) & 1).astype(bool)
+    grid = grid.reshape(patterns, n, m)
 
     feasible = np.ones(patterns, dtype=bool)
-    for i in range(n):
-        k = instance.k_customer[i]
+    for i, k in enumerate(instance.k_customer):
         if k is not UNBOUNDED:
             feasible &= grid[:, i, :].sum(axis=1) <= k
-    for j in range(m):
-        k = instance.k_supplier[j]
+    for j, k in enumerate(instance.k_supplier):
         if k is not UNBOUNDED:
             feasible &= grid[:, :, j].sum(axis=1) <= k
 
-    if instance.mnl_weights() is not None:
-        vals = mnl_static_values(instance, grid)
-    else:
-        phi_c = [prob_table(instance.customer_models[i], m) for i in range(n)]
-        phi_s = [prob_table(instance.supplier_models[j], n) for j in range(m)]
-        vals = np.zeros(patterns)
-        for x in range(patterns):
-            if not feasible[x]:
-                continue
-            smask = [0] * n
-            cmask = [0] * m
-            for e in range(nm):
-                if x >> e & 1:
-                    i, j = divmod(e, m)
-                    smask[i] |= 1 << j
-                    cmask[j] |= 1 << i
-            val = 0.0
-            for e in range(nm):
-                if x >> e & 1:
-                    i, j = divmod(e, m)
-                    val += phi_c[i][smask[i], j] * phi_s[j][cmask[j], i]
-            vals[x] = val
-
-    vals = np.where(feasible, vals, -np.inf)
+    vals = np.full(patterns, -np.inf)
+    vals[feasible] = static_values(instance, grid[feasible])
     best = int(vals.argmax())
     edges = [(e // m, e % m) for e in range(nm) if best >> e & 1]
     return float(vals[best]), edges

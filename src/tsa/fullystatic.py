@@ -16,20 +16,13 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SizeRefusalError, UnsupportedOracleError
+from .errors import SizeRefusalError
 from .instances import UNBOUNDED, Instance
 from .lp import LpProblem, solve_lp
 from .policies import exact_value_edges
 
 # Threshold minimizing the combined regime loss, ~0.7574.
 DEFAULT_ALPHA = 0.7574
-
-
-def _require_mnl(instance: Instance):
-    mw = instance.mnl_weights()
-    if mw is None:
-        raise UnsupportedOracleError("fully static approximation requires MNL models on both sides")
-    return mw
 
 
 @dataclass
@@ -42,7 +35,7 @@ class FsSolution:
 
 def partition_edges(instance: Instance, alpha: float = DEFAULT_ALPHA):
     """(E1, E2, E3): w_ji >= alpha; v_ij >= alpha and w_ji < alpha; the rest."""
-    v, w = _require_mnl(instance)
+    v, w = instance.require_mnl_weights("fully static approximation")
     e1, e2, e3 = [], [], []
     for i in range(instance.n):
         for j in range(instance.m):
@@ -63,7 +56,7 @@ def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = N
               constrained: bool = False):
     """LP relaxation max sum v_ij w_ji y_ij with per-pair load constraints (and
     per-agent budget rows when constrained); returns (dense y, z_LP)."""
-    v, w = _require_mnl(instance)
+    v, w = instance.require_mnl_weights("fully static approximation")
     n, m = instance.n, instance.m
     edge_list = sorted(edges) if edges is not None else [(i, j) for i in range(n) for j in range(m)]
     idx = {e: k for k, e in enumerate(edge_list)}
@@ -122,16 +115,6 @@ def independent_rounding(y: np.ndarray, rng) -> frozenset:
     n, m = y.shape
     draws = rng.random((n, m))
     return frozenset((i, j) for i in range(n) for j in range(m) if draws[i, j] < y[i, j])
-
-
-def mnl_static_values(instance: Instance, xs: np.ndarray) -> np.ndarray:
-    """Exact static objective for a batch of 0/1 edge matrices, shape (T, n, m)."""
-    v, w = _require_mnl(instance)
-    xs = np.asarray(xs, dtype=float)
-    V = 1.0 + (xs * v[None, :, :]).sum(axis=2)
-    W = 1.0 + (xs * w.T[None, :, :]).sum(axis=1)
-    num = xs * (v * w.T)[None, :, :]
-    return (num / (V[:, :, None] * W[:, None, :])).sum(axis=(1, 2))
 
 
 def dependent_rounding(y: np.ndarray, rng, row_caps: Optional[Sequence] = None,
@@ -236,7 +219,7 @@ def highvalue_subproblem(instance: Instance, edges: Iterable[Tuple[int, int]],
     side="C": objective over customers with weights v_ij (high-w regime);
     side="S": objective over suppliers with weights w_ji (high-v regime).
     """
-    v, w = _require_mnl(instance)
+    v, w = instance.require_mnl_weights("fully static approximation")
     edge_list = sorted(set(edges))
     if not edge_list:
         return frozenset(), 0.0

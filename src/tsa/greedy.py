@@ -213,15 +213,18 @@ class CommittedPolicy:
 
 
 def sampling_side_selector(instance: Instance, cfg: SamplingConfig = SamplingConfig(),
-                           seed: int = 0) -> CommittedPolicy:
+                           seed: int = 0, deadline=None) -> CommittedPolicy:
     """Estimate each side's greedy value with T independent runs, then commit
-    deterministically to the higher estimate and run greedy there."""
+    deterministically to the higher estimate and run greedy there.  A
+    ``deadline`` is checked before each run."""
     runs, heuristic = effective_runs(instance, cfg)
     estimates = {}
     for k, side in enumerate(("C", "S")):
         pol = GreedyOneSidedPolicy(instance, side)
         total = 0.0
         for r in range(runs):
+            if deadline is not None:
+                deadline.check()
             rng = np.random.default_rng([seed, k, r])
             matches, _ = simulate_once(instance, pol, rng)
             total += matches

@@ -15,17 +15,12 @@ from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import ChoiceModelError, ParseError
+from .errors import ChoiceModelError, ParseError, UnsupportedOracleError
 
 # Budget sentinel: an unbounded assortment-size budget.
 UNBOUNDED = None
 
 _PROB_TOL = 1e-12
-
-
-def _as_set(assortment: Iterable[int]) -> frozenset:
-    s = frozenset(assortment)
-    return s
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,7 @@ ChoiceSpec = Union[MNL, Tabular, Mixture, UniformNoOutside, BetaUniform]
 
 def choice_prob(model: ChoiceSpec, option: Optional[int], assortment: Iterable[int]) -> float:
     """Probability that the agent picks ``option`` (None = outside) from ``assortment``."""
-    s = _as_set(assortment)
+    s = frozenset(assortment)
     if not all(0 <= j < model.num_options for j in s):
         raise ChoiceModelError(f"assortment {sorted(s)} outside option universe of size {model.num_options}")
     if option is not None and not (0 <= option < model.num_options):
@@ -206,7 +201,7 @@ def choice_prob(model: ChoiceSpec, option: Optional[int], assortment: Iterable[i
 
 def demand(model: ChoiceSpec, assortment: Iterable[int]) -> float:
     """Probability the agent picks anything from ``assortment``."""
-    s = _as_set(assortment)
+    s = frozenset(assortment)
     if not all(0 <= j < model.num_options for j in s):
         raise ChoiceModelError(f"assortment {sorted(s)} outside option universe of size {model.num_options}")
     return model.demand(s)
@@ -314,6 +309,13 @@ class Instance:
             w = np.array([s.weights for s in self.supplier_models], dtype=float).reshape(self.m, self.n)
             return v, w
         return None
+
+    def require_mnl_weights(self, what: str):
+        """``mnl_weights()``, or UnsupportedOracleError naming ``what``."""
+        mw = self.mnl_weights()
+        if mw is None:
+            raise UnsupportedOracleError(f"{what} requires MNL models on both sides")
+        return mw
 
     def transpose(self) -> "Instance":
         """Swap sides: suppliers become customers and vice versa."""
@@ -445,14 +447,6 @@ def prob_table(model: ChoiceSpec, n_opts: int) -> np.ndarray:
         raise ValueError("prob_table limited to option universes of size <= 16")
     size = 1 << n_opts
     out = np.zeros((size, n_opts))
-    if isinstance(model, MNL):
-        w = np.asarray(model.weights)
-        for mask in range(1, size):
-            opts = _mask_options(mask)
-            denom = 1.0 + sum(w[j] for j in opts)
-            for j in opts:
-                out[mask, j] = w[j] / denom
-        return out
     for mask in range(1, size):
         s = frozenset(_mask_options(mask))
         for j in s:
@@ -461,14 +455,7 @@ def prob_table(model: ChoiceSpec, n_opts: int) -> np.ndarray:
 
 
 def _mask_options(mask: int):
-    opts = []
-    j = 0
-    while mask:
-        if mask & 1:
-            opts.append(j)
-        mask >>= 1
-        j += 1
-    return opts
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def mask_of(options: Iterable[int]) -> int:

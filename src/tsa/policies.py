@@ -136,13 +136,17 @@ def dump_trace(trace: list, fh) -> None:
         fh.write("\n")
 
 
-def monte_carlo(instance: Instance, policy, runs: int, seed: int) -> SimulationResult:
-    """Mean matches with a normal-approximation 95% CI; run r uses stream (seed, r)."""
+def monte_carlo(instance: Instance, policy, runs: int, seed: int,
+                deadline=None) -> SimulationResult:
+    """Mean matches with a normal-approximation 95% CI; run r uses stream (seed, r).
+    A ``deadline`` is checked before each run."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     total = 0.0
     total_sq = 0.0
     for r in range(runs):
+        if deadline is not None:
+            deadline.check()
         rng = np.random.default_rng([seed, r])
         matches, _ = simulate_once(instance, policy, rng)
         total += matches
@@ -157,26 +161,67 @@ def monte_carlo(instance: Instance, policy, runs: int, seed: int) -> SimulationR
 # Exact evaluators
 
 
+def static_values(instance: Instance, xc, xs=None) -> np.ndarray:
+    """Expected matches of a batch of fully static displays: xc[t, i, j] marks
+    that customer i shows supplier j, xs[t, j, i] that supplier j shows
+    customer i (the transpose of xc when omitted: a mutual display).  Choices
+    are independent, so a pair contributes phi_i(j, S_i) * phi_j(i, C_j), which
+    is zero unless both show each other."""
+    xc = np.asarray(xc, dtype=bool)
+    xs = xc.transpose(0, 2, 1) if xs is None else np.asarray(xs, dtype=bool)
+    pc, rc = _choice_probs(instance.customer_models, xc)
+    ps, rs = _choice_probs(instance.supplier_models, xs)
+    values = np.zeros(len(xc))
+    for i, j in np.argwhere((xc & xs.transpose(0, 2, 1)).any(axis=0)).tolist():
+        values += pc[rc[:, i], j] * ps[rs[:, j], i]
+    return values
+
+
+def _choice_probs(models, display: np.ndarray):
+    """(table, row) for one side's displays display[t, a, :]: table[r, j] is
+    phi_a(j, S) for the r-th distinct (agent a, display S), and row[t, a] is
+    its row.  ``model.prob`` runs once per distinct pair."""
+    batch, count, width = display.shape
+    row = np.broadcast_to(np.arange(count), (batch, count))
+    distinct = count
+    room = max(row.size, 1 << 16)  # the largest key space tabulated at once
+    lo = 0
+    while lo < width:
+        # Append the next options' bits to the row ids, as many as keep the
+        # keys within ``room``, and renumber the keys that occur through a
+        # table: no sort, and any number of options.
+        step = min(width - lo, max(1, (room // max(distinct, 1)).bit_length() - 1))
+        key = (row << step) | (display[:, :, lo:lo + step] @ (1 << np.arange(step)))
+        seen = np.zeros(distinct << step, dtype=bool)
+        seen[key] = True
+        row = (np.cumsum(seen) - 1)[key]
+        distinct = int(seen.sum())
+        lo += step
+    example = np.empty(distinct, dtype=np.int64)  # any (t, a) with that row
+    example[row.ravel()] = np.arange(row.size)
+    t, agents = np.divmod(example, count)
+    table = np.zeros((distinct, width))
+    for r, (a, flags) in enumerate(zip(agents.tolist(), display[t, agents].tolist())):
+        shown = frozenset(j for j, on in enumerate(flags) if on)
+        for j in shown:
+            table[r, j] = models[a].prob(j, shown)
+    return table, row
+
+
 def exact_value_static(instance: Instance, customer_assortments, supplier_assortments) -> float:
     """Expected matches of a fully static display; choices are independent so
     only mutually displayed pairs can match."""
-    s_list = [frozenset(s) for s in customer_assortments]
-    c_list = [frozenset(c) for c in supplier_assortments]
-    for i, s in enumerate(s_list):
-        k = instance.k_customer[i]
-        if k is not UNBOUNDED and len(s) > k:
-            raise ContractViolationError(f"customer {i} assortment exceeds budget")
-    for j, c in enumerate(c_list):
-        k = instance.k_supplier[j]
-        if k is not UNBOUNDED and len(c) > k:
-            raise ContractViolationError(f"supplier {j} assortment exceeds budget")
-    value = 0.0
-    for i in range(instance.n):
-        mi = instance.customer_models[i]
-        for j in s_list[i]:
-            if i in c_list[j]:
-                value += mi.prob(j, s_list[i]) * instance.supplier_models[j].prob(i, c_list[j])
-    return value
+    xc = np.zeros((1, instance.n, instance.m), dtype=bool)
+    xs = np.zeros((1, instance.m, instance.n), dtype=bool)
+    for side, name, assortments, x in (("C", "customer", customer_assortments, xc),
+                                       ("S", "supplier", supplier_assortments, xs)):
+        for a, s in enumerate(assortments):
+            s = frozenset(s)
+            k = instance.budget(side, a)
+            if k is not UNBOUNDED and len(s) > k:
+                raise ContractViolationError(f"{name} {a} assortment exceeds budget")
+            x[0, a, sorted(s)] = True
+    return float(static_values(instance, xc, xs)[0])
 
 
 def exact_value_edges(instance: Instance, edges: Iterable[Tuple[int, int]]) -> float:

@@ -17,12 +17,13 @@ from tsa.bounds import lp_relaxation_onesided, ub_fa, ub_oa
 from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
                        opt_one_sided_adaptive, opt_one_sided_static)
 from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static,
-                             dependent_rounding, lowlow_lp, mnl_static_values)
+                             dependent_rounding, lowlow_lp)
 from tsa.greedy import (SamplingConfig, exact_greedy_value, sampling_side_selector)
 from tsa.instances import (MNL, BetaUniform, Instance,
                            counterexample_constrained_demand_model,
                            generate_random_instance, tight_instance)
 from tsa.oracles import constrained_demand, is_submodular
+from tsa.policies import static_values
 
 E_RATIO = math.e / (math.e - 1.0)
 TOL = 1e-9
@@ -191,7 +192,7 @@ def test_criterion_8_rounding_properties():
         y, z = lowlow_lp(inst)
         rng = np.random.default_rng([80_100 + k])
         xs = rng.random((draws, 4, 4)) < y[None, :, :]
-        vals = mnl_static_values(inst, xs)
+        vals = static_values(inst, xs)
         se = vals.std(ddof=1) / math.sqrt(draws)
         bound = z / (2 + DEFAULT_ALPHA) ** 2
         assert vals.mean() >= bound - 3 * se, (k, vals.mean(), bound)

@@ -138,3 +138,22 @@ def test_gaps_time_limit_exit_code(tmp_path, capsys):
                 "--out", str(out_dir)]) == 4
     rows = (out_dir / "gaps.csv").read_text().strip().split("\n")
     assert [r.split(",")[0] for r in rows[1:]] == ["n2m2_s0"]
+
+
+def test_tables_time_limit_writes_finished_reports(tmp_path, capsys):
+    # As in the gaps test: the 2x2 report finishes, the 7x7 one hits the limit.
+    out_dir = tmp_path / "partial"
+    assert run(["tables", "--sizes", "2,7", "--seeds", "1", "--time-limit", "2",
+                "--out", str(out_dir)]) == 4
+    rows = (out_dir / "instances.csv").read_text().strip().split("\n")
+    assert [r.split(",")[0] for r in rows[1:]] == ["n2m2_s0"]
+    for name in ("table_fullystatic.csv", "table_gaps.csv", "table_adaptive.csv"):
+        rows = (out_dir / name).read_text().strip().split("\n")
+        assert [r.split(",")[0] for r in rows[1:]] == ["2x2"]
+
+
+def test_gaps_time_limit_stops_monte_carlo(tmp_path, capsys):
+    # At 10x10 every exact solver refuses and the Monte Carlo runs of the
+    # algorithm values take most of a report's time.
+    assert run(["gaps", "--sizes", "10", "--seeds", "1", "--time-limit", "1",
+                "--out", str(tmp_path)]) == 4

@@ -1,4 +1,6 @@
 import math
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from conftest import independent_model
 from tsa.errors import SizeRefusalError
 from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
                        opt_one_sided_adaptive, opt_one_sided_static)
-from tsa.instances import (MNL, Instance, generate_random_instance,
+from tsa.instances import (MNL, Instance, Mixture, generate_random_instance,
                            tight_instance)
+from tsa.policies import exact_value_edges
 
 E_RATIO = math.e / (math.e - 1.0)
 
@@ -64,6 +67,34 @@ def test_opt_fs_examples(unit_1x1):
     zero = Instance(2, 2, (MNL((0.0, 0.0)),) * 2, (MNL((0.0, 0.0)),) * 2)
     val, edges = opt_fully_static(zero)
     assert val == 0.0
+
+
+def _brute_force_fully_static(inst):
+    """Best budget-feasible mutual edge set by enumeration, each valued by the
+    paper's sum over its edges of phi_i(j, S_i) * phi_j(i, C_j)."""
+    phi = lru_cache(maxsize=None)(lambda side, a, j, shown: inst.model(side, a).prob(j, shown))
+    best = -1.0
+    for bits in product((False, True), repeat=inst.n * inst.m):
+        edges = [(e // inst.m, e % inst.m) for e, on in enumerate(bits) if on]
+        s = [frozenset(j for i2, j in edges if i2 == i) for i in range(inst.n)]
+        c = [frozenset(i for i, j2 in edges if j2 == j) for j in range(inst.m)]
+        if any(k is not None and len(x) > k for x, k in zip(s + c, inst.k_customer + inst.k_supplier)):
+            continue
+        best = max(best, sum(phi("C", i, j, s[i]) * phi("S", j, i, c[j]) for i, j in edges))
+    return best
+
+
+def test_opt_fs_matches_brute_force_for_general_models():
+    # Both sides' budgets bind: OPT_FS is 0.2780, 0.2990 without the customer
+    # budgets and 0.2931 without the supplier budgets.
+    base = generate_random_instance(3, 3, seed=20)
+    mixture = Instance(3, 3, tuple(Mixture((c,), (1.0,)) for c in base.customer_models),
+                       tuple(Mixture((s,), (1.0,)) for s in base.supplier_models),
+                       (1, 2, 1), (1, 1, 2))
+    for inst in (tight_instance("thm3", 2), tight_instance("lemma3", 2), mixture):
+        val, edges = opt_fully_static(inst)
+        assert val == pytest.approx(_brute_force_fully_static(inst), abs=1e-12)
+        assert exact_value_edges(inst, edges) == pytest.approx(val, abs=1e-12)
 
 
 def test_size_refusals():

@@ -9,9 +9,9 @@ from tsa.errors import SizeRefusalError, UnsupportedOracleError
 from tsa.exact import opt_fully_static
 from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static, dependent_rounding,
                              highvalue_subproblem, independent_rounding,
-                             lowlow_lp, mnl_static_values, partition_edges)
+                             lowlow_lp, partition_edges)
 from tsa.instances import MNL, Instance, UniformNoOutside, generate_random_instance
-from tsa.policies import exact_value_edges
+from tsa.policies import exact_value_edges, static_values
 
 
 def brute_force_restricted(instance, edges):
@@ -205,7 +205,7 @@ def test_lemma1_rounding_bound_small_battery():
         y, z = lowlow_lp(inst)
         rng = np.random.default_rng([seed, 1])
         xs = (rng.random((draws, 3, 3)) < y[None, :, :])
-        vals = mnl_static_values(inst, xs)
+        vals = static_values(inst, xs)
         se = vals.std(ddof=1) / math.sqrt(draws)
         assert vals.mean() >= z / (2 + DEFAULT_ALPHA) ** 2 - 3 * se
 
@@ -214,7 +214,7 @@ def test_mnl_static_values_matches_scalar():
     inst = generate_random_instance(3, 3, seed=6)
     rng = np.random.default_rng(0)
     xs = (rng.random((5, 3, 3)) < 0.5).astype(float)
-    batch = mnl_static_values(inst, xs)
+    batch = static_values(inst, xs)
     for t in range(5):
         edges = [(i, j) for i in range(3) for j in range(3) if xs[t, i, j]]
         assert batch[t] == pytest.approx(exact_value_edges(inst, edges), abs=1e-12)

@@ -12,7 +12,7 @@ from tsa.policies import (PolicyAction, StaticPolicy,
                           OneSidedStaticPolicy, dump_trace,
                           exact_value_deterministic_adaptive, exact_value_edges,
                           exact_value_one_sided_static, exact_value_static,
-                          monte_carlo, simulate_once)
+                          monte_carlo, simulate_once, static_values)
 
 
 def test_empty_instance_zero_matches():
@@ -159,6 +159,32 @@ def test_trace_dump_format(unit_1x1):
 def test_exact_value_edges_matches_static(unit_1x1):
     assert exact_value_edges(unit_1x1, [(0, 0)]) == pytest.approx(0.25)
     assert exact_value_edges(unit_1x1, []) == 0.0
+
+
+def _mnl_static_closed_form(inst, xc, xs):
+    """sum_ij xc_ij xs_ji v_ij w_ji / (V_i W_j), V_i and W_j the displayed
+    weights plus the outside option."""
+    v, w = inst.mnl_weights()
+    big_v = 1.0 + (xc * v).sum(axis=2)
+    big_w = 1.0 + (xs * w).sum(axis=2)
+    num = xc * xs.transpose(0, 2, 1) * v * w.T
+    return (num / (big_v[:, :, None] * big_w[:, None, :])).sum(axis=(1, 2))
+
+
+def test_static_values_match_mnl_closed_form():
+    rng = np.random.default_rng(17)
+    # 3x40 and 40x3 need several bitmask passes per agent.
+    for n, m in ((1, 1), (2, 3), (4, 4), (5, 2), (3, 40), (40, 3)):
+        inst = generate_random_instance(n, m, seed=10 * n + m)
+        for density in (0.2, 0.6):
+            xc = rng.random((50, n, m)) < density
+            xs = rng.random((50, m, n)) < density
+            xc[25:] = xc[0]  # repeated displays share a row
+            mutual = static_values(inst, xc)
+            assert np.abs(mutual - _mnl_static_closed_form(inst, xc, xc.transpose(0, 2, 1))).max() \
+                <= 1e-12
+            one_way = static_values(inst, xc, xs)
+            assert np.abs(one_way - _mnl_static_closed_form(inst, xc, xs)).max() <= 1e-12
 
 
 def test_class_tag_ordering_enforced():
