@@ -352,8 +352,9 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
                deadline=None) -> GapReport:
     """Compute every size-feasible optimum, algorithm value and bound, then the
     ratio table and theorem-bound verdicts; unavailable entries stay None.
-    ``deadline`` reaches the adaptive DPs, the bounds and the Monte Carlo runs
-    of the algorithm values, which raise ``TimeLimitError`` once it has passed."""
+    ``deadline`` reaches the adaptive DPs, the bounds, the fully static
+    approximation's LP and the Monte Carlo runs of the algorithm values, which
+    raise ``TimeLimitError`` once it has passed."""
     q: Dict[str, Optional[float]] = {k: None for k in QUANTITY_ORDER}
 
     fs = _try(opt_fully_static, instance, caps)
@@ -385,7 +386,8 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
     if with_algs:
         from .fullystatic import approx_fully_static
 
-        sol = _try(approx_fully_static, instance, rng=np.random.default_rng([seed, 3]))
+        sol = _try(approx_fully_static, instance, rng=np.random.default_rng([seed, 3]),
+                   deadline=deadline)
         q["ALG_FS"] = sol.value if sol is not None else None
         q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed)
         oa_alg = _try(alg_one_sided_adaptive_value, instance, seed, deadline)

@@ -140,7 +140,8 @@ def _solve_one(inst, what, caps: SolveCaps, seed: int, deadline=None):
     if "fa" in what:
         values["OPT_FA"] = opt_fully_adaptive(inst, caps, deadline).value
     if "alg_fs" in what:
-        values["ALG_FS"] = approx_fully_static(inst, rng=np.random.default_rng([seed, 3])).value
+        values["ALG_FS"] = approx_fully_static(inst, rng=np.random.default_rng([seed, 3]),
+                                               deadline=deadline).value
     if "ub_oa" in what:
         values["UB_OA"] = ub_oa(inst, deadline=deadline)
     if "ub_fa" in what:
@@ -207,31 +208,37 @@ def cmd_simulate(args) -> int:
 
 
 def _gap_one(task):
-    label, payload, caps_kw, seed, seconds = task
+    label, payload, seed, seconds = task
     from .instances import instance_from_dict
 
     inst = instance_from_dict(payload)
     deadline = Deadline(seconds) if seconds is not None else None
-    return gap_report(inst, label, SolveCaps(**caps_kw), seed, deadline=deadline)
+    return gap_report(inst, label, DEFAULT_CAPS, seed, deadline=deadline)
 
 
-def _run_reports(cfg: ExperimentConfig, caps: SolveCaps, deadline=None):
-    """(reports, timed_out): one gap report per generated instance, in order,
-    up to the first that hit ``deadline``.  Each task carries the seconds left
-    on ``deadline`` when it is made (serially, just before it runs)."""
-    def task(label, n, m, seed):
-        inst = generate_random_instance(n, m, seed, cfg.profile())
+def _generated(cfg: ExperimentConfig):
+    """(label, instance, seed) for each configured random instance, made on demand."""
+    for label, n, m, seed in _instances_of(cfg):
+        yield label, generate_random_instance(n, m, seed, cfg.profile()), seed
+
+
+def _run_reports(items, jobs: int, deadline=None):
+    """(reports, timed_out): one gap report per (label, instance, seed) item, in
+    order, up to the first that hit ``deadline``.  Each task carries the
+    seconds left on ``deadline`` when it is made (serially, just before it
+    runs; with ``jobs`` > 1, all at submission)."""
+    def task(label, inst, seed):
         seconds = deadline.remaining() if deadline is not None else None
-        return (label, instance_to_dict(inst), caps.__dict__, seed, seconds)
+        return (label, instance_to_dict(inst), seed, seconds)
 
     reports = []
     try:
-        if cfg.jobs and cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                for rep in pool.map(_gap_one, [task(*x) for x in _instances_of(cfg)]):
+        if jobs and jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                for rep in pool.map(_gap_one, (task(*x) for x in items)):
                     reports.append(rep)
         else:
-            for x in _instances_of(cfg):
+            for x in items:
                 reports.append(_gap_one(task(*x)))
     except TimeLimitError:
         return reports, True
@@ -240,24 +247,14 @@ def _run_reports(cfg: ExperimentConfig, caps: SolveCaps, deadline=None):
 
 def cmd_gaps(args) -> int:
     cfg = _load_config(args)
-    caps = SolveCaps()
     os.makedirs(cfg.out, exist_ok=True)
-    timed_out = False
     deadline = Deadline(cfg.time_limit) if cfg.time_limit else None
-    reports = []
     if args.instance:
-        for k, path in enumerate(args.instance):
-            inst = load_instance(path)
-            label = os.path.splitext(os.path.basename(path))[0]
-            try:
-                if deadline is not None:
-                    deadline.check()
-                reports.append(gap_report(inst, label, caps, cfg.seed + k, deadline=deadline))
-            except TimeLimitError:
-                timed_out = True
-                break
+        items = ((os.path.splitext(os.path.basename(path))[0], load_instance(path), cfg.seed + k)
+                 for k, path in enumerate(args.instance))
     else:
-        reports, timed_out = _run_reports(cfg, caps, deadline)
+        items = _generated(cfg)
+    reports, timed_out = _run_reports(items, cfg.jobs, deadline)
     path = os.path.join(cfg.out, "gaps.csv")
     with open(path, "w", encoding="utf-8") as fh:
         reports_to_csv(reports, fh)
@@ -282,10 +279,9 @@ def _summary_rows(reports_by_size, names):
 
 def cmd_tables(args) -> int:
     cfg = _load_config(args)
-    caps = SolveCaps()
     os.makedirs(cfg.out, exist_ok=True)
     deadline = Deadline(cfg.time_limit) if cfg.time_limit else None
-    reports, timed_out = _run_reports(cfg, caps, deadline)
+    reports, timed_out = _run_reports(_generated(cfg), cfg.jobs, deadline)
     with open(os.path.join(cfg.out, "instances.csv"), "w", encoding="utf-8") as fh:
         reports_to_csv(reports, fh)
     # _instances_of lists cfg.seeds instances per size, size by size.

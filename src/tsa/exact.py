@@ -1,9 +1,11 @@
 """Exact optimal values for the four policy classes on small instances.
 
-Fully adaptive and one-sided adaptive optima come from dynamic programs over
-backlog profiles (states packed into integers).  One-sided static and fully
-static optima come from exhaustive, vectorized enumeration.  Every solver
-refuses instances above its size cap instead of approximating.
+Fully adaptive and one-sided adaptive optima come from one dynamic program
+over backlog profiles (states packed into integers); a one-sided adaptive
+policy is a fully adaptive one in which only the initiating side moves.
+One-sided static and fully static optima come from exhaustive, vectorized
+enumeration.  Every solver refuses instances above its size cap instead of
+approximating.
 """
 
 from __future__ import annotations
@@ -90,31 +92,21 @@ def _agent_oracle(model, n_opts: int, budget):
     return [0.0] * n_opts, list(range(n_opts)), oracle
 
 
-def _root_action(agent_value, agents):
-    """Best (agent, assortment) at the root; a later agent wins only by more
-    than 1e-12."""
-    best, action = 0.0, None
-    for a, agent in enumerate(agents):
-        cand, chosen = agent_value(a)
-        if action is None or cand > best + 1e-12:
-            best, action = cand, PolicyAction(agent, frozenset(j for _, _, j in chosen))
-    return action
-
-
 # ---------------------------------------------------------------------------
-# Fully adaptive DP
+# Adaptive DP (fully adaptive, and one-sided adaptive as a side moving first)
 
 
-def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
-                       deadline=None) -> DpValue:
-    """Exact OPT over fully adaptive policies via the value-to-go recursion on
-    (remaining agents, backlog profile) states."""
+def _adaptive_dp(instance: Instance, first, deadline) -> DpValue:
+    """Value-to-go recursion on packed (done agents, backlog profile) states.
+
+    With ``first=None`` any unprocessed agent may move (fully adaptive).  With
+    ``first`` a side, only that side moves; once all of it is done, responder j
+    is worth F_j[backlog_j] (``demand_table``), and those terminal states are
+    not memoized."""
     n, m = instance.n, instance.m
-    total = n + m
-    if total > caps.fa_max_agents:
-        raise SizeRefusalError(f"fully adaptive DP refuses n+m={total} > {caps.fa_max_agents}")
     if n == 0 or m == 0:
         return DpValue(0.0, 0, None)
+    total = n + m
 
     # Agent layout: 0..n-1 customers, n..n+m-1 suppliers.  Each agent owns a
     # slot of (opp+1) bits: opp backlog bits plus a done flag on top.
@@ -129,9 +121,14 @@ def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
     agents = [("C", i) for i in range(n)] + [("S", j) for j in range(m)]
     local_id = [idx for _, idx in agents]  # index within own side
     budgets = [instance.budget(*agent) for agent in agents]
-    weights, usable, oracle = zip(*(_agent_oracle(instance.model(*agents[a]), opp_count[a],
-                                                  budgets[a])
-                                    for a in range(total)))
+    movers = [a for a in range(total) if first in (None, agents[a][0])]
+    movers_done = sum(1 << done_bit[a] for a in movers)
+    oracles = [_agent_oracle(instance.model(*agents[a]), opp_count[a], budgets[a])
+               if a in movers else None for a in range(total)]
+    # Responders: (slot offset, backlog mask, F table).
+    responders = [(offsets[a], (1 << opp_count[a]) - 1,
+                   demand_table(instance.model(*agents[a]), opp_count[a], budgets[a]))
+                  for a in range(total) if a not in movers]
 
     memo = {}
     counter = [0]
@@ -140,9 +137,9 @@ def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
         base = (key & ~slot_mask[a]) | (1 << done_bit[a])
         v_out = value(base)
         backlog = (key >> offsets[a]) & ((1 << opp_count[a]) - 1)
-        w = weights[a]
+        w, usable, oracle = oracles[a]
         items = []
-        for l in usable[a]:
+        for l in usable:
             o = opp_global[a][l]
             if backlog >> l & 1:
                 items.append((1.0, w[l], l))
@@ -150,10 +147,15 @@ def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
                 th = value(base | (1 << (offsets[o] + local_id[a]))) - v_out
                 if th > _THETA_TOL:
                     items.append((th, w[l], l))
-        val, chosen = oracle[a](items, budgets[a])
+        val, chosen = oracle(items, budgets[a])
         return v_out + val, chosen
 
     def value(key: int) -> float:
+        if responders and key & movers_done == movers_done:
+            val = 0.0
+            for off, mask, F in responders:
+                val += F[(key >> off) & mask]
+            return val
         v = memo.get(key)
         if v is not None:
             return v
@@ -161,7 +163,7 @@ def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
         if deadline is not None and counter[0] % 4096 == 0:
             deadline.check()
         best = 0.0
-        for a in range(total):
+        for a in movers:
             if key >> done_bit[a] & 1:
                 continue
             cand = agent_value(key, a)[0]
@@ -171,12 +173,22 @@ def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
         return best
 
     opt = value(0)
-    action = _root_action(partial(agent_value, 0), agents)
+    # First action: the best root move; a later agent wins only by more than 1e-12.
+    best, action = 0.0, None
+    for a in movers:
+        cand, chosen = agent_value(0, a)
+        if action is None or cand > best + 1e-12:
+            best, action = cand, PolicyAction(agents[a], frozenset(j for _, _, j in chosen))
     return DpValue(opt, len(memo), action)
 
 
-# ---------------------------------------------------------------------------
-# One-sided adaptive DP
+def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
+                       deadline=None) -> DpValue:
+    """Exact OPT over fully adaptive policies."""
+    total = instance.n + instance.m
+    if total > caps.fa_max_agents:
+        raise SizeRefusalError(f"fully adaptive DP refuses n+m={total} > {caps.fa_max_agents}")
+    return _adaptive_dp(instance, None, deadline)
 
 
 def opt_one_sided_adaptive(instance: Instance, side: str,
@@ -184,71 +196,12 @@ def opt_one_sided_adaptive(instance: Instance, side: str,
     """Exact OPT over policies that adaptively process ``side`` first; each
     responder then sees its backlog (budget-constrained best subset if capped)."""
     ninit = instance.side_size(side)
-    resp_side = "S" if side == "C" else "C"
-    nresp = instance.side_size(resp_side)
     if ninit > caps.oa_max_side:
         raise SizeRefusalError(f"one-sided adaptive DP refuses side size {ninit} > {caps.oa_max_side}")
-    if ninit == 0 or nresp == 0:
-        return DpValue(0.0, 0, None)
-
-    radix = nresp + 2  # digit: 0 unprocessed, 1 outside, 2+j chose responder j
-    mult = [radix ** i for i in range(ninit)]
-    F = [demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
-         for j in range(nresp)]
-    models = [instance.model(side, i) for i in range(ninit)]
-    if nresp > 16 and not all(is_mnl(mod) for mod in models):
+    if instance.side_size("S" if side == "C" else "C") > 16 and \
+            not all(is_mnl(instance.model(side, i)) for i in range(ninit)):
         raise SizeRefusalError("assortment enumeration refuses responding side > 16 for non-MNL models")
-    budgets = [instance.budget(side, i) for i in range(ninit)]
-    weights, usable, oracle = zip(*(_agent_oracle(models[i], nresp, budgets[i])
-                                    for i in range(ninit)))
-
-    memo = {}
-    counter = [0]
-
-    def terminal(key: int) -> float:
-        val = 0.0
-        rmask = [0] * nresp
-        for i in range(ninit):
-            d = (key // mult[i]) % radix
-            if d >= 2:
-                rmask[d - 2] |= 1 << i
-        for j in range(nresp):
-            val += F[j][rmask[j]]
-        return val
-
-    def agent_value(key: int, processed: int, i: int):
-        v_out = value(key + mult[i], processed + 1)
-        w = weights[i]
-        items = []
-        for j in usable[i]:
-            th = value(key + (2 + j) * mult[i], processed + 1) - v_out
-            if th > _THETA_TOL:
-                items.append((th, w[j], j))
-        val, chosen = oracle[i](items, budgets[i])
-        return v_out + val, chosen
-
-    def value(key: int, processed: int) -> float:
-        if processed == ninit:
-            return terminal(key)
-        v = memo.get(key)
-        if v is not None:
-            return v
-        counter[0] += 1
-        if deadline is not None and counter[0] % 4096 == 0:
-            deadline.check()
-        best = 0.0
-        for i in range(ninit):
-            if (key // mult[i]) % radix != 0:
-                continue
-            cand = agent_value(key, processed, i)[0]
-            if cand > best:
-                best = cand
-        memo[key] = best
-        return best
-
-    opt = value(0, 0)
-    action = _root_action(partial(agent_value, 0, 0), [(side, i) for i in range(ninit)])
-    return DpValue(opt, len(memo), action)
+    return _adaptive_dp(instance, side, deadline)
 
 
 # ---------------------------------------------------------------------------

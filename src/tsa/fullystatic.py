@@ -53,9 +53,10 @@ def partition_edges(instance: Instance, alpha: float = DEFAULT_ALPHA):
 
 
 def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = None,
-              constrained: bool = False):
+              constrained: bool = False, deadline=None):
     """LP relaxation max sum v_ij w_ji y_ij with per-pair load constraints (and
-    per-agent budget rows when constrained); returns (dense y, z_LP)."""
+    per-agent budget rows when constrained); returns (dense y, z_LP).  The
+    simplex checks ``deadline`` after every pivot."""
     v, w = instance.require_mnl_weights("fully static approximation")
     n, m = instance.n, instance.m
     edge_list = sorted(edges) if edges is not None else [(i, j) for i in range(n) for j in range(m)]
@@ -101,7 +102,7 @@ def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = N
                 rows.append(row)
                 rhs.append(float(k))
 
-    sol = solve_lp(LpProblem(c, np.array(rows), np.array(rhs)))
+    sol = solve_lp(LpProblem(c, np.array(rows), np.array(rhs)), deadline)
     if sol.status != "optimal":
         raise RuntimeError(f"low-low LP came back {sol.status}")
     y = np.zeros((n, m))
@@ -307,9 +308,11 @@ def highvalue_subproblem(instance: Instance, edges: Iterable[Tuple[int, int]],
 
 def approx_fully_static(instance: Instance, alpha: float = DEFAULT_ALPHA,
                         trials: int = 16, rng=None,
-                        subproblem_mode: str = "greedy") -> FsSolution:
+                        subproblem_mode: str = "greedy", deadline=None) -> FsSolution:
     """Partition-based approximation: solve each regime, keep the candidate with
-    the highest realized exact value (edges outside the chosen regime are off)."""
+    the highest realized exact value (edges outside the chosen regime are off).
+    ``deadline`` reaches the low-low LP, which dominates the cost of large
+    markets."""
     rng = rng if rng is not None else np.random.default_rng(0)
     e1, e2, e3 = partition_edges(instance, alpha)
     constrained = instance.constrained
@@ -324,7 +327,7 @@ def approx_fully_static(instance: Instance, alpha: float = DEFAULT_ALPHA,
                                         mode=subproblem_mode)
         candidates.append(("high-v", edges))
     if e3:
-        y, _ = lowlow_lp(instance, e3, constrained=constrained)
+        y, _ = lowlow_lp(instance, e3, constrained=constrained, deadline=deadline)
         best_edges, best_val = frozenset(), -1.0
         for _ in range(max(trials, 1)):
             if constrained:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 from tsa.cli import main
 from tsa.instances import load_instance, save_instance, tight_instance, generate_random_instance
@@ -157,3 +158,26 @@ def test_gaps_time_limit_stops_monte_carlo(tmp_path, capsys):
     # algorithm values take most of a report's time.
     assert run(["gaps", "--sizes", "10", "--seeds", "1", "--time-limit", "1",
                 "--out", str(tmp_path)]) == 4
+
+
+def test_gaps_time_limit_stops_simplex_pivots(tmp_path, capsys):
+    # At 30x30 one dense pivot of UB_FA's tableau takes tens of milliseconds;
+    # the simplex must see the limit within a pivot or two.
+    start = time.monotonic()
+    assert run(["gaps", "--sizes", "30", "--seeds", "1", "--time-limit", "1",
+                "--out", str(tmp_path)]) == 4
+    assert time.monotonic() - start < 4.0
+
+
+def test_gaps_instance_files_parallel_match_serial(tmp_path, capsys):
+    paths = []
+    for name, inst in (("a", generate_random_instance(2, 2, seed=4)),
+                       ("b", generate_random_instance(2, 3, seed=5))):
+        paths.append(str(tmp_path / f"{name}.json"))
+        save_instance(inst, paths[-1])
+    for jobs in ("1", "2"):
+        assert run(["gaps", "--instance", *paths, "--jobs", jobs,
+                    "--out", str(tmp_path / f"jobs{jobs}")]) == 0
+    serial = (tmp_path / "jobs1" / "gaps.csv").read_bytes()
+    assert serial == (tmp_path / "jobs2" / "gaps.csv").read_bytes()
+    assert [r.split(",")[0] for r in serial.decode().strip().split("\n")[1:]] == ["a", "b"]

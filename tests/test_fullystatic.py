@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import low_value_instance
-from tsa.errors import SizeRefusalError, UnsupportedOracleError
+from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
 from tsa.exact import opt_fully_static
 from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static, dependent_rounding,
                              highvalue_subproblem, independent_rounding,
                              lowlow_lp, partition_edges)
 from tsa.instances import MNL, Instance, UniformNoOutside, generate_random_instance
 from tsa.policies import exact_value_edges, static_values
+from tsa.util import Deadline
 
 
 def brute_force_restricted(instance, edges):
@@ -219,3 +220,9 @@ def test_mnl_static_values_matches_scalar():
         edges = [(i, j) for i in range(3) for j in range(3) if xs[t, i, j]]
         assert batch[t] == pytest.approx(exact_value_edges(inst, edges), abs=1e-12)
 
+
+
+def test_approx_fully_static_stops_at_deadline():
+    # Unchecked, the low-low LP of this market runs for about 15 s.
+    with pytest.raises(TimeLimitError):
+        approx_fully_static(generate_random_instance(30, 30, 0), deadline=Deadline(0.5))

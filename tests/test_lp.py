@@ -213,3 +213,54 @@ def test_bland_rules_match_row_loops_on_degenerate_tableaux():
             assert _bland_enter(T[-1], allowed) == _bland_enter_loop(T[-1], allowed)
         for col in range(cols):
             assert _bland_leave(T, basis, col) == _bland_leave_loop(T, basis, col)
+
+
+def _random_lp(kind, rng):
+    """(c, A, b) for one LP of ``kind``: "feasible" (x = 0 feasible, bounded),
+    "mixed" (negative right-hand sides, so optimal or infeasible), "degenerate"
+    (small integers, many zero right-hand sides and tied ratios), "infeasible"
+    or "unbounded"."""
+    n, rows = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    if kind == "degenerate":
+        A = rng.integers(-2, 3, size=(rows, n)).astype(float)
+        b = rng.integers(0, 3, size=rows).astype(float)
+        c = rng.integers(-2, 4, size=n).astype(float)
+    else:
+        A = rng.normal(size=(rows, n))
+        b = rng.uniform(-0.3 if kind == "mixed" else 0.1, 2.0, size=rows)
+        c = rng.normal(size=n)
+    if kind == "unbounded":
+        j = int(rng.integers(n))
+        A[:, j] = -np.abs(A[:, j])  # x_j grows without leaving the region
+        c[j] = abs(c[j]) + 0.1
+        return c, A, b
+    A = np.vstack([A, np.ones((1, n))])
+    b = np.concatenate([b, [5.0]])
+    if kind == "infeasible":
+        a = np.abs(rng.normal(size=n)) + 0.1  # a.x <= 1 and a.x >= 2
+        A = np.vstack([A, a, -a])
+        b = np.concatenate([b, [1.0, -2.0]])
+    return c, A, b
+
+
+# LP kind -> the statuses its draws must show.
+LP_KINDS = {"feasible": {"optimal"}, "mixed": {"optimal", "infeasible"},
+            "degenerate": {"optimal"}, "infeasible": {"infeasible"},
+            "unbounded": {"unbounded"}}
+
+
+@pytest.mark.parametrize("kind", list(LP_KINDS))
+def test_solve_lp_agrees_with_highs(kind):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    status_of = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    rng = np.random.default_rng(list(LP_KINDS).index(kind))
+    seen = set()
+    for _ in range(100):
+        c, A, b = _random_lp(kind, rng)
+        ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+        sol = solve_lp(LpProblem(c, A, b))
+        assert sol.status == status_of[ref.status]
+        if sol.status == "optimal":
+            assert sol.value == pytest.approx(-ref.fun, abs=1e-7)
+        seen.add(sol.status)
+    assert seen == LP_KINDS[kind]
