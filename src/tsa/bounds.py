@@ -25,7 +25,7 @@ from .greedy import (GreedyOneSidedPolicy, SamplingConfig, cointoss_exact_value,
                      exact_greedy_value, sampling_side_selector)
 from .instances import UNBOUNDED, Instance, demand_table, prob_table
 from .lp import LpProblem, solve_lp
-from .policies import (backlog_distribution, exact_value_one_sided_static, monte_carlo,
+from .policies import (exact_value_one_sided_static, monte_carlo, one_sided_values,
                        simulate_once)
 
 
@@ -126,20 +126,12 @@ def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution
     """Objective of the product (independent) backlog distribution built from the
     relaxation's tau marginals; correlation gap says it loses at most 1-1/e."""
     side = relax.side
-    ninit = instance.side_size(side)
-    resp_side = "S" if side == "C" else "C"
-    nresp = instance.side_size(resp_side)
-    x = np.zeros((ninit, nresp))
+    x = np.zeros((instance.side_size(side), instance.side_size("S" if side == "C" else "C")))
     for (i, s), p in relax.tau.items():
         model = instance.model(side, i)
         for j in s:
             x[i, j] += p * model.prob(j, s)
-    total = 0.0
-    for j in range(nresp):
-        budget = instance.budget(resp_side, j) if constrained else UNBOUNDED
-        f = demand_table(instance.model(resp_side, j), ninit, budget)
-        total += float(backlog_distribution(x[:, j]) @ f)
-    return total
+    return one_sided_values(instance, side, x[:, None, :], budgeted=constrained).item()
 
 
 # ---------------------------------------------------------------------------

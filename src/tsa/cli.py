@@ -208,12 +208,10 @@ def cmd_simulate(args) -> int:
 
 
 def _gap_one(task):
-    label, payload, seed, seconds = task
+    label, payload, seed, deadline = task
     from .instances import instance_from_dict
 
-    inst = instance_from_dict(payload)
-    deadline = Deadline(seconds) if seconds is not None else None
-    return gap_report(inst, label, DEFAULT_CAPS, seed, deadline=deadline)
+    return gap_report(instance_from_dict(payload), label, DEFAULT_CAPS, seed, deadline=deadline)
 
 
 def _generated(cfg: ExperimentConfig):
@@ -224,22 +222,22 @@ def _generated(cfg: ExperimentConfig):
 
 def _run_reports(items, jobs: int, deadline=None):
     """(reports, timed_out): one gap report per (label, instance, seed) item, in
-    order, up to the first that hit ``deadline``.  Each task carries the
-    seconds left on ``deadline`` when it is made (serially, just before it
-    runs; with ``jobs`` > 1, all at submission)."""
-    def task(label, inst, seed):
-        seconds = deadline.remaining() if deadline is not None else None
-        return (label, instance_to_dict(inst), seed, seconds)
-
+    order, up to the first that hit ``deadline``.  Every task carries the
+    ``deadline`` itself (its monotonic start holds in worker processes too);
+    with ``jobs`` > 1 the first timeout cancels the tasks not yet started."""
+    tasks = ((label, instance_to_dict(inst), seed, deadline) for label, inst, seed in items)
     reports = []
     try:
         if jobs and jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for rep in pool.map(_gap_one, (task(*x) for x in items)):
-                    reports.append(rep)
+                try:
+                    reports.extend(pool.map(_gap_one, tasks))
+                except TimeLimitError:
+                    pool.shutdown(cancel_futures=True)
+                    raise
         else:
-            for x in items:
-                reports.append(_gap_one(task(*x)))
+            for task in tasks:
+                reports.append(_gap_one(task))
     except TimeLimitError:
         return reports, True
     return reports, False

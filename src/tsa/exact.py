@@ -21,7 +21,7 @@ from .errors import SizeRefusalError
 from .instances import (UNBOUNDED, Instance, demand_table, is_mnl, mask_of,
                         prob_table)
 from .oracles import mnl_best
-from .policies import PolicyAction, backlog_distribution, static_values
+from .policies import PolicyAction, one_sided_values, static_values
 
 
 @dataclass(frozen=True)
@@ -221,26 +221,9 @@ def opt_one_sided_static(instance: Instance, side: str,
     if ninit == 0 or nresp == 0:
         return 0.0
 
-    mask_lists = [_budget_masks(nresp, instance.budget(side, i)) for i in range(ninit)]
-    P = [prob_table(instance.model(side, i), nresp) for i in range(ninit)]
-    F = [demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
-         for j in range(nresp)]
-
-    counts = [len(ml) for ml in mask_lists]
-    total = int(np.prod(counts))
-    idx = np.arange(total)
-    sel = []
-    stride = 1
-    for i in range(ninit):
-        sel.append((idx // stride) % counts[i])
-        stride *= counts[i]
-
-    value = np.zeros(total)
-    for j in range(nresp):
-        # p[:, i] = probability initiating agent i picks j under its family choice
-        p = np.stack([P[i][np.asarray(mask_lists[i])[sel[i]], j] for i in range(ninit)], axis=1)
-        value += backlog_distribution(p) @ F[j]
-    return float(value.max())
+    probs = [prob_table(instance.model(side, i), nresp)[_budget_masks(nresp, instance.budget(side, i))]
+             for i in range(ninit)]
+    return float(one_sided_values(instance, side, probs).max())
 
 
 # ---------------------------------------------------------------------------

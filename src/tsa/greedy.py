@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ContractViolationError, SizeRefusalError
 from .instances import (UNBOUNDED, Instance, demand_table, is_mnl, prob_table)
 from .oracles import best_weighted_assortment, constrained_demand
-from .policies import (PolicyAction, PolicyState, respond_with_backlog,
-                       simulate_once)
+from .policies import (PolicyAction, PolicyState, monte_carlo,
+                       respond_with_backlog)
 
 
 class GreedyOneSidedPolicy:
@@ -214,21 +214,14 @@ class CommittedPolicy:
 
 def sampling_side_selector(instance: Instance, cfg: SamplingConfig = SamplingConfig(),
                            seed: int = 0, deadline=None) -> CommittedPolicy:
-    """Estimate each side's greedy value with T independent runs, then commit
-    deterministically to the higher estimate and run greedy there.  A
-    ``deadline`` is checked before each run."""
+    """Estimate each side's greedy value with T independent runs (side k's run
+    r on stream (seed, k, r)), then commit deterministically to the higher
+    estimate and run greedy there.  A ``deadline`` is checked before each run."""
     runs, heuristic = effective_runs(instance, cfg)
     estimates = {}
     for k, side in enumerate(("C", "S")):
         pol = GreedyOneSidedPolicy(instance, side)
-        total = 0.0
-        for r in range(runs):
-            if deadline is not None:
-                deadline.check()
-            rng = np.random.default_rng([seed, k, r])
-            matches, _ = simulate_once(instance, pol, rng)
-            total += matches
-        estimates[side] = total / runs
+        estimates[side] = monte_carlo(instance, pol, runs, (seed, k), deadline).mean
     side = "C" if estimates["C"] >= estimates["S"] else "S"
     meta = {"runs": runs, "heuristic_T": heuristic,
             "estimate_C": estimates["C"], "estimate_S": estimates["S"],

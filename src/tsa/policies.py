@@ -57,7 +57,7 @@ class SimulationResult:
     mean: float
     half_width: float
     runs: int
-    seed: int
+    seed: int | tuple
 
 
 def _sample_choice(model, assortment: frozenset, rng) -> Optional[int]:
@@ -136,18 +136,20 @@ def dump_trace(trace: list, fh) -> None:
         fh.write("\n")
 
 
-def monte_carlo(instance: Instance, policy, runs: int, seed: int,
+def monte_carlo(instance: Instance, policy, runs: int, seed: int | tuple,
                 deadline=None) -> SimulationResult:
-    """Mean matches with a normal-approximation 95% CI; run r uses stream (seed, r).
-    A ``deadline`` is checked before each run."""
+    """Mean matches with a normal-approximation 95% CI; run r uses stream
+    (*seed, r) for a tuple ``seed`` and (seed, r) for an int.  A ``deadline`` is
+    checked before each run."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    prefix = list(seed) if isinstance(seed, tuple) else [seed]
     total = 0.0
     total_sq = 0.0
     for r in range(runs):
         if deadline is not None:
             deadline.check()
-        rng = np.random.default_rng([seed, r])
+        rng = np.random.default_rng(prefix + [r])
         matches, _ = simulate_once(instance, policy, rng)
         total += matches
         total_sq += matches * matches
@@ -249,24 +251,32 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments,
         k = instance.budget(side, a)
         if k is not UNBOUNDED and len(s) > k:
             raise ContractViolationError(f"initiating agent {a} assortment exceeds budget")
-    value = 0.0
-    for j in range(resp_n):
-        p = np.array([instance.model(side, i).prob(j, assortments[i]) for i in range(init_n)])
-        f = demand_table(instance.model(resp_side, j), init_n, instance.budget(resp_side, j))
-        value += float(backlog_distribution(p) @ f)
-    return value
+    probs = [[[instance.model(side, i).prob(j, s) for j in range(resp_n)]]
+             for i, s in enumerate(assortments)]
+    return one_sided_values(instance, side, probs).item()
 
 
-def backlog_distribution(p) -> np.ndarray:
-    """Law of a responder's backlog when initiating agent i joins it
-    independently with probability p[..., i]: shape (..., 2^n), indexed by the
-    backlog's bitmask.  Batched over the leading axes."""
-    p = np.asarray(p, dtype=float)
-    dist = np.ones(p.shape[:-1] + (1,))
-    for i in range(p.shape[-1]):
-        pi = p[..., i, None]
-        dist = np.concatenate([dist * (1.0 - pi), dist * pi], axis=-1)
-    return dist
+def one_sided_values(instance: Instance, side: str, probs, budgeted: bool = True) -> np.ndarray:
+    """Expected matches of one-sided static displays initiating on ``side``, for
+    every combination of candidates: probs[i][c, j] is the probability that
+    initiating agent i, shown its c-th candidate, picks responder j.  Choices
+    are independent, so responder j is worth E[F_j(B_j)] over its random
+    backlog B_j (the multilinear extension of F_j), where F_j is its demand,
+    budget-constrained when ``budgeted``.  Shape (len(probs[0]), ...,
+    len(probs[-1]))."""
+    resp_side = "S" if side == "C" else "C"
+    n = len(probs)
+    probs = [np.asarray(q, dtype=float) for q in probs]
+    values = np.zeros(tuple(len(q) for q in probs))
+    for j in range(instance.side_size(resp_side)):
+        budget = instance.budget(resp_side, j) if budgeted else UNBOUNDED
+        # Axis i of the table is bit i of the backlog mask.  Each contraction
+        # takes the leading axis and appends initiator i's candidate axis.
+        f = demand_table(instance.model(resp_side, j), n, budget).reshape((2,) * n, order="F")
+        for q in probs:
+            f = np.tensordot(f, np.stack([1.0 - q[:, j], q[:, j]]), axes=(0, 0))
+        values += f
+    return values
 
 
 def exact_value_deterministic_adaptive(instance: Instance, policy, max_agents: int = 8) -> float:

@@ -14,9 +14,6 @@ class Deadline:
         self.seconds = seconds
         self.t0 = time.monotonic()
 
-    def remaining(self) -> float:
-        return self.seconds - (time.monotonic() - self.t0)
-
     def check(self) -> None:
         if time.monotonic() - self.t0 > self.seconds:
             raise TimeLimitError(f"time limit of {self.seconds}s exceeded")

@@ -169,6 +169,15 @@ def test_gaps_time_limit_stops_simplex_pivots(tmp_path, capsys):
     assert time.monotonic() - start < 4.0
 
 
+def test_gaps_time_limit_with_jobs_stops_at_limit(tmp_path, capsys):
+    # Four 7x7 reports on two workers: each task shares the caller's deadline
+    # and the first timeout cancels the tasks not yet started.
+    start = time.monotonic()
+    assert run(["gaps", "--sizes", "7", "--seeds", "4", "--time-limit", "2", "--jobs", "2",
+                "--out", str(tmp_path)]) == 4
+    assert time.monotonic() - start < 3.0
+
+
 def test_gaps_instance_files_parallel_match_serial(tmp_path, capsys):
     paths = []
     for name, inst in (("a", generate_random_instance(2, 2, seed=4)),

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 
@@ -7,12 +8,14 @@ import pytest
 
 from tsa.errors import ContractViolationError, SizeRefusalError
 from tsa.greedy import GreedyOneSidedPolicy
-from tsa.instances import MNL, Instance, generate_random_instance, tight_instance
+from tsa.instances import (MNL, UNBOUNDED, Instance, Mixture, generate_random_instance,
+                           tight_instance)
+from tsa.oracles import constrained_demand
 from tsa.policies import (PolicyAction, StaticPolicy,
                           OneSidedStaticPolicy, dump_trace,
                           exact_value_deterministic_adaptive, exact_value_edges,
                           exact_value_one_sided_static, exact_value_static,
-                          monte_carlo, simulate_once, static_values)
+                          monte_carlo, one_sided_values, simulate_once, static_values)
 
 
 def test_empty_instance_zero_matches():
@@ -109,6 +112,69 @@ def test_exact_value_one_sided_static_size_refusal():
     inst = generate_random_instance(19, 2, seed=0)
     with pytest.raises(SizeRefusalError):
         exact_value_one_sided_static(inst, "C", [set()] * 19)
+
+
+def brute_one_sided_values(instance, side, probs, budgeted=True):
+    """One-sided static values by enumerating every initiator's outcome (one
+    responder, or none) and valuing each responder's explicit backlog."""
+    resp = "S" if side == "C" else "C"
+    nresp = instance.side_size(resp)
+
+    def worth(j, backlog):
+        model, k = instance.model(resp, j), instance.budget(resp, j)
+        if not budgeted or k is UNBOUNDED:
+            return model.demand(backlog)
+        return constrained_demand(model, backlog, k).value
+
+    values = np.zeros(tuple(len(q) for q in probs))
+    for combo in itertools.product(*(range(len(q)) for q in probs)):
+        rows = [q[c] for q, c in zip(probs, combo)]
+        for outcome in itertools.product(range(nresp + 1), repeat=len(probs)):
+            pr = math.prod(row[o] if o < nresp else 1.0 - row.sum() for row, o in zip(rows, outcome))
+            backlogs = [frozenset(i for i, o in enumerate(outcome) if o == j) for j in range(nresp)]
+            values[combo] += pr * sum(worth(j, b) for j, b in enumerate(backlogs))
+    return values
+
+
+def _candidate_probs(instance, side, rng):
+    """Initiator i gets 1 + i % 3 random budget-feasible candidate displays;
+    returns each initiator's (candidates, responders) choice probabilities."""
+    nresp = instance.side_size("S" if side == "C" else "C")
+    probs = []
+    for i in range(instance.side_size(side)):
+        model, k = instance.model(side, i), instance.budget(side, i)
+        top = nresp if k is UNBOUNDED else min(k, nresp)
+        rows = []
+        for _ in range(1 + i % 3):
+            s = frozenset(rng.choice(nresp, size=int(rng.integers(0, top + 1)), replace=False).tolist())
+            rows.append([model.prob(j, s) if j in s else 0.0 for j in range(nresp)])
+        probs.append(np.array(rows))
+    return probs
+
+
+def _with_budgets(inst, kc, ks):
+    return Instance(inst.n, inst.m, inst.customer_models, inst.supplier_models,
+                    (kc,) * inst.n, (ks,) * inst.m)
+
+
+def test_one_sided_values_match_outcome_enumeration():
+    rng = np.random.default_rng(7)
+    mixed = generate_random_instance(3, 3, seed=2)
+    mixture = Mixture((MNL((0.2, 1.5, 0.7)), MNL((2.0, 0.1, 0.0))), (0.4, 0.6))
+    mixed = Instance(3, 3, mixed.customer_models, (mixture,) + mixed.supplier_models[1:])
+    cases = [generate_random_instance(n, m, seed=40 + n + m) for n, m in ((2, 3), (3, 2), (3, 4), (4, 3))]
+    cases += [_with_budgets(generate_random_instance(3, 4, seed=50), 1, 2),
+              _with_budgets(generate_random_instance(4, 3, seed=51), 2, 1),
+              mixed, _with_budgets(mixed, 2, 1), tight_instance("lemma3", 3),
+              _with_budgets(tight_instance("lemma3", 3), 1, 2)]
+    for inst in cases:
+        for side in ("C", "S"):
+            probs = _candidate_probs(inst, side, rng)
+            for budgeted in (True, False):
+                got = one_sided_values(inst, side, probs, budgeted)
+                want = brute_one_sided_values(inst, side, probs, budgeted)
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_exact_adaptive_evaluator(unit_1x1):
