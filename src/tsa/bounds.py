@@ -322,7 +322,7 @@ def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0, deadline=Non
                                     seed, deadline)
     side = policy.metadata["side"]
     if instance.side_size(side) <= _MAX_EXACT_SIDE:
-        return exact_greedy_value(instance, side), policy.metadata
+        return exact_greedy_value(instance, side, deadline=deadline), policy.metadata
     res = monte_carlo(instance, policy, _MC_RUNS, seed, deadline)
     return res.mean, {**policy.metadata, "ci_half_width": res.half_width}
 
@@ -331,7 +331,7 @@ def alg_fully_adaptive_value(instance: Instance, seed: int = 0, deadline=None):
     """Expected value of the coin-toss policy: exact average of both sides when
     both are small enough, else Monte Carlo per side."""
     if max(instance.n, instance.m) <= _MAX_EXACT_SIDE:
-        return cointoss_exact_value(instance, max_initiating=_MAX_EXACT_SIDE)
+        return cointoss_exact_value(instance, max_initiating=_MAX_EXACT_SIDE, deadline=deadline)
     vals = []
     for k, side in enumerate(("C", "S")):
         pol = GreedyOneSidedPolicy(instance, side)

@@ -174,7 +174,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _build_policy(inst, name: str, seed: int):
+def _build_policy(inst, name: str, seed: int, deadline=None):
     if name == "greedy-c":
         return GreedyOneSidedPolicy(inst, "C")
     if name == "greedy-s":
@@ -185,14 +185,15 @@ def _build_policy(inst, name: str, seed: int):
     if name == "cointoss":
         return cointoss_fully_adaptive(inst, seed)
     if name == "sampling":
-        return sampling_side_selector(inst, SamplingConfig(runs_override=100), seed)
+        return sampling_side_selector(inst, SamplingConfig(runs_override=100), seed, deadline)
     raise ValueError(f"unknown policy {name!r}")
 
 
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
-    policy = _build_policy(inst, args.policy, args.seed or 0)
-    res = monte_carlo(inst, policy, args.runs, args.seed or 0)
+    deadline = Deadline(args.time_limit) if args.time_limit else None
+    policy = _build_policy(inst, args.policy, args.seed or 0, deadline)
+    res = monte_carlo(inst, policy, args.runs, args.seed or 0, deadline)
     if args.trace:
         rng = np.random.default_rng([args.seed or 0, 0])
         _, trace = simulate_once(inst, policy, rng)
@@ -354,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--runs", type=int, default=100)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--trace", default=None, help="write one run's trace (JSON lines)")
+    sim.add_argument("--time-limit", dest="time_limit", type=float, default=None)
     sim.set_defaults(func=cmd_simulate)
 
     gp = sub.add_parser("gaps", help="gap report CSV for instances")

@@ -71,11 +71,67 @@ class GreedyOneSidedPolicy:
                 return PolicyAction((self.resp_side, b), respond_with_backlog(state, self.resp_side, b))
         raise ContractViolationError("all agents processed")
 
+    def batch_matches(self, uniforms: np.ndarray) -> np.ndarray:
+        """Matches of one run per row of ``uniforms`` (runs, n + m): the draws
+        a run makes in processing order, one per initiator in ``order`` and
+        then one per responder.  All runs advance in lockstep with the scalar
+        path's arithmetic: ``mnl_best`` for each display, ``_sample_choice``
+        for each choice.  Unbudgeted MNL markets only.
+
+        Weight sums run in processing order (a backlog) and in id order (a
+        display), where the scalar path sums in set iteration order: the
+        same for ids below 8 in ascending processing order, else equal up to
+        the last bit of a sum of three or more weights."""
+        v, w = self.instance.require_mnl_weights("batched greedy")
+        init_w, resp_w = (v, w) if self.side == "C" else (w, v)  # init_w[i, j], resp_w[j, i]
+        nresp, ninit = resp_w.shape
+        runs = len(uniforms)
+        if not (ninit and nresp):
+            return np.zeros(runs, dtype=np.int64)
+        sums = np.zeros((runs, nresp))  # backlog weight sums, added in processing order
+        picks = np.full((runs, ninit), -1)  # responder each initiator chose, -1 for none
+        rows = np.arange(runs)[:, None]
+        prefix_w = np.ones((runs, nresp + 1))
+        for t, i in enumerate(self.order):
+            grown = sums + resp_w[:, i]
+            theta = np.maximum(grown / (1.0 + grown) - sums / (1.0 + sums), 0.0)
+            # mnl_best: the best theta-descending prefix of the options with
+            # theta > 0 and w > 0 (the stable sort keeps option order on ties);
+            # its denominator starts at 1 and adds one weight at a time, and a
+            # longer prefix wins only by more than 1e-12.
+            valid = (theta > 0.0) & (init_w[i] > 0.0)
+            rank = np.argsort(np.where(valid, -theta, np.inf), axis=1, kind="stable")
+            prefix_w[:, 1:] = init_w[i][rank]
+            num = np.cumsum(theta[rows, rank] * prefix_w[:, 1:], axis=1)
+            val = np.where(valid[rows, rank], num / np.cumsum(prefix_w, axis=1)[:, 1:], -np.inf)
+            best, size = np.zeros(runs), np.zeros(runs, dtype=np.int64)
+            for k in range(nresp):
+                better = val[:, k] > best + 1e-12
+                best[better] = val[better, k]
+                size[better] = k + 1
+            shown = np.zeros((runs, nresp), dtype=bool)
+            shown[rows, rank] = np.arange(nresp) < size[:, None]
+            # _sample_choice: the first option, in ascending id order, whose
+            # cumulative choice probability exceeds the draw.
+            shown_w = np.where(shown, init_w[i], 0.0)
+            denom = 1.0 + np.cumsum(shown_w, axis=1)[:, -1:]
+            hit = uniforms[:, t, None] < np.cumsum(shown_w / denom, axis=1)
+            chose = hit.any(axis=1)
+            pick = hit.argmax(axis=1)[chose]
+            picks[chose, i] = pick
+            sums[chose, pick] += resp_w[pick, i]
+        # Each responder shows its whole backlog, all of whom chose it, so any
+        # choice is a match.
+        probs = np.where(picks[:, None, :] == np.arange(nresp)[:, None],
+                         resp_w / (1.0 + sums)[:, :, None], 0.0)
+        return (uniforms[:, ninit:] < np.cumsum(probs, axis=2)[:, :, -1]).sum(axis=1)
+
 
 def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[int]] = None,
-                       max_initiating: int = 8) -> float:
+                       max_initiating: int = 8, deadline=None) -> float:
     """Exact expected matches of greedy on ``side`` by expanding the initiating
-    side's choice tree; responders contribute their backlog demand in closed form."""
+    side's choice tree; responders contribute their backlog demand in closed form.
+    A ``deadline`` is checked once per state valued."""
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     nresp = instance.side_size(resp_side)
@@ -101,6 +157,8 @@ def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[i
         v = memo.get(key)
         if v is not None:
             return v
+        if deadline is not None:
+            deadline.check()
         i = order[t]
         bit = 1 << i
         theta = [max(F[j][masks[j] | bit] - F[j][masks[j]], 0.0) for j in range(nresp)]
@@ -211,12 +269,15 @@ class CommittedPolicy:
     def action(self, state: PolicyState) -> PolicyAction:
         return self._inner.action(state)
 
+    def batch_matches(self, uniforms: np.ndarray) -> np.ndarray:
+        return self._inner.batch_matches(uniforms)
+
 
 def sampling_side_selector(instance: Instance, cfg: SamplingConfig = SamplingConfig(),
                            seed: int = 0, deadline=None) -> CommittedPolicy:
     """Estimate each side's greedy value with T independent runs (side k's run
     r on stream (seed, k, r)), then commit deterministically to the higher
-    estimate and run greedy there.  A ``deadline`` is checked before each run."""
+    estimate and run greedy there.  A ``deadline`` reaches the Monte Carlo runs."""
     runs, heuristic = effective_runs(instance, cfg)
     estimates = {}
     for k, side in enumerate(("C", "S")):
@@ -239,9 +300,9 @@ def cointoss_fully_adaptive(instance: Instance, seed: int = 0) -> CommittedPolic
     return CommittedPolicy(GreedyOneSidedPolicy(instance, side), "FA", meta)
 
 
-def cointoss_exact_value(instance: Instance, max_initiating: int = 8) -> float:
+def cointoss_exact_value(instance: Instance, max_initiating: int = 8, deadline=None) -> float:
     """Exact expected value of the coin-toss policy: the average of the two
     sides' exact greedy values."""
-    vc = exact_greedy_value(instance, "C", max_initiating=max_initiating)
-    vs = exact_greedy_value(instance, "S", max_initiating=max_initiating)
+    vc = exact_greedy_value(instance, "C", max_initiating=max_initiating, deadline=deadline)
+    vs = exact_greedy_value(instance, "S", max_initiating=max_initiating, deadline=deadline)
     return 0.5 * (vc + vs)

@@ -136,23 +136,128 @@ def dump_trace(trace: list, fh) -> None:
         fh.write("\n")
 
 
+# Runs a batched Monte Carlo advances together: the deadline is checked
+# between chunks, and a chunk's arrays stay a few megabytes.
+_CHUNK = 1000
+
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
+_M32 = 0xFFFFFFFF
+_S16, _S32, _LOW32, _ONE = np.uint32(16), np.uint64(32), np.uint64(_M32), np.uint64(1)
+
+
+def _seed_words(x: int) -> list:
+    """SeedSequence's 32-bit entropy words of one seed entry, low word first."""
+    if x < 0:
+        raise ValueError(f"expected non-negative seed entries, got {x}")
+    words = [x & _M32]
+    while x > _M32:
+        x >>= 32
+        words.append(x & _M32)
+    return words
+
+
+def _add128(ahi, alo, bhi, blo):
+    low = alo + blo
+    return ahi + bhi + (low < alo), low
+
+
+def _pcg_step(hi, lo, inc):
+    """state * multiplier + inc mod 2**128, on (high, low) uint64 halves."""
+    mhi, mlo = _PCG_MULT
+    a0, a1 = lo & _LOW32, lo >> _S32
+    b0, b1 = mlo & _LOW32, mlo >> _S32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _S32) + (p01 & _LOW32) + (p10 & _LOW32)
+    low = (p00 & _LOW32) | (mid << _S32)
+    high = a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) + hi * mlo + lo * mhi
+    return _add128(high, low, *inc)
+
+
+def _stream_uniforms(prefix: list, lo: int, hi: int, draws: int) -> np.ndarray:
+    """Row r - lo holds the first ``draws`` values of
+    ``np.random.default_rng(prefix + [r]).random()``, for lo <= r < hi < 2**32:
+    numpy's SeedSequence hashing, PCG64 seeding and XSL-RR output and
+    Generator's 53-bit doubles, carried out for all streams at once."""
+    count = hi - lo
+    entropy = [np.full(count, w, dtype=np.uint32) for x in prefix for w in _seed_words(x)]
+    entropy.append(np.arange(lo, hi, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> _S16)
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> _S16)
+
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    # generate_state(4, uint64), then PCG64's seeding: two steps around
+    # adding the seed to the state.
+    const, words = _INIT_B, []
+    for k in range(8):
+        value = pool[k % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _M32
+        value = value * np.uint32(const)
+        words.append((value ^ (value >> _S16)).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (words[2 * k] | (words[2 * k + 1] << _S32) for k in range(4))
+    inc = ((seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE)
+    state = _pcg_step(*_add128(*inc, seed_hi, seed_lo), inc)
+    out = np.empty((count, draws))
+    for d in range(draws):
+        state = _pcg_step(*state, inc)
+        x, rot = state[0] ^ state[1], state[0] >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, d] = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    return out
+
+
 def monte_carlo(instance: Instance, policy, runs: int, seed: int | tuple,
                 deadline=None) -> SimulationResult:
     """Mean matches with a normal-approximation 95% CI; run r uses stream
-    (*seed, r) for a tuple ``seed`` and (seed, r) for an int.  A ``deadline`` is
-    checked before each run."""
+    (*seed, r) for a tuple ``seed`` and (seed, r) for an int.  A policy with a
+    ``batch_matches`` kernel advances all runs in lockstep on unbudgeted MNL
+    markets, ``_CHUNK`` runs at a time, with the same streams and results;
+    any other policy or market runs ``simulate_once`` per run.  A ``deadline``
+    is checked before each run or chunk."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     prefix = list(seed) if isinstance(seed, tuple) else [seed]
-    total = 0.0
-    total_sq = 0.0
-    for r in range(runs):
-        if deadline is not None:
-            deadline.check()
-        rng = np.random.default_rng(prefix + [r])
-        matches, _ = simulate_once(instance, policy, rng)
-        total += matches
-        total_sq += matches * matches
+    total = 0
+    total_sq = 0
+    if hasattr(policy, "batch_matches") and not instance.constrained \
+            and instance.mnl_weights() is not None:
+        # A run draws exactly one uniform per agent, in processing order.
+        draws = instance.n + instance.m
+        for lo in range(0, runs, _CHUNK):
+            if deadline is not None:
+                deadline.check()
+            uniforms = _stream_uniforms(prefix, lo, min(lo + _CHUNK, runs), draws)
+            matches = policy.batch_matches(uniforms)
+            total += int(matches.sum())
+            total_sq += int((matches * matches).sum())
+    else:
+        for r in range(runs):
+            if deadline is not None:
+                deadline.check()
+            rng = np.random.default_rng(prefix + [r])
+            matches, _ = simulate_once(instance, policy, rng)
+            total += matches
+            total_sq += matches * matches
     mean = total / runs
     var = max(total_sq / runs - mean * mean, 0.0)
     half = 1.96 * math.sqrt(var / runs) if runs > 1 else 0.0

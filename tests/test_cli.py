@@ -155,9 +155,22 @@ def test_tables_time_limit_writes_finished_reports(tmp_path, capsys):
 
 def test_gaps_time_limit_stops_monte_carlo(tmp_path, capsys):
     # At 10x10 every exact solver refuses and the Monte Carlo runs of the
-    # algorithm values take most of a report's time.
-    assert run(["gaps", "--sizes", "10", "--seeds", "1", "--time-limit", "1",
+    # algorithm values take about half of a report's time; four reports
+    # outlast the limit.
+    assert run(["gaps", "--sizes", "10", "--seeds", "4", "--time-limit", "1",
                 "--out", str(tmp_path)]) == 4
+
+
+def test_simulate_time_limit(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    save_instance(generate_random_instance(10, 10, seed=0), path)
+    assert run(["simulate", "--instance", str(path), "--policy", "sampling",
+                "--runs", "500", "--time-limit", "60"]) == 0
+    assert json.loads(capsys.readouterr().out)["runs"] == 500
+    start = time.monotonic()
+    assert run(["simulate", "--instance", str(path), "--policy", "sampling",
+                "--runs", "100000000", "--time-limit", "0.5"]) == 4
+    assert time.monotonic() - start < 2.0
 
 
 def test_gaps_time_limit_stops_simplex_pivots(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import itertools
 import math
+import time
 
+import numpy as np
 import pytest
 
 from conftest import independent_model
@@ -9,9 +11,13 @@ from tsa.greedy import (GreedyOneSidedPolicy, SamplingConfig,
                         cointoss_exact_value, cointoss_fully_adaptive,
                         exact_greedy_value, phi_min, sample_count,
                         sampling_side_selector)
-from tsa.instances import (MNL, Instance, generate_random_instance,
+from tsa.bounds import alg_one_sided_adaptive_value
+from tsa.errors import TimeLimitError
+from tsa.instances import (MNL, Instance, Mixture, generate_random_instance,
                            tight_instance)
-from tsa.policies import exact_value_deterministic_adaptive, monte_carlo
+from tsa.policies import (_CHUNK, _stream_uniforms, exact_value_deterministic_adaptive,
+                          monte_carlo)
+from tsa.util import Deadline
 
 
 def test_greedy_1x1(unit_1x1):
@@ -153,3 +159,103 @@ def test_greedy_respects_initiating_budget():
     pol = GreedyOneSidedPolicy(inst, "C")
     res = monte_carlo(inst, pol, runs=20, seed=0)  # contract checks run inside
     assert 0.0 <= res.mean <= 3.0
+
+
+class _ScalarOnly:
+    """The wrapped policy without its batched kernel: ``monte_carlo`` runs
+    ``simulate_once`` per run, the reference the kernel must reproduce."""
+
+    def __init__(self, policy):
+        self.policy, self.tag = policy, policy.tag
+
+    def action(self, state):
+        return self.policy.action(state)
+
+
+def _counting_kernel(policy):
+    """Record the chunk sizes ``monte_carlo`` hands to ``policy.batch_matches``."""
+    calls = []
+    kernel = policy.batch_matches
+    policy.batch_matches = lambda uniforms: calls.append(len(uniforms)) or kernel(uniforms)
+    return calls
+
+
+def _zero_weight_instance():
+    rng = np.random.default_rng(8)
+    v = rng.lognormal(size=(4, 6)) * (rng.random((4, 6)) < 0.6)
+    w = rng.lognormal(size=(6, 4)) * (rng.random((6, 4)) < 0.6)
+    v[0] = 0.0  # a customer who picks no supplier
+    w[:, 1] = 0.0  # a customer no supplier picks
+    return Instance(4, 6, tuple(MNL(tuple(r)) for r in v), tuple(MNL(tuple(r)) for r in w))
+
+
+@pytest.mark.parametrize("inst", [generate_random_instance(3, 3, seed=0),
+                                  generate_random_instance(2, 5, seed=1),
+                                  generate_random_instance(10, 9, seed=2),
+                                  _zero_weight_instance()],
+                         ids=["3x3", "2x5", "10x9", "zero-weights"])
+def test_batched_monte_carlo_matches_scalar(inst):
+    for k, side in enumerate(("C", "S")):
+        ninit = inst.side_size(side)
+        shuffled = [int(a) for a in np.random.default_rng(k).permutation(ninit)]
+        for order, seed, runs in ((None, 3, 300), (shuffled, (3, k), 300),
+                                  (None, (7, 1, k), _CHUNK + 37)):
+            pol = GreedyOneSidedPolicy(inst, side, order)
+            calls = _counting_kernel(pol)
+            batched = monte_carlo(inst, pol, runs, seed)
+            scalar = monte_carlo(inst, _ScalarOnly(pol), runs, seed)
+            assert calls == [_CHUNK] * (runs // _CHUNK) + [runs % _CHUNK]
+            assert (batched.mean, batched.half_width) == (scalar.mean, scalar.half_width)
+    # The committed policies forward to the kernel.
+    pol = cointoss_fully_adaptive(inst, seed=1)
+    calls = _counting_kernel(pol)
+    assert monte_carlo(inst, pol, 200, 5) == monte_carlo(inst, _ScalarOnly(pol), 200, 5)
+    assert calls == [200]
+
+
+def test_budgeted_and_non_mnl_markets_run_the_scalar_path():
+    base = generate_random_instance(3, 3, seed=4)
+    budgeted = Instance(3, 3, base.customer_models, base.supplier_models,
+                        (2,) * 3, (None,) * 3)
+    mixture = Instance(3, 3, base.customer_models,
+                       base.supplier_models[:2] + (Mixture((MNL((1.0, 0.5, 2.0)),
+                                                            MNL((0.3, 2.0, 1.0))), (0.5, 0.5)),))
+    for inst in (budgeted, mixture):
+        pol = GreedyOneSidedPolicy(inst, "C")
+        calls = _counting_kernel(pol)
+        assert monte_carlo(inst, pol, 50, 1) == monte_carlo(inst, _ScalarOnly(pol), 50, 1)
+        assert calls == []
+
+
+def test_stream_uniforms_reproduce_default_rng():
+    for prefix in ([0], [5], [5, 1], [7, 0, 9], [2 ** 32], [123, 2 ** 64 + 5]):
+        for lo, hi in ((0, 40), (4090, 4110)):
+            expected = [np.random.default_rng(prefix + [r]).random(13) for r in range(lo, hi)]
+            assert np.array_equal(_stream_uniforms(prefix, lo, hi, 13), expected)
+    with pytest.raises(ValueError):
+        _stream_uniforms([-1], 0, 2, 3)
+
+
+def test_batched_monte_carlo_stops_within_a_chunk():
+    inst = generate_random_instance(10, 10, seed=0)
+    pol = GreedyOneSidedPolicy(inst, "C")
+    start = time.monotonic()
+    monte_carlo(inst, pol, _CHUNK, 0)
+    chunk = time.monotonic() - start
+    start = time.monotonic()
+    with pytest.raises(TimeLimitError):
+        monte_carlo(inst, pol, 1000 * _CHUNK, 0, Deadline(0.01))
+    # The limit plus the chunk that was running, with room for timing noise;
+    # without the check all 1,000 chunks would run.
+    assert time.monotonic() - start < 0.01 + 3 * chunk
+
+
+def test_exact_greedy_evaluators_stop_at_deadline():
+    inst = generate_random_instance(8, 8, seed=0)
+    for value in (lambda d: exact_greedy_value(inst, "C", deadline=d),
+                  lambda d: cointoss_exact_value(inst, deadline=d),
+                  lambda d: alg_one_sided_adaptive_value(inst, 0, d)):
+        start = time.monotonic()
+        with pytest.raises(TimeLimitError):
+            value(Deadline(0.05))
+        assert time.monotonic() - start < 1.0
