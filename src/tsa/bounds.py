@@ -50,7 +50,12 @@ class RelaxationSolution:
 
 def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: bool = False,
                            max_side: int = 6, deadline=None) -> RelaxationSolution:
-    """Exact optimum of the one-sided relaxation by explicit subset enumeration."""
+    """Exact optimum of the one-sided relaxation by explicit subset enumeration.
+
+    Columns lam[j, C] (responder j, initiator subset C), then tau[i, S]
+    (initiator i, assortment S within its budget), masks ascending per agent.
+    Equality rows: each lam[j] and each tau[i] sums to 1, then per (i, j),
+    i-major, sum_{C ∋ i} lam[j, C] = sum_{S ∋ j} phi_i(j, S) tau[i, S]."""
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     nresp = instance.side_size(resp_side)
@@ -61,64 +66,34 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: boo
 
     init_budget = [instance.budget(side, i) if constrained else UNBOUNDED for i in range(ninit)]
     resp_budget = [instance.budget(resp_side, j) if constrained else UNBOUNDED for j in range(nresp)]
-
-    lam_cols = []  # (responder j, customer-subset mask)
-    for j in range(nresp):
-        for cmask in range(1 << ninit):
-            lam_cols.append((j, cmask))
-    tau_cols = []  # (initiator i, assortment mask)
-    for i in range(ninit):
-        k = init_budget[i]
-        for smask in range(1 << nresp):
-            if k is UNBOUNDED or bin(smask).count("1") <= k:
-                tau_cols.append((i, smask))
-
-    f_tables = [demand_table(instance.model(resp_side, j), ninit, resp_budget[j])
-                for j in range(nresp)]
-    phi = [prob_table(instance.model(side, i), nresp) for i in range(ninit)]
-
-    nl, nt = len(lam_cols), len(tau_cols)
-    ncols = nl + nt
-    c = np.zeros(ncols)
-    for k, (j, cmask) in enumerate(lam_cols):
-        c[k] = f_tables[j][cmask]
-
-    problem = LpProblem(c, np.zeros((0, ncols)), np.zeros(0))
-    for j in range(nresp):
-        row = np.zeros(ncols)
-        for k, (j2, _) in enumerate(lam_cols):
-            if j2 == j:
-                row[k] = 1.0
-        problem.add_equality(row, 1.0)
-    for i in range(ninit):
-        row = np.zeros(ncols)
-        for k, (i2, _) in enumerate(tau_cols):
-            if i2 == i:
-                row[nl + k] = 1.0
-        problem.add_equality(row, 1.0)
-    for i in range(ninit):
-        for j in range(nresp):
-            row = np.zeros(ncols)
-            for k, (j2, cmask) in enumerate(lam_cols):
-                if j2 == j and cmask >> i & 1:
-                    row[k] = 1.0
-            for k, (i2, smask) in enumerate(tau_cols):
-                if i2 == i and smask >> j & 1:
-                    row[nl + k] = -phi[i][smask, j]
-            problem.add_equality(row, 0.0)
+    f = np.stack([demand_table(instance.model(resp_side, j), ninit, resp_budget[j])
+                  for j in range(nresp)])
+    phi = np.stack([prob_table(instance.model(side, i), nresp) for i in range(ninit)])
+    lam_j, lam_c = np.divmod(np.arange(nresp << ninit), 1 << ninit)
+    caps = np.array([nresp if k is UNBOUNDED else k for k in init_budget])
+    sizes = np.array([bin(s).count("1") for s in range(1 << nresp)])
+    tau_i, tau_s = np.nonzero(sizes <= caps[:, None])
+    nl, nt = lam_j.size, tau_i.size
+    i, j = np.arange(ninit)[:, None, None], np.arange(nresp)[:, None]
+    lam = np.concatenate([lam_j == j, np.zeros((ninit, nl)),
+                          ((lam_j == j) & (lam_c >> i & 1 == 1)).reshape(-1, nl)])
+    tau = np.concatenate([np.zeros((nresp, nt)), tau_i == i[:, 0],
+                          np.where((tau_i == i) & (tau_s >> j & 1 == 1), -phi[tau_i, tau_s].T,
+                                   0.0).reshape(-1, nt)])
+    problem = LpProblem(np.concatenate([f.ravel(), np.zeros(nt)]), np.zeros((0, nl + nt)), np.zeros(0))
+    problem.add_equality(np.hstack([lam, tau]), np.repeat([1.0, 0.0], [nresp + ninit, ninit * nresp]))
 
     sol = solve_lp(problem, deadline)
     if sol.status != "optimal":
         raise RuntimeError(f"relaxation LP came back {sol.status}")
-    lam = {}
-    tau = {}
-    for k, (j, cmask) in enumerate(lam_cols):
-        if sol.x[k] > 1e-12:
-            lam[(j, frozenset(i for i in range(ninit) if cmask >> i & 1))] = float(sol.x[k])
-    for k, (i, smask) in enumerate(tau_cols):
-        if sol.x[nl + k] > 1e-12:
-            tau[(i, frozenset(j for j in range(nresp) if smask >> j & 1))] = float(sol.x[nl + k])
-    return RelaxationSolution(side, lam, tau, float(sol.value))
+
+    def support(agents, masks, x, width):
+        keep = x > 1e-12
+        return {(a, frozenset(b for b in range(width) if mask >> b & 1)): p
+                for a, mask, p in zip(agents[keep].tolist(), masks[keep].tolist(), x[keep].tolist())}
+
+    return RelaxationSolution(side, support(lam_j, lam_c, sol.x[:nl], ninit),
+                              support(tau_i, tau_s, sol.x[nl:], nresp), float(sol.value))
 
 
 def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution,
@@ -232,21 +207,13 @@ def ub_fa(instance: Instance, deadline=None) -> float:
     n, m = instance.n, instance.m
     if n == 0 or m == 0:
         return 0.0
-    ne = n * m
-    rows, rhs = [], []
-    for i in range(n):
-        for j in range(m):
-            row = np.zeros(ne)
-            row[i * m: (i + 1) * m] += v[i, j]
-            row[i * m + j] += 1.0
-            rows.append(row)
-            rhs.append(v[i, j])
-            row = np.zeros(ne)
-            row[j::m] += w[j, i]
-            row[i * m + j] += 1.0
-            rows.append(row)
-            rhs.append(w[j, i])
-    sol = solve_lp(LpProblem(np.ones(ne), np.array(rows), np.array(rhs)), deadline)
+    # Per edge (i, j), row-major (column i*m + j): its customer row, then its supplier row.
+    i, j = np.divmod(np.arange(n * m), m)
+    eye = np.eye(n * m)
+    rows = np.stack([v.ravel()[:, None] * (i[:, None] == i) + eye,
+                     w.T.ravel()[:, None] * (j[:, None] == j) + eye], axis=1)
+    rhs = np.stack([v.ravel(), w.T.ravel()], axis=1)
+    sol = solve_lp(LpProblem(np.ones(n * m), rows.reshape(-1, n * m), rhs.ravel()), deadline)
     if sol.status != "optimal":
         raise RuntimeError(f"UB_FA LP came back {sol.status}")
     return float(sol.value)
@@ -327,15 +294,21 @@ def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0, deadline=Non
     return res.mean, {**policy.metadata, "ci_half_width": res.half_width}
 
 
-def alg_fully_adaptive_value(instance: Instance, seed: int = 0, deadline=None):
+def alg_fully_adaptive_value(instance: Instance, seed: int = 0, deadline=None, oa=None):
     """Expected value of the coin-toss policy: exact average of both sides when
-    both are small enough, else Monte Carlo per side."""
-    if max(instance.n, instance.m) <= _MAX_EXACT_SIDE:
-        return cointoss_exact_value(instance, max_initiating=_MAX_EXACT_SIDE, deadline=deadline)
-    vals = []
-    for k, side in enumerate(("C", "S")):
-        pol = GreedyOneSidedPolicy(instance, side)
-        vals.append(monte_carlo(instance, pol, _MC_RUNS, seed + k, deadline).mean)
+    both are small enough, else Monte Carlo per side (side k on streams
+    (seed + k, r)).  ``oa``, the result of ``alg_one_sided_adaptive_value``
+    with the same seed, stands in for its side where that is the same number:
+    an exact greedy value, or side C's Monte Carlo on streams (seed, r)."""
+    small = max(instance.n, instance.m) <= _MAX_EXACT_SIDE
+    shared = oa is not None and (small or (oa[1]["side"] == "C" and instance.n > _MAX_EXACT_SIDE))
+    known = {oa[1]["side"]: oa[0]} if shared else {}
+    if small:
+        return cointoss_exact_value(instance, _MAX_EXACT_SIDE, deadline, known)
+    vals = [known[side] if side in known else
+            monte_carlo(instance, GreedyOneSidedPolicy(instance, side), _MC_RUNS, seed + k,
+                        deadline).mean
+            for k, side in enumerate(("C", "S"))]
     return 0.5 * sum(vals)
 
 
@@ -384,7 +357,7 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
         q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed)
         oa_alg = _try(alg_one_sided_adaptive_value, instance, seed, deadline)
         q["ALG_OA"] = oa_alg[0] if oa_alg is not None else None
-        q["ALG_FA"] = _try(alg_fully_adaptive_value, instance, seed, deadline)
+        q["ALG_FA"] = _try(alg_fully_adaptive_value, instance, seed, deadline, oa_alg)
 
     ratios: Dict[str, Optional[float]] = {}
     for name, num, den in RATIO_DEFS:

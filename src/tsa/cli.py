@@ -315,22 +315,23 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, reports=True):
         sp.add_argument("--config", help="JSON config file; flags override fields")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--sizes", type=_parse_sizes, default=None,
                         help="comma list, e.g. 2,3 or 2x3,4x4")
         sp.add_argument("--seeds", type=int, default=None, help="instances per size")
-        sp.add_argument("--time-limit", dest="time_limit", type=float, default=None)
+        if reports:  # generate writes instances only: no solver to time or spread
+            sp.add_argument("--jobs", type=int, default=None)
+            sp.add_argument("--time-limit", dest="time_limit", type=float, default=None)
         sp.add_argument("--mode", choices=["unconstrained", "one-way", "two-way"], default=None)
         sp.add_argument("--k-customer", dest="k_customer", type=int, default=None)
         sp.add_argument("--k-supplier", dest="k_supplier", type=int, default=None)
         sp.add_argument("--initiating", choices=["C", "S"], default=None)
 
     g = sub.add_parser("generate", help="write instance JSON files")
-    common(g)
+    common(g, reports=False)
     g.add_argument("--kind", choices=["prop1", "lemma3", "lemma6", "thm3"],
                    help="emit a tight construction instead of random instances")
     g.add_argument("--n", type=int, default=None, help="size parameter for --kind")

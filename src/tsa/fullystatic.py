@@ -59,55 +59,25 @@ def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = N
     simplex checks ``deadline`` after every pivot."""
     v, w = instance.require_mnl_weights("fully static approximation")
     n, m = instance.n, instance.m
-    edge_list = sorted(edges) if edges is not None else [(i, j) for i in range(n) for j in range(m)]
-    idx = {e: k for k, e in enumerate(edge_list)}
-    ne = len(edge_list)
-    if ne == 0:
+    i, j = (np.array(sorted(edges), dtype=int).T.reshape(2, -1) if edges is not None
+            else np.divmod(np.arange(n * m), m))
+    if i.size == 0:
         return np.zeros((n, m)), 0.0
 
-    c = np.array([v[i, j] * w[j, i] for (i, j) in edge_list])
-    rows, rhs = [], []
-    for (i, j) in edge_list:
-        row = np.zeros(ne)
-        for (i2, l) in edge_list:
-            if i2 == i:
-                row[idx[(i2, l)]] += v[i, l]
-        row[idx[(i, j)]] += 1.0
-        rows.append(row)
-        rhs.append(1.0)
-        row = np.zeros(ne)
-        for (k, j2) in edge_list:
-            if j2 == j:
-                row[idx[(k, j2)]] += w[j, k]
-        row[idx[(i, j)]] += 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    if constrained:
-        for i in range(n):
-            k = instance.k_customer[i]
-            if k is not UNBOUNDED:
-                row = np.zeros(ne)
-                for (i2, l) in edge_list:
-                    if i2 == i:
-                        row[idx[(i2, l)]] = 1.0
-                rows.append(row)
-                rhs.append(float(k))
-        for j in range(m):
-            k = instance.k_supplier[j]
-            if k is not UNBOUNDED:
-                row = np.zeros(ne)
-                for (k2, j2) in edge_list:
-                    if j2 == j:
-                        row[idx[(k2, j2)]] = 1.0
-                rows.append(row)
-                rhs.append(float(k))
-
-    sol = solve_lp(LpProblem(c, np.array(rows), np.array(rhs)), deadline)
+    # Per edge, in edge order: its customer row, then its supplier row; budget rows last.
+    eye = np.eye(i.size)
+    rows = [np.stack([(i[:, None] == i) * v[i, j] + eye, (j[:, None] == j) * w[j, i] + eye],
+                     axis=1).reshape(-1, i.size)]
+    rhs = [np.ones(2 * i.size)]
+    for agent, caps in ((i, instance.k_customer), (j, instance.k_supplier)) if constrained else ():
+        own = [a for a, k in enumerate(caps) if k is not UNBOUNDED]
+        rows.append(agent == np.array(own, dtype=int)[:, None])
+        rhs.append([float(caps[a]) for a in own])
+    sol = solve_lp(LpProblem(v[i, j] * w[j, i], np.concatenate(rows), np.concatenate(rhs)), deadline)
     if sol.status != "optimal":
         raise RuntimeError(f"low-low LP came back {sol.status}")
     y = np.zeros((n, m))
-    for (i, j), k in idx.items():
-        y[i, j] = min(max(sol.x[k], 0.0), 1.0)
+    y[i, j] = np.clip(sol.x, 0.0, 1.0)
     return y, float(sol.value)
 
 

@@ -40,7 +40,7 @@ class GreedyOneSidedPolicy:
             raise ValueError("order must permute the initiating side")
         self.tag = "C-OA" if side == "C" else "S-OA"
 
-    def _marginals(self, state: PolicyState, nresp: int):
+    def _marginals(self, state: PolicyState, nresp: int, initiator: int):
         inst = self.instance
         theta = [0.0] * nresp
         for j in range(nresp):
@@ -49,10 +49,10 @@ class GreedyOneSidedPolicy:
             backlog = frozenset(state.backlog((self.resp_side, j)))
             if k is UNBOUNDED:
                 base = model.demand(backlog)
-                grown = model.demand(backlog | {self._current})
+                grown = model.demand(backlog | {initiator})
             else:
                 base = constrained_demand(model, backlog, k).value
-                grown = constrained_demand(model, backlog | {self._current}, k).value
+                grown = constrained_demand(model, backlog | {initiator}, k).value
             theta[j] = max(grown - base, 0.0)
         return theta
 
@@ -61,8 +61,7 @@ class GreedyOneSidedPolicy:
         nresp = inst.side_size(self.resp_side)
         for a in self.order:
             if (self.side, a) not in state.processed:
-                self._current = a
-                theta = self._marginals(state, nresp)
+                theta = self._marginals(state, nresp, a)
                 res = best_weighted_assortment(inst.model(self.side, a), theta,
                                                inst.budget(self.side, a))
                 return PolicyAction((self.side, a), res.assortment)
@@ -300,9 +299,12 @@ def cointoss_fully_adaptive(instance: Instance, seed: int = 0) -> CommittedPolic
     return CommittedPolicy(GreedyOneSidedPolicy(instance, side), "FA", meta)
 
 
-def cointoss_exact_value(instance: Instance, max_initiating: int = 8, deadline=None) -> float:
+def cointoss_exact_value(instance: Instance, max_initiating: int = 8, deadline=None,
+                         known: Optional[dict] = None) -> float:
     """Exact expected value of the coin-toss policy: the average of the two
-    sides' exact greedy values."""
-    vc = exact_greedy_value(instance, "C", max_initiating=max_initiating, deadline=deadline)
-    vs = exact_greedy_value(instance, "S", max_initiating=max_initiating, deadline=deadline)
+    sides' exact greedy values.  ``known`` maps a side to its exact greedy
+    value when the caller already has it."""
+    vc, vs = (known[side] if known and side in known else
+              exact_greedy_value(instance, side, max_initiating=max_initiating, deadline=deadline)
+              for side in ("C", "S"))
     return 0.5 * (vc + vs)

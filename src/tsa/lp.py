@@ -1,13 +1,14 @@
 """Dense linear programming and concave maximization, self-contained.
 
 ``solve_lp`` maximizes c.x subject to A x <= b, x >= 0 with a two-phase
-tableau simplex under Bland's rule (anti-cycling).  Equality rows are encoded
-by callers as <=/>= pairs via ``add_equality``.  The simplex serves UB_FA, the
-one-sided relaxation (REL2) and the low-low LP.  ``maximize_concave`` runs
-Frank-Wolfe with the simplex as linear oracle and reports a certified upper
-bound (best iterate value plus duality gap).  It is the LP-backed reference
-the tests compare UB_OA against; UB_OA itself uses the closed-form oracle of
-its MNL load blocks (``bounds._block_oracle``).
+tableau simplex under Bland's rule (anti-cycling).  ``add_equality`` appends a
+block of equality rows, each as a <= row followed by its >= row (the row
+negated).  The simplex serves UB_FA, the one-sided relaxation (REL2) and the
+low-low LP, whose builders make each row family in one array expression.
+``maximize_concave`` runs Frank-Wolfe with the simplex as linear oracle and
+reports a certified upper bound (best iterate value plus duality gap).  It is
+the LP-backed reference the tests compare UB_OA against; UB_OA itself uses the
+closed-form oracle of its MNL load blocks (``bounds._block_oracle``).
 """
 
 from __future__ import annotations
@@ -40,11 +41,13 @@ class LpProblem:
         if not (np.isfinite(self.c).all() and np.isfinite(self.A).all() and np.isfinite(self.b).all()):
             raise ValueError("LP data must be finite")
 
-    def add_equality(self, row: np.ndarray, rhs: float) -> None:
-        """Append row.x == rhs as a <=/>= pair."""
-        row = np.asarray(row, dtype=float).reshape(1, -1)
-        self.A = np.vstack([self.A, row, -row])
-        self.b = np.concatenate([self.b, [float(rhs)], [-float(rhs)]])
+    def add_equality(self, rows: np.ndarray, rhs) -> None:
+        """Append rows x == rhs for one row or a block (rows (k, n), rhs (k,)):
+        row r becomes the pair rows[r].x <= rhs[r], -rows[r].x <= -rhs[r]."""
+        rows = np.asarray(rows, dtype=float).reshape(-1, self.c.size)
+        rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        self.A = np.vstack([self.A, np.stack([rows, -rows], axis=1).reshape(-1, self.c.size)])
+        self.b = np.concatenate([self.b, np.stack([rhs, -rhs], axis=1).ravel()])
 
 
 @dataclass

@@ -124,6 +124,46 @@ def test_gap_report_availability_mirrors_caps():
     assert rep.ratios["OPT_FA/OPT_OA"] is None
 
 
+def _count_greedy_values(monkeypatch):
+    """Counts of exact greedy values and of the algorithm values' 10,000-run
+    Monte Carlo estimates, wherever the report looks either up."""
+    import tsa.bounds
+    import tsa.greedy
+
+    counts = {"exact": 0, "estimates": 0}
+    exact, mc = tsa.greedy.exact_greedy_value, tsa.bounds.monte_carlo
+
+    def counted_exact(*args, **kwargs):
+        counts["exact"] += 1
+        return exact(*args, **kwargs)
+
+    def counted_mc(instance, policy, runs, *args, **kwargs):
+        counts["estimates"] += runs == tsa.bounds._MC_RUNS
+        return mc(instance, policy, runs, *args, **kwargs)
+
+    for module in (tsa.bounds, tsa.greedy):
+        monkeypatch.setattr(module, "exact_greedy_value", counted_exact)
+        monkeypatch.setattr(module, "monte_carlo", counted_mc)
+    return counts
+
+
+@pytest.mark.parametrize("n, seed, kind, side", [(3, 0, "exact", "S"), (3, 1, "exact", "C"),
+                                                 (10, 31, "estimates", "C")])
+def test_gap_report_values_each_greedy_once(monkeypatch, n, seed, kind, side):
+    """ALG_FA reuses ALG_OA's greedy value for the side they share: the exact
+    value of the selector's side, or its side-C estimate on the same streams."""
+    from tsa.bounds import alg_fully_adaptive_value, alg_one_sided_adaptive_value
+
+    inst = generate_random_instance(n, n, seed)
+    counts = _count_greedy_values(monkeypatch)
+    rep = gap_report(inst, "r", seed=seed, with_bounds=False)
+    assert counts[kind] == 2  # 3 when ALG_FA valued both sides afresh
+    oa, meta = alg_one_sided_adaptive_value(inst, seed)
+    assert meta["side"] == side
+    assert rep.quantities["ALG_OA"] == oa
+    assert rep.quantities["ALG_FA"] == alg_fully_adaptive_value(inst, seed)
+
+
 def test_csv_round_trip_shape():
     reps = [gap_report(generate_random_instance(2, 2, seed=s), f"i{s}") for s in range(2)]
     buf = io.StringIO()

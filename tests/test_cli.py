@@ -29,6 +29,14 @@ def test_generate_tight_kind(tmp_path, capsys):
     assert (inst.n, inst.m) == (3, 1)
 
 
+def test_generate_rejects_run_flags(tmp_path):
+    """generate runs no solver, so --time-limit and --jobs are unknown flags."""
+    for flag, value in (("--time-limit", "0.000001"), ("--jobs", "2")):
+        assert run(["generate", "--sizes", "2", "--seeds", "1", flag, value,
+                    "--out", str(tmp_path)]) == 2
+    assert not os.listdir(tmp_path)
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = {"sizes": [[2, 2]], "seeds": 3, "seed": 5}
     cfg_path = tmp_path / "cfg.json"

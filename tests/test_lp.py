@@ -264,3 +264,125 @@ def test_solve_lp_agrees_with_highs(kind):
             assert sol.value == pytest.approx(-ref.fun, abs=1e-7)
         seen.add(sol.status)
     assert seen == LP_KINDS[kind]
+
+
+# ---------------------------------------------------------------------------
+# The formulations handed to the simplex, written out by hand from their
+# constraints.  Row order: per edge (i, j), row-major, its customer row then its
+# supplier row; budget rows last, customers first; each equality as a <= row
+# followed by its >= row (the row and right-hand side negated).
+
+
+def _captured_lps(monkeypatch):
+    import tsa.bounds
+    import tsa.fullystatic
+
+    seen = []
+
+    def spy(problem, deadline=None):
+        seen.append(problem)
+        return solve_lp(problem, deadline)
+
+    monkeypatch.setattr(tsa.bounds, "solve_lp", spy)
+    monkeypatch.setattr(tsa.fullystatic, "solve_lp", spy)
+    return seen
+
+
+def _assert_lp(problem, c, A, b):
+    for got, want in ((problem.c, c), (problem.A, A), (problem.b, b)):
+        want = np.asarray(want, dtype=float)
+        np.testing.assert_array_equal(got, want)
+        assert (np.signbit(got) == np.signbit(want)).all()  # -0.0 stays -0.0
+
+
+def _pairs(rows, rhs):
+    rows, rhs = np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float)
+    A = np.array([r for row in rows for r in (row, -row)])
+    return A, np.array([x for r in rhs for x in (r, -r)])
+
+
+# v[i, j] customer i's weight of supplier j; w[j, i] supplier j's of customer i.
+V2 = np.array([[0.5, 0.25], [2.0, 4.0]])
+W2 = np.array([[0.125, 8.0], [1.5, 3.0]])
+
+
+def _market_2x2(k_customer=(None, None), k_supplier=(None, None)):
+    from tsa.instances import MNL, Instance
+
+    return Instance(2, 2, tuple(MNL(tuple(r)) for r in V2), tuple(MNL(tuple(r)) for r in W2),
+                    k_customer, k_supplier)
+
+
+def test_add_equality_appends_a_block_as_le_ge_pairs():
+    p = LpProblem(np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]))
+    p.add_equality(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([3.0, 0.0]))
+    _assert_lp(p, [0.0, 0.0], [[1.0, 1.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 2.0], [-0.0, -2.0]],
+               [2.0, 3.0, -3.0, 0.0, -0.0])
+
+
+def test_ub_fa_layout(monkeypatch):
+    from tsa.bounds import ub_fa
+
+    seen = _captured_lps(monkeypatch)
+    ub_fa(_market_2x2())
+    (v00, v01), (v10, v11) = V2
+    (w00, w01), (w10, w11) = W2
+    # x_ij + v_ij sum_l x_il <= v_ij, then x_ij + w_ji sum_k x_kj <= w_ji;
+    # columns x00, x01, x10, x11.
+    A = [[v00 + 1, v00, 0, 0], [w00 + 1, 0, w00, 0],
+         [v01, v01 + 1, 0, 0], [0, w10 + 1, 0, w10],
+         [0, 0, v10 + 1, v10], [w01, 0, w01 + 1, 0],
+         [0, 0, v11, v11 + 1], [0, w11, 0, w11 + 1]]
+    (problem,) = seen
+    _assert_lp(problem, [1, 1, 1, 1], A, [v00, w00, v01, w10, v10, w01, v11, w11])
+
+
+LOWLOW_2X2 = [  # y_ij + sum_l v_il y_il <= 1, then y_ij + sum_k w_jk y_kj <= 1
+    [V2[0, 0] + 1, V2[0, 1], 0, 0], [W2[0, 0] + 1, 0, W2[0, 1], 0],
+    [V2[0, 0], V2[0, 1] + 1, 0, 0], [0, W2[1, 0] + 1, 0, W2[1, 1]],
+    [0, 0, V2[1, 0] + 1, V2[1, 1]], [W2[0, 0], 0, W2[0, 1] + 1, 0],
+    [0, 0, V2[1, 0], V2[1, 1] + 1], [0, W2[1, 0], 0, W2[1, 1] + 1]]
+LOWLOW_C = [V2[0, 0] * W2[0, 0], V2[0, 1] * W2[1, 0], V2[1, 0] * W2[0, 1], V2[1, 1] * W2[1, 1]]
+
+
+def test_lowlow_lp_layout(monkeypatch):
+    from tsa.fullystatic import lowlow_lp
+
+    seen = _captured_lps(monkeypatch)
+    lowlow_lp(_market_2x2())
+    # Edges are sorted, so (1, 1) and (0, 1) give columns y01, y11.
+    lowlow_lp(_market_2x2(), edges=[(1, 1), (0, 1)])
+    full, sub = seen
+    _assert_lp(full, LOWLOW_C, LOWLOW_2X2, np.ones(8))
+    _assert_lp(sub, [LOWLOW_C[1], LOWLOW_C[3]],
+               [[V2[0, 1] + 1, 0], [W2[1, 0] + 1, W2[1, 1]], [0, V2[1, 1] + 1], [W2[1, 0], W2[1, 1] + 1]],
+               np.ones(4))
+
+
+def test_lowlow_lp_budget_rows(monkeypatch):
+    from tsa.fullystatic import lowlow_lp
+
+    seen = _captured_lps(monkeypatch)
+    lowlow_lp(_market_2x2((1, 2), (None, 1)), constrained=True)
+    budgets = [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]]  # customers 0, 1; supplier 1
+    (problem,) = seen
+    _assert_lp(problem, LOWLOW_C, LOWLOW_2X2 + budgets, [1.0] * 8 + [1, 2, 1])
+
+
+def test_relaxation_layout(monkeypatch):
+    from tsa.bounds import lp_relaxation_onesided
+    from tsa.instances import MNL, Instance
+
+    seen = _captured_lps(monkeypatch)
+    # One customer (weights 1, 3 on suppliers 0, 1), suppliers of weight 1 and 3.
+    lp_relaxation_onesided(Instance(1, 2, (MNL((1.0, 3.0)),), (MNL((1.0,)), MNL((3.0,)))), "C")
+    # Columns lam[j, C] for j = 0, 1 and C = {}, {0}; then tau[0, S] for
+    # S = {}, {0}, {1}, {0, 1}.  The objective is each supplier's demand f_j(C).
+    c = [0, 1 / 2, 0, 3 / 4, 0, 0, 0, 0]
+    rows = [[1, 1, 0, 0, 0, 0, 0, 0],  # supplier 0's distribution
+            [0, 0, 1, 1, 0, 0, 0, 0],  # supplier 1's
+            [0, 0, 0, 0, 1, 1, 1, 1],  # the customer's
+            [0, 1, 0, 0, 0, -1 / 2, 0, -1 / 5],  # flow (0, 0): phi(0 | S) for S containing 0
+            [0, 0, 0, 1, 0, 0, -3 / 4, -3 / 5]]  # flow (0, 1)
+    (problem,) = seen
+    _assert_lp(problem, c, *_pairs(rows, [1, 1, 1, 0, 0]))
