@@ -66,10 +66,12 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        known = set(ExperimentConfig().__dict__)
+        # A field is known where the subcommand has its flag (generate has no
+        # --time-limit or --jobs).
+        known = {k for k in ExperimentConfig().__dict__ if hasattr(args, k)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown config fields {sorted(unknown)}")
+            raise ValueError(f"unknown config fields {sorted(unknown)} for {args.command}")
         for k, val in data.items():
             setattr(cfg, k, val)
     for k in ("sizes", "seeds", "seed", "mode", "k_customer", "k_supplier",

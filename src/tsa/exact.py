@@ -1,8 +1,9 @@
 """Exact optimal values for the four policy classes on small instances.
 
 Fully adaptive and one-sided adaptive optima come from one dynamic program
-over backlog profiles (states packed into integers); a one-sided adaptive
-policy is a fully adaptive one in which only the initiating side moves.
+over backlog profiles (states packed into int64 keys, valued layer by layer
+with numpy); a one-sided adaptive policy is a fully adaptive one in which only
+the initiating side moves.
 One-sided static and fully static optima come from exhaustive, vectorized
 enumeration.  Every solver refuses instances above its size cap instead of
 approximating.
@@ -81,105 +82,202 @@ def _enumeration_oracle(phi: np.ndarray, masks, items, budget):
 
 
 def _agent_oracle(model, n_opts: int, budget):
-    """(weights, usable options, oracle) for one agent: an MNL agent skips its
-    zero-weight options and runs ``mnl_best``; any other model enumerates its
-    budget-feasible assortments.  The oracle maps (triples, budget) to
-    (value, chosen triples)."""
+    """(weights, usable options, oracle, row oracle) for one agent: an MNL
+    agent skips its zero-weight options and runs ``mnl_best``; any other model
+    enumerates its budget-feasible assortments.  The oracle maps (triples,
+    budget) to (value, chosen triples); the row oracle maps (theta, item)
+    arrays over the usable options to the oracle's value on each row, bit for
+    bit."""
     if is_mnl(model):
         w = model.weights
-        return w, [j for j in range(n_opts) if w[j] > 0.0], mnl_best
+        usable = [j for j in range(n_opts) if w[j] > 0.0]
+        return w, usable, mnl_best, partial(_mnl_rows, np.array([w[j] for j in usable]), budget)
+    w, usable = [0.0] * n_opts, list(range(n_opts))
     oracle = partial(_enumeration_oracle, prob_table(model, n_opts), _budget_masks(n_opts, budget))
-    return [0.0] * n_opts, list(range(n_opts)), oracle
+    return w, usable, oracle, partial(_scalar_rows, oracle, [(w[l], l) for l in usable], budget)
+
+
+def _scalar_rows(oracle, options, budget, theta, item):
+    """The scalar oracle on each row's (theta, weight, option) triples."""
+    return np.array([oracle([(t, *o) for t, o, i in zip(ts, options, its) if i], budget)[0]
+                     for ts, its in zip(theta.tolist(), item.tolist())])
+
+
+def _mnl_rows(w, budget, theta, item):
+    """``mnl_best`` on every row at once: the prefix rule on rows with at most
+    ``budget`` items, Dinkelbach on the rest."""
+    if budget is UNBOUNDED or budget >= theta.shape[1]:
+        return _mnl_prefix_rows(w, theta, item)
+    few = item.sum(axis=1) <= budget
+    val = np.empty(len(theta))
+    val[few] = _mnl_prefix_rows(w, theta[few], item[few])
+    val[~few] = _dinkelbach_rows(w, budget, theta[~few], item[~few])
+    return val
+
+
+# The two rules below repeat ``mnl_best``'s floating-point operations in its
+# order, so the DP's values equal the scalar oracle's bit for bit.
+
+
+def _mnl_prefix_rows(w, theta, item):
+    """The theta-ordered prefixes: a stable descending sort (ties keep option
+    order, non-items last at -inf), sums in that order with the denominator
+    from 1.0, and a longer prefix winning only by more than 1e-12."""
+    theta = np.where(item, theta, -np.inf)
+    order = np.argsort(-theta, axis=1, kind="stable")
+    theta, w = np.take_along_axis(theta, order, 1), w[order]
+    best, num, den = np.zeros(len(theta)), np.zeros(len(theta)), np.ones(len(theta))
+    for k in range(theta.shape[1]):
+        num = num + theta[:, k] * w[:, k]
+        den = den + w[:, k]
+        val = num / den  # -inf once past the items
+        best = np.where(val > best + _THETA_TOL, val, best)
+    return best
+
+
+def _dinkelbach_rows(w, budget, theta, item):
+    """Under a binding budget: from z = 0, keep the ``budget`` items of
+    theta > z with the largest w (theta - z) (stable), and move z to their
+    ratio while it rises by more than 1e-12."""
+    z, live = np.zeros(len(theta)), np.arange(len(theta))
+    while live.size:
+        t, zl = theta[live], z[live, None]
+        key = np.where(item[live] & (t > zl), w * (zl - t), np.inf)
+        top = np.argsort(key, axis=1, kind="stable")[:, :budget]
+        ok = np.take_along_axis(key, top, 1) < np.inf
+        tw = np.where(ok, np.take_along_axis(t, top, 1) * w[top], 0.0)
+        wt = np.where(ok, w[top], 0.0)
+        num, den = np.zeros(len(live)), np.zeros(len(live))
+        for k in range(top.shape[1]):
+            num, den = num + tw[:, k], den + wt[:, k]
+        ratio = num / (1.0 + den)
+        up = ratio > zl[:, 0] + _THETA_TOL
+        z[live[up]] = ratio[up]
+        live = live[up]
+    return z
 
 
 # ---------------------------------------------------------------------------
 # Adaptive DP (fully adaptive, and one-sided adaptive as a side moving first)
 
+_KEY_BITS = 63  # the widest key a non-negative int64 holds
+
 
 def _adaptive_dp(instance: Instance, first, deadline) -> DpValue:
-    """Value-to-go recursion on packed (done agents, backlog profile) states.
+    """Value-to-go DP on packed (done agents, backlog profile) states, by layers.
 
     With ``first=None`` any unprocessed agent may move (fully adaptive).  With
     ``first`` a side, only that side moves; once all of it is done, responder j
     is worth F_j[backlog_j] (``demand_table``), and those terminal states are
-    not memoized."""
+    not counted.  Layer d holds the sorted int64 keys of the states with d
+    movers done.  Which states are reachable does not depend on values, so a
+    forward pass enumerates the layers; a backward pass then fills each layer
+    from the next, one row oracle call per (layer, mover), and frees the next.
+    The root's first action comes from the scalar oracles."""
     n, m = instance.n, instance.m
     if n == 0 or m == 0:
         return DpValue(0.0, 0, None)
-    total = n + m
-
-    # Agent layout: 0..n-1 customers, n..n+m-1 suppliers.  Each agent owns a
-    # slot of (opp+1) bits: opp backlog bits plus a done flag on top.
-    opp_count = [m] * n + [n] * m
-    offsets, pos = [], 0
-    for a in range(total):
-        offsets.append(pos)
-        pos += opp_count[a] + 1
-    done_bit = [offsets[a] + opp_count[a] for a in range(total)]
-    slot_mask = [((1 << (opp_count[a] + 1)) - 1) << offsets[a] for a in range(total)]
-    opp_global = [[n + l for l in range(m)] if a < n else list(range(n)) for a in range(total)]
     agents = [("C", i) for i in range(n)] + [("S", j) for j in range(m)]
-    local_id = [idx for _, idx in agents]  # index within own side
+    opp_count = [m] * n + [n] * m
+    movers = [a for a in range(n + m) if first in (None, agents[a][0])]
+
+    # Key layout, agent by agent: its backlog bits (bit l: opponent l chose
+    # it) then its done flag.  One-sided movers never gain a backlog and
+    # responders never move, so those bits are left out.
+    offsets, done, own, pos = [], [], [], 0
+    for a in range(n + m):
+        offsets.append(pos)
+        if first is None or a not in movers:
+            own.append(((1 << opp_count[a]) - 1) << pos)
+            pos += opp_count[a]
+        else:
+            own.append(0)
+        done.append(1 << pos if a in movers else 0)
+        pos += a in movers
+    if pos > _KEY_BITS:
+        raise SizeRefusalError(f"adaptive DP refuses a {pos}-bit state key > {_KEY_BITS} bits")
+
     budgets = [instance.budget(*agent) for agent in agents]
-    movers = [a for a in range(total) if first in (None, agents[a][0])]
-    movers_done = sum(1 << done_bit[a] for a in movers)
-    oracles = [_agent_oracle(instance.model(*agents[a]), opp_count[a], budgets[a])
-               if a in movers else None for a in range(total)]
-    # Responders: (slot offset, backlog mask, F table).
-    responders = [(offsets[a], (1 << opp_count[a]) - 1,
-                   demand_table(instance.model(*agents[a]), opp_count[a], budgets[a]))
-                  for a in range(total) if a not in movers]
-
-    memo = {}
-    counter = [0]
-
-    def agent_value(key: int, a: int):
-        base = (key & ~slot_mask[a]) | (1 << done_bit[a])
-        v_out = value(base)
-        backlog = (key >> offsets[a]) & ((1 << opp_count[a]) - 1)
-        w, usable, oracle = oracles[a]
-        items = []
-        for l in usable:
-            o = opp_global[a][l]
-            if backlog >> l & 1:
-                items.append((1.0, w[l], l))
-            elif not key >> done_bit[o] & 1:
-                th = value(base | (1 << (offsets[o] + local_id[a]))) - v_out
-                if th > _THETA_TOL:
-                    items.append((th, w[l], l))
-        val, chosen = oracle(items, budgets[a])
-        return v_out + val, chosen
-
-    def value(key: int) -> float:
-        if responders and key & movers_done == movers_done:
-            val = 0.0
-            for off, mask, F in responders:
-                val += F[(key >> off) & mask]
-            return val
-        v = memo.get(key)
-        if v is not None:
-            return v
-        counter[0] += 1
-        if deadline is not None and counter[0] % 4096 == 0:
-            deadline.check()
-        best = 0.0
-        for a in movers:
-            if key >> done_bit[a] & 1:
-                continue
-            cand = agent_value(key, a)[0]
-            if cand > best:
-                best = cand
-        memo[key] = best
-        return best
-
-    opt = value(0)
-    # First action: the best root move; a later agent wins only by more than 1e-12.
-    best, action = 0.0, None
+    # Per mover: its scalar oracle (w, usable, oracle), and its row oracle with,
+    # over the usable options, the opponent's done flag, the bit the choice
+    # sets in the opponent's backlog, and the own backlog bit (a match if set).
+    scalar, plans = {}, {}
     for a in movers:
-        cand, chosen = agent_value(0, a)
+        w, usable, oracle, rows_oracle = _agent_oracle(instance.model(*agents[a]), opp_count[a],
+                                                       budgets[a])
+        opps = [l + n if a < n else l for l in usable]
+        scalar[a] = (w, usable, oracle)
+        plans[a] = (rows_oracle, np.array([done[o] for o in opps], dtype=np.int64),
+                    np.array([1 << (offsets[o] + agents[a][1]) for o in opps], dtype=np.int64),
+                    np.array([own[a] and 1 << (offsets[a] + l) for l in usable], dtype=np.int64))
+
+    layers = [np.zeros(1, dtype=np.int64)]
+    for _ in movers:
+        keys, parts = layers[-1], []
+        for a in movers:
+            if deadline is not None:
+                deadline.check()
+            _, opp_done, kid, _ = plans[a]
+            rows = keys[keys & done[a] == 0]
+            base = (rows & ~own[a]) | done[a]
+            parts += [base, (base[:, None] | kid)[(rows[:, None] & opp_done) == 0]]
+        keys = np.concatenate(parts)
+        del parts  # sort in place without the pieces
+        # Stable sort: the default SIMD int64 sort maps about 0.25 MB more of numpy.
+        keys.sort(kind="stable")
+        layers.append(keys[np.concatenate(([True], keys[1:] != keys[:-1]))])
+    states = sum(map(len, layers))
+
+    if first is None:
+        values = np.zeros(1)  # everyone done
+    else:
+        keys, values = layers[-1], 0.0
+        states -= len(keys)
+        for a in range(n + m):
+            if a not in movers:
+                F = demand_table(instance.model(*agents[a]), opp_count[a], budgets[a])
+                values = values + F[(keys & own[a]) >> offsets[a]]
+
+    for d in range(len(movers) - 1, 0, -1):
+        keys, nxt = layers[d], layers[d + 1]
+        best = np.zeros(len(keys))
+        for a in movers:
+            if deadline is not None:
+                deadline.check()
+            rows_oracle, opp_done, kid, match = plans[a]
+            sel = np.flatnonzero(keys & done[a] == 0)
+            rows = keys[sel]
+            base = (rows & ~own[a]) | done[a]
+            v_out = values[np.searchsorted(nxt, base)]
+            matched = (rows[:, None] & match) != 0
+            open_ = (rows[:, None] & opp_done) == 0
+            th = np.zeros(open_.shape)
+            th[open_] = values[np.searchsorted(nxt, (base[:, None] | kid)[open_])]
+            th -= v_out[:, None]
+            cand = v_out + rows_oracle(np.where(matched, 1.0, th),
+                                       matched | (open_ & (th > _THETA_TOL)))
+            best[sel] = np.where(cand > best[sel], cand, best[sel])
+        values = best
+        layers.pop()
+
+    # Root (key 0): the best move wins; a later agent wins only by more than
+    # 1e-12 for the first action.
+    nxt = layers[1]
+    opt, best, action = 0.0, 0.0, None
+    for a in movers:
+        w, usable, oracle = scalar[a]
+        v_out = values[np.searchsorted(nxt, done[a])]
+        items = []
+        for l, bit in zip(usable, plans[a][2].tolist()):
+            th = values[np.searchsorted(nxt, done[a] | bit)] - v_out
+            if th > _THETA_TOL:
+                items.append((th, w[l], l))
+        val, chosen = oracle(items, budgets[a])
+        cand = v_out + val
+        opt = max(opt, cand)
         if action is None or cand > best + 1e-12:
             best, action = cand, PolicyAction(agents[a], frozenset(j for _, _, j in chosen))
-    return DpValue(opt, len(memo), action)
+    return DpValue(float(opt), states, action)
 
 
 def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,

@@ -177,7 +177,11 @@ def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[i
         memo[key] = total
         return total
 
-    return value(0, tuple([0] * nresp))
+    # Dropping the name breaks the closure's reference to itself, so the memo
+    # is freed on return rather than by the cyclic collector.
+    result = value(0, tuple([0] * nresp))
+    del value
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,17 @@ def test_generate_rejects_run_flags(tmp_path):
     assert not os.listdir(tmp_path)
 
 
+def test_generate_rejects_run_fields_in_config(tmp_path):
+    """The config-file fields of --time-limit and --jobs are refused like the flags."""
+    for field, value in (("time_limit", 60.0), ("jobs", 1)):
+        cfg_path = tmp_path / f"{field}.json"
+        cfg_path.write_text(json.dumps({"sizes": [[2, 2]], "seeds": 1, field: value}))
+        out_dir = tmp_path / f"out_{field}"
+        assert run(["generate", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        assert not out_dir.exists()
+        assert run(["gaps", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = {"sizes": [[2, 2]], "seeds": 3, "seed": 5}
     cfg_path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import time
 from functools import lru_cache
 from itertools import product
 
@@ -390,3 +391,74 @@ def test_first_action_replay_attains_opt(n, m, budget):
             assert oa.optimal_first_action.agent[0] == side
             assert naive_first_action_value(inst, oa.optimal_first_action, side) == pytest.approx(
                 oa.value, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The layered DP against the recursion it replaced (tests/dp_reference.py):
+# same arithmetic per state, so equal values, state counts and first actions.
+
+
+def _reference_market(n, m, seed, kind, budgets):
+    """A random market whose agents are MNL (``mnl``), MNL with some weights
+    exactly zero (``zero``), or (``general``) MNL plus, on each side with at
+    most 5 options, a Tabular first agent and Mixture odd agents;
+    ``budgets`` is (customer budget, supplier budget)."""
+    base = generate_random_instance(n, m, seed=seed)
+    rng = np.random.default_rng(seed)
+    sides = [list(base.customer_models), list(base.supplier_models)]
+    for models, opts in zip(sides, (m, n)):
+        for a, model in enumerate(models):
+            if kind == "zero":
+                models[a] = MNL(tuple(0.0 if rng.random() < 0.4 else w for w in model.weights))
+            elif kind == "general" and opts <= 5 and a == 0:
+                models[a] = independent_model(list(rng.random(opts) / (opts + 1)))
+            elif kind == "general" and opts <= 5 and a % 2:
+                models[a] = Mixture((model, MNL(tuple(rng.random(opts) * 2))), (0.6, 0.4))
+    return Instance(n, m, tuple(sides[0]), tuple(sides[1]), (budgets[0],) * n, (budgets[1],) * m)
+
+
+@pytest.mark.parametrize("n,m", [(1, 4), (4, 1), (2, 5), (7, 2)])
+@pytest.mark.parametrize("kind", ["mnl", "zero", "general"])
+@pytest.mark.parametrize("budgets", [(None, None), (2, None), (None, 1), (2, 1)],
+                         ids=["none", "one-way-C", "one-way-S", "two-way"])
+def test_layered_dp_matches_recursion_bit_for_bit(n, m, kind, budgets):
+    from dp_reference import recursive_adaptive_dp
+
+    caps = SolveCaps(fa_max_agents=n + m)
+    for seed in range(1 if n * m > 10 else 2):  # the recursion takes seconds at 7x2
+        inst = _reference_market(n, m, 360 + seed, kind, budgets)
+        runs = [(opt_fully_adaptive(inst, caps), recursive_adaptive_dp(inst, None))]
+        runs += [(opt_one_sided_adaptive(inst, side, caps), recursive_adaptive_dp(inst, side))
+                 for side in ("C", "S")]
+        for got, ref in runs:
+            assert got.value == ref.value
+            assert got.states_expanded == ref.states_expanded
+            assert got.optimal_first_action == ref.optimal_first_action
+
+
+def test_key_width_refusal():
+    """A state key past 63 bits is refused before any state is built."""
+    with pytest.raises(SizeRefusalError, match="72-bit"):
+        opt_one_sided_adaptive(generate_random_instance(8, 8, seed=0), "C")  # 8 + 8*8 bits
+    with pytest.raises(SizeRefusalError, match="71-bit"):
+        opt_fully_adaptive(generate_random_instance(5, 6, seed=0), SolveCaps(fa_max_agents=11))
+    # 3 initiators and 20 responders take 3 + 3*20 = 63 bits, the widest key
+    # accepted (its top bit is set, and the values still agree); 2 initiators
+    # and 31 responders take 64.
+    from dp_reference import recursive_adaptive_dp
+
+    inst = generate_random_instance(3, 20, seed=0)
+    assert opt_one_sided_adaptive(inst, "C") == recursive_adaptive_dp(inst, "C")
+    with pytest.raises(SizeRefusalError, match="64-bit"):
+        opt_one_sided_adaptive(generate_random_instance(2, 31, seed=0), "C")
+
+
+def test_layered_dp_deadline():
+    from tsa.errors import TimeLimitError
+    from tsa.util import Deadline
+
+    inst = generate_random_instance(5, 5, seed=0)
+    start = time.monotonic()
+    with pytest.raises(TimeLimitError):
+        opt_fully_adaptive(inst, SolveCaps(fa_max_agents=10), Deadline(0.05))
+    assert time.monotonic() - start < 1.0

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import time
@@ -259,3 +260,18 @@ def test_exact_greedy_evaluators_stop_at_deadline():
         with pytest.raises(TimeLimitError):
             value(Deadline(0.05))
         assert time.monotonic() - start < 1.0
+
+
+def test_exact_greedy_value_frees_its_memo():
+    """With the cyclic collector off, the call leaves nothing for it to find:
+    the memo was freed by reference counting when the call returned."""
+    inst = generate_random_instance(4, 4, seed=1)
+    expected = exact_greedy_value(inst, "C")
+    gc.collect()
+    gc.disable()
+    try:
+        assert exact_greedy_value(inst, "C") == expected
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert leaked == 0
