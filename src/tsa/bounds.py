@@ -3,9 +3,10 @@
 The one-sided relaxation couples a distribution over assortments for each
 initiating agent with a distribution over backlog sets for each responder
 through flow-consistency rows; its optimum upper-bounds the one-sided
-adaptive optimum.  UB_OA is a concave program solved by Frank-Wolfe whose
-linear oracle is closed form: the load polytope is a product of MNL blocks, and
-each block's LP is solved by its best revenue-ordered prefix.  UB_FA is a
+adaptive optimum.  UB_OA is a concave program solved by block-wise pairwise
+Frank-Wolfe whose linear oracle is closed form: the load polytope is a product
+of MNL blocks, each block's LP is solved by its best revenue-ordered prefix, and
+each block keeps an active set of such prefixes to step away from.  UB_FA is a
 packing LP.  Both need MNL weights.
 """
 
@@ -35,17 +36,6 @@ class RelaxationSolution:
     lam: Dict[Tuple[int, frozenset], float]
     tau: Dict[Tuple[int, frozenset], float]
     value: float
-
-    def distribution_residual(self) -> float:
-        """Worst |sum - 1| over the per-agent distribution rows."""
-        worst = 0.0
-        for agents, table in (("resp", self.lam), ("init", self.tau)):
-            sums: Dict[int, float] = {}
-            for (a, _), p in table.items():
-                sums[a] = sums.get(a, 0.0) + p
-            for s in sums.values():
-                worst = max(worst, abs(s - 1.0))
-        return worst
 
 
 def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: bool = False,
@@ -162,42 +152,90 @@ def _line_search(z: np.ndarray, zd: np.ndarray) -> float:
     return t
 
 
-def _ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int, deadline=None) -> float:
-    """Certified upper bound on the oriented concave program
+def _move_weight(block: dict, key: bytes, image: np.ndarray, t: float, away=None) -> None:
+    """Step ``t`` of a block's active set towards vertex ``key``: from every
+    vertex in proportion (``away`` None, t in [0, 1]) or from vertex ``away``
+    (t in [0, 1] of its weight).  Vertices left without weight are dropped."""
+    if away is None:
+        step = t
+        for atom in block.values():
+            atom[1] *= 1.0 - t
+    else:
+        step = t * block[away][1]
+        block[away][1] = 0.0 if t >= 1.0 else block[away][1] - step
+    block.setdefault(key, [image, 0.0])[1] += step
+    for k in [k for k, atom in block.items() if atom[1] <= 0.0]:
+        del block[k]
+
+
+def _ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int, deadline=None):
+    """(certified bound, iterations, final gap) on the oriented concave program
     max f = sum_j z_j/(1+z_j), z_j = sum_i v_ij w_ji y_ij, over the load polytope.
 
-    Frank-Wolfe from y = 0 that keeps only the loads z: the gradient in y is
-    v_ij w_ji / (1+z_j)^2, ``_block_oracle`` is the linear oracle and
-    ``_line_search`` the step.  The certificate is min_k f(y_k) + gap_k, valid
-    under any exact oracle because f is concave (as in ``lp.maximize_concave``)."""
+    Block-wise pairwise Frank-Wolfe from y = 0, kept in load space: the
+    gradient in y is v_ij w_ji / (1+z_j)^2, and each initiator block i holds an
+    active set of vertices (revenue-ordered prefixes S from ``_block_oracle``)
+    by their load images coef_i 1_S / (1+V_i(S)) and weights.  Each iteration
+    takes the global oracle, gap and certificate min_k f(y_k) + gap_k (valid
+    under any exact oracle because f is concave), stops at a gap of 1e-6, and
+    steps along the oracle's direction with ``_line_search``.  It then sweeps
+    the blocks: block i steps towards its oracle vertex s_i, either from y_i
+    (step in [0, 1]) or from its active vertex a_i of least gradient (step in
+    [0, weight of a_i]), whichever has the larger directional derivative.  The
+    plain oracle step keeps blocks that share loads moving together; without it
+    a 10x10 market stalls at a gap near 1.4e-6."""
     n, m = v.shape
     if n == 0 or m == 0:
-        return 0.0
+        return 0.0, 0, 0.0
     coef = v * w.T  # coefficient of y_ij inside z_j
+    empty = bytes(m)
+    active = [{empty: [np.zeros(m), 1.0]} for _ in range(n)]  # support -> [load image, weight]
+    load = np.zeros((n, m))  # each block's share of z
     z = np.zeros(m)
-    best, certified, gap = 0.0, np.inf, np.inf
-    for _ in range(iters):
+    best, certified, gap, it = 0.0, np.inf, np.inf, 0
+    for it in range(1, iters + 1):
         if deadline is not None:
             deadline.check()
-        zd = (coef * _block_oracle(coef / (1.0 + z) ** 2, v)).sum(axis=0) - z
-        gap = float((zd / (1.0 + z) ** 2).sum())
+        grad = 1.0 / (1.0 + z) ** 2
+        s = _block_oracle(coef * grad, v)
+        image = coef * s
+        zd = image.sum(axis=0) - z
+        gap = float(zd @ grad)
         fz = float((z / (1.0 + z)).sum())
         certified = min(certified, fz + max(gap, 0.0))
         best = max(best, fz)
         if gap <= 1e-6:
             break
-        z = z + _line_search(z, zd) * zd
+        keys = [row.tobytes() for row in s > 0]
+        t = _line_search(z, zd)
+        z = z + t * zd
+        load += t * (image - load)
+        for i in range(n):
+            _move_weight(active[i], keys[i], image[i], t)
+        for i in range(n):
+            block = active[i]
+            grad = 1.0 / (1.0 + z) ** 2
+            lo, away = min((float(atom[0] @ grad), k) for k, atom in block.items())
+            if lo < float(load[i] @ grad):  # pairwise: weight moves from a_i to s_i
+                dz = block[away][1] * (image[i] - block[away][0])
+            else:
+                away, dz = None, image[i] - load[i]
+            if not float(dz @ grad) > 0.0:
+                continue
+            t = _line_search(z, dz)
+            z = z + t * dz
+            load[i] += t * dz
+            _move_weight(block, keys[i], image[i], t, away)
     best = max(best, float((z / (1.0 + z)).sum()))
     certified = min(certified, best + max(gap, 0.0)) if np.isfinite(certified) else best
-    return float(max(certified, best))
+    return float(max(certified, best)), it, gap
 
 
 def ub_oa(instance: Instance, iters: int = 1000, deadline=None) -> float:
     """Upper bound on the one-sided adaptive optimum: max of both orientations."""
     v, w = instance.require_mnl_weights("this bound")
-    zc = _ub_oa_oriented(v, w, iters, deadline)
-    zs = _ub_oa_oriented(w, v, iters, deadline)
-    return max(zc, zs)
+    return max(_ub_oa_oriented(v, w, iters, deadline)[0],
+               _ub_oa_oriented(w, v, iters, deadline)[0])
 
 
 def ub_fa(instance: Instance, deadline=None) -> float:

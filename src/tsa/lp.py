@@ -1,7 +1,10 @@
 """Dense linear programming and concave maximization, self-contained.
 
 ``solve_lp`` maximizes c.x subject to A x <= b, x >= 0 with a two-phase
-tableau simplex under Bland's rule (anti-cycling).  ``add_equality`` appends a
+tableau simplex.  The entering column has the most negative reduced cost
+(Dantzig); the leaving row comes from Bland's ratio test.  After a run of
+degenerate pivots it enters by Bland's rule until the objective improves, which
+keeps Bland's anti-cycling guarantee.  ``add_equality`` appends a
 block of equality rows, each as a <= row followed by its >= row (the row
 negated).  The simplex serves UB_FA, the one-sided relaxation (REL2) and the
 low-low LP, whose builders make each row family in one array expression.
@@ -57,6 +60,7 @@ class LpSolution:
     value: Optional[float] = None
     dual: Optional[np.ndarray] = None
     cs_residual: Optional[float] = None
+    pivots: int = 0  # simplex pivots over both phases
 
 
 def _bland_enter(obj_row: np.ndarray, allowed: int) -> int:
@@ -101,17 +105,34 @@ def _set_objective(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
     T[-1, :-1] -= cost
 
 
-def _run(T: np.ndarray, basis: np.ndarray, allowed: int, deadline=None) -> str:
-    """Pivot to optimality, checking ``deadline`` after every pivot (one clock
-    read against a dense pivot of the whole tableau)."""
+# Consecutive degenerate pivots after which the simplex enters by Bland's rule.
+DEGENERATE_RUN = 50
+
+
+def _dantzig_enter(obj_row: np.ndarray, allowed: int) -> int:
+    """Column with the most negative reduced cost (lowest index on ties), or -1."""
+    col = int(np.argmin(obj_row[:allowed]))
+    return col if obj_row[col] < -PIVOT_TOL else -1
+
+
+def _run(T: np.ndarray, basis: np.ndarray, allowed: int, deadline=None):
+    """Pivot to optimality; returns (status, pivots).  Dantzig entering, and
+    Bland's after ``DEGENERATE_RUN`` pivots in a row that leave the objective
+    unchanged, until one improves it.  ``deadline`` is checked after every
+    pivot (one clock read against a dense pivot of the whole tableau)."""
+    pivots = degenerate = 0
     while True:
-        col = _bland_enter(T[-1], allowed)
+        enter = _bland_enter if degenerate >= DEGENERATE_RUN else _dantzig_enter
+        col = enter(T[-1], allowed)
         if col < 0:
-            return "optimal"
+            return "optimal", pivots
         row = _bland_leave(T, basis, col)
         if row < 0:
-            return "unbounded"
+            return "unbounded", pivots
+        before = T[-1, -1]
         _pivot(T, basis, row, col)
+        pivots += 1
+        degenerate = degenerate + 1 if T[-1, -1] <= before + PIVOT_TOL else 0
         if deadline is not None:
             deadline.check()
 
@@ -155,11 +176,11 @@ def solve_lp(problem: LpProblem, deadline=None) -> LpSolution:
         cost1 = np.zeros(total)
         cost1[art_cols] = -1.0
         _set_objective(T, basis, cost1)
-        status = _run(T, basis, total, deadline)
+        status, pivots = _run(T, basis, total, deadline)
         if status != "optimal":  # -sum(artificials) <= 0 bounds phase 1
             raise RuntimeError(f"simplex phase 1 came back {status}")
         if T[-1, -1] < -RHS_TOL:
-            return LpSolution("infeasible")
+            return LpSolution("infeasible", pivots=pivots)
         # Drive leftover artificials out of the basis; drop redundant rows.
         drop = []
         dropped_rows = []
@@ -172,6 +193,7 @@ def solve_lp(problem: LpProblem, deadline=None) -> LpSolution:
                         break
                 if piv_col >= 0:
                     _pivot(T, basis, i, piv_col)
+                    pivots += 1
                 else:
                     drop.append(i)
         if drop:
@@ -182,15 +204,16 @@ def solve_lp(problem: LpProblem, deadline=None) -> LpSolution:
             nrows = len(keep)
         T = np.hstack([T[:, :ncols + problem.A.shape[0]], T[:, -1:]])
     else:
-        dropped_rows = []
+        dropped_rows, pivots = [], 0
 
     total = T.shape[1] - 1
     cost2 = np.zeros(total)
     cost2[:ncols] = problem.c
     _set_objective(T, basis, cost2)
-    status = _run(T, basis, total, deadline)
+    status, phase2 = _run(T, basis, total, deadline)
+    pivots += phase2
     if status == "unbounded":
-        return LpSolution("unbounded")
+        return LpSolution("unbounded", pivots=pivots)
 
     x = np.zeros(total)
     x[basis] = T[:-1, -1]
@@ -202,7 +225,7 @@ def solve_lp(problem: LpProblem, deadline=None) -> LpSolution:
     dual[dropped_rows] = 0.0
     slack_residual = problem.b - problem.A @ xsol
     cs = float(abs(dual @ slack_residual)) + float(abs((dual @ problem.A - problem.c) @ xsol))
-    return LpSolution("optimal", xsol, value, dual, cs)
+    return LpSolution("optimal", xsol, value, dual, cs, pivots)
 
 
 # ---------------------------------------------------------------------------

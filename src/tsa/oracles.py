@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import UnsupportedOracleError
 from .instances import UNBOUNDED, ChoiceSpec, is_mnl
@@ -110,58 +110,3 @@ def constrained_demand(model: ChoiceSpec, ground: Iterable[int], budget=UNBOUNDE
             f"no exact constrained demand for {type(model).__name__} with {len(ground)} options")
     theta = [1.0] * model.num_options
     return _enumerate_best(model, theta, sorted(ground), budget)
-
-
-def is_submodular(values: Callable[[frozenset], float], universe: Iterable[int],
-                  tol: float = 1e-12, rng=None, samples: int = 2000):
-    """Check marginal-decrease inequalities for a set function on a small universe.
-
-    Exhaustive for universes of size <= 12; sampled pair checks up to size 20.
-    Returns (True, None) or (False, (element, smaller_set, larger_set)).
-    """
-    elems = sorted(universe)
-    n = len(elems)
-    if n > 20:
-        raise ValueError("is_submodular limited to universes of size <= 20")
-
-    def marginal(e, s: frozenset) -> float:
-        return values(s | {e}) - values(s)
-
-    if n <= 12:
-        size = 1 << n
-        cache = [values(frozenset(elems[i] for i in range(n) if mask >> i & 1))
-                 for mask in range(size)]
-        for small in range(size):
-            comp = (size - 1) ^ small
-            extra = 0
-            while True:  # extra runs over subsets of the complement, ascending
-                big = small | extra
-                for i in range(n):
-                    bit = 1 << i
-                    if big & bit:
-                        continue
-                    d_small = cache[small | bit] - cache[small]
-                    d_big = cache[big | bit] - cache[big]
-                    if d_big > d_small + tol:
-                        e = elems[i]
-                        s_small = frozenset(elems[k] for k in range(n) if small >> k & 1)
-                        s_big = frozenset(elems[k] for k in range(n) if big >> k & 1)
-                        return False, (e, s_small, s_big)
-                extra = (extra - comp) & comp
-                if extra == 0:
-                    break
-        return True, None
-
-    import random
-
-    r = rng if rng is not None else random.Random(0)
-    for _ in range(samples):
-        small = frozenset(e for e in elems if r.random() < 0.5)
-        big = small | frozenset(e for e in elems if r.random() < 0.5)
-        rest = [e for e in elems if e not in big]
-        if not rest:
-            continue
-        e = r.choice(rest)
-        if marginal(e, big) > marginal(e, small) + tol:
-            return False, (e, small, big)
-    return True, None

@@ -384,85 +384,8 @@ def one_sided_values(instance: Instance, side: str, probs, budgeted: bool = True
     return values
 
 
-def exact_value_deterministic_adaptive(instance: Instance, policy, max_agents: int = 8) -> float:
-    """Exact expected matches of a deterministic policy by expanding the full
-    choice tree; refuses instances with more than ``max_agents`` agents."""
-    if instance.n + instance.m > max_agents:
-        raise SizeRefusalError(f"exact adaptive evaluation refuses n+m > {max_agents}")
-
-    tag = getattr(policy, "tag", "FA")
-
-    def recurse(state: PolicyState, prob: float) -> float:
-        if state.done():
-            return prob * state.matches
-        action = policy.action(state)
-        _validate_action(state, action, tag)
-        side, idx = action.agent
-        model = instance.model(side, idx)
-        total = 0.0
-        options = sorted(action.assortment) + [None]
-        for choice in options:
-            p = model.prob(choice, action.assortment)
-            if p <= 0.0:
-                continue
-            child = PolicyState(
-                instance,
-                processed=set(state.processed),
-                supplier_backlogs=[set(b) for b in state.supplier_backlogs],
-                customer_backlogs=[set(b) for b in state.customer_backlogs],
-                matches=state.matches,
-                chosen=dict(state.chosen),
-            )
-            _apply_choice(child, action.agent, choice)
-            total += recurse(child, prob * p)
-        return total
-
-    return recurse(PolicyState.initial(instance), 1.0)
-
-
 # ---------------------------------------------------------------------------
-# Ready-made policies
-
-
-class StaticPolicy:
-    """Fully static policy: fixed assortments, processed in lexicographic order."""
-
-    tag = "FS"
-
-    def __init__(self, instance: Instance, customer_assortments, supplier_assortments):
-        self.customer_assortments = [frozenset(s) for s in customer_assortments]
-        self.supplier_assortments = [frozenset(c) for c in supplier_assortments]
-
-    def action(self, state: PolicyState) -> PolicyAction:
-        for i in range(state.instance.n):
-            if ("C", i) not in state.processed:
-                return PolicyAction(("C", i), self.customer_assortments[i])
-        for j in range(state.instance.m):
-            if ("S", j) not in state.processed:
-                return PolicyAction(("S", j), self.supplier_assortments[j])
-        raise ContractViolationError("all agents processed")
-
-
-class OneSidedStaticPolicy:
-    """Show fixed assortments to one side, then each responder its backlog
-    (or the best budget-feasible subset of it)."""
-
-    def __init__(self, instance: Instance, side: str, assortments):
-        self.side = side
-        self.assortments = [frozenset(s) for s in assortments]
-        self.tag = "C-OS" if side == "C" else "S-OS"
-
-    def action(self, state: PolicyState) -> PolicyAction:
-        inst = state.instance
-        init_n = inst.side_size(self.side)
-        for a in range(init_n):
-            if (self.side, a) not in state.processed:
-                return PolicyAction((self.side, a), self.assortments[a])
-        resp = "S" if self.side == "C" else "C"
-        for b in range(inst.side_size(resp)):
-            if (resp, b) not in state.processed:
-                return PolicyAction((resp, b), respond_with_backlog(state, resp, b))
-        raise ContractViolationError("all agents processed")
+# Responders' display rule
 
 
 def respond_with_backlog(state: PolicyState, side: str, idx: int) -> frozenset:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import low_value_instance
+from helpers import is_submodular
 from tsa.bounds import lp_relaxation_onesided, ub_fa, ub_oa
 from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
                        opt_one_sided_adaptive, opt_one_sided_static)
@@ -22,7 +23,7 @@ from tsa.greedy import (SamplingConfig, exact_greedy_value, sampling_side_select
 from tsa.instances import (MNL, BetaUniform, Instance,
                            counterexample_constrained_demand_model,
                            generate_random_instance, tight_instance)
-from tsa.oracles import constrained_demand, is_submodular
+from tsa.oracles import constrained_demand
 from tsa.policies import static_values
 
 E_RATIO = math.e / (math.e - 1.0)

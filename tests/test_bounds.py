@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tsa.bounds import (_block_oracle, gap_report, independent_objective_from_tau,
+from helpers import distribution_residual
+from tsa.bounds import (_block_oracle, _ub_oa_oriented, gap_report, independent_objective_from_tau,
                         lp_relaxation_onesided, reports_to_csv, ub_fa, ub_oa)
 from tsa.errors import SizeRefusalError, UnsupportedOracleError
 from tsa.exact import (opt_fully_adaptive, opt_one_sided_adaptive,
@@ -12,6 +13,7 @@ from tsa.exact import (opt_fully_adaptive, opt_one_sided_adaptive,
 from tsa.instances import (MNL, Instance, generate_random_instance,
                            tight_instance)
 from tsa.lp import LpProblem, maximize_concave, solve_lp
+from ub_oa_reference import plain_fw_ub_oa_oriented
 
 E_RATIO = math.e / (math.e - 1.0)
 
@@ -21,7 +23,7 @@ def test_relaxation_1x1(unit_1x1):
     assert rel.value == pytest.approx(0.25, abs=1e-9)
     assert rel.tau[(0, frozenset({0}))] == pytest.approx(1.0)
     assert rel.lam[(0, frozenset({0}))] == pytest.approx(0.5)
-    assert rel.distribution_residual() <= 1e-8
+    assert distribution_residual(rel) <= 1e-8
 
 
 def test_relaxation_upper_bounds_opt_oa():
@@ -231,3 +233,21 @@ def test_ub_oa_between_opt_and_simplex_reference():
             ub = ub_oa(inst)
             assert ub >= oa - 1e-9, (n, m, seed)
             assert ub <= ref + 1e-6, (n, m, seed)
+
+
+@pytest.mark.parametrize("n, seeds", [(2, range(14)), (3, range(14)), (4, range(14)),
+                                      (12, range(2))])
+def test_ub_oa_converges_and_is_no_looser_than_plain_frank_wolfe(n, seeds):
+    """Every orientation reaches the 1e-6 gap before the 1000-iteration cap; the
+    bound stays at most 1e-6 above plain Frank-Wolfe's certificate
+    (tests/ub_oa_reference.py) and above the one-sided adaptive optimum."""
+    for seed in seeds:
+        inst = generate_random_instance(n, n, seed=seed)
+        v, w = inst.mnl_weights()
+        for a, b in ((v, w), (w, v)):
+            bound, iterations, gap = _ub_oa_oriented(a, b, 1000)
+            assert gap <= 1e-6 and iterations < 1000, (n, seed)
+            assert bound <= plain_fw_ub_oa_oriented(a, b, 1000)[0] + 1e-6, (n, seed)
+        if n <= 4:
+            oa = max(opt_one_sided_adaptive(inst, side).value for side in "CS")
+            assert ub_oa(inst) >= oa - 1e-9, (n, seed)

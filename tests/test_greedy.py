@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import independent_model
+from helpers import exact_value_deterministic_adaptive
 from tsa.exact import opt_fully_adaptive, opt_one_sided_adaptive
 from tsa.greedy import (GreedyOneSidedPolicy, SamplingConfig,
                         cointoss_exact_value, cointoss_fully_adaptive,
@@ -16,8 +17,7 @@ from tsa.bounds import alg_one_sided_adaptive_value
 from tsa.errors import TimeLimitError
 from tsa.instances import (MNL, Instance, Mixture, generate_random_instance,
                            tight_instance)
-from tsa.policies import (_CHUNK, _stream_uniforms, exact_value_deterministic_adaptive,
-                          monte_carlo)
+from tsa.policies import _CHUNK, _stream_uniforms, monte_carlo
 from tsa.util import Deadline
 
 

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsa import lp
+from tsa.errors import TimeLimitError
 from tsa.lp import (PIVOT_TOL, LpProblem, _bland_enter, _bland_leave,
                     maximize_concave, solve_lp)
+from tsa.util import Deadline
 
 
 def enumerate_vertices_best(problem: LpProblem):
@@ -213,6 +216,44 @@ def test_bland_rules_match_row_loops_on_degenerate_tableaux():
             assert _bland_enter(T[-1], allowed) == _bland_enter_loop(T[-1], allowed)
         for col in range(cols):
             assert _bland_leave(T, basis, col) == _bland_leave_loop(T, basis, col)
+
+
+# Beale's LP: Dantzig entering with a ratio test that breaks ties by row cycles
+# on it through six degenerate bases at the origin.
+BEALE = ([0.75, -20.0, 0.5, -6.0],
+         [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+         [0.0, 0.0, 1.0])
+
+
+def test_beale_lp_solves_with_the_bland_fallback():
+    sol = solve_lp(LpProblem(*BEALE), Deadline(10.0))
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(1.25, abs=1e-12)
+    assert 0 < sol.pivots <= 2 * lp.DEGENERATE_RUN
+
+
+def test_beale_lp_cycles_without_the_fallback(monkeypatch):
+    monkeypatch.setattr(lp, "DEGENERATE_RUN", 10**9)  # Dantzig entering only
+    with pytest.raises(TimeLimitError):
+        solve_lp(LpProblem(*BEALE), Deadline(0.2))
+
+
+def test_ub_fa_pivots_at_12x12(monkeypatch):
+    """Dantzig entering takes UB_FA at 12x12 seed 0 in 283 pivots (805 under
+    Bland's rule throughout)."""
+    import tsa.bounds
+    from tsa.bounds import ub_fa
+    from tsa.instances import generate_random_instance
+
+    solutions = []
+
+    def spy(problem, deadline=None):
+        solutions.append(solve_lp(problem, deadline))
+        return solutions[-1]
+
+    monkeypatch.setattr(tsa.bounds, "solve_lp", spy)
+    ub_fa(generate_random_instance(12, 12, 0))
+    assert len(solutions) == 1 and solutions[0].pivots <= 400
 
 
 def _random_lp(kind, rng):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_submodular
 from tsa.errors import UnsupportedOracleError
 from tsa.instances import (MNL, BetaUniform, UniformNoOutside,
                            counterexample_constrained_demand_model, demand)
-from tsa.oracles import (best_weighted_assortment, constrained_demand,
-                         is_submodular)
+from tsa.oracles import best_weighted_assortment, constrained_demand
 
 
 def brute_force_weighted(model, theta, budget=None):

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from helpers import OneSidedStaticPolicy, StaticPolicy, exact_value_deterministic_adaptive
 from tsa.errors import ContractViolationError, SizeRefusalError
 from tsa.greedy import GreedyOneSidedPolicy
 from tsa.instances import (MNL, UNBOUNDED, Instance, Mixture, generate_random_instance,
                            tight_instance)
 from tsa.oracles import constrained_demand
-from tsa.policies import (PolicyAction, StaticPolicy,
-                          OneSidedStaticPolicy, dump_trace,
-                          exact_value_deterministic_adaptive, exact_value_edges,
+from tsa.policies import (PolicyAction, dump_trace, exact_value_edges,
                           exact_value_one_sided_static, exact_value_static,
                           monte_carlo, one_sided_values, simulate_once, static_values)
 
