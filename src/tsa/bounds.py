@@ -22,12 +22,21 @@ from .errors import SizeRefusalError, UnsupportedOracleError
 from .exact import (DEFAULT_CAPS, SolveCaps, opt_fully_adaptive,
                     opt_fully_static, opt_one_sided_adaptive,
                     opt_one_sided_static)
-from .greedy import (GreedyOneSidedPolicy, SamplingConfig, cointoss_exact_value,
-                     exact_greedy_value, sampling_side_selector)
-from .instances import UNBOUNDED, Instance, demand_table, prob_table
+from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
+                     cointoss_exact_value, exact_greedy_value, sampling_side_selector)
+from .instances import UNBOUNDED, Instance
 from .lp import LpProblem, solve_lp
+from .oracles import demand_table, prob_table
 from .policies import (exact_value_one_sided_static, monte_carlo, one_sided_values,
                        simulate_once)
+
+# The largest side the relaxation enumerates the subsets of, Frank-Wolfe
+# iterations per UB_OA orientation, the side selector's sampling runs per side,
+# and Monte Carlo runs per policy.
+_RELAXATION_MAX_SIDE = 6
+_UB_OA_ITERS = 1000
+_SELECTOR_RUNS = 100
+_MC_RUNS = 10_000
 
 
 @dataclass
@@ -38,9 +47,9 @@ class RelaxationSolution:
     value: float
 
 
-def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: bool = False,
-                           max_side: int = 6, deadline=None) -> RelaxationSolution:
-    """Exact optimum of the one-sided relaxation by explicit subset enumeration.
+def lp_relaxation_onesided(instance: Instance, side: str = "C", deadline=None) -> RelaxationSolution:
+    """Exact optimum of the one-sided relaxation by explicit subset enumeration,
+    under the instance's budgets.
 
     Columns lam[j, C] (responder j, initiator subset C), then tau[i, S]
     (initiator i, assortment S within its budget), masks ascending per agent.
@@ -49,14 +58,13 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: boo
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     nresp = instance.side_size(resp_side)
-    if max(ninit, nresp) > max_side:
-        raise SizeRefusalError(f"relaxation enumerates subsets; refuses sides > {max_side}")
+    if max(ninit, nresp) > _RELAXATION_MAX_SIDE:
+        raise SizeRefusalError(f"relaxation enumerates subsets; refuses sides > {_RELAXATION_MAX_SIDE}")
     if ninit == 0 or nresp == 0:
         return RelaxationSolution(side, {}, {}, 0.0)
 
-    init_budget = [instance.budget(side, i) if constrained else UNBOUNDED for i in range(ninit)]
-    resp_budget = [instance.budget(resp_side, j) if constrained else UNBOUNDED for j in range(nresp)]
-    f = np.stack([demand_table(instance.model(resp_side, j), ninit, resp_budget[j])
+    init_budget = [instance.budget(side, i) for i in range(ninit)]
+    f = np.stack([demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
                   for j in range(nresp)])
     phi = np.stack([prob_table(instance.model(side, i), nresp) for i in range(ninit)])
     lam_j, lam_c = np.divmod(np.arange(nresp << ninit), 1 << ninit)
@@ -86,8 +94,7 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C", constrained: boo
                               support(tau_i, tau_s, sol.x[nl:], nresp), float(sol.value))
 
 
-def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution,
-                                   constrained: bool = False) -> float:
+def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution) -> float:
     """Objective of the product (independent) backlog distribution built from the
     relaxation's tau marginals; correlation gap says it loses at most 1-1/e."""
     side = relax.side
@@ -96,7 +103,7 @@ def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution
         model = instance.model(side, i)
         for j in s:
             x[i, j] += p * model.prob(j, s)
-    return one_sided_values(instance, side, x[:, None, :], budgeted=constrained).item()
+    return one_sided_values(instance, side, x[:, None, :]).item()
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +238,11 @@ def _ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int, deadline=None):
     return float(max(certified, best)), it, gap
 
 
-def ub_oa(instance: Instance, iters: int = 1000, deadline=None) -> float:
+def ub_oa(instance: Instance, deadline=None) -> float:
     """Upper bound on the one-sided adaptive optimum: max of both orientations."""
     v, w = instance.require_mnl_weights("this bound")
-    return max(_ub_oa_oriented(v, w, iters, deadline)[0],
-               _ub_oa_oriented(w, v, iters, deadline)[0])
+    return max(_ub_oa_oriented(v, w, _UB_OA_ITERS, deadline)[0],
+               _ub_oa_oriented(w, v, _UB_OA_ITERS, deadline)[0])
 
 
 def ub_fa(instance: Instance, deadline=None) -> float:
@@ -313,20 +320,13 @@ def alg_one_sided_static_value(instance: Instance, seed: int = 0) -> float:
     return best
 
 
-# The algorithm values: side-selector sampling runs per side, Monte Carlo runs
-# per policy, and the largest initiating side whose greedy is valued exactly.
-_SELECTOR_RUNS = 100
-_MC_RUNS = 10_000
-_MAX_EXACT_SIDE = 8
-
-
 def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0, deadline=None):
     """Value of the sampling side-selector's committed greedy: exact when the
     initiating side is small enough, else Monte Carlo."""
     policy = sampling_side_selector(instance, SamplingConfig(runs_override=_SELECTOR_RUNS),
                                     seed, deadline)
     side = policy.metadata["side"]
-    if instance.side_size(side) <= _MAX_EXACT_SIDE:
+    if instance.side_size(side) <= MAX_EXACT_SIDE:
         return exact_greedy_value(instance, side, deadline=deadline), policy.metadata
     res = monte_carlo(instance, policy, _MC_RUNS, seed, deadline)
     return res.mean, {**policy.metadata, "ci_half_width": res.half_width}
@@ -338,11 +338,11 @@ def alg_fully_adaptive_value(instance: Instance, seed: int = 0, deadline=None, o
     (seed + k, r)).  ``oa``, the result of ``alg_one_sided_adaptive_value``
     with the same seed, stands in for its side where that is the same number:
     an exact greedy value, or side C's Monte Carlo on streams (seed, r)."""
-    small = max(instance.n, instance.m) <= _MAX_EXACT_SIDE
-    shared = oa is not None and (small or (oa[1]["side"] == "C" and instance.n > _MAX_EXACT_SIDE))
+    small = max(instance.n, instance.m) <= MAX_EXACT_SIDE
+    shared = oa is not None and (small or (oa[1]["side"] == "C" and instance.n > MAX_EXACT_SIDE))
     known = {oa[1]["side"]: oa[0]} if shared else {}
     if small:
-        return cointoss_exact_value(instance, _MAX_EXACT_SIDE, deadline, known)
+        return cointoss_exact_value(instance, deadline, known)
     vals = [known[side] if side in known else
             monte_carlo(instance, GreedyOneSidedPolicy(instance, side), _MC_RUNS, seed + k,
                         deadline).mean
@@ -376,10 +376,8 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
 
     rel = None
     if with_bounds:
-        rel_c = _try(lp_relaxation_onesided, instance, "C", instance.constrained,
-                     deadline=deadline)
-        rel_s = _try(lp_relaxation_onesided, instance, "S", instance.constrained,
-                     deadline=deadline)
+        rel_c = _try(lp_relaxation_onesided, instance, "C", deadline)
+        rel_s = _try(lp_relaxation_onesided, instance, "S", deadline)
         rel = rel_c
         if rel_c is not None and rel_s is not None:
             q["REL2"] = max(rel_c.value, rel_s.value)
@@ -428,7 +426,7 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
     if rel is not None and (not instance.constrained or instance.mnl_weights() is not None):
         # The correlation-gap factor needs submodular responder objectives,
         # which budgeted demand guarantees only for MNL.
-        ind = independent_objective_from_tau(instance, rel, instance.constrained)
+        ind = independent_objective_from_tau(instance, rel)
         verdicts["correlation_gap"] = ind >= (1.0 - 1.0 / math.e) * rel.value - tol
 
     return GapReport(label, q, ratios, verdicts)

@@ -24,7 +24,7 @@ from .exact import (DEFAULT_CAPS, SolveCaps, opt_fully_adaptive, opt_fully_stati
 from .fullystatic import approx_fully_static
 from .greedy import (GreedyOneSidedPolicy, SamplingConfig, cointoss_fully_adaptive,
                      sampling_side_selector)
-from .instances import (CardinalityProfile, generate_random_instance,
+from .instances import (CardinalityProfile, generate_random_instance, instance_from_dict,
                         instance_to_dict, load_instance, save_instance, tight_instance)
 from .policies import dump_trace, monte_carlo, simulate_once
 from .util import Deadline
@@ -150,8 +150,8 @@ def _solve_one(inst, what, caps: SolveCaps, seed: int, deadline=None):
         values["UB_FA"] = ub_fa(inst, deadline=deadline)
     if "rel2" in what:
         values["REL2"] = max(
-            lp_relaxation_onesided(inst, "C", inst.constrained, deadline=deadline).value,
-            lp_relaxation_onesided(inst, "S", inst.constrained, deadline=deadline).value)
+            lp_relaxation_onesided(inst, "C", deadline).value,
+            lp_relaxation_onesided(inst, "S", deadline).value)
     return values
 
 
@@ -212,8 +212,6 @@ def cmd_simulate(args) -> int:
 
 def _gap_one(task):
     label, payload, seed, deadline = task
-    from .instances import instance_from_dict
-
     return gap_report(instance_from_dict(payload), label, DEFAULT_CAPS, seed, deadline=deadline)
 
 

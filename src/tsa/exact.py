@@ -6,22 +6,20 @@ with numpy); a one-sided adaptive policy is a fully adaptive one in which only
 the initiating side moves.
 One-sided static and fully static optima come from exhaustive, vectorized
 enumeration.  Every solver refuses instances above its size cap instead of
-approximating.
+approximating.  The single-agent rules they apply (oracles, demand and choice
+tables, row oracles) live in ``tsa.oracles``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .errors import SizeRefusalError
-from .instances import (UNBOUNDED, Instance, demand_table, is_mnl, mask_of,
-                        prob_table)
-from .oracles import mnl_best
+from .instances import UNBOUNDED, Instance, is_mnl
+from .oracles import _TOL, _agent_oracle, _budget_masks, demand_table, prob_table
 from .policies import PolicyAction, one_sided_values, static_values
 
 
@@ -43,118 +41,6 @@ class DpValue:
     value: float
     states_expanded: int
     optimal_first_action: Optional[PolicyAction]
-
-
-_THETA_TOL = 1e-12
-
-
-def _budget_masks(count: int, budget) -> list:
-    """All assortment bitmasks over ``count`` options with |S| <= budget, ordered
-    by cardinality then lexicographically by option ids."""
-    kmax = count if budget is UNBOUNDED else min(budget, count)
-    masks = [0]
-    for k in range(1, kmax + 1):
-        for combo in combinations(range(count), k):
-            masks.append(mask_of(combo))
-    return masks
-
-
-def _enumeration_oracle(phi: np.ndarray, masks, items, budget):
-    """Max over assortment masks of sum_j phi[mask, j] * theta_j for
-    (theta, weight, option) triples; returns (value, chosen triples).  The
-    budget is already applied by ``masks``."""
-    theta = [0.0] * phi.shape[1]
-    for th, _, j in items:
-        theta[j] = th
-    best_val, best_mask = 0.0, 0
-    for mask in masks:
-        row = phi[mask]
-        val = 0.0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            j = low.bit_length() - 1
-            val += row[j] * theta[j]
-            mm ^= low
-        if val > best_val + _THETA_TOL:
-            best_val, best_mask = val, mask
-    return best_val, [t for t in items if best_mask >> t[2] & 1]
-
-
-def _agent_oracle(model, n_opts: int, budget):
-    """(weights, usable options, oracle, row oracle) for one agent: an MNL
-    agent skips its zero-weight options and runs ``mnl_best``; any other model
-    enumerates its budget-feasible assortments.  The oracle maps (triples,
-    budget) to (value, chosen triples); the row oracle maps (theta, item)
-    arrays over the usable options to the oracle's value on each row, bit for
-    bit."""
-    if is_mnl(model):
-        w = model.weights
-        usable = [j for j in range(n_opts) if w[j] > 0.0]
-        return w, usable, mnl_best, partial(_mnl_rows, np.array([w[j] for j in usable]), budget)
-    w, usable = [0.0] * n_opts, list(range(n_opts))
-    oracle = partial(_enumeration_oracle, prob_table(model, n_opts), _budget_masks(n_opts, budget))
-    return w, usable, oracle, partial(_scalar_rows, oracle, [(w[l], l) for l in usable], budget)
-
-
-def _scalar_rows(oracle, options, budget, theta, item):
-    """The scalar oracle on each row's (theta, weight, option) triples."""
-    return np.array([oracle([(t, *o) for t, o, i in zip(ts, options, its) if i], budget)[0]
-                     for ts, its in zip(theta.tolist(), item.tolist())])
-
-
-def _mnl_rows(w, budget, theta, item):
-    """``mnl_best`` on every row at once: the prefix rule on rows with at most
-    ``budget`` items, Dinkelbach on the rest."""
-    if budget is UNBOUNDED or budget >= theta.shape[1]:
-        return _mnl_prefix_rows(w, theta, item)
-    few = item.sum(axis=1) <= budget
-    val = np.empty(len(theta))
-    val[few] = _mnl_prefix_rows(w, theta[few], item[few])
-    val[~few] = _dinkelbach_rows(w, budget, theta[~few], item[~few])
-    return val
-
-
-# The two rules below repeat ``mnl_best``'s floating-point operations in its
-# order, so the DP's values equal the scalar oracle's bit for bit.
-
-
-def _mnl_prefix_rows(w, theta, item):
-    """The theta-ordered prefixes: a stable descending sort (ties keep option
-    order, non-items last at -inf), sums in that order with the denominator
-    from 1.0, and a longer prefix winning only by more than 1e-12."""
-    theta = np.where(item, theta, -np.inf)
-    order = np.argsort(-theta, axis=1, kind="stable")
-    theta, w = np.take_along_axis(theta, order, 1), w[order]
-    best, num, den = np.zeros(len(theta)), np.zeros(len(theta)), np.ones(len(theta))
-    for k in range(theta.shape[1]):
-        num = num + theta[:, k] * w[:, k]
-        den = den + w[:, k]
-        val = num / den  # -inf once past the items
-        best = np.where(val > best + _THETA_TOL, val, best)
-    return best
-
-
-def _dinkelbach_rows(w, budget, theta, item):
-    """Under a binding budget: from z = 0, keep the ``budget`` items of
-    theta > z with the largest w (theta - z) (stable), and move z to their
-    ratio while it rises by more than 1e-12."""
-    z, live = np.zeros(len(theta)), np.arange(len(theta))
-    while live.size:
-        t, zl = theta[live], z[live, None]
-        key = np.where(item[live] & (t > zl), w * (zl - t), np.inf)
-        top = np.argsort(key, axis=1, kind="stable")[:, :budget]
-        ok = np.take_along_axis(key, top, 1) < np.inf
-        tw = np.where(ok, np.take_along_axis(t, top, 1) * w[top], 0.0)
-        wt = np.where(ok, w[top], 0.0)
-        num, den = np.zeros(len(live)), np.zeros(len(live))
-        for k in range(top.shape[1]):
-            num, den = num + tw[:, k], den + wt[:, k]
-        ratio = num / (1.0 + den)
-        up = ratio > zl[:, 0] + _THETA_TOL
-        z[live[up]] = ratio[up]
-        live = live[up]
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +141,7 @@ def _adaptive_dp(instance: Instance, first, deadline) -> DpValue:
             th[open_] = values[np.searchsorted(nxt, (base[:, None] | kid)[open_])]
             th -= v_out[:, None]
             cand = v_out + rows_oracle(np.where(matched, 1.0, th),
-                                       matched | (open_ & (th > _THETA_TOL)))
+                                       matched | (open_ & (th > _TOL)))
             best[sel] = np.where(cand > best[sel], cand, best[sel])
         values = best
         layers.pop()
@@ -270,12 +156,12 @@ def _adaptive_dp(instance: Instance, first, deadline) -> DpValue:
         items = []
         for l, bit in zip(usable, plans[a][2].tolist()):
             th = values[np.searchsorted(nxt, done[a] | bit)] - v_out
-            if th > _THETA_TOL:
+            if th > _TOL:
                 items.append((th, w[l], l))
         val, chosen = oracle(items, budgets[a])
         cand = v_out + val
         opt = max(opt, cand)
-        if action is None or cand > best + 1e-12:
+        if action is None or cand > best + _TOL:
             best, action = cand, PolicyAction(agents[a], frozenset(j for _, _, j in chosen))
     return DpValue(float(opt), states, action)
 

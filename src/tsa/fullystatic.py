@@ -1,11 +1,12 @@
 """Constant-factor approximation for the fully static MNL problem.
 
-Edges are partitioned by weight level at a threshold alpha: high supplier
-weight, high customer weight, and low-low.  The low-low block is handled by an
-LP relaxation plus randomized rounding (independent, or dependent with degree
-caps under budgets); the high blocks by a single-assignment subproblem with a
-concave per-agent objective.  The returned solution is the best realized
-candidate, re-valued exactly.
+Edges are partitioned by weight level at a threshold alpha (``DEFAULT_ALPHA``):
+high supplier weight, high customer weight, and low-low.  The low-low block is
+handled by an LP relaxation plus randomized rounding (independent, or dependent
+with degree caps under budgets); the high blocks by a single-assignment
+subproblem with a concave per-agent objective.  The returned solution is the
+best realized candidate, valued exactly.  Every agent's budget binds where it
+has one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .policies import exact_value_edges
 
 # Threshold minimizing the combined regime loss, ~0.7574.
 DEFAULT_ALPHA = 0.7574
+# Roundings of the low-low LP; the best realized one is kept.
+_TRIALS = 16
 
 
 @dataclass
@@ -33,15 +36,15 @@ class FsSolution:
     branch_values: dict = field(default_factory=dict)
 
 
-def partition_edges(instance: Instance, alpha: float = DEFAULT_ALPHA):
+def partition_edges(instance: Instance):
     """(E1, E2, E3): w_ji >= alpha; v_ij >= alpha and w_ji < alpha; the rest."""
     v, w = instance.require_mnl_weights("fully static approximation")
     e1, e2, e3 = [], [], []
     for i in range(instance.n):
         for j in range(instance.m):
-            if w[j, i] >= alpha:
+            if w[j, i] >= DEFAULT_ALPHA:
                 e1.append((i, j))
-            elif v[i, j] >= alpha:
+            elif v[i, j] >= DEFAULT_ALPHA:
                 e2.append((i, j))
             else:
                 e3.append((i, j))
@@ -53,10 +56,10 @@ def partition_edges(instance: Instance, alpha: float = DEFAULT_ALPHA):
 
 
 def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = None,
-              constrained: bool = False, deadline=None):
-    """LP relaxation max sum v_ij w_ji y_ij with per-pair load constraints (and
-    per-agent budget rows when constrained); returns (dense y, z_LP).  The
-    simplex checks ``deadline`` after every pivot."""
+              deadline=None):
+    """LP relaxation max sum v_ij w_ji y_ij with per-pair load constraints and
+    a row per budgeted agent; returns (dense y, z_LP).  The simplex checks
+    ``deadline`` after every pivot."""
     v, w = instance.require_mnl_weights("fully static approximation")
     n, m = instance.n, instance.m
     i, j = (np.array(sorted(edges), dtype=int).T.reshape(2, -1) if edges is not None
@@ -69,7 +72,7 @@ def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = N
     rows = [np.stack([(i[:, None] == i) * v[i, j] + eye, (j[:, None] == j) * w[j, i] + eye],
                      axis=1).reshape(-1, i.size)]
     rhs = [np.ones(2 * i.size)]
-    for agent, caps in ((i, instance.k_customer), (j, instance.k_supplier)) if constrained else ():
+    for agent, caps in ((i, instance.k_customer), (j, instance.k_supplier)):
         own = [a for a, k in enumerate(caps) if k is not UNBOUNDED]
         rows.append(agent == np.array(own, dtype=int)[:, None])
         rhs.append([float(caps[a]) for a in own])
@@ -181,11 +184,10 @@ def dependent_rounding(y: np.ndarray, rng, row_caps: Optional[Sequence] = None,
 
 
 def highvalue_subproblem(instance: Instance, edges: Iterable[Tuple[int, int]],
-                         side: str = "C", constrained: bool = False,
-                         mode: str = "greedy"):
+                         side: str = "C", mode: str = "greedy"):
     """Maximize sum over ``side`` agents of F(total attached weight), F(z) =
     z/(1+z), where each opposite agent is assigned to at most one ``side``
-    agent (and side budgets bind when constrained).  Returns (edges, value).
+    agent and side budgets bind.  Returns (edges, value).
 
     side="C": objective over customers with weights v_ij (high-w regime);
     side="S": objective over suppliers with weights w_ji (high-v regime).
@@ -229,8 +231,7 @@ def highvalue_subproblem(instance: Instance, edges: Iterable[Tuple[int, int]],
             recurse(pos + 1, chosen, counts)
             for e in by_resource[resources[pos]]:
                 a = agent_of[e]
-                cap = caps[a] if constrained else UNBOUNDED
-                if cap is not UNBOUNDED and counts.get(a, 0) >= cap:
+                if caps[a] is not UNBOUNDED and counts.get(a, 0) >= caps[a]:
                     continue
                 counts[a] = counts.get(a, 0) + 1
                 recurse(pos + 1, chosen + (e,), counts)
@@ -254,8 +255,7 @@ def highvalue_subproblem(instance: Instance, edges: Iterable[Tuple[int, int]],
         if resource_of[e] in used_resources:
             continue
         a = agent_of[e]
-        cap = caps[a] if constrained else UNBOUNDED
-        if cap is not UNBOUNDED and counts.get(a, 0) >= cap:
+        if caps[a] is not UNBOUNDED and counts.get(a, 0) >= caps[a]:
             continue
         z = load.get(a, 0.0)
         gain = (z + weight[e]) / (1.0 + z + weight[e]) - z / (1.0 + z)
@@ -276,49 +276,40 @@ def highvalue_subproblem(instance: Instance, edges: Iterable[Tuple[int, int]],
 # Combined algorithm
 
 
-def approx_fully_static(instance: Instance, alpha: float = DEFAULT_ALPHA,
-                        trials: int = 16, rng=None,
-                        subproblem_mode: str = "greedy", deadline=None) -> FsSolution:
+def approx_fully_static(instance: Instance, rng=None, subproblem_mode: str = "greedy",
+                        deadline=None) -> FsSolution:
     """Partition-based approximation: solve each regime, keep the candidate with
     the highest realized exact value (edges outside the chosen regime are off).
     ``deadline`` reaches the low-low LP, which dominates the cost of large
     markets."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    e1, e2, e3 = partition_edges(instance, alpha)
-    constrained = instance.constrained
-    candidates = []
+    e1, e2, e3 = partition_edges(instance)
+    candidates = []  # (regime, edges, exact value)
 
-    if e1:
-        edges, _ = highvalue_subproblem(instance, e1, side="C", constrained=constrained,
-                                        mode=subproblem_mode)
-        candidates.append(("high-w", edges))
-    if e2:
-        edges, _ = highvalue_subproblem(instance, e2, side="S", constrained=constrained,
-                                        mode=subproblem_mode)
-        candidates.append(("high-v", edges))
+    for regime, edges, side in (("high-w", e1, "C"), ("high-v", e2, "S")):
+        if edges:
+            chosen, _ = highvalue_subproblem(instance, edges, side, subproblem_mode)
+            candidates.append((regime, chosen, exact_value_edges(instance, chosen)))
     if e3:
-        y, _ = lowlow_lp(instance, e3, constrained=constrained, deadline=deadline)
+        y, _ = lowlow_lp(instance, e3, deadline)
         best_edges, best_val = frozenset(), -1.0
-        for _ in range(max(trials, 1)):
-            if constrained:
+        for _ in range(_TRIALS):
+            if instance.constrained:
                 x = dependent_rounding(y, rng, instance.k_customer, instance.k_supplier)
             else:
                 x = independent_rounding(y, rng)
             val = exact_value_edges(instance, x)
             if val > best_val:
                 best_edges, best_val = x, val
-        candidates.append(("low-low", best_edges))
+        candidates.append(("low-low", best_edges, best_val))
 
     if not candidates:
         return FsSolution(frozenset(), 0.0, "empty")
 
-    branch_values = {}
     best = None
-    for regime, edges in candidates:
-        val = exact_value_edges(instance, edges)
-        branch_values[regime] = val
+    for regime, edges, val in candidates:
         if best is None or val > best.value:
             best = FsSolution(frozenset(edges), val, regime)
-    best.branch_values = branch_values
+    best.branch_values = {regime: val for regime, _, val in candidates}
     return best
 

@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, SizeRefusalError
-from .instances import (UNBOUNDED, Instance, demand_table, is_mnl, prob_table)
-from .oracles import best_weighted_assortment, constrained_demand
+from .instances import UNBOUNDED, Instance, Tabular, is_mnl
+from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_demand,
+                      demand_table, prob_table)
 from .policies import (PolicyAction, PolicyState, monte_carlo,
                        respond_with_backlog)
 
@@ -90,26 +91,14 @@ class GreedyOneSidedPolicy:
         sums = np.zeros((runs, nresp))  # backlog weight sums, added in processing order
         picks = np.full((runs, ninit), -1)  # responder each initiator chose, -1 for none
         rows = np.arange(runs)[:, None]
-        prefix_w = np.ones((runs, nresp + 1))
         for t, i in enumerate(self.order):
             grown = sums + resp_w[:, i]
             theta = np.maximum(grown / (1.0 + grown) - sums / (1.0 + sums), 0.0)
-            # mnl_best: the best theta-descending prefix of the options with
-            # theta > 0 and w > 0 (the stable sort keeps option order on ties);
-            # its denominator starts at 1 and adds one weight at a time, and a
-            # longer prefix wins only by more than 1e-12.
-            valid = (theta > 0.0) & (init_w[i] > 0.0)
-            rank = np.argsort(np.where(valid, -theta, np.inf), axis=1, kind="stable")
-            prefix_w[:, 1:] = init_w[i][rank]
-            num = np.cumsum(theta[rows, rank] * prefix_w[:, 1:], axis=1)
-            val = np.where(valid[rows, rank], num / np.cumsum(prefix_w, axis=1)[:, 1:], -np.inf)
-            best, size = np.zeros(runs), np.zeros(runs, dtype=np.int64)
-            for k in range(nresp):
-                better = val[:, k] > best + 1e-12
-                best[better] = val[better, k]
-                size[better] = k + 1
+            # mnl_best's display: the best theta-ordered prefix of the options
+            # with theta > 0 and w > 0.
+            _, size, order = _mnl_prefix_rows(init_w[i], theta, (theta > 0.0) & (init_w[i] > 0.0))
             shown = np.zeros((runs, nresp), dtype=bool)
-            shown[rows, rank] = np.arange(nresp) < size[:, None]
+            shown[rows, order] = np.arange(nresp) < size[:, None]
             # _sample_choice: the first option, in ascending id order, whose
             # cumulative choice probability exceeds the draw.
             shown_w = np.where(shown, init_w[i], 0.0)
@@ -126,16 +115,20 @@ class GreedyOneSidedPolicy:
         return (uniforms[:, ninit:] < np.cumsum(probs, axis=2)[:, :, -1]).sum(axis=1)
 
 
+# The largest initiating side whose greedy value is computed exactly.
+MAX_EXACT_SIDE = 8
+
+
 def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[int]] = None,
-                       max_initiating: int = 8, deadline=None) -> float:
+                       deadline=None) -> float:
     """Exact expected matches of greedy on ``side`` by expanding the initiating
     side's choice tree; responders contribute their backlog demand in closed form.
     A ``deadline`` is checked once per state valued."""
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     nresp = instance.side_size(resp_side)
-    if ninit > max_initiating:
-        raise SizeRefusalError(f"exact greedy evaluation refuses initiating side {ninit} > {max_initiating}")
+    if ninit > MAX_EXACT_SIDE:
+        raise SizeRefusalError(f"exact greedy evaluation refuses initiating side {ninit} > {MAX_EXACT_SIDE}")
     if ninit == 0 or nresp == 0:
         return 0.0
     order = list(order) if order is not None else list(range(ninit))
@@ -222,8 +215,6 @@ def _max_choice_probs(model, n_opts: int):
     """max_S phi(j, S) per option j."""
     if is_mnl(model):
         return [w / (1.0 + w) for w in model.weights]
-    from .instances import Tabular
-
     if isinstance(model, Tabular):
         out = [0.0] * n_opts
         for s, (probs, _) in model.rows.items():
@@ -303,12 +294,11 @@ def cointoss_fully_adaptive(instance: Instance, seed: int = 0) -> CommittedPolic
     return CommittedPolicy(GreedyOneSidedPolicy(instance, side), "FA", meta)
 
 
-def cointoss_exact_value(instance: Instance, max_initiating: int = 8, deadline=None,
-                         known: Optional[dict] = None) -> float:
+def cointoss_exact_value(instance: Instance, deadline=None, known: Optional[dict] = None) -> float:
     """Exact expected value of the coin-toss policy: the average of the two
     sides' exact greedy values.  ``known`` maps a side to its exact greedy
     value when the caller already has it."""
     vc, vs = (known[side] if known and side in known else
-              exact_greedy_value(instance, side, max_initiating=max_initiating, deadline=deadline)
+              exact_greedy_value(instance, side, deadline=deadline)
               for side in ("C", "S"))
     return 0.5 * (vc + vs)

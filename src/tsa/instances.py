@@ -3,7 +3,10 @@
 A market has ``n`` customers facing assortments of ``m`` suppliers and vice
 versa.  Each agent carries a choice model: a map ``(option, assortment) ->
 probability`` over the assortment plus an outside option.  Models are frozen
-after construction and safe to share.
+after construction and safe to share.  Instance files are checked, not
+coerced: a size, budget or option id must be a JSON integer and a weight or
+probability a JSON number.  What an agent shows or is worth (oracles, demand
+tables) is in ``tsa.oracles``.
 """
 
 from __future__ import annotations
@@ -407,65 +410,6 @@ def counterexample_constrained_demand_model() -> Mixture:
 
 
 # ---------------------------------------------------------------------------
-# Mask tables used by exact solvers (option universes small enough for 2^n)
-
-
-def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
-    """Demand (or budget-constrained demand) of every subset, indexed by bitmask."""
-    if n_opts > 20:
-        raise ValueError("demand_table limited to option universes of size <= 20")
-    size = 1 << n_opts
-    out = np.zeros(size)
-    if budget is UNBOUNDED and isinstance(model, MNL):
-        w = np.zeros(size)
-        for mask in range(1, size):
-            low = mask & -mask
-            w[mask] = w[mask ^ low] + model.weights[low.bit_length() - 1]
-        out = w / (1.0 + w)
-        return out
-    if budget is not UNBOUNDED and isinstance(model, MNL):
-        weights = model.weights
-        for mask in range(1, size):
-            ws = sorted((weights[j] for j in _mask_options(mask)), reverse=True)
-            w = sum(ws[:budget])
-            out[mask] = w / (1.0 + w)
-        return out
-    from .oracles import constrained_demand  # local import to avoid a cycle
-
-    for mask in range(1, size):
-        s = frozenset(_mask_options(mask))
-        if budget is UNBOUNDED:
-            out[mask] = model.demand(s)
-        else:
-            out[mask] = constrained_demand(model, s, budget).value
-    return out
-
-
-def prob_table(model: ChoiceSpec, n_opts: int) -> np.ndarray:
-    """phi(option, S) for every subset S: shape (2^n, n); outside prob implied."""
-    if n_opts > 16:
-        raise ValueError("prob_table limited to option universes of size <= 16")
-    size = 1 << n_opts
-    out = np.zeros((size, n_opts))
-    for mask in range(1, size):
-        s = frozenset(_mask_options(mask))
-        for j in s:
-            out[mask, j] = model.prob(j, s)
-    return out
-
-
-def _mask_options(mask: int):
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
-def mask_of(options: Iterable[int]) -> int:
-    mask = 0
-    for j in options:
-        mask |= 1 << j
-    return mask
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 
 _SCHEMA_TOP = {"n", "m", "customers", "suppliers", "k_customer", "k_supplier"}
@@ -503,30 +447,46 @@ def _model_from_dict(d: dict, where: str) -> ChoiceSpec:
     try:
         if kind == "mnl":
             _check_fields(d, {"kind", "weights"}, where)
-            return MNL(tuple(d["weights"]))
+            return MNL(tuple(_number(x, f"{where}.weights[{k}]") for k, x in enumerate(d["weights"])))
         if kind == "tabular":
             _check_fields(d, {"kind", "num_options", "rows"}, where)
             rows = {}
             for r, row in enumerate(d["rows"]):
-                _check_fields(row, {"assortment", "probs"}, f"{where}.rows[{r}]")
-                probs = dict(row["probs"])
-                outside = float(probs.pop("outside", 0.0))
-                rows[frozenset(row["assortment"])] = ({int(k): float(p) for k, p in probs.items()}, outside)
-            return Tabular(int(d["num_options"]), rows)
+                at = f"{where}.rows[{r}]"
+                _check_fields(row, {"assortment", "probs"}, at)
+                probs = {k: _number(p, f"{at}.probs.{k}") for k, p in dict(row["probs"]).items()}
+                outside = probs.pop("outside", 0.0)
+                s = frozenset(_integer(j, f"{at}.assortment") for j in row["assortment"])
+                rows[s] = ({int(k): p for k, p in probs.items()}, outside)
+            return Tabular(_integer(d["num_options"], f"{where}.num_options"), rows)
         if kind == "mixture":
             _check_fields(d, {"kind", "components", "arrival_probs"}, where)
             comps = tuple(_model_from_dict(c, f"{where}.components[{k}]") for k, c in enumerate(d["components"]))
-            return Mixture(comps, tuple(d["arrival_probs"]))
+            return Mixture(comps, tuple(_number(p, f"{where}.arrival_probs[{k}]")
+                                        for k, p in enumerate(d["arrival_probs"])))
         if kind == "uniform_no_outside":
             _check_fields(d, {"kind", "num_options", "support"}, where, optional={"support"})
-            supp = tuple(d["support"]) if "support" in d else None
-            return UniformNoOutside(int(d["num_options"]), support=supp)
+            supp = (tuple(_integer(j, f"{where}.support") for j in d["support"])
+                    if "support" in d else None)
+            return UniformNoOutside(_integer(d["num_options"], f"{where}.num_options"), support=supp)
         if kind == "beta_uniform":
             _check_fields(d, {"kind", "num_options"}, where)
-            return BetaUniform(int(d["num_options"]))
+            return BetaUniform(_integer(d["num_options"], f"{where}.num_options"))
     except (ChoiceModelError, TypeError, KeyError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: unknown model kind {kind!r}")
+
+
+def _integer(x, where: str, types=int, what="an integer"):
+    """``x`` as is if it is a JSON value of ``types``: a boolean, a float size or
+    a string weight is refused, not coerced."""
+    if isinstance(x, bool) or not isinstance(x, types):
+        raise ParseError(f"{where}: expected {what}, got {json.dumps(x)}")
+    return x
+
+
+def _number(x, where: str):
+    return _integer(x, where, (int, float), "a number")
 
 
 def _check_fields(d: dict, allowed: set, where: str, optional: set = frozenset()):
@@ -554,11 +514,11 @@ def instance_from_dict(d: dict) -> Instance:
         raise ParseError("instance file must hold a JSON object")
     _check_fields(d, _SCHEMA_TOP, "instance")
     try:
-        n, m = int(d["n"]), int(d["m"])
+        n, m = _integer(d["n"], "n"), _integer(d["m"], "m")
         customers = tuple(_model_from_dict(c, f"customers[{i}]") for i, c in enumerate(d["customers"]))
         suppliers = tuple(_model_from_dict(s, f"suppliers[{j}]") for j, s in enumerate(d["suppliers"]))
-        kc = tuple(None if k is None else int(k) for k in d["k_customer"])
-        ks = tuple(None if k is None else int(k) for k in d["k_supplier"])
+        kc, ks = (tuple(None if k is None else _integer(k, f"{field}[{a}]")
+                        for a, k in enumerate(d[field])) for field in ("k_customer", "k_supplier"))
         return Instance(n, m, customers, suppliers, kc, ks)
     except ParseError:
         raise

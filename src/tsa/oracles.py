@@ -1,26 +1,33 @@
-"""Single-agent weighted assortment oracles and constrained demand functions.
+"""Every single-agent rule: the weighted assortment oracle, constrained demand,
+their tables over subsets, and their row form for the exact DPs.
 
 The weighted problem is max over S (|S| <= budget) of sum_{j in S} theta_j *
-phi(j, S).  MNL has one exact oracle, ``mnl_best``, shared with the exact DPs:
-the best theta-ordered prefix when unconstrained, and under a cardinality
-budget Dinkelbach's iteration on the ratio z, each step keeping the K largest
-positive w_j (theta_j - z) (Rusmevichientong, Shen & Shmoys 2010).  Every other
-model is solved by exhaustive enumeration up to universe size 20; beyond that
-the oracle refuses rather than approximate silently.
+phi(j, S); a responder is worth its demand, or its budget-constrained demand
+f^K.  MNL has one exact oracle, ``mnl_best``: the best theta-ordered prefix
+when unconstrained, and under a cardinality budget Dinkelbach's iteration on
+the ratio z, each step keeping the K largest positive w_j (theta_j - z)
+(Rusmevichientong, Shen & Shmoys 2010).  Every other model is solved by
+exhaustive enumeration up to universe size 20; beyond that the oracle refuses
+rather than approximate silently.  The row oracles apply the same rules to
+many theta vectors at once, bit for bit: the adaptive DPs value a layer with
+them, and greedy's batched kernel shows its displays with the prefix rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import UnsupportedOracleError
 from .instances import UNBOUNDED, ChoiceSpec, is_mnl
 
 ENUMERATION_LIMIT = 20
-_TOL = 1e-12
+_TOL = 1e-12  # a larger set, or a later option, wins only by more than this
 _THETA = itemgetter(0)
 
 
@@ -110,3 +117,163 @@ def constrained_demand(model: ChoiceSpec, ground: Iterable[int], budget=UNBOUNDE
             f"no exact constrained demand for {type(model).__name__} with {len(ground)} options")
     theta = [1.0] * model.num_options
     return _enumerate_best(model, theta, sorted(ground), budget)
+
+
+# ---------------------------------------------------------------------------
+# Tables over every subset of a small option universe, indexed by bitmask
+
+
+def _mask_options(mask: int):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
+    """Demand (or budget-constrained demand) of every subset, indexed by bitmask."""
+    if n_opts > 20:
+        raise ValueError("demand_table limited to option universes of size <= 20")
+    size = 1 << n_opts
+    out = np.zeros(size)
+    if budget is UNBOUNDED and is_mnl(model):
+        w = np.zeros(size)
+        for mask in range(1, size):
+            low = mask & -mask
+            w[mask] = w[mask ^ low] + model.weights[low.bit_length() - 1]
+        return w / (1.0 + w)
+    for mask in range(1, size):
+        if is_mnl(model):  # the ``budget`` largest weights
+            w = sum(sorted((model.weights[j] for j in _mask_options(mask)), reverse=True)[:budget])
+            out[mask] = w / (1.0 + w)
+        else:
+            out[mask] = constrained_demand(model, _mask_options(mask), budget).value
+    return out
+
+
+def prob_table(model: ChoiceSpec, n_opts: int) -> np.ndarray:
+    """phi(option, S) for every subset S: shape (2^n, n); outside prob implied."""
+    if n_opts > 16:
+        raise ValueError("prob_table limited to option universes of size <= 16")
+    size = 1 << n_opts
+    out = np.zeros((size, n_opts))
+    for mask in range(1, size):
+        s = frozenset(_mask_options(mask))
+        for j in s:
+            out[mask, j] = model.prob(j, s)
+    return out
+
+
+def _budget_masks(count: int, budget) -> list:
+    """All assortment bitmasks over ``count`` options with |S| <= budget, ordered
+    by cardinality then lexicographically by option ids."""
+    kmax = count if budget is UNBOUNDED else min(budget, count)
+    masks = [0]
+    for k in range(1, kmax + 1):
+        masks += [sum(1 << j for j in combo) for combo in combinations(range(count), k)]
+    return masks
+
+
+# ---------------------------------------------------------------------------
+# Row oracles: the weighted oracle on one theta vector per row
+
+
+def _enumeration_oracle(phi: np.ndarray, masks, items, budget):
+    """Max over assortment masks of sum_j phi[mask, j] * theta_j for
+    (theta, weight, option) triples; returns (value, chosen triples).  The
+    budget is already applied by ``masks``."""
+    theta = [0.0] * phi.shape[1]
+    for th, _, j in items:
+        theta[j] = th
+    best_val, best_mask = 0.0, 0
+    for mask in masks:
+        row = phi[mask]
+        val = 0.0
+        mm = mask
+        while mm:
+            low = mm & -mm
+            j = low.bit_length() - 1
+            val += row[j] * theta[j]
+            mm ^= low
+        if val > best_val + _TOL:
+            best_val, best_mask = val, mask
+    return best_val, [t for t in items if best_mask >> t[2] & 1]
+
+
+def _agent_oracle(model, n_opts: int, budget):
+    """(weights, usable options, oracle, row oracle) for one agent: an MNL
+    agent skips its zero-weight options and runs ``mnl_best``; any other model
+    enumerates its budget-feasible assortments.  The oracle maps (triples,
+    budget) to (value, chosen triples); the row oracle maps (theta, item)
+    arrays over the usable options to the oracle's value on each row, bit for
+    bit."""
+    if is_mnl(model):
+        w = model.weights
+        usable = [j for j in range(n_opts) if w[j] > 0.0]
+        return w, usable, mnl_best, partial(_mnl_rows, np.array([w[j] for j in usable]), budget)
+    w, usable = [0.0] * n_opts, list(range(n_opts))
+    oracle = partial(_enumeration_oracle, prob_table(model, n_opts), _budget_masks(n_opts, budget))
+    return w, usable, oracle, partial(_scalar_rows, oracle, [(w[l], l) for l in usable], budget)
+
+
+def _scalar_rows(oracle, options, budget, theta, item):
+    """The scalar oracle on each row's (theta, weight, option) triples."""
+    return np.array([oracle([(t, *o) for t, o, i in zip(ts, options, its) if i], budget)[0]
+                     for ts, its in zip(theta.tolist(), item.tolist())])
+
+
+def _mnl_rows(w, budget, theta, item):
+    """``mnl_best`` on every row at once: the prefix rule on rows with at most
+    ``budget`` items, Dinkelbach on the rest."""
+    if budget is UNBOUNDED or budget >= theta.shape[1]:
+        return _mnl_prefix_rows(w, theta, item)[0]
+    few = item.sum(axis=1) <= budget
+    val = np.empty(len(theta))
+    val[few] = _mnl_prefix_rows(w, theta[few], item[few])[0]
+    val[~few] = _dinkelbach_rows(w, budget, theta[~few], item[~few])
+    return val
+
+
+# The two rules below repeat ``mnl_best``'s floating-point operations in its
+# order, so their values equal the scalar oracle's bit for bit.
+
+
+def _mnl_prefix_rows(w, theta, item):
+    """The theta-ordered prefixes: a stable descending sort (ties keep option
+    order, non-items last at -inf), sums in that order with the denominator
+    from 1.0, and a longer prefix winning only by more than 1e-12.  Returns
+    each row's (value, prefix length, sort order): the chosen options are
+    ``order[:length]``."""
+    theta = np.where(item, theta, -np.inf)
+    order = np.argsort(-theta, axis=1, kind="stable")
+    theta, w = np.take_along_axis(theta, order, 1), w[order]
+    best, num, den = np.zeros(len(theta)), np.zeros(len(theta)), np.ones(len(theta))
+    size = np.zeros(len(theta), dtype=np.int64)
+    for k in range(theta.shape[1]):
+        with np.errstate(invalid="ignore"):  # -inf * 0 on a zero-weight non-item: NaN never wins
+            num = num + theta[:, k] * w[:, k]
+        den = den + w[:, k]
+        val = num / den  # -inf (or NaN) once past the items
+        better = val > best + _TOL
+        best = np.where(better, val, best)
+        size = np.where(better, k + 1, size)
+    return best, size, order
+
+
+def _dinkelbach_rows(w, budget, theta, item):
+    """Under a binding budget: from z = 0, keep the ``budget`` items of
+    theta > z with the largest w (theta - z) (stable), and move z to their
+    ratio while it rises by more than 1e-12."""
+    z, live = np.zeros(len(theta)), np.arange(len(theta))
+    while live.size:
+        t, zl = theta[live], z[live, None]
+        key = np.where(item[live] & (t > zl), w * (zl - t), np.inf)
+        top = np.argsort(key, axis=1, kind="stable")[:, :budget]
+        ok = np.take_along_axis(key, top, 1) < np.inf
+        tw = np.where(ok, np.take_along_axis(t, top, 1) * w[top], 0.0)
+        wt = np.where(ok, w[top], 0.0)
+        num, den = np.zeros(len(live)), np.zeros(len(live))
+        for k in range(top.shape[1]):
+            num, den = num + tw[:, k], den + wt[:, k]
+        ratio = num / (1.0 + den)
+        up = ratio > zl[:, 0] + _TOL
+        z[live[up]] = ratio[up]
+        live = live[up]
+    return z

@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import ContractViolationError, SizeRefusalError
-from .instances import UNBOUNDED, Instance, demand_table
-from .oracles import constrained_demand
+from .instances import UNBOUNDED, Instance
+from .oracles import constrained_demand, demand_table
 
 Agent = Tuple[str, int]  # ("C", i) or ("S", j)
 
@@ -339,16 +339,20 @@ def exact_value_edges(instance: Instance, edges: Iterable[Tuple[int, int]]) -> f
     return exact_value_static(instance, s_list, c_list)
 
 
-def exact_value_one_sided_static(instance: Instance, side: str, assortments,
-                                 max_initiating: int = 18) -> float:
+# The largest initiating side ``exact_value_one_sided_static`` values.
+_MAX_STATIC_INITIATING = 18
+
+
+def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> float:
     """Exact expectation when ``side`` is shown static assortments first and each
     responder is then shown its backlog (its budget-constrained best subset when
     constrained)."""
     init_n = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     resp_n = instance.side_size(resp_side)
-    if init_n > max_initiating:
-        raise SizeRefusalError(f"one-sided static evaluation refuses initiating side {init_n} > {max_initiating}")
+    if init_n > _MAX_STATIC_INITIATING:
+        raise SizeRefusalError(f"one-sided static evaluation refuses initiating side {init_n} > "
+                               f"{_MAX_STATIC_INITIATING}")
     assortments = [frozenset(s) for s in assortments]
     if len(assortments) != init_n:
         raise ValueError("need one assortment per initiating agent")
@@ -361,20 +365,20 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments,
     return one_sided_values(instance, side, probs).item()
 
 
-def one_sided_values(instance: Instance, side: str, probs, budgeted: bool = True) -> np.ndarray:
+def one_sided_values(instance: Instance, side: str, probs) -> np.ndarray:
     """Expected matches of one-sided static displays initiating on ``side``, for
     every combination of candidates: probs[i][c, j] is the probability that
     initiating agent i, shown its c-th candidate, picks responder j.  Choices
     are independent, so responder j is worth E[F_j(B_j)] over its random
     backlog B_j (the multilinear extension of F_j), where F_j is its demand,
-    budget-constrained when ``budgeted``.  Shape (len(probs[0]), ...,
+    budget-constrained when it carries a budget.  Shape (len(probs[0]), ...,
     len(probs[-1]))."""
     resp_side = "S" if side == "C" else "C"
     n = len(probs)
     probs = [np.asarray(q, dtype=float) for q in probs]
     values = np.zeros(tuple(len(q) for q in probs))
     for j in range(instance.side_size(resp_side)):
-        budget = instance.budget(resp_side, j) if budgeted else UNBOUNDED
+        budget = instance.budget(resp_side, j)
         # Axis i of the table is bit i of the backlog mask.  Each contraction
         # takes the leading axis and appends initiator i's candidate axis.
         f = demand_table(instance.model(resp_side, j), n, budget).reshape((2,) * n, order="F")

@@ -3,8 +3,9 @@ memo that ``tsa.exact._adaptive_dp`` computes layer by layer.  It visits the
 same states and does the same arithmetic per state, so values, state counts
 and first actions must agree exactly."""
 
-from tsa.exact import _THETA_TOL, DpValue, _agent_oracle
-from tsa.instances import demand_table
+from tsa.exact import DpValue
+from tsa.oracles import _TOL as _THETA_TOL
+from tsa.oracles import _agent_oracle, demand_table
 from tsa.policies import PolicyAction
 
 

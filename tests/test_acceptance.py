@@ -202,7 +202,7 @@ def test_criterion_8_rounding_properties():
         base = low_value_instance(3, 3, 81_000 + k)
         inst = Instance(3, 3, base.customer_models, base.supplier_models,
                         (2, 2, 2), (2, 2, 2))
-        y, _ = lowlow_lp(inst, constrained=True)
+        y, _ = lowlow_lp(inst)
         hits = np.zeros((3, 3))
         samples = np.zeros((draws, 3, 3))
         for r in range(draws):

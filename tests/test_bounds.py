@@ -59,7 +59,7 @@ def test_relaxation_size_refusal():
 def test_constrained_relaxation_uses_fk():
     base = generate_random_instance(2, 2, seed=3)
     inst = Instance(2, 2, base.customer_models, base.supplier_models, (1, 1), (1, 1))
-    rel = lp_relaxation_onesided(inst, "C", constrained=True)
+    rel = lp_relaxation_onesided(inst, "C")
     oa = opt_one_sided_adaptive(inst, "C").value
     assert rel.value >= oa - 1e-6
     for (_, s) in rel.tau:

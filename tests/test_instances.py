@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsa.cli import main
 from tsa.errors import ChoiceModelError, ParseError
 from tsa.instances import (MNL, BetaUniform, CardinalityProfile, Instance,
                            Mixture, Tabular, UniformNoOutside, choice_prob,
@@ -226,6 +228,43 @@ def test_load_rejects_unknown_fields(tmp_path):
     path.write_text(json.dumps(d))
     with pytest.raises(ParseError, match="unknown fields"):
         load_instance(path)
+
+
+# (path into the instance dict, JSON value, field the error names): values
+# that int()/float() would coerce into a different or a wrong instance.
+BAD_FIELDS = [
+    (("k_customer", 0), 1.5, "k_customer[0]"),
+    (("k_customer", 0), True, "k_customer[0]"),
+    (("k_supplier", 1), 0.9, "k_supplier[1]"),
+    (("n",), 1.9, "n"),
+    (("customers", 0, "weights", 1), "2", "customers[0].weights[1]"),
+    (("suppliers", 1, "weights", 0), False, "suppliers[1].weights[0]"),
+]
+
+
+def _bad_instance_file(tmp_path, keys, value):
+    d = instance_to_dict(generate_random_instance(1, 2, seed=0))
+    target = d
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.mark.parametrize("keys, value, field", BAD_FIELDS)
+def test_load_rejects_uncoerced_fields(tmp_path, keys, value, field):
+    path = _bad_instance_file(tmp_path, keys, value)
+    with pytest.raises(ParseError, match=f"^{re.escape(field)}: expected an? "):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("keys, value, field", BAD_FIELDS)
+def test_solve_exits_2_on_uncoerced_fields(tmp_path, capsys, keys, value, field):
+    path = _bad_instance_file(tmp_path, keys, value)
+    assert main(["solve", "--instance", str(path), "--what", "fs"]) == 2
+    assert f"{field}: expected" in capsys.readouterr().err
 
 
 def test_load_reports_malformed_json_position(tmp_path):

@@ -404,7 +404,7 @@ def test_lowlow_lp_budget_rows(monkeypatch):
     from tsa.fullystatic import lowlow_lp
 
     seen = _captured_lps(monkeypatch)
-    lowlow_lp(_market_2x2((1, 2), (None, 1)), constrained=True)
+    lowlow_lp(_market_2x2((1, 2), (None, 1)))
     budgets = [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]]  # customers 0, 1; supplier 1
     (problem,) = seen
     _assert_lp(problem, LOWLOW_C, LOWLOW_2X2 + budgets, [1.0] * 8 + [1, 2, 1])

@@ -1,14 +1,17 @@
+import warnings
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import is_submodular
 from tsa.errors import UnsupportedOracleError
-from tsa.instances import (MNL, BetaUniform, UniformNoOutside,
+from tsa.instances import (MNL, UNBOUNDED, BetaUniform, UniformNoOutside,
                            counterexample_constrained_demand_model, demand)
-from tsa.oracles import best_weighted_assortment, constrained_demand
+from tsa.oracles import (_mnl_prefix_rows, _mnl_rows, best_weighted_assortment,
+                         constrained_demand, mnl_best)
 
 
 def brute_force_weighted(model, theta, budget=None):
@@ -165,3 +168,30 @@ def test_tie_break_smallest_then_lex():
     # Both singletons are optimal; smallest cardinality then lexicographic.
     res = best_weighted_assortment(UniformNoOutside(2), [0.7, 0.7])
     assert res.assortment == {0}
+
+
+def test_row_oracles_match_mnl_best_bit_for_bit():
+    """The row form of the MNL oracle, which the adaptive DPs and greedy's
+    batched kernel use, against ``mnl_best`` row by row: thetas with ties and
+    zeros, weights with zeros, items masked off, every budget.  Values must be
+    equal with ==, and the prefix rule's length and order must list
+    ``mnl_best``'s chosen options, in its order."""
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        n = 1 + trial % 8
+        w = np.where(rng.random(n) < 0.2, 0.0, rng.choice([0.5, 1.0, rng.random() * 3], n))
+        tied = rng.choice([0.0, 0.25, 0.5, 0.5 + 1e-13, 1.0], (40, n))  # 1e-13: wins by < _TOL
+        theta = np.where(rng.random((40, n)) < 0.5, tied, rng.random((40, n)))
+        item = (rng.random((40, n)) < 0.8) & (theta > 0) & (w > 0)
+        triples = [[(th, w[j], j) for j, (th, i) in enumerate(zip(ts, its)) if i]
+                   for ts, its in zip(theta.tolist(), item.tolist())]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for budget in list(range(1, n + 1)) + [UNBOUNDED]:
+                got = _mnl_rows(w, budget, theta, item)
+                assert got.tolist() == [mnl_best(t, budget)[0] for t in triples], (trial, budget)
+            best, size, order = _mnl_prefix_rows(w, theta, item)
+        for r, t in enumerate(triples):
+            value, chosen = mnl_best(t)
+            assert best[r] == value, (trial, r)
+            assert order[r, :size[r]].tolist() == [j for _, _, j in chosen], (trial, r)

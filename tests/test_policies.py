@@ -113,7 +113,7 @@ def test_exact_value_one_sided_static_size_refusal():
         exact_value_one_sided_static(inst, "C", [set()] * 19)
 
 
-def brute_one_sided_values(instance, side, probs, budgeted=True):
+def brute_one_sided_values(instance, side, probs):
     """One-sided static values by enumerating every initiator's outcome (one
     responder, or none) and valuing each responder's explicit backlog."""
     resp = "S" if side == "C" else "C"
@@ -121,7 +121,7 @@ def brute_one_sided_values(instance, side, probs, budgeted=True):
 
     def worth(j, backlog):
         model, k = instance.model(resp, j), instance.budget(resp, j)
-        if not budgeted or k is UNBOUNDED:
+        if k is UNBOUNDED:
             return model.demand(backlog)
         return constrained_demand(model, backlog, k).value
 
@@ -169,11 +169,10 @@ def test_one_sided_values_match_outcome_enumeration():
     for inst in cases:
         for side in ("C", "S"):
             probs = _candidate_probs(inst, side, rng)
-            for budgeted in (True, False):
-                got = one_sided_values(inst, side, probs, budgeted)
-                want = brute_one_sided_values(inst, side, probs, budgeted)
-                assert got.shape == want.shape
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            got = one_sided_values(inst, side, probs)
+            want = brute_one_sided_values(inst, side, probs)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_exact_adaptive_evaluator(unit_1x1):
