@@ -303,10 +303,14 @@ def _try(fn, *args, **kwargs):
         return None
 
 
-def alg_one_sided_static_value(instance: Instance, seed: int = 0) -> float:
-    """Static assortments harvested from one greedy run per side; best exact value."""
+def alg_one_sided_static_value(instance: Instance, seed: int = 0, deadline=None) -> float:
+    """Static assortments harvested from one greedy run per side; best exact
+    value.  A ``deadline`` is checked before each run and inside the exact
+    evaluation."""
     best = 0.0
     for k, side in enumerate(("C", "S")):
+        if deadline is not None:
+            deadline.check()
         pol = GreedyOneSidedPolicy(instance, side)
         rng = np.random.default_rng([seed, 7, k])
         _, trace = simulate_once(instance, pol, rng)
@@ -316,7 +320,7 @@ def alg_one_sided_static_value(instance: Instance, seed: int = 0) -> float:
             agent_side, idx = rec["agent"]
             if agent_side == side:
                 assorts[idx] = frozenset(rec["assortment"])
-        best = max(best, exact_value_one_sided_static(instance, side, assorts))
+        best = max(best, exact_value_one_sided_static(instance, side, assorts, deadline))
     return best
 
 
@@ -390,7 +394,7 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
         sol = _try(approx_fully_static, instance, rng=np.random.default_rng([seed, 3]),
                    deadline=deadline)
         q["ALG_FS"] = sol.value if sol is not None else None
-        q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed)
+        q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed, deadline)
         oa_alg = _try(alg_one_sided_adaptive_value, instance, seed, deadline)
         q["ALG_OA"] = oa_alg[0] if oa_alg is not None else None
         q["ALG_FA"] = _try(alg_fully_adaptive_value, instance, seed, deadline, oa_alg)

@@ -74,9 +74,15 @@ class GreedyOneSidedPolicy:
     def batch_matches(self, uniforms: np.ndarray) -> np.ndarray:
         """Matches of one run per row of ``uniforms`` (runs, n + m): the draws
         a run makes in processing order, one per initiator in ``order`` and
-        then one per responder.  All runs advance in lockstep with the scalar
-        path's arithmetic: ``mnl_best`` for each display, ``_sample_choice``
-        for each choice.  Unbudgeted MNL markets only.
+        then one per responder.  Unbudgeted MNL markets only.
+
+        A run's display depends only on its history, the responder each
+        earlier initiator picked, so each step computes one display per
+        distinct history (``mnl_best``'s rule, with ``_sample_choice``'s
+        cumulative probabilities) and each run compares its draw with its
+        history's row; runs that pick alike move on to the same child
+        history.  A child's backlog sums are its parent's plus the pick's
+        weight, the same additions a run makes on the scalar path.
 
         Weight sums run in processing order (a backlog) and in id order (a
         display), where the scalar path sums in set iteration order: the
@@ -88,31 +94,50 @@ class GreedyOneSidedPolicy:
         runs = len(uniforms)
         if not (ninit and nresp):
             return np.zeros(runs, dtype=np.int64)
-        sums = np.zeros((runs, nresp))  # backlog weight sums, added in processing order
-        picks = np.full((runs, ninit), -1)  # responder each initiator chose, -1 for none
-        rows = np.arange(runs)[:, None]
+        hist = np.zeros(runs, dtype=np.int64)  # each run's history
+        sums = np.zeros((1, nresp))  # per history: backlog weight sums, added in processing order
+        picks = np.full((1, ninit), nresp)  # per history: responder each initiator chose, nresp for none
         for t, i in enumerate(self.order):
-            grown = sums + resp_w[:, i]
-            theta = np.maximum(grown / (1.0 + grown) - sums / (1.0 + sums), 0.0)
-            # mnl_best's display: the best theta-ordered prefix of the options
-            # with theta > 0 and w > 0.
-            _, size, order = _mnl_prefix_rows(init_w[i], theta, (theta > 0.0) & (init_w[i] > 0.0))
-            shown = np.zeros((runs, nresp), dtype=bool)
-            shown[rows, order] = np.arange(nresp) < size[:, None]
+            cdf = np.concatenate([_display_cdf(init_w[i], resp_w[:, i], sums[lo:lo + _BLOCK])
+                                  for lo in range(0, len(sums), _BLOCK)])
             # _sample_choice: the first option, in ascending id order, whose
-            # cumulative choice probability exceeds the draw.
-            shown_w = np.where(shown, init_w[i], 0.0)
-            denom = 1.0 + np.cumsum(shown_w, axis=1)[:, -1:]
-            hit = uniforms[:, t, None] < np.cumsum(shown_w / denom, axis=1)
-            chose = hit.any(axis=1)
-            pick = hit.argmax(axis=1)[chose]
-            picks[chose, i] = pick
-            sums[chose, pick] += resp_w[pick, i]
+            # cumulative choice probability exceeds the draw.  The rows do not
+            # decrease, so that is the count of entries at most the draw, and
+            # nresp when there is none.
+            pick = (cdf[hist] <= uniforms[:, t, None]).sum(axis=1)
+            child, hist = np.unique(hist * (nresp + 1) + pick, return_inverse=True)
+            parent, pick = np.divmod(child, nresp + 1)
+            sums, picks = sums[parent], picks[parent]
+            picks[:, i] = pick
+            chose = np.flatnonzero(pick < nresp)
+            sums[chose, pick[chose]] += resp_w[pick[chose], i]
         # Each responder shows its whole backlog, all of whom chose it, so any
-        # choice is a match.
-        probs = np.where(picks[:, None, :] == np.arange(nresp)[:, None],
-                         resp_w / (1.0 + sums)[:, :, None], 0.0)
-        return (uniforms[:, ninit:] < np.cumsum(probs, axis=2)[:, :, -1]).sum(axis=1)
+        # choice is a match.  Its choice probabilities are summed in id order.
+        chance, denom, ids = np.zeros_like(sums), 1.0 + sums, np.arange(nresp)
+        for i in range(ninit):
+            chance += np.where(picks[:, i, None] == ids, resp_w[:, i] / denom, 0.0)
+        return (uniforms[:, ninit:] < chance[hist]).sum(axis=1)
+
+
+# Histories whose displays ``batch_matches`` computes at once: it bounds the
+# (histories, responders) temporaries of the prefix rule.
+_BLOCK = 1024
+
+
+def _display_cdf(init_w: np.ndarray, resp_w: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Cumulative choice probabilities, in ascending responder id order, over
+    greedy's display for one initiator (its weights ``init_w``, its weight
+    ``resp_w`` with each responder) at each row of backlog weight sums."""
+    grown = sums + resp_w
+    theta = np.maximum(grown / (1.0 + grown) - sums / (1.0 + sums), 0.0)
+    # mnl_best's display: the best theta-ordered prefix of the options with
+    # theta > 0 and w > 0.
+    _, size, order = _mnl_prefix_rows(init_w, theta, (theta > 0.0) & (init_w > 0.0))
+    shown = np.zeros(theta.shape, dtype=bool)
+    shown[np.arange(len(theta))[:, None], order] = np.arange(theta.shape[1]) < size[:, None]
+    shown_w = np.where(shown, init_w, 0.0)
+    denom = 1.0 + np.cumsum(shown_w, axis=1)[:, -1:]
+    return np.cumsum(shown_w / denom, axis=1)
 
 
 # The largest initiating side whose greedy value is computed exactly.

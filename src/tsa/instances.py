@@ -235,6 +235,8 @@ class CardinalityProfile:
     def __post_init__(self):
         if self.mode not in ("unconstrained", "one-way", "two-way"):
             raise ValueError(f"unknown cardinality mode {self.mode!r}")
+        if self.initiating not in ("C", "S"):
+            raise ValueError(f"initiating side must be 'C' or 'S', got {self.initiating!r}")
         if self.mode == "unconstrained" and (self.k_customer is not UNBOUNDED or self.k_supplier is not UNBOUNDED):
             raise ValueError("unconstrained profile cannot carry budgets")
         if self.mode == "one-way":
@@ -242,16 +244,13 @@ class CardinalityProfile:
             if responding_k is not UNBOUNDED:
                 raise ValueError("one-way profile forces the responding side's budget to unbounded")
         for k in (self.k_customer, self.k_supplier):
-            if k is not UNBOUNDED and (not isinstance(k, int) or k < 1):
-                raise ValueError(f"budget must be a positive integer or unbounded, got {k}")
+            if not _is_budget(k):
+                raise ValueError(f"budget must be a positive integer or unbounded, got {k!r}")
 
 
-def _budget_list(k, count):
-    if k is UNBOUNDED:
-        return tuple([UNBOUNDED] * count)
-    if isinstance(k, int):
-        return tuple([k] * count)
-    return tuple(k)
+def _is_budget(k) -> bool:
+    """UNBOUNDED or a positive int; a bool is an int to Python but no budget."""
+    return k is UNBOUNDED or (isinstance(k, int) and not isinstance(k, bool) and k >= 1)
 
 
 @dataclass(frozen=True)
@@ -278,8 +277,8 @@ class Instance:
         if len(kc) != self.n or len(ks) != self.m:
             raise ValueError("budget list lengths must equal n and m")
         for k in kc + ks:
-            if k is not UNBOUNDED and (not isinstance(k, int) or k < 1):
-                raise ValueError(f"budget must be >= 1 or unbounded, got {k}")
+            if not _is_budget(k):
+                raise ValueError(f"budget must be >= 1 or unbounded, got {k!r}")
         object.__setattr__(self, "k_customer", kc)
         object.__setattr__(self, "k_supplier", ks)
         for i, mod in enumerate(self.customer_models):
@@ -347,7 +346,7 @@ def generate_random_instance(n: int, m: int, seed: int,
     customers = tuple(MNL(tuple(v[i])) for i in range(n))
     suppliers = tuple(MNL(tuple(w[j])) for j in range(m))
     return Instance(n, m, customers, suppliers,
-                    _budget_list(profile.k_customer, n), _budget_list(profile.k_supplier, m))
+                    (profile.k_customer,) * n, (profile.k_supplier,) * m)
 
 
 def tight_instance(kind: str, n: int) -> Instance:

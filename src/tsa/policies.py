@@ -136,9 +136,13 @@ def dump_trace(trace: list, fh) -> None:
         fh.write("\n")
 
 
-# Runs a batched Monte Carlo advances together: the deadline is checked
-# between chunks, and a chunk's arrays stay a few megabytes.
-_CHUNK = 1000
+# Runs a batched Monte Carlo hands its kernel at once; the deadline is checked
+# between chunks.  Greedy's kernel shares one display among a chunk's runs with
+# the same history, so larger chunks share more, but drawing a chunk's streams
+# takes about 420 bytes a run.  A `tsa gaps --sizes 10` report process peaks at
+# 43.1 MB (ru_maxrss) with 2,000 runs a chunk, against 42.2 MB with 1,000 and
+# 45.4 MB with 5,000.
+_CHUNK = 2000
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -230,10 +234,11 @@ def monte_carlo(instance: Instance, policy, runs: int, seed: int | tuple,
                 deadline=None) -> SimulationResult:
     """Mean matches with a normal-approximation 95% CI; run r uses stream
     (*seed, r) for a tuple ``seed`` and (seed, r) for an int.  A policy with a
-    ``batch_matches`` kernel advances all runs in lockstep on unbudgeted MNL
-    markets, ``_CHUNK`` runs at a time, with the same streams and results;
-    any other policy or market runs ``simulate_once`` per run.  A ``deadline``
-    is checked before each run or chunk."""
+    ``batch_matches`` kernel gets ``_CHUNK`` runs' draws at a time on
+    unbudgeted MNL markets, with the same streams and results (greedy's
+    kernel computes one display per distinct history, not one per run); any
+    other policy or market runs ``simulate_once`` per run.  A ``deadline`` is
+    checked before each run or chunk."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     prefix = list(seed) if isinstance(seed, tuple) else [seed]
@@ -343,10 +348,11 @@ def exact_value_edges(instance: Instance, edges: Iterable[Tuple[int, int]]) -> f
 _MAX_STATIC_INITIATING = 18
 
 
-def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> float:
+def exact_value_one_sided_static(instance: Instance, side: str, assortments,
+                                 deadline=None) -> float:
     """Exact expectation when ``side`` is shown static assortments first and each
     responder is then shown its backlog (its budget-constrained best subset when
-    constrained)."""
+    constrained).  A ``deadline`` is checked once per responder."""
     init_n = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     resp_n = instance.side_size(resp_side)
@@ -362,22 +368,24 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> 
             raise ContractViolationError(f"initiating agent {a} assortment exceeds budget")
     probs = [[[instance.model(side, i).prob(j, s) for j in range(resp_n)]]
              for i, s in enumerate(assortments)]
-    return one_sided_values(instance, side, probs).item()
+    return one_sided_values(instance, side, probs, deadline).item()
 
 
-def one_sided_values(instance: Instance, side: str, probs) -> np.ndarray:
+def one_sided_values(instance: Instance, side: str, probs, deadline=None) -> np.ndarray:
     """Expected matches of one-sided static displays initiating on ``side``, for
     every combination of candidates: probs[i][c, j] is the probability that
     initiating agent i, shown its c-th candidate, picks responder j.  Choices
     are independent, so responder j is worth E[F_j(B_j)] over its random
     backlog B_j (the multilinear extension of F_j), where F_j is its demand,
     budget-constrained when it carries a budget.  Shape (len(probs[0]), ...,
-    len(probs[-1]))."""
+    len(probs[-1])).  A ``deadline`` is checked once per responder."""
     resp_side = "S" if side == "C" else "C"
     n = len(probs)
     probs = [np.asarray(q, dtype=float) for q in probs]
     values = np.zeros(tuple(len(q) for q in probs))
     for j in range(instance.side_size(resp_side)):
+        if deadline is not None:
+            deadline.check()
         budget = instance.budget(resp_side, j)
         # Axis i of the table is bit i of the backlog mask.  Each contraction
         # takes the leading axis and appends initiator i's candidate axis.

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from helpers import distribution_residual
-from tsa.bounds import (_block_oracle, _ub_oa_oriented, gap_report, independent_objective_from_tau,
-                        lp_relaxation_onesided, reports_to_csv, ub_fa, ub_oa)
-from tsa.errors import SizeRefusalError, UnsupportedOracleError
+from tsa.bounds import (_block_oracle, _ub_oa_oriented, alg_one_sided_static_value, gap_report,
+                        independent_objective_from_tau, lp_relaxation_onesided, reports_to_csv,
+                        ub_fa, ub_oa)
+from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
 from tsa.exact import (opt_fully_adaptive, opt_one_sided_adaptive,
                        opt_one_sided_static)
 from tsa.instances import (MNL, Instance, generate_random_instance,
                            tight_instance)
 from tsa.lp import LpProblem, maximize_concave, solve_lp
+from tsa.policies import exact_value_one_sided_static
+from tsa.util import Deadline
 from ub_oa_reference import plain_fw_ub_oa_oriented
 
 E_RATIO = math.e / (math.e - 1.0)
@@ -251,3 +254,14 @@ def test_ub_oa_converges_and_is_no_looser_than_plain_frank_wolfe(n, seeds):
         if n <= 4:
             oa = max(opt_one_sided_adaptive(inst, side).value for side in "CS")
             assert ub_oa(inst) >= oa - 1e-9, (n, seed)
+
+
+def test_alg_one_sided_static_value_polls_its_deadline():
+    """An expired deadline stops ALG_OS before its harvesting runs, and the
+    exact evaluation it calls before its first responder."""
+    inst = generate_random_instance(4, 3, seed=2)
+    with pytest.raises(TimeLimitError):
+        alg_one_sided_static_value(inst, 0, Deadline(0))
+    with pytest.raises(TimeLimitError):
+        exact_value_one_sided_static(inst, "C", [{0}] * 4, Deadline(0))
+    assert alg_one_sided_static_value(inst, 0, Deadline(60)) == alg_one_sided_static_value(inst, 0)

@@ -174,9 +174,9 @@ def test_tables_time_limit_writes_finished_reports(tmp_path, capsys):
 
 def test_gaps_time_limit_stops_monte_carlo(tmp_path, capsys):
     # At 10x10 every exact solver refuses and the Monte Carlo runs of the
-    # algorithm values take about half of a report's time; four reports
-    # outlast the limit.
-    assert run(["gaps", "--sizes", "10", "--seeds", "4", "--time-limit", "1",
+    # algorithm values take most of a report's time; eight reports take
+    # about 2 s on a 2-core Xeon, four times the limit.
+    assert run(["gaps", "--sizes", "10", "--seeds", "8", "--time-limit", "0.5",
                 "--out", str(tmp_path)]) == 4
 
 

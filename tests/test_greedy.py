@@ -190,11 +190,16 @@ def _zero_weight_instance():
     return Instance(4, 6, tuple(MNL(tuple(r)) for r in v), tuple(MNL(tuple(r)) for r in w))
 
 
+# Markets whose runs share most histories (one responder, two, or one
+# initiator) next to ones where they seldom do.
 @pytest.mark.parametrize("inst", [generate_random_instance(3, 3, seed=0),
                                   generate_random_instance(2, 5, seed=1),
                                   generate_random_instance(10, 9, seed=2),
-                                  _zero_weight_instance()],
-                         ids=["3x3", "2x5", "10x9", "zero-weights"])
+                                  _zero_weight_instance(),
+                                  generate_random_instance(12, 1, seed=3),
+                                  generate_random_instance(10, 2, seed=4),
+                                  generate_random_instance(1, 10, seed=5)],
+                         ids=["3x3", "2x5", "10x9", "zero-weights", "12x1", "10x2", "1x10"])
 def test_batched_monte_carlo_matches_scalar(inst):
     for k, side in enumerate(("C", "S")):
         ninit = inst.side_size(side)
@@ -212,6 +217,20 @@ def test_batched_monte_carlo_matches_scalar(inst):
     calls = _counting_kernel(pol)
     assert monte_carlo(inst, pol, 200, 5) == monte_carlo(inst, _ScalarOnly(pol), 200, 5)
     assert calls == [200]
+
+
+def test_batch_matches_do_not_depend_on_chunking():
+    """Merging the runs that share a history changes no run's matches: any
+    split of the runs, down to one run per call, gives the same matches."""
+    for inst in (generate_random_instance(6, 4, seed=6), generate_random_instance(10, 2, seed=7)):
+        for side in ("C", "S"):
+            pol = GreedyOneSidedPolicy(inst, side)
+            uniforms = _stream_uniforms([9], 0, 500, inst.n + inst.m)
+            whole = pol.batch_matches(uniforms)
+            for k in (1, 2, 137, 250, 499):
+                parts = np.concatenate([pol.batch_matches(uniforms[:k]), pol.batch_matches(uniforms[k:])])
+                assert np.array_equal(parts, whole)
+            assert np.array_equal([pol.batch_matches(u[None])[0] for u in uniforms[:40]], whole[:40])
 
 
 def test_budgeted_and_non_mnl_markets_run_the_scalar_path():

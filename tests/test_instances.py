@@ -279,6 +279,10 @@ def test_budget_validation():
         Instance(1, 1, (MNL((1.0,)),), (MNL((1.0,)),), (0,), (None,))
     inst = Instance(1, 1, (MNL((1.0,)),), (MNL((1.0,)),), (2,), (None,))
     assert inst.constrained
+    # isinstance(True, int) holds, but a bool is no budget.
+    for kc, ks in (((True,), (None,)), ((None,), (True,))):
+        with pytest.raises(ValueError):
+            Instance(1, 1, (MNL((1.0,)),), (MNL((1.0,)),), kc, ks)
 
 
 def test_cardinality_profile_modes():
@@ -288,6 +292,15 @@ def test_cardinality_profile_modes():
     CardinalityProfile("one-way", 1, None, initiating="C")
     with pytest.raises(ValueError):
         CardinalityProfile("unconstrained", 1, None)
+    for args in (("two-way", True, True), ("two-way", 2, True), ("one-way", True, None)):
+        with pytest.raises(ValueError):
+            generate_random_instance(2, 2, 0, CardinalityProfile(*args))
+    CardinalityProfile("one-way", None, 2, initiating="S")
+    for mode, initiating in (("one-way", "X"), ("one-way", None), ("two-way", "c")):
+        with pytest.raises(ValueError):
+            CardinalityProfile(mode, None, 2, initiating=initiating)
+    inst = generate_random_instance(2, 3, 0, CardinalityProfile("two-way", 1, 2))
+    assert (inst.k_customer, inst.k_supplier) == ((1, 1), (2, 2, 2))
 
 
 def test_model_length_mismatch_rejected():
