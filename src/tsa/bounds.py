@@ -22,6 +22,7 @@ from .errors import SizeRefusalError, UnsupportedOracleError
 from .exact import (DEFAULT_CAPS, SolveCaps, opt_fully_adaptive,
                     opt_fully_static, opt_one_sided_adaptive,
                     opt_one_sided_static)
+from .fullystatic import approx_fully_static
 from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
                      cointoss_exact_value, exact_greedy_value, sampling_side_selector)
 from .instances import UNBOUNDED, Instance
@@ -355,16 +356,15 @@ def alg_fully_adaptive_value(instance: Instance, seed: int = 0, deadline=None, o
 
 
 def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DEFAULT_CAPS,
-               seed: int = 0, with_algs: bool = True, with_bounds: bool = True,
-               deadline=None) -> GapReport:
+               seed: int = 0, deadline=None) -> GapReport:
     """Compute every size-feasible optimum, algorithm value and bound, then the
     ratio table and theorem-bound verdicts; unavailable entries stay None.
-    ``deadline`` reaches the adaptive DPs, the bounds, the fully static
-    approximation's LP and the Monte Carlo runs of the algorithm values, which
-    raise ``TimeLimitError`` once it has passed."""
+    ``deadline`` reaches the fully static enumeration, the adaptive DPs, the
+    bounds, the fully static approximation's LP and the Monte Carlo runs of
+    the algorithm values, which raise ``TimeLimitError`` once it has passed."""
     q: Dict[str, Optional[float]] = {k: None for k in QUANTITY_ORDER}
 
-    fs = _try(opt_fully_static, instance, caps)
+    fs = _try(opt_fully_static, instance, caps, deadline)
     q["OPT_FS"] = fs[0] if fs is not None else None
     os_c = _try(opt_one_sided_static, instance, "C", caps)
     os_s = _try(opt_one_sided_static, instance, "S", caps)
@@ -378,26 +378,21 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
     fa = _try(opt_fully_adaptive, instance, caps, deadline)
     q["OPT_FA"] = fa.value if fa is not None else None
 
-    rel = None
-    if with_bounds:
-        rel_c = _try(lp_relaxation_onesided, instance, "C", deadline)
-        rel_s = _try(lp_relaxation_onesided, instance, "S", deadline)
-        rel = rel_c
-        if rel_c is not None and rel_s is not None:
-            q["REL2"] = max(rel_c.value, rel_s.value)
-        q["UB_OA"] = _try(ub_oa, instance, deadline=deadline)
-        q["UB_FA"] = _try(ub_fa, instance, deadline)
+    rel_c = _try(lp_relaxation_onesided, instance, "C", deadline)
+    rel_s = _try(lp_relaxation_onesided, instance, "S", deadline)
+    rel = rel_c
+    if rel_c is not None and rel_s is not None:
+        q["REL2"] = max(rel_c.value, rel_s.value)
+    q["UB_OA"] = _try(ub_oa, instance, deadline=deadline)
+    q["UB_FA"] = _try(ub_fa, instance, deadline)
 
-    if with_algs:
-        from .fullystatic import approx_fully_static
-
-        sol = _try(approx_fully_static, instance, rng=np.random.default_rng([seed, 3]),
-                   deadline=deadline)
-        q["ALG_FS"] = sol.value if sol is not None else None
-        q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed, deadline)
-        oa_alg = _try(alg_one_sided_adaptive_value, instance, seed, deadline)
-        q["ALG_OA"] = oa_alg[0] if oa_alg is not None else None
-        q["ALG_FA"] = _try(alg_fully_adaptive_value, instance, seed, deadline, oa_alg)
+    sol = _try(approx_fully_static, instance, rng=np.random.default_rng([seed, 3]),
+               deadline=deadline)
+    q["ALG_FS"] = sol.value if sol is not None else None
+    q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed, deadline)
+    oa_alg = _try(alg_one_sided_adaptive_value, instance, seed, deadline)
+    q["ALG_OA"] = oa_alg[0] if oa_alg is not None else None
+    q["ALG_FA"] = _try(alg_fully_adaptive_value, instance, seed, deadline, oa_alg)
 
     ratios: Dict[str, Optional[float]] = {}
     for name, num, den in RATIO_DEFS:

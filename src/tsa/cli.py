@@ -132,7 +132,7 @@ _SOLVERS = ("fs", "os", "oa", "fa", "alg_fs", "ub_oa", "ub_fa", "rel2")
 def _solve_one(inst, what, caps: SolveCaps, seed: int, deadline=None):
     values = {}
     if "fs" in what:
-        values["OPT_FS"] = opt_fully_static(inst, caps)[0]
+        values["OPT_FS"] = opt_fully_static(inst, caps, deadline)[0]
     if "os" in what:
         values["OPT_OS"] = max(opt_one_sided_static(inst, "C", caps),
                                opt_one_sided_static(inst, "S", caps))

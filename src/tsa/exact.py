@@ -214,8 +214,15 @@ def opt_one_sided_static(instance: Instance, side: str,
 # Fully static enumeration
 
 
-def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
-    """Exact OPT over mutual-display edge sets; returns (value, edge list)."""
+# Patterns ``opt_fully_static`` values at once: bounds its (patterns, n, m)
+# temporaries, and the deadline is polled once per block.
+_FS_BLOCK = 1 << 12
+
+
+def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS, deadline=None):
+    """Exact OPT over mutual-display edge sets; returns (value, edge list).
+    Patterns are valued in blocks of ``_FS_BLOCK``, keeping the first maximum;
+    a ``deadline`` is checked before each block."""
     n, m = instance.n, instance.m
     nm = n * m
     if nm > caps.fs_max_edges:
@@ -223,20 +230,23 @@ def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
     if nm == 0:
         return 0.0, []
 
-    patterns = 1 << nm
-    grid = ((np.arange(patterns)[:, None] >> np.arange(nm)) & 1).astype(bool)
-    grid = grid.reshape(patterns, n, m)
-
-    feasible = np.ones(patterns, dtype=bool)
-    for i, k in enumerate(instance.k_customer):
-        if k is not UNBOUNDED:
-            feasible &= grid[:, i, :].sum(axis=1) <= k
-    for j, k in enumerate(instance.k_supplier):
-        if k is not UNBOUNDED:
-            feasible &= grid[:, :, j].sum(axis=1) <= k
-
-    vals = np.full(patterns, -np.inf)
-    vals[feasible] = static_values(instance, grid[feasible])
-    best = int(vals.argmax())
+    best_val, best = -np.inf, 0
+    for lo in range(0, 1 << nm, _FS_BLOCK):
+        if deadline is not None:
+            deadline.check()
+        codes = np.arange(lo, min(lo + _FS_BLOCK, 1 << nm))
+        grid = ((codes[:, None] >> np.arange(nm)) & 1).astype(bool).reshape(-1, n, m)
+        feasible = np.ones(len(codes), dtype=bool)
+        for i, k in enumerate(instance.k_customer):
+            if k is not UNBOUNDED:
+                feasible &= grid[:, i, :].sum(axis=1) <= k
+        for j, k in enumerate(instance.k_supplier):
+            if k is not UNBOUNDED:
+                feasible &= grid[:, :, j].sum(axis=1) <= k
+        vals = np.full(len(codes), -np.inf)
+        vals[feasible] = static_values(instance, grid[feasible])
+        top = int(vals.argmax())
+        if vals[top] > best_val:
+            best_val, best = vals[top], int(codes[top])
     edges = [(e // m, e % m) for e in range(nm) if best >> e & 1]
-    return float(vals[best]), edges
+    return float(best_val), edges

@@ -11,16 +11,14 @@ has one.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SizeRefusalError
 from .instances import UNBOUNDED, Instance
 from .lp import LpProblem, solve_lp
-from .policies import exact_value_edges
+from .policies import static_values
 
 # Threshold minimizing the combined regime loss, ~0.7574.
 DEFAULT_ALPHA = 0.7574
@@ -33,7 +31,6 @@ class FsSolution:
     edges: frozenset
     value: float
     regime: str
-    branch_values: dict = field(default_factory=dict)
 
 
 def partition_edges(instance: Instance):
@@ -183,133 +180,75 @@ def dependent_rounding(y: np.ndarray, rng, row_caps: Optional[Sequence] = None,
 # High-value subproblem
 
 
-def highvalue_subproblem(instance: Instance, edges: Iterable[Tuple[int, int]],
-                         side: str = "C", mode: str = "greedy"):
+def highvalue_subproblem(instance: Instance, edges: Iterable[Tuple[int, int]], side: str = "C"):
     """Maximize sum over ``side`` agents of F(total attached weight), F(z) =
     z/(1+z), where each opposite agent is assigned to at most one ``side``
     agent and side budgets bind.  Returns (edges, value).
 
     side="C": objective over customers with weights v_ij (high-w regime);
     side="S": objective over suppliers with weights w_ji (high-v regime).
+
+    Greedy: each step takes the feasible edge with the largest gain
+    F(z + weight) - F(z), the first in sorted edge order on ties, until no
+    gain exceeds 1e-15.
     """
     v, w = instance.require_mnl_weights("fully static approximation")
     edge_list = sorted(set(edges))
     if not edge_list:
         return frozenset(), 0.0
-
+    i, j = np.array(edge_list).T
     if side == "C":
-        agent_of = {e: e[0] for e in edge_list}
-        resource_of = {e: e[1] for e in edge_list}
-        weight = {e: v[e[0], e[1]] for e in edge_list}
-        caps = instance.k_customer
+        agent, resource, weight, caps = i, j, v[i, j], instance.k_customer
     else:
-        agent_of = {e: e[1] for e in edge_list}
-        resource_of = {e: e[0] for e in edge_list}
-        weight = {e: w[e[1], e[0]] for e in edge_list}
-        caps = instance.k_supplier
-
-    def objective(chosen) -> float:
-        load = {}
-        for e in chosen:
-            load[agent_of[e]] = load.get(agent_of[e], 0.0) + weight[e]
-        return sum(z / (1.0 + z) for z in load.values())
-
-    if mode == "exact":
-        if len(edge_list) > 20:
-            raise SizeRefusalError("exact subproblem mode refuses more than 20 edges")
-        resources = sorted({resource_of[e] for e in edge_list})
-        by_resource = {r: [e for e in edge_list if resource_of[e] == r] for r in resources}
-        best = (0.0, frozenset())
-
-        def recurse(pos: int, chosen: tuple, counts: dict):
-            nonlocal best
-            if pos == len(resources):
-                val = objective(chosen)
-                if val > best[0] + 1e-12:
-                    best = (val, frozenset(chosen))
-                return
-            recurse(pos + 1, chosen, counts)
-            for e in by_resource[resources[pos]]:
-                a = agent_of[e]
-                if caps[a] is not UNBOUNDED and counts.get(a, 0) >= caps[a]:
-                    continue
-                counts[a] = counts.get(a, 0) + 1
-                recurse(pos + 1, chosen + (e,), counts)
-                counts[a] -= 1
-
-        recurse(0, (), {})
-        return best[1], best[0]
-
-    # Lazy greedy over edges; matroid feasibility is checked on pop.
-    load = {}
-    counts = {}
-    used_resources = set()
-    chosen = set()
-    heap = []
-    for e in edge_list:
-        gain = weight[e] / (1.0 + weight[e])
-        heapq.heappush(heap, (-gain, e, 0))
-    version = 0
-    while heap:
-        neg_gain, e, stamp = heapq.heappop(heap)
-        if resource_of[e] in used_resources:
-            continue
-        a = agent_of[e]
-        if caps[a] is not UNBOUNDED and counts.get(a, 0) >= caps[a]:
-            continue
-        z = load.get(a, 0.0)
-        gain = (z + weight[e]) / (1.0 + z + weight[e]) - z / (1.0 + z)
-        if stamp < version and -neg_gain > gain + 1e-15:
-            heapq.heappush(heap, (-gain, e, version))
-            continue
-        if gain <= 1e-15:
-            continue
-        chosen.add(e)
-        used_resources.add(resource_of[e])
-        counts[a] = counts.get(a, 0) + 1
-        load[a] = z + weight[e]
-        version += 1
-    return frozenset(chosen), objective(chosen)
+        agent, resource, weight, caps = j, i, w[j, i], instance.k_supplier
+    room = np.array([np.inf if k is UNBOUNDED else k for k in caps], dtype=float)
+    load = np.zeros(len(caps))
+    feasible = np.ones(len(edge_list), dtype=bool)
+    chosen = []
+    while True:
+        z = load[agent]
+        gain = np.where(feasible, (z + weight) / (1.0 + z + weight) - z / (1.0 + z), -np.inf)
+        e = int(gain.argmax())
+        if gain[e] <= 1e-15:
+            break
+        chosen.append(edge_list[e])
+        a = agent[e]
+        load[a] += weight[e]
+        room[a] -= 1
+        feasible &= (resource != resource[e]) & (room[agent] > 0)
+    return frozenset(chosen), float((load / (1.0 + load)).sum())
 
 
 # ---------------------------------------------------------------------------
 # Combined algorithm
 
 
-def approx_fully_static(instance: Instance, rng=None, subproblem_mode: str = "greedy",
-                        deadline=None) -> FsSolution:
+def approx_fully_static(instance: Instance, rng=None, deadline=None) -> FsSolution:
     """Partition-based approximation: solve each regime, keep the candidate with
-    the highest realized exact value (edges outside the chosen regime are off).
-    ``deadline`` reaches the low-low LP, which dominates the cost of large
-    markets."""
+    the highest realized exact value, the first on ties (edges outside the
+    chosen regime are off).  ``deadline`` reaches the low-low LP, which
+    dominates the cost of large markets."""
     rng = rng if rng is not None else np.random.default_rng(0)
     e1, e2, e3 = partition_edges(instance)
-    candidates = []  # (regime, edges, exact value)
-
+    candidates = []  # (regime, edges)
     for regime, edges, side in (("high-w", e1, "C"), ("high-v", e2, "S")):
         if edges:
-            chosen, _ = highvalue_subproblem(instance, edges, side, subproblem_mode)
-            candidates.append((regime, chosen, exact_value_edges(instance, chosen)))
+            candidates.append((regime, highvalue_subproblem(instance, edges, side)[0]))
     if e3:
         y, _ = lowlow_lp(instance, e3, deadline)
-        best_edges, best_val = frozenset(), -1.0
         for _ in range(_TRIALS):
             if instance.constrained:
                 x = dependent_rounding(y, rng, instance.k_customer, instance.k_supplier)
             else:
                 x = independent_rounding(y, rng)
-            val = exact_value_edges(instance, x)
-            if val > best_val:
-                best_edges, best_val = x, val
-        candidates.append(("low-low", best_edges, best_val))
-
+            candidates.append(("low-low", x))
     if not candidates:
         return FsSolution(frozenset(), 0.0, "empty")
 
-    best = None
-    for regime, edges, val in candidates:
-        if best is None or val > best.value:
-            best = FsSolution(frozenset(edges), val, regime)
-    best.branch_values = {regime: val for regime, _, val in candidates}
-    return best
-
+    display = np.zeros((len(candidates), instance.n, instance.m), dtype=bool)
+    for t, (_, edges) in enumerate(candidates):
+        for i, j in edges:
+            display[t, i, j] = True
+    values = static_values(instance, display)
+    best = int(values.argmax())
+    return FsSolution(candidates[best][1], float(values[best]), candidates[best][0])

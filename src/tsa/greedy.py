@@ -98,8 +98,7 @@ class GreedyOneSidedPolicy:
         sums = np.zeros((1, nresp))  # per history: backlog weight sums, added in processing order
         picks = np.full((1, ninit), nresp)  # per history: responder each initiator chose, nresp for none
         for t, i in enumerate(self.order):
-            cdf = np.concatenate([_display_cdf(init_w[i], resp_w[:, i], sums[lo:lo + _BLOCK])
-                                  for lo in range(0, len(sums), _BLOCK)])
+            cdf = _display_cdf(init_w[i], resp_w[:, i], sums)
             # _sample_choice: the first option, in ascending id order, whose
             # cumulative choice probability exceeds the draw.  The rows do not
             # decrease, so that is the count of entries at most the draw, and
@@ -117,11 +116,6 @@ class GreedyOneSidedPolicy:
         for i in range(ninit):
             chance += np.where(picks[:, i, None] == ids, resp_w[:, i] / denom, 0.0)
         return (uniforms[:, ninit:] < chance[hist]).sum(axis=1)
-
-
-# Histories whose displays ``batch_matches`` computes at once: it bounds the
-# (histories, responders) temporaries of the prefix rule.
-_BLOCK = 1024
 
 
 def _display_cdf(init_w: np.ndarray, resp_w: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -165,15 +159,11 @@ def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[i
     models = [instance.model(side, i) for i in range(ninit)]
     budgets = [instance.budget(side, i) for i in range(ninit)]
 
-    memo = {}
-
+    # (t, masks) fixes the whole history, the responder each earlier
+    # initiator picked, so no state is reached twice and nothing is memoized.
     def value(t: int, masks: tuple) -> float:
         if t == ninit:
             return sum(F[j][masks[j]] for j in range(nresp))
-        key = (t, masks)
-        v = memo.get(key)
-        if v is not None:
-            return v
         if deadline is not None:
             deadline.check()
         i = order[t]
@@ -192,11 +182,10 @@ def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[i
                 total += p * value(t + 1, tuple(grown))
         if out_p > 1e-15:
             total += out_p * value(t + 1, masks)
-        memo[key] = total
         return total
 
-    # Dropping the name breaks the closure's reference to itself, so the memo
-    # is freed on return rather than by the cyclic collector.
+    # Dropping the name breaks the closure's reference to itself, so what it
+    # holds is freed on return rather than by the cyclic collector.
     result = value(0, tuple([0] * nresp))
     del value
     return result

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,18 +82,18 @@ def mnl_best(items, budget=UNBOUNDED):
 
 
 def best_weighted_assortment(model: ChoiceSpec, theta: Sequence[float],
-                             budget=UNBOUNDED, ground: Optional[Iterable[int]] = None) -> OracleResult:
-    """Maximize sum_{j in S} theta_j * phi(j, S) over S subseteq ground, |S| <= budget."""
-    ground = sorted(ground) if ground is not None else list(range(model.num_options))
-    if any(theta[j] < -_TOL for j in ground):
+                             budget=UNBOUNDED) -> OracleResult:
+    """Maximize sum_{j in S} theta_j * phi(j, S) over assortments S, |S| <= budget."""
+    options = range(model.num_options)
+    if any(theta[j] < -_TOL for j in options):
         raise ValueError("theta must be componentwise nonnegative")
     if not is_mnl(model):
-        if len(ground) > ENUMERATION_LIMIT:
+        if len(options) > ENUMERATION_LIMIT:
             raise UnsupportedOracleError(
-                f"no exact oracle for {type(model).__name__} with {len(ground)} options")
-        return _enumerate_best(model, theta, ground, budget)
+                f"no exact oracle for {type(model).__name__} with {len(options)} options")
+        return _enumerate_best(model, theta, options, budget)
     w = model.weights
-    value, chosen = mnl_best([(theta[j], w[j], j) for j in ground if w[j] > 0 and theta[j] > 0],
+    value, chosen = mnl_best([(theta[j], w[j], j) for j in options if w[j] > 0 and theta[j] > 0],
                              budget)
     return OracleResult(frozenset(j for _, _, j in chosen), value)
 

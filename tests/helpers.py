@@ -1,12 +1,13 @@
 """Test-only code kept out of the package: a submodularity checker, the exact
 evaluator of a deterministic policy by its full choice tree, two fixed-assortment
-policies, and the distribution residual of a one-sided relaxation.  No
-pipeline calls them; the tests use them as independent checks."""
+policies, the distribution residual of a one-sided relaxation, and the exact
+high-value subproblem of the fully static approximation.  No pipeline calls
+them; the tests use them as independent checks."""
 
 from typing import Callable, Dict, Iterable
 
 from tsa.errors import ContractViolationError, SizeRefusalError
-from tsa.instances import Instance
+from tsa.instances import UNBOUNDED, Instance
 from tsa.policies import (PolicyAction, PolicyState, _apply_choice, _validate_action,
                           respond_with_backlog)
 
@@ -154,3 +155,55 @@ def distribution_residual(relax) -> float:
         for s in sums.values():
             worst = max(worst, abs(s - 1.0))
     return worst
+
+
+def exact_highvalue_subproblem(instance: Instance, edges, side: str = "C"):
+    """``tsa.fullystatic.highvalue_subproblem``'s problem solved exactly, by
+    exhaustive search over each resource's assignment; refuses more than 20
+    edges.  Returns (edges, value)."""
+    v, w = instance.require_mnl_weights("fully static approximation")
+    edge_list = sorted(set(edges))
+    if not edge_list:
+        return frozenset(), 0.0
+
+    if side == "C":
+        agent_of = {e: e[0] for e in edge_list}
+        resource_of = {e: e[1] for e in edge_list}
+        weight = {e: v[e[0], e[1]] for e in edge_list}
+        caps = instance.k_customer
+    else:
+        agent_of = {e: e[1] for e in edge_list}
+        resource_of = {e: e[0] for e in edge_list}
+        weight = {e: w[e[1], e[0]] for e in edge_list}
+        caps = instance.k_supplier
+
+    def objective(chosen) -> float:
+        load = {}
+        for e in chosen:
+            load[agent_of[e]] = load.get(agent_of[e], 0.0) + weight[e]
+        return sum(z / (1.0 + z) for z in load.values())
+
+    if len(edge_list) > 20:
+        raise SizeRefusalError("exact subproblem mode refuses more than 20 edges")
+    resources = sorted({resource_of[e] for e in edge_list})
+    by_resource = {r: [e for e in edge_list if resource_of[e] == r] for r in resources}
+    best = (0.0, frozenset())
+
+    def recurse(pos: int, chosen: tuple, counts: dict):
+        nonlocal best
+        if pos == len(resources):
+            val = objective(chosen)
+            if val > best[0] + 1e-12:
+                best = (val, frozenset(chosen))
+            return
+        recurse(pos + 1, chosen, counts)
+        for e in by_resource[resources[pos]]:
+            a = agent_of[e]
+            if caps[a] is not UNBOUNDED and counts.get(a, 0) >= caps[a]:
+                continue
+            counts[a] = counts.get(a, 0) + 1
+            recurse(pos + 1, chosen + (e,), counts)
+            counts[a] -= 1
+
+    recurse(0, (), {})
+    return best[1], best[0]

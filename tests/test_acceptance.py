@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import low_value_instance
-from helpers import is_submodular
+from helpers import exact_highvalue_subproblem, is_submodular
 from tsa.bounds import lp_relaxation_onesided, ub_fa, ub_oa
 from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
                        opt_one_sided_adaptive, opt_one_sided_static)
@@ -134,7 +134,8 @@ def test_criterion_4_submodularity_counterexample():
     _passline(4, "constrained-demand counterexample with documented witness")
 
 
-def test_criterion_5_fully_static_approximation():
+def test_criterion_5_fully_static_approximation(monkeypatch):
+    monkeypatch.setattr("tsa.fullystatic.highvalue_subproblem", exact_highvalue_subproblem)
     ratios = []
     slowest = 0.0
     for size in (2, 3, 4):
@@ -143,8 +144,7 @@ def test_criterion_5_fully_static_approximation():
             inst = generate_random_instance(size, size, seed)
             opt, _ = opt_fully_static(inst)
             t0 = time.perf_counter()
-            sol = approx_fully_static(inst, rng=np.random.default_rng([seed, 5]),
-                                      subproblem_mode="exact")
+            sol = approx_fully_static(inst, rng=np.random.default_rng([seed, 5]))
             slowest = max(slowest, time.perf_counter() - t0)
             assert sol.value >= 0.067 * opt - TOL, seed
             ratios.append(sol.value / opt if opt > 1e-12 else 1.0)

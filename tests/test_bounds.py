@@ -119,8 +119,7 @@ def test_gap_report_verdicts_pass_on_random_battery():
 
 
 def test_gap_report_availability_mirrors_caps():
-    rep = gap_report(generate_random_instance(5, 5, seed=0), "big",
-                     with_algs=False, with_bounds=True)
+    rep = gap_report(generate_random_instance(5, 5, seed=0), "big")
     assert rep.quantities["OPT_FS"] is None     # nm = 25 > 20
     assert rep.quantities["OPT_OS"] is None     # sides > 4
     assert rep.quantities["OPT_FA"] is None     # n+m = 10 > 8
@@ -161,7 +160,7 @@ def test_gap_report_values_each_greedy_once(monkeypatch, n, seed, kind, side):
 
     inst = generate_random_instance(n, n, seed)
     counts = _count_greedy_values(monkeypatch)
-    rep = gap_report(inst, "r", seed=seed, with_bounds=False)
+    rep = gap_report(inst, "r", seed=seed)
     assert counts[kind] == 2  # 3 when ALG_FA valued both sides afresh
     oa, meta = alg_one_sided_adaptive_value(inst, seed)
     assert meta["side"] == side

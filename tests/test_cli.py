@@ -138,6 +138,14 @@ def test_unknown_policy_is_config_error(tmp_path):
                 "--runs", "0"]) == 2
 
 
+def test_time_limit_stops_fully_static_enumeration(tmp_path):
+    # The 2^20 edge sets of a 4x5 market take about a second to value.
+    path = tmp_path / "inst.json"
+    save_instance(generate_random_instance(4, 5, seed=0), path)
+    assert run(["solve", "--instance", str(path), "--what", "fs",
+                "--time-limit", "0.1"]) == 4
+
+
 def test_time_limit_stops_ub_oa(tmp_path):
     path = tmp_path / "big.json"
     save_instance(generate_random_instance(12, 12, seed=0), path)

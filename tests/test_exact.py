@@ -10,8 +10,8 @@ from conftest import independent_model
 from tsa.errors import SizeRefusalError
 from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
                        opt_one_sided_adaptive, opt_one_sided_static)
-from tsa.instances import (MNL, Instance, Mixture, generate_random_instance,
-                           tight_instance)
+from tsa.instances import (MNL, CardinalityProfile, Instance, Mixture,
+                           generate_random_instance, tight_instance)
 from tsa.policies import exact_value_edges
 
 E_RATIO = math.e / (math.e - 1.0)
@@ -96,6 +96,16 @@ def test_opt_fs_matches_brute_force_for_general_models():
         val, edges = opt_fully_static(inst)
         assert val == pytest.approx(_brute_force_fully_static(inst), abs=1e-12)
         assert exact_value_edges(inst, edges) == pytest.approx(val, abs=1e-12)
+
+
+@pytest.mark.parametrize("profile", [CardinalityProfile(), CardinalityProfile("two-way", 1, 2)])
+def test_opt_fs_blocks_keep_the_first_maximum(monkeypatch, profile):
+    """Blocks of 32 patterns (under budgets of 1, some hold no feasible
+    pattern) give the value and edges of the default's single block."""
+    inst = generate_random_instance(3, 4, seed=5, profile=profile)
+    want = opt_fully_static(inst)
+    monkeypatch.setattr("tsa.exact._FS_BLOCK", 32)
+    assert opt_fully_static(inst) == want
 
 
 def test_size_refusals():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import low_value_instance
+from helpers import exact_highvalue_subproblem
 from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
 from tsa.exact import opt_fully_static
 from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static, dependent_rounding,
@@ -122,7 +123,7 @@ def test_dependent_rounding_negative_row_correlation():
 
 def test_highvalue_subproblem_examples():
     inst = Instance(2, 1, (MNL((1.0,)), MNL((2.0,))), (MNL((1.0, 1.0)),))
-    edges, val = highvalue_subproblem(inst, [(0, 0), (1, 0)], side="C", mode="exact")
+    edges, val = exact_highvalue_subproblem(inst, [(0, 0), (1, 0)], side="C")
     assert edges == {(1, 0)}
     assert val == pytest.approx(2.0 / 3.0)
     assert highvalue_subproblem(inst, [], side="C")[1] == 0.0
@@ -132,8 +133,8 @@ def test_highvalue_greedy_at_least_half_of_exact():
     for seed in range(10):
         inst = generate_random_instance(3, 3, seed=seed)
         edges = [(i, j) for i in range(3) for j in range(3)]
-        _, val_g = highvalue_subproblem(inst, edges, side="C", mode="greedy")
-        _, val_e = highvalue_subproblem(inst, edges, side="C", mode="exact")
+        _, val_g = highvalue_subproblem(inst, edges, side="C")
+        _, val_e = exact_highvalue_subproblem(inst, edges, side="C")
         assert val_g >= 0.5 * val_e - 1e-9
         assert val_g <= val_e + 1e-9
 
@@ -142,14 +143,14 @@ def test_highvalue_exact_refuses_large():
     inst = generate_random_instance(5, 5, seed=0)
     edges = [(i, j) for i in range(5) for j in range(5)]
     with pytest.raises(SizeRefusalError):
-        highvalue_subproblem(inst, edges, side="C", mode="exact")
+        exact_highvalue_subproblem(inst, edges, side="C")
 
 
 def test_zc_upper_bounds_opt_fs():
     for seed in range(10):
         inst = generate_random_instance(3, 3, seed=seed)
         edges = [(i, j) for i in range(3) for j in range(3)]
-        _, zc = highvalue_subproblem(inst, edges, side="C", mode="exact")
+        _, zc = exact_highvalue_subproblem(inst, edges, side="C")
         opt, _ = opt_fully_static(inst)
         assert zc >= opt - 1e-9
 
@@ -167,11 +168,11 @@ def test_partition_is_exact():
         assert v[i, j] < DEFAULT_ALPHA and w[j, i] < DEFAULT_ALPHA
 
 
-def test_approx_fs_guarantee_and_value_consistency():
+def test_approx_fs_guarantee_and_value_consistency(monkeypatch):
+    monkeypatch.setattr("tsa.fullystatic.highvalue_subproblem", exact_highvalue_subproblem)
     for seed in range(15):
         inst = generate_random_instance(3, 3, seed=seed)
-        sol = approx_fully_static(inst, rng=np.random.default_rng(seed),
-                                  subproblem_mode="exact")
+        sol = approx_fully_static(inst, rng=np.random.default_rng(seed))
         opt, _ = opt_fully_static(inst)
         assert sol.value >= 0.067 * opt - 1e-9
         assert sol.value == pytest.approx(exact_value_edges(inst, sol.edges), abs=1e-9)
