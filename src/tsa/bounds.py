@@ -30,6 +30,7 @@ from .lp import LpProblem, solve_lp
 from .oracles import demand_table, prob_table
 from .policies import (exact_value_one_sided_static, monte_carlo, one_sided_values,
                        simulate_once)
+from .util import check_deadline
 
 # The largest side the relaxation enumerates the subsets of, Frank-Wolfe
 # iterations per UB_OA orientation, the side selector's sampling runs per side,
@@ -48,7 +49,7 @@ class RelaxationSolution:
     value: float
 
 
-def lp_relaxation_onesided(instance: Instance, side: str = "C", deadline=None) -> RelaxationSolution:
+def lp_relaxation_onesided(instance: Instance, side: str = "C") -> RelaxationSolution:
     """Exact optimum of the one-sided relaxation by explicit subset enumeration,
     under the instance's budgets.
 
@@ -82,7 +83,7 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C", deadline=None) -
     problem = LpProblem(np.concatenate([f.ravel(), np.zeros(nt)]), np.zeros((0, nl + nt)), np.zeros(0))
     problem.add_equality(np.hstack([lam, tau]), np.repeat([1.0, 0.0], [nresp + ninit, ninit * nresp]))
 
-    sol = solve_lp(problem, deadline)
+    sol = solve_lp(problem)
     if sol.status != "optimal":
         raise RuntimeError(f"relaxation LP came back {sol.status}")
 
@@ -176,7 +177,7 @@ def _move_weight(block: dict, key: bytes, image: np.ndarray, t: float, away=None
         del block[k]
 
 
-def _ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int, deadline=None):
+def _ub_oa_oriented(v: np.ndarray, w: np.ndarray):
     """(certified bound, iterations, final gap) on the oriented concave program
     max f = sum_j z_j/(1+z_j), z_j = sum_i v_ij w_ji y_ij, over the load polytope.
 
@@ -201,9 +202,8 @@ def _ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int, deadline=None):
     load = np.zeros((n, m))  # each block's share of z
     z = np.zeros(m)
     best, certified, gap, it = 0.0, np.inf, np.inf, 0
-    for it in range(1, iters + 1):
-        if deadline is not None:
-            deadline.check()
+    for it in range(1, _UB_OA_ITERS + 1):
+        check_deadline()
         grad = 1.0 / (1.0 + z) ** 2
         s = _block_oracle(coef * grad, v)
         image = coef * s
@@ -239,14 +239,13 @@ def _ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int, deadline=None):
     return float(max(certified, best)), it, gap
 
 
-def ub_oa(instance: Instance, deadline=None) -> float:
+def ub_oa(instance: Instance) -> float:
     """Upper bound on the one-sided adaptive optimum: max of both orientations."""
     v, w = instance.require_mnl_weights("this bound")
-    return max(_ub_oa_oriented(v, w, _UB_OA_ITERS, deadline)[0],
-               _ub_oa_oriented(w, v, _UB_OA_ITERS, deadline)[0])
+    return max(_ub_oa_oriented(v, w)[0], _ub_oa_oriented(w, v)[0])
 
 
-def ub_fa(instance: Instance, deadline=None) -> float:
+def ub_fa(instance: Instance) -> float:
     """LP upper bound on the fully adaptive optimum:
     max sum x_ij s.t. x_ij <= v_ij (1 - sum_l x_il), x_ij <= w_ji (1 - sum_k x_kj)."""
     v, w = instance.require_mnl_weights("this bound")
@@ -259,7 +258,7 @@ def ub_fa(instance: Instance, deadline=None) -> float:
     rows = np.stack([v.ravel()[:, None] * (i[:, None] == i) + eye,
                      w.T.ravel()[:, None] * (j[:, None] == j) + eye], axis=1)
     rhs = np.stack([v.ravel(), w.T.ravel()], axis=1)
-    sol = solve_lp(LpProblem(np.ones(n * m), rows.reshape(-1, n * m), rhs.ravel()), deadline)
+    sol = solve_lp(LpProblem(np.ones(n * m), rows.reshape(-1, n * m), rhs.ravel()))
     if sol.status != "optimal":
         raise RuntimeError(f"UB_FA LP came back {sol.status}")
     return float(sol.value)
@@ -304,14 +303,13 @@ def _try(fn, *args, **kwargs):
         return None
 
 
-def alg_one_sided_static_value(instance: Instance, seed: int = 0, deadline=None) -> float:
+def alg_one_sided_static_value(instance: Instance, seed: int = 0) -> float:
     """Static assortments harvested from one greedy run per side; best exact
-    value.  A ``deadline`` is checked before each run and inside the exact
+    value.  The deadline is polled before each run and inside the exact
     evaluation."""
     best = 0.0
     for k, side in enumerate(("C", "S")):
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
         pol = GreedyOneSidedPolicy(instance, side)
         rng = np.random.default_rng([seed, 7, k])
         _, trace = simulate_once(instance, pol, rng)
@@ -321,23 +319,22 @@ def alg_one_sided_static_value(instance: Instance, seed: int = 0, deadline=None)
             agent_side, idx = rec["agent"]
             if agent_side == side:
                 assorts[idx] = frozenset(rec["assortment"])
-        best = max(best, exact_value_one_sided_static(instance, side, assorts, deadline))
+        best = max(best, exact_value_one_sided_static(instance, side, assorts))
     return best
 
 
-def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0, deadline=None):
+def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0):
     """Value of the sampling side-selector's committed greedy: exact when the
     initiating side is small enough, else Monte Carlo."""
-    policy = sampling_side_selector(instance, SamplingConfig(runs_override=_SELECTOR_RUNS),
-                                    seed, deadline)
+    policy = sampling_side_selector(instance, SamplingConfig(runs_override=_SELECTOR_RUNS), seed)
     side = policy.metadata["side"]
     if instance.side_size(side) <= MAX_EXACT_SIDE:
-        return exact_greedy_value(instance, side, deadline=deadline), policy.metadata
-    res = monte_carlo(instance, policy, _MC_RUNS, seed, deadline)
+        return exact_greedy_value(instance, side), policy.metadata
+    res = monte_carlo(instance, policy, _MC_RUNS, seed)
     return res.mean, {**policy.metadata, "ci_half_width": res.half_width}
 
 
-def alg_fully_adaptive_value(instance: Instance, seed: int = 0, deadline=None, oa=None):
+def alg_fully_adaptive_value(instance: Instance, seed: int = 0, oa=None):
     """Expected value of the coin-toss policy: exact average of both sides when
     both are small enough, else Monte Carlo per side (side k on streams
     (seed + k, r)).  ``oa``, the result of ``alg_one_sided_adaptive_value``
@@ -347,52 +344,48 @@ def alg_fully_adaptive_value(instance: Instance, seed: int = 0, deadline=None, o
     shared = oa is not None and (small or (oa[1]["side"] == "C" and instance.n > MAX_EXACT_SIDE))
     known = {oa[1]["side"]: oa[0]} if shared else {}
     if small:
-        return cointoss_exact_value(instance, deadline, known)
+        return cointoss_exact_value(instance, known)
     vals = [known[side] if side in known else
-            monte_carlo(instance, GreedyOneSidedPolicy(instance, side), _MC_RUNS, seed + k,
-                        deadline).mean
+            monte_carlo(instance, GreedyOneSidedPolicy(instance, side), _MC_RUNS, seed + k).mean
             for k, side in enumerate(("C", "S"))]
     return 0.5 * sum(vals)
 
 
 def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DEFAULT_CAPS,
-               seed: int = 0, deadline=None) -> GapReport:
+               seed: int = 0) -> GapReport:
     """Compute every size-feasible optimum, algorithm value and bound, then the
     ratio table and theorem-bound verdicts; unavailable entries stay None.
-    ``deadline`` reaches the fully static enumeration, the adaptive DPs, the
-    bounds, the fully static approximation's LP and the Monte Carlo runs of
-    the algorithm values, which raise ``TimeLimitError`` once it has passed."""
+    Past the active deadline the first poll raises ``TimeLimitError``."""
     q: Dict[str, Optional[float]] = {k: None for k in QUANTITY_ORDER}
 
-    fs = _try(opt_fully_static, instance, caps, deadline)
+    fs = _try(opt_fully_static, instance, caps)
     q["OPT_FS"] = fs[0] if fs is not None else None
     os_c = _try(opt_one_sided_static, instance, "C", caps)
     os_s = _try(opt_one_sided_static, instance, "S", caps)
     if os_c is not None and os_s is not None:
         q["OPT_OS"] = max(os_c, os_s)
-    oa_c = _try(opt_one_sided_adaptive, instance, "C", caps, deadline)
-    oa_s = _try(opt_one_sided_adaptive, instance, "S", caps, deadline)
+    oa_c = _try(opt_one_sided_adaptive, instance, "C", caps)
+    oa_s = _try(opt_one_sided_adaptive, instance, "S", caps)
     oa_c_val = oa_c.value if oa_c is not None else None
     if oa_c is not None and oa_s is not None:
         q["OPT_OA"] = max(oa_c.value, oa_s.value)
-    fa = _try(opt_fully_adaptive, instance, caps, deadline)
+    fa = _try(opt_fully_adaptive, instance, caps)
     q["OPT_FA"] = fa.value if fa is not None else None
 
-    rel_c = _try(lp_relaxation_onesided, instance, "C", deadline)
-    rel_s = _try(lp_relaxation_onesided, instance, "S", deadline)
+    rel_c = _try(lp_relaxation_onesided, instance, "C")
+    rel_s = _try(lp_relaxation_onesided, instance, "S")
     rel = rel_c
     if rel_c is not None and rel_s is not None:
         q["REL2"] = max(rel_c.value, rel_s.value)
-    q["UB_OA"] = _try(ub_oa, instance, deadline=deadline)
-    q["UB_FA"] = _try(ub_fa, instance, deadline)
+    q["UB_OA"] = _try(ub_oa, instance)
+    q["UB_FA"] = _try(ub_fa, instance)
 
-    sol = _try(approx_fully_static, instance, rng=np.random.default_rng([seed, 3]),
-               deadline=deadline)
+    sol = _try(approx_fully_static, instance, rng=np.random.default_rng([seed, 3]))
     q["ALG_FS"] = sol.value if sol is not None else None
-    q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed, deadline)
-    oa_alg = _try(alg_one_sided_adaptive_value, instance, seed, deadline)
+    q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed)
+    oa_alg = _try(alg_one_sided_adaptive_value, instance, seed)
     q["ALG_OA"] = oa_alg[0] if oa_alg is not None else None
-    q["ALG_FA"] = _try(alg_fully_adaptive_value, instance, seed, deadline, oa_alg)
+    q["ALG_FA"] = _try(alg_fully_adaptive_value, instance, seed, oa_alg)
 
     ratios: Dict[str, Optional[float]] = {}
     for name, num, den in RATIO_DEFS:

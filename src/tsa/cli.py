@@ -129,29 +129,27 @@ def cmd_generate(args) -> int:
 _SOLVERS = ("fs", "os", "oa", "fa", "alg_fs", "ub_oa", "ub_fa", "rel2")
 
 
-def _solve_one(inst, what, caps: SolveCaps, seed: int, deadline=None):
+def _solve_one(inst, what, caps: SolveCaps, seed: int):
     values = {}
     if "fs" in what:
-        values["OPT_FS"] = opt_fully_static(inst, caps, deadline)[0]
+        values["OPT_FS"] = opt_fully_static(inst, caps)[0]
     if "os" in what:
         values["OPT_OS"] = max(opt_one_sided_static(inst, "C", caps),
                                opt_one_sided_static(inst, "S", caps))
     if "oa" in what:
-        values["OPT_OA"] = max(opt_one_sided_adaptive(inst, "C", caps, deadline).value,
-                               opt_one_sided_adaptive(inst, "S", caps, deadline).value)
+        values["OPT_OA"] = max(opt_one_sided_adaptive(inst, "C", caps).value,
+                               opt_one_sided_adaptive(inst, "S", caps).value)
     if "fa" in what:
-        values["OPT_FA"] = opt_fully_adaptive(inst, caps, deadline).value
+        values["OPT_FA"] = opt_fully_adaptive(inst, caps).value
     if "alg_fs" in what:
-        values["ALG_FS"] = approx_fully_static(inst, rng=np.random.default_rng([seed, 3]),
-                                               deadline=deadline).value
+        values["ALG_FS"] = approx_fully_static(inst, rng=np.random.default_rng([seed, 3])).value
     if "ub_oa" in what:
-        values["UB_OA"] = ub_oa(inst, deadline=deadline)
+        values["UB_OA"] = ub_oa(inst)
     if "ub_fa" in what:
-        values["UB_FA"] = ub_fa(inst, deadline=deadline)
+        values["UB_FA"] = ub_fa(inst)
     if "rel2" in what:
-        values["REL2"] = max(
-            lp_relaxation_onesided(inst, "C", deadline).value,
-            lp_relaxation_onesided(inst, "S", deadline).value)
+        values["REL2"] = max(lp_relaxation_onesided(inst, "C").value,
+                             lp_relaxation_onesided(inst, "S").value)
     return values
 
 
@@ -163,20 +161,13 @@ def cmd_solve(args) -> int:
         raise ValueError(f"unknown solver(s) {bad}; choose from {_SOLVERS}")
     caps = SolveCaps(fa_max_agents=args.fa_cap, oa_max_side=args.oa_cap,
                      os_max_side=args.os_cap, fs_max_edges=args.fs_cap)
-    deadline = Deadline(args.time_limit) if args.time_limit else None
-    try:
-        values = _solve_one(inst, what, caps, args.seed or 0, deadline)
-    except SizeRefusalError as exc:
-        print(f"size refusal: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except TimeLimitError as exc:
-        print(f"time limit: {exc}", file=sys.stderr)
-        return EXIT_TIME
+    with Deadline(args.time_limit or None):
+        values = _solve_one(inst, what, caps, args.seed or 0)
     print(json.dumps({k: round(v, 12) for k, v in sorted(values.items())}, sort_keys=True))
     return EXIT_OK
 
 
-def _build_policy(inst, name: str, seed: int, deadline=None):
+def _build_policy(inst, name: str, seed: int):
     if name == "greedy-c":
         return GreedyOneSidedPolicy(inst, "C")
     if name == "greedy-s":
@@ -187,15 +178,15 @@ def _build_policy(inst, name: str, seed: int, deadline=None):
     if name == "cointoss":
         return cointoss_fully_adaptive(inst, seed)
     if name == "sampling":
-        return sampling_side_selector(inst, SamplingConfig(runs_override=100), seed, deadline)
+        return sampling_side_selector(inst, SamplingConfig(runs_override=100), seed)
     raise ValueError(f"unknown policy {name!r}")
 
 
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
-    deadline = Deadline(args.time_limit) if args.time_limit else None
-    policy = _build_policy(inst, args.policy, args.seed or 0, deadline)
-    res = monte_carlo(inst, policy, args.runs, args.seed or 0, deadline)
+    with Deadline(args.time_limit or None):
+        policy = _build_policy(inst, args.policy, args.seed or 0)
+        res = monte_carlo(inst, policy, args.runs, args.seed or 0)
     if args.trace:
         rng = np.random.default_rng([args.seed or 0, 0])
         _, trace = simulate_once(inst, policy, rng)
@@ -212,7 +203,8 @@ def cmd_simulate(args) -> int:
 
 def _gap_one(task):
     label, payload, seed, deadline = task
-    return gap_report(instance_from_dict(payload), label, DEFAULT_CAPS, seed, deadline=deadline)
+    with deadline:
+        return gap_report(instance_from_dict(payload), label, DEFAULT_CAPS, seed)
 
 
 def _generated(cfg: ExperimentConfig):
@@ -221,11 +213,11 @@ def _generated(cfg: ExperimentConfig):
         yield label, generate_random_instance(n, m, seed, cfg.profile()), seed
 
 
-def _run_reports(items, jobs: int, deadline=None):
+def _run_reports(items, jobs: int, deadline: Deadline):
     """(reports, timed_out): one gap report per (label, instance, seed) item, in
     order, up to the first that hit ``deadline``.  Every task carries the
-    ``deadline`` itself (its monotonic start holds in worker processes too);
-    with ``jobs`` > 1 the first timeout cancels the tasks not yet started."""
+    ``deadline`` and enters it (its monotonic start holds in worker processes
+    too); with ``jobs`` > 1 the first timeout cancels the tasks not yet started."""
     tasks = ((label, instance_to_dict(inst), seed, deadline) for label, inst, seed in items)
     reports = []
     try:
@@ -247,13 +239,12 @@ def _run_reports(items, jobs: int, deadline=None):
 def cmd_gaps(args) -> int:
     cfg = _load_config(args)
     os.makedirs(cfg.out, exist_ok=True)
-    deadline = Deadline(cfg.time_limit) if cfg.time_limit else None
     if args.instance:
         items = ((os.path.splitext(os.path.basename(path))[0], load_instance(path), cfg.seed + k)
                  for k, path in enumerate(args.instance))
     else:
         items = _generated(cfg)
-    reports, timed_out = _run_reports(items, cfg.jobs, deadline)
+    reports, timed_out = _run_reports(items, cfg.jobs, Deadline(cfg.time_limit or None))
     path = os.path.join(cfg.out, "gaps.csv")
     with open(path, "w", encoding="utf-8") as fh:
         reports_to_csv(reports, fh)
@@ -279,8 +270,7 @@ def _summary_rows(reports_by_size, names):
 def cmd_tables(args) -> int:
     cfg = _load_config(args)
     os.makedirs(cfg.out, exist_ok=True)
-    deadline = Deadline(cfg.time_limit) if cfg.time_limit else None
-    reports, timed_out = _run_reports(_generated(cfg), cfg.jobs, deadline)
+    reports, timed_out = _run_reports(_generated(cfg), cfg.jobs, Deadline(cfg.time_limit or None))
     with open(os.path.join(cfg.out, "instances.csv"), "w", encoding="utf-8") as fh:
         reports_to_csv(reports, fh)
     # _instances_of lists cfg.seeds instances per size, size by size.

@@ -21,6 +21,7 @@ from .errors import SizeRefusalError
 from .instances import UNBOUNDED, Instance, is_mnl
 from .oracles import _TOL, _agent_oracle, _budget_masks, demand_table, prob_table
 from .policies import PolicyAction, one_sided_values, static_values
+from .util import check_deadline
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class DpValue:
 _KEY_BITS = 63  # the widest key a non-negative int64 holds
 
 
-def _adaptive_dp(instance: Instance, first, deadline) -> DpValue:
+def _adaptive_dp(instance: Instance, first) -> DpValue:
     """Value-to-go DP on packed (done agents, backlog profile) states, by layers.
 
     With ``first=None`` any unprocessed agent may move (fully adaptive).  With
@@ -101,8 +102,7 @@ def _adaptive_dp(instance: Instance, first, deadline) -> DpValue:
     for _ in movers:
         keys, parts = layers[-1], []
         for a in movers:
-            if deadline is not None:
-                deadline.check()
+            check_deadline()
             _, opp_done, kid, _ = plans[a]
             rows = keys[keys & done[a] == 0]
             base = (rows & ~own[a]) | done[a]
@@ -128,8 +128,7 @@ def _adaptive_dp(instance: Instance, first, deadline) -> DpValue:
         keys, nxt = layers[d], layers[d + 1]
         best = np.zeros(len(keys))
         for a in movers:
-            if deadline is not None:
-                deadline.check()
+            check_deadline()
             rows_oracle, opp_done, kid, match = plans[a]
             sel = np.flatnonzero(keys & done[a] == 0)
             rows = keys[sel]
@@ -166,17 +165,16 @@ def _adaptive_dp(instance: Instance, first, deadline) -> DpValue:
     return DpValue(float(opt), states, action)
 
 
-def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS,
-                       deadline=None) -> DpValue:
+def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS) -> DpValue:
     """Exact OPT over fully adaptive policies."""
     total = instance.n + instance.m
     if total > caps.fa_max_agents:
         raise SizeRefusalError(f"fully adaptive DP refuses n+m={total} > {caps.fa_max_agents}")
-    return _adaptive_dp(instance, None, deadline)
+    return _adaptive_dp(instance, None)
 
 
 def opt_one_sided_adaptive(instance: Instance, side: str,
-                           caps: SolveCaps = DEFAULT_CAPS, deadline=None) -> DpValue:
+                           caps: SolveCaps = DEFAULT_CAPS) -> DpValue:
     """Exact OPT over policies that adaptively process ``side`` first; each
     responder then sees its backlog (budget-constrained best subset if capped)."""
     ninit = instance.side_size(side)
@@ -185,7 +183,7 @@ def opt_one_sided_adaptive(instance: Instance, side: str,
     if instance.side_size("S" if side == "C" else "C") > 16 and \
             not all(is_mnl(instance.model(side, i)) for i in range(ninit)):
         raise SizeRefusalError("assortment enumeration refuses responding side > 16 for non-MNL models")
-    return _adaptive_dp(instance, side, deadline)
+    return _adaptive_dp(instance, side)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +217,10 @@ def opt_one_sided_static(instance: Instance, side: str,
 _FS_BLOCK = 1 << 12
 
 
-def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS, deadline=None):
+def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
     """Exact OPT over mutual-display edge sets; returns (value, edge list).
     Patterns are valued in blocks of ``_FS_BLOCK``, keeping the first maximum;
-    a ``deadline`` is checked before each block."""
+    the deadline is polled before each block."""
     n, m = instance.n, instance.m
     nm = n * m
     if nm > caps.fs_max_edges:
@@ -232,8 +230,7 @@ def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS, deadlin
 
     best_val, best = -np.inf, 0
     for lo in range(0, 1 << nm, _FS_BLOCK):
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
         codes = np.arange(lo, min(lo + _FS_BLOCK, 1 << nm))
         grid = ((codes[:, None] >> np.arange(nm)) & 1).astype(bool).reshape(-1, n, m)
         feasible = np.ones(len(codes), dtype=bool)

@@ -19,6 +19,7 @@ import numpy as np
 from .instances import UNBOUNDED, Instance
 from .lp import LpProblem, solve_lp
 from .policies import static_values
+from .util import check_deadline
 
 # Threshold minimizing the combined regime loss, ~0.7574.
 DEFAULT_ALPHA = 0.7574
@@ -52,11 +53,9 @@ def partition_edges(instance: Instance):
 # Low-low LP and rounding
 
 
-def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = None,
-              deadline=None):
+def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = None):
     """LP relaxation max sum v_ij w_ji y_ij with per-pair load constraints and
-    a row per budgeted agent; returns (dense y, z_LP).  The simplex checks
-    ``deadline`` after every pivot."""
+    a row per budgeted agent; returns (dense y, z_LP)."""
     v, w = instance.require_mnl_weights("fully static approximation")
     n, m = instance.n, instance.m
     i, j = (np.array(sorted(edges), dtype=int).T.reshape(2, -1) if edges is not None
@@ -73,7 +72,7 @@ def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = N
         own = [a for a, k in enumerate(caps) if k is not UNBOUNDED]
         rows.append(agent == np.array(own, dtype=int)[:, None])
         rhs.append([float(caps[a]) for a in own])
-    sol = solve_lp(LpProblem(v[i, j] * w[j, i], np.concatenate(rows), np.concatenate(rhs)), deadline)
+    sol = solve_lp(LpProblem(v[i, j] * w[j, i], np.concatenate(rows), np.concatenate(rhs)))
     if sol.status != "optimal":
         raise RuntimeError(f"low-low LP came back {sol.status}")
     y = np.zeros((n, m))
@@ -223,11 +222,11 @@ def highvalue_subproblem(instance: Instance, edges: Iterable[Tuple[int, int]], s
 # Combined algorithm
 
 
-def approx_fully_static(instance: Instance, rng=None, deadline=None) -> FsSolution:
+def approx_fully_static(instance: Instance, rng=None) -> FsSolution:
     """Partition-based approximation: solve each regime, keep the candidate with
     the highest realized exact value, the first on ties (edges outside the
-    chosen regime are off).  ``deadline`` reaches the low-low LP, which
-    dominates the cost of large markets."""
+    chosen regime are off).  The deadline is polled by the low-low LP's
+    simplex and before each rounding."""
     rng = rng if rng is not None else np.random.default_rng(0)
     e1, e2, e3 = partition_edges(instance)
     candidates = []  # (regime, edges)
@@ -235,8 +234,9 @@ def approx_fully_static(instance: Instance, rng=None, deadline=None) -> FsSoluti
         if edges:
             candidates.append((regime, highvalue_subproblem(instance, edges, side)[0]))
     if e3:
-        y, _ = lowlow_lp(instance, e3, deadline)
+        y, _ = lowlow_lp(instance, e3)
         for _ in range(_TRIALS):
+            check_deadline()
             if instance.constrained:
                 x = dependent_rounding(y, rng, instance.k_customer, instance.k_supplier)
             else:

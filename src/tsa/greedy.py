@@ -21,6 +21,7 @@ from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_de
                       demand_table, prob_table)
 from .policies import (PolicyAction, PolicyState, monte_carlo,
                        respond_with_backlog)
+from .util import check_deadline
 
 
 class GreedyOneSidedPolicy:
@@ -138,11 +139,10 @@ def _display_cdf(init_w: np.ndarray, resp_w: np.ndarray, sums: np.ndarray) -> np
 MAX_EXACT_SIDE = 8
 
 
-def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[int]] = None,
-                       deadline=None) -> float:
+def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[int]] = None) -> float:
     """Exact expected matches of greedy on ``side`` by expanding the initiating
     side's choice tree; responders contribute their backlog demand in closed form.
-    A ``deadline`` is checked once per state valued."""
+    The deadline is polled once per state valued."""
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     nresp = instance.side_size(resp_side)
@@ -164,8 +164,7 @@ def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[i
     def value(t: int, masks: tuple) -> float:
         if t == ninit:
             return sum(F[j][masks[j]] for j in range(nresp))
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
         i = order[t]
         bit = 1 << i
         theta = [max(F[j][masks[j] | bit] - F[j][masks[j]], 0.0) for j in range(nresp)]
@@ -282,15 +281,15 @@ class CommittedPolicy:
 
 
 def sampling_side_selector(instance: Instance, cfg: SamplingConfig = SamplingConfig(),
-                           seed: int = 0, deadline=None) -> CommittedPolicy:
+                           seed: int = 0) -> CommittedPolicy:
     """Estimate each side's greedy value with T independent runs (side k's run
     r on stream (seed, k, r)), then commit deterministically to the higher
-    estimate and run greedy there.  A ``deadline`` reaches the Monte Carlo runs."""
+    estimate and run greedy there."""
     runs, heuristic = effective_runs(instance, cfg)
     estimates = {}
     for k, side in enumerate(("C", "S")):
         pol = GreedyOneSidedPolicy(instance, side)
-        estimates[side] = monte_carlo(instance, pol, runs, (seed, k), deadline).mean
+        estimates[side] = monte_carlo(instance, pol, runs, (seed, k)).mean
     side = "C" if estimates["C"] >= estimates["S"] else "S"
     meta = {"runs": runs, "heuristic_T": heuristic,
             "estimate_C": estimates["C"], "estimate_S": estimates["S"],
@@ -308,11 +307,11 @@ def cointoss_fully_adaptive(instance: Instance, seed: int = 0) -> CommittedPolic
     return CommittedPolicy(GreedyOneSidedPolicy(instance, side), "FA", meta)
 
 
-def cointoss_exact_value(instance: Instance, deadline=None, known: Optional[dict] = None) -> float:
+def cointoss_exact_value(instance: Instance, known: Optional[dict] = None) -> float:
     """Exact expected value of the coin-toss policy: the average of the two
     sides' exact greedy values.  ``known`` maps a side to its exact greedy
     value when the caller already has it."""
     vc, vs = (known[side] if known and side in known else
-              exact_greedy_value(instance, side, deadline=deadline)
+              exact_greedy_value(instance, side)
               for side in ("C", "S"))
     return 0.5 * (vc + vs)

@@ -21,6 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .util import check_deadline
+
 PIVOT_TOL = 1e-9
 RHS_TOL = 1e-8
 
@@ -115,10 +117,10 @@ def _dantzig_enter(obj_row: np.ndarray, allowed: int) -> int:
     return col if obj_row[col] < -PIVOT_TOL else -1
 
 
-def _run(T: np.ndarray, basis: np.ndarray, allowed: int, deadline=None):
+def _run(T: np.ndarray, basis: np.ndarray, allowed: int):
     """Pivot to optimality; returns (status, pivots).  Dantzig entering, and
     Bland's after ``DEGENERATE_RUN`` pivots in a row that leave the objective
-    unchanged, until one improves it.  ``deadline`` is checked after every
+    unchanged, until one improves it.  The deadline is polled after every
     pivot (one clock read against a dense pivot of the whole tableau)."""
     pivots = degenerate = 0
     while True:
@@ -133,11 +135,10 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int, deadline=None):
         _pivot(T, basis, row, col)
         pivots += 1
         degenerate = degenerate + 1 if T[-1, -1] <= before + PIVOT_TOL else 0
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
 
 
-def solve_lp(problem: LpProblem, deadline=None) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Two-phase simplex; returns statuses instead of raising on infeasible/unbounded."""
     nrows, ncols = problem.A.shape
     if nrows == 0:
@@ -176,7 +177,7 @@ def solve_lp(problem: LpProblem, deadline=None) -> LpSolution:
         cost1 = np.zeros(total)
         cost1[art_cols] = -1.0
         _set_objective(T, basis, cost1)
-        status, pivots = _run(T, basis, total, deadline)
+        status, pivots = _run(T, basis, total)
         if status != "optimal":  # -sum(artificials) <= 0 bounds phase 1
             raise RuntimeError(f"simplex phase 1 came back {status}")
         if T[-1, -1] < -RHS_TOL:
@@ -210,7 +211,7 @@ def solve_lp(problem: LpProblem, deadline=None) -> LpSolution:
     cost2 = np.zeros(total)
     cost2[:ncols] = problem.c
     _set_objective(T, basis, cost2)
-    status, phase2 = _run(T, basis, total, deadline)
+    status, phase2 = _run(T, basis, total)
     pivots += phase2
     if status == "unbounded":
         return LpSolution("unbounded", pivots=pivots)

@@ -246,14 +246,14 @@ def _mnl_prefix_rows(w, theta, item):
     theta, w = np.take_along_axis(theta, order, 1), w[order]
     best, num, den = np.zeros(len(theta)), np.zeros(len(theta)), np.ones(len(theta))
     size = np.zeros(len(theta), dtype=np.int64)
-    for k in range(theta.shape[1]):
-        with np.errstate(invalid="ignore"):  # -inf * 0 on a zero-weight non-item: NaN never wins
+    with np.errstate(invalid="ignore"):  # -inf * 0 on a zero-weight non-item: NaN never wins
+        for k in range(theta.shape[1]):
             num = num + theta[:, k] * w[:, k]
-        den = den + w[:, k]
-        val = num / den  # -inf (or NaN) once past the items
-        better = val > best + _TOL
-        best = np.where(better, val, best)
-        size = np.where(better, k + 1, size)
+            den = den + w[:, k]
+            val = num / den  # -inf (or NaN) once past the items
+            better = val > best + _TOL
+            best = np.where(better, val, best)
+            size = np.where(better, k + 1, size)
     return best, size, order
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ContractViolationError, SizeRefusalError
 from .instances import UNBOUNDED, Instance
 from .oracles import constrained_demand, demand_table
+from .util import check_deadline
 
 Agent = Tuple[str, int]  # ("C", i) or ("S", j)
 
@@ -230,15 +231,14 @@ def _stream_uniforms(prefix: list, lo: int, hi: int, draws: int) -> np.ndarray:
     return out
 
 
-def monte_carlo(instance: Instance, policy, runs: int, seed: int | tuple,
-                deadline=None) -> SimulationResult:
+def monte_carlo(instance: Instance, policy, runs: int, seed: int | tuple) -> SimulationResult:
     """Mean matches with a normal-approximation 95% CI; run r uses stream
     (*seed, r) for a tuple ``seed`` and (seed, r) for an int.  A policy with a
     ``batch_matches`` kernel gets ``_CHUNK`` runs' draws at a time on
     unbudgeted MNL markets, with the same streams and results (greedy's
     kernel computes one display per distinct history, not one per run); any
-    other policy or market runs ``simulate_once`` per run.  A ``deadline`` is
-    checked before each run or chunk."""
+    other policy or market runs ``simulate_once`` per run.  The deadline is
+    polled before each run or chunk."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     prefix = list(seed) if isinstance(seed, tuple) else [seed]
@@ -249,16 +249,14 @@ def monte_carlo(instance: Instance, policy, runs: int, seed: int | tuple,
         # A run draws exactly one uniform per agent, in processing order.
         draws = instance.n + instance.m
         for lo in range(0, runs, _CHUNK):
-            if deadline is not None:
-                deadline.check()
+            check_deadline()
             uniforms = _stream_uniforms(prefix, lo, min(lo + _CHUNK, runs), draws)
             matches = policy.batch_matches(uniforms)
             total += int(matches.sum())
             total_sq += int((matches * matches).sum())
     else:
         for r in range(runs):
-            if deadline is not None:
-                deadline.check()
+            check_deadline()
             rng = np.random.default_rng(prefix + [r])
             matches, _ = simulate_once(instance, policy, rng)
             total += matches
@@ -348,11 +346,10 @@ def exact_value_edges(instance: Instance, edges: Iterable[Tuple[int, int]]) -> f
 _MAX_STATIC_INITIATING = 18
 
 
-def exact_value_one_sided_static(instance: Instance, side: str, assortments,
-                                 deadline=None) -> float:
+def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> float:
     """Exact expectation when ``side`` is shown static assortments first and each
     responder is then shown its backlog (its budget-constrained best subset when
-    constrained).  A ``deadline`` is checked once per responder."""
+    constrained)."""
     init_n = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     resp_n = instance.side_size(resp_side)
@@ -368,24 +365,23 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments,
             raise ContractViolationError(f"initiating agent {a} assortment exceeds budget")
     probs = [[[instance.model(side, i).prob(j, s) for j in range(resp_n)]]
              for i, s in enumerate(assortments)]
-    return one_sided_values(instance, side, probs, deadline).item()
+    return one_sided_values(instance, side, probs).item()
 
 
-def one_sided_values(instance: Instance, side: str, probs, deadline=None) -> np.ndarray:
+def one_sided_values(instance: Instance, side: str, probs) -> np.ndarray:
     """Expected matches of one-sided static displays initiating on ``side``, for
     every combination of candidates: probs[i][c, j] is the probability that
     initiating agent i, shown its c-th candidate, picks responder j.  Choices
     are independent, so responder j is worth E[F_j(B_j)] over its random
     backlog B_j (the multilinear extension of F_j), where F_j is its demand,
     budget-constrained when it carries a budget.  Shape (len(probs[0]), ...,
-    len(probs[-1])).  A ``deadline`` is checked once per responder."""
+    len(probs[-1])).  The deadline is polled once per responder."""
     resp_side = "S" if side == "C" else "C"
     n = len(probs)
     probs = [np.asarray(q, dtype=float) for q in probs]
     values = np.zeros(tuple(len(q) for q in probs))
     for j in range(instance.side_size(resp_side)):
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
         budget = instance.budget(resp_side, j)
         # Axis i of the table is bit i of the backlog mask.  Each contraction
         # takes the leading axis and appends initiator i's candidate axis.

@@ -3,17 +3,41 @@
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
+from typing import Optional
 
 from .errors import TimeLimitError
 
+# The active deadlines as a chain of (innermost, outer chain) links.
+_ACTIVE: ContextVar[Optional[tuple]] = ContextVar("tsa_deadline", default=None)
+
 
 class Deadline:
-    """Cooperative wall-clock limit; solvers poll ``check`` between pivots/states."""
+    """Cooperative wall-clock limit on the code run inside ``with Deadline(s):``.
 
-    def __init__(self, seconds: float):
+    The clock starts at construction; ``seconds=None`` means no limit.  Solvers
+    poll ``check_deadline`` between pivots, states and runs.  A pickled copy
+    keeps the start, so a worker process that enters it keeps the caller's limit."""
+
+    def __init__(self, seconds: Optional[float]):
         self.seconds = seconds
         self.t0 = time.monotonic()
 
+    def __enter__(self) -> Deadline:
+        _ACTIVE.set((self, _ACTIVE.get()))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE.set(_ACTIVE.get()[1])
+
     def check(self) -> None:
-        if time.monotonic() - self.t0 > self.seconds:
+        if self.seconds is not None and time.monotonic() - self.t0 > self.seconds:
             raise TimeLimitError(f"time limit of {self.seconds}s exceeded")
+
+
+def check_deadline() -> None:
+    """Raise ``TimeLimitError`` once the innermost active deadline has passed;
+    outside any ``with Deadline(...)`` this does nothing."""
+    active = _ACTIVE.get()
+    if active is not None:
+        active[0].check()

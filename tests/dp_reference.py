@@ -9,7 +9,7 @@ from tsa.oracles import _agent_oracle, demand_table
 from tsa.policies import PolicyAction
 
 
-def recursive_adaptive_dp(instance, first, deadline=None) -> DpValue:
+def recursive_adaptive_dp(instance, first) -> DpValue:
     """Value-to-go recursion on packed (done agents, backlog profile) states.
 
     With ``first=None`` any unprocessed agent may move (fully adaptive).  With
@@ -44,7 +44,6 @@ def recursive_adaptive_dp(instance, first, deadline=None) -> DpValue:
                   for a in range(total) if a not in movers]
 
     memo = {}
-    counter = [0]
 
     def agent_value(key: int, a: int):
         base = (key & ~slot_mask[a]) | (1 << done_bit[a])
@@ -72,9 +71,6 @@ def recursive_adaptive_dp(instance, first, deadline=None) -> DpValue:
         v = memo.get(key)
         if v is not None:
             return v
-        counter[0] += 1
-        if deadline is not None and counter[0] % 4096 == 0:
-            deadline.check()
         best = 0.0
         for a in movers:
             if key >> done_bit[a] & 1:

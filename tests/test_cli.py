@@ -146,6 +146,15 @@ def test_time_limit_stops_fully_static_enumeration(tmp_path):
                 "--time-limit", "0.1"]) == 4
 
 
+def test_time_limit_stops_one_sided_static_enumeration(tmp_path):
+    # The contraction polls once per responder; unpolled, this solve prints
+    # OPT_OS after about a second.
+    path = tmp_path / "inst.json"
+    save_instance(generate_random_instance(4, 5, seed=0), path)
+    assert run(["solve", "--instance", str(path), "--what", "os", "--os-cap", "5",
+                "--time-limit", "0.001"]) == 4
+
+
 def test_time_limit_stops_ub_oa(tmp_path):
     path = tmp_path / "big.json"
     save_instance(generate_random_instance(12, 12, seed=0), path)

@@ -469,6 +469,6 @@ def test_layered_dp_deadline():
 
     inst = generate_random_instance(5, 5, seed=0)
     start = time.monotonic()
-    with pytest.raises(TimeLimitError):
-        opt_fully_adaptive(inst, SolveCaps(fa_max_agents=10), Deadline(0.05))
+    with pytest.raises(TimeLimitError), Deadline(0.05):
+        opt_fully_adaptive(inst, SolveCaps(fa_max_agents=10))
     assert time.monotonic() - start < 1.0

@@ -6,12 +6,14 @@ import pytest
 
 from conftest import low_value_instance
 from helpers import exact_highvalue_subproblem
+from tsa import fullystatic
 from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
 from tsa.exact import opt_fully_static
 from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static, dependent_rounding,
                              highvalue_subproblem, independent_rounding,
                              lowlow_lp, partition_edges)
-from tsa.instances import MNL, Instance, UniformNoOutside, generate_random_instance
+from tsa.instances import (MNL, CardinalityProfile, Instance, UniformNoOutside,
+                           generate_random_instance)
 from tsa.policies import exact_value_edges, static_values
 from tsa.util import Deadline
 
@@ -225,5 +227,18 @@ def test_mnl_static_values_matches_scalar():
 
 def test_approx_fully_static_stops_at_deadline():
     # Unchecked, the low-low LP of this market runs for about 15 s.
-    with pytest.raises(TimeLimitError):
-        approx_fully_static(generate_random_instance(30, 30, 0), deadline=Deadline(0.5))
+    inst = generate_random_instance(30, 30, 0)
+    with pytest.raises(TimeLimitError), Deadline(0.5):
+        approx_fully_static(inst)
+
+
+def test_approx_fully_static_polls_before_each_rounding(monkeypatch):
+    """With the low-low LP stubbed to its own answer, only the dependent
+    roundings are left to see an expired deadline."""
+    inst = generate_random_instance(6, 6, 0, CardinalityProfile("two-way", 2, 2))
+    e3 = partition_edges(inst)[2]
+    assert e3
+    answer = lowlow_lp(inst, e3)
+    monkeypatch.setattr(fullystatic, "lowlow_lp", lambda *args: answer)
+    with pytest.raises(TimeLimitError), Deadline(0):
+        approx_fully_static(inst)

@@ -263,8 +263,8 @@ def test_batched_monte_carlo_stops_within_a_chunk():
     monte_carlo(inst, pol, _CHUNK, 0)
     chunk = time.monotonic() - start
     start = time.monotonic()
-    with pytest.raises(TimeLimitError):
-        monte_carlo(inst, pol, 1000 * _CHUNK, 0, Deadline(0.01))
+    with pytest.raises(TimeLimitError), Deadline(0.01):
+        monte_carlo(inst, pol, 1000 * _CHUNK, 0)
     # The limit plus the chunk that was running, with room for timing noise;
     # without the check all 1,000 chunks would run.
     assert time.monotonic() - start < 0.01 + 3 * chunk
@@ -272,12 +272,12 @@ def test_batched_monte_carlo_stops_within_a_chunk():
 
 def test_exact_greedy_evaluators_stop_at_deadline():
     inst = generate_random_instance(8, 8, seed=0)
-    for value in (lambda d: exact_greedy_value(inst, "C", deadline=d),
-                  lambda d: cointoss_exact_value(inst, deadline=d),
-                  lambda d: alg_one_sided_adaptive_value(inst, 0, d)):
+    for value in (lambda: exact_greedy_value(inst, "C"),
+                  lambda: cointoss_exact_value(inst),
+                  lambda: alg_one_sided_adaptive_value(inst, 0)):
         start = time.monotonic()
-        with pytest.raises(TimeLimitError):
-            value(Deadline(0.05))
+        with pytest.raises(TimeLimitError), Deadline(0.05):
+            value()
         assert time.monotonic() - start < 1.0
 
 

@@ -226,7 +226,8 @@ BEALE = ([0.75, -20.0, 0.5, -6.0],
 
 
 def test_beale_lp_solves_with_the_bland_fallback():
-    sol = solve_lp(LpProblem(*BEALE), Deadline(10.0))
+    with Deadline(10.0):
+        sol = solve_lp(LpProblem(*BEALE))
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(1.25, abs=1e-12)
     assert 0 < sol.pivots <= 2 * lp.DEGENERATE_RUN
@@ -234,8 +235,8 @@ def test_beale_lp_solves_with_the_bland_fallback():
 
 def test_beale_lp_cycles_without_the_fallback(monkeypatch):
     monkeypatch.setattr(lp, "DEGENERATE_RUN", 10**9)  # Dantzig entering only
-    with pytest.raises(TimeLimitError):
-        solve_lp(LpProblem(*BEALE), Deadline(0.2))
+    with pytest.raises(TimeLimitError), Deadline(0.2):
+        solve_lp(LpProblem(*BEALE))
 
 
 def test_ub_fa_pivots_at_12x12(monkeypatch):
@@ -247,8 +248,8 @@ def test_ub_fa_pivots_at_12x12(monkeypatch):
 
     solutions = []
 
-    def spy(problem, deadline=None):
-        solutions.append(solve_lp(problem, deadline))
+    def spy(problem):
+        solutions.append(solve_lp(problem))
         return solutions[-1]
 
     monkeypatch.setattr(tsa.bounds, "solve_lp", spy)
@@ -320,9 +321,9 @@ def _captured_lps(monkeypatch):
 
     seen = []
 
-    def spy(problem, deadline=None):
+    def spy(problem):
         seen.append(problem)
-        return solve_lp(problem, deadline)
+        return solve_lp(problem)
 
     monkeypatch.setattr(tsa.bounds, "solve_lp", spy)
     monkeypatch.setattr(tsa.fullystatic, "solve_lp", spy)
