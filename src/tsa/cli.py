@@ -24,8 +24,9 @@ from .exact import (DEFAULT_CAPS, SolveCaps, opt_fully_adaptive, opt_fully_stati
 from .fullystatic import approx_fully_static
 from .greedy import (GreedyOneSidedPolicy, SamplingConfig, cointoss_fully_adaptive,
                      sampling_side_selector)
-from .instances import (CardinalityProfile, generate_random_instance, instance_from_dict,
-                        instance_to_dict, load_instance, save_instance, tight_instance)
+from .instances import (CardinalityProfile, _integer, _number, generate_random_instance,
+                        instance_from_dict, instance_to_dict, load_instance, save_instance,
+                        tight_instance)
 from .policies import dump_trace, monte_carlo, simulate_once
 from .util import Deadline
 
@@ -61,21 +62,40 @@ class ExperimentConfig:
         return CardinalityProfile(self.mode, self.k_customer, self.k_supplier, self.initiating)
 
 
+def _check_config_field(key, val, where):
+    """Refuse a wrong JSON type as instance files do; the profile fields are
+    checked by ``CardinalityProfile``."""
+    if key == "sizes":
+        if not isinstance(val, list) or not all(isinstance(s, list) and len(s) == 2 for s in val):
+            raise ParseError(f"{where}: expected a list of [n, m] pairs, got {json.dumps(val)}")
+        for s in val:
+            for x in s:
+                _integer(x, where)
+    elif key in ("seeds", "seed") or (key == "jobs" and val is not None):
+        _integer(val, where)
+    elif key == "time_limit" and val is not None:
+        _number(val, where)
+    elif key == "out":
+        _integer(val, where, str, "a string")
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ParseError(f"{args.config}: expected a JSON object")
         # A field is known where the subcommand has its flag (generate has no
         # --time-limit or --jobs).
-        known = {k for k in ExperimentConfig().__dict__ if hasattr(args, k)}
+        known = {k for k in cfg.__dict__ if hasattr(args, k)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config fields {sorted(unknown)} for {args.command}")
         for k, val in data.items():
+            _check_config_field(k, val, f"{args.config}: {k}")
             setattr(cfg, k, val)
-    for k in ("sizes", "seeds", "seed", "mode", "k_customer", "k_supplier",
-              "initiating", "time_limit", "jobs", "out"):
+    for k in cfg.__dict__:
         val = getattr(args, k, None)
         if val is not None:
             setattr(cfg, k, val)

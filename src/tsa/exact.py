@@ -190,10 +190,16 @@ def opt_one_sided_adaptive(instance: Instance, side: str,
 # One-sided static enumeration
 
 
+# Entries of the combination tensor ``opt_one_sided_static`` values at once
+# (8 MB of float64); the first initiator's candidates are blocked to fit.
+_OS_BLOCK = 1 << 20
+
+
 def opt_one_sided_static(instance: Instance, side: str,
                          caps: SolveCaps = DEFAULT_CAPS) -> float:
     """Exact OPT over one-sided static policies initiating on ``side``: brute
-    force over all assortment families, with exact backlog expectations."""
+    force over all assortment families, with exact backlog expectations,
+    valued in blocks of about ``_OS_BLOCK`` combinations."""
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     nresp = instance.side_size(resp_side)
@@ -205,7 +211,9 @@ def opt_one_sided_static(instance: Instance, side: str,
 
     probs = [prob_table(instance.model(side, i), nresp)[_budget_masks(nresp, instance.budget(side, i))]
              for i in range(ninit)]
-    return float(one_sided_values(instance, side, probs).max())
+    step = max(1, _OS_BLOCK // int(np.prod([len(q) for q in probs[1:]])))
+    return float(max(one_sided_values(instance, side, [probs[0][lo:lo + step]] + probs[1:]).max()
+                     for lo in range(0, len(probs[0]), step)))
 
 
 # ---------------------------------------------------------------------------

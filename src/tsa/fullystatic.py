@@ -34,19 +34,16 @@ class FsSolution:
     regime: str
 
 
+def _edges(mask: np.ndarray) -> list:
+    """The (i, j) where ``mask`` holds, row-major, as tuples of Python ints."""
+    return list(map(tuple, np.argwhere(mask).tolist()))
+
+
 def partition_edges(instance: Instance):
     """(E1, E2, E3): w_ji >= alpha; v_ij >= alpha and w_ji < alpha; the rest."""
     v, w = instance.require_mnl_weights("fully static approximation")
-    e1, e2, e3 = [], [], []
-    for i in range(instance.n):
-        for j in range(instance.m):
-            if w[j, i] >= DEFAULT_ALPHA:
-                e1.append((i, j))
-            elif v[i, j] >= DEFAULT_ALPHA:
-                e2.append((i, j))
-            else:
-                e3.append((i, j))
-    return e1, e2, e3
+    high_w, high_v = w.T >= DEFAULT_ALPHA, v >= DEFAULT_ALPHA
+    return _edges(high_w), _edges(high_v & ~high_w), _edges(~(high_w | high_v))
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +79,7 @@ def lowlow_lp(instance: Instance, edges: Optional[Iterable[Tuple[int, int]]] = N
 
 def independent_rounding(y: np.ndarray, rng) -> frozenset:
     """x_ij ~ Bernoulli(y_ij), independently."""
-    n, m = y.shape
-    draws = rng.random((n, m))
-    return frozenset((i, j) for i in range(n) for j in range(m) if draws[i, j] < y[i, j])
+    return frozenset(_edges(rng.random(y.shape) < y))
 
 
 def dependent_rounding(y: np.ndarray, rng, row_caps: Optional[Sequence] = None,
@@ -105,57 +100,33 @@ def dependent_rounding(y: np.ndarray, rng, row_caps: Optional[Sequence] = None,
             if col_caps[j] is not UNBOUNDED and y[:, j].sum() > col_caps[j] + 1e-9:
                 raise ValueError(f"fractional column {j} exceeds its cap")
 
-    def fractional_edges():
-        return [(i, j) for i in range(n) for j in range(m) if eps < y[i, j] < 1.0 - eps]
-
     while True:
-        frac = fractional_edges()
-        if not frac:
+        # Vertex v < m is column v, vertex m + i is row i; each lists its
+        # fractional edges as (i, j, other end), other ends ascending.
+        frac = ((y > eps) & (y < 1.0 - eps)).tolist()
+        adj = [[(i, j, m + i) for i in range(n) if frac[i][j]] for j in range(m)]
+        adj += [[(i, j, j) for j in range(m) if frac[i][j]] for i in range(n)]
+        degree = [len(a) for a in adj]
+        if not any(degree):
             break
-        adj = {}
-        for (i, j) in frac:
-            adj.setdefault(("r", i), []).append(("c", j))
-            adj.setdefault(("c", j), []).append(("r", i))
-        start = None
-        for vtx, nbrs in sorted(adj.items()):
-            if len(nbrs) == 1:
-                start = vtx
-                break
-        if start is None:
-            start = sorted(adj)[0]
-        # Walk without reusing edges until stuck (maximal path) or a vertex repeats (cycle).
-        path_vertices = [start]
-        path_edges = []
-        used = set()
-        seen_at = {start: 0}
-        cycle = None
-        cur = start
+        # Start at the first leaf, else at the first vertex with an edge; take
+        # the lowest unused edge until stuck (a maximal path) or back at a
+        # visited vertex (a cycle, walked alone).  Every vertex on the chain is
+        # distinct, so the only used edge at the current one leads back.
+        v = degree.index(1) if 1 in degree else next(v for v, d in enumerate(degree) if d)
+        at, chain, prev = {v: 0}, [], -1
         while True:
-            nxt = None
-            for cand in adj.get(cur, []):
-                e = (cur, cand) if cur[0] == "r" else (cand, cur)
-                key = (e[0][1], e[1][1])
-                if key not in used:
-                    nxt = cand
-                    used.add(key)
-                    break
-            if nxt is None:
+            e = next((e for e in adj[v] if e[2] != prev), None)
+            if e is None:
                 break
-            path_edges.append((cur, nxt))
-            if nxt in seen_at:
-                k = seen_at[nxt]
-                cycle = path_edges[k:]
+            chain.append(e[:2])
+            prev, v = v, e[2]
+            if v in at:
+                chain = chain[at[v]:]
                 break
-            path_vertices.append(nxt)
-            seen_at[nxt] = len(path_vertices) - 1
-            cur = nxt
-        chain = cycle if cycle is not None else path_edges
-        eidx = []
-        for (a, b) in chain:
-            (i, j) = (a[1], b[1]) if a[0] == "r" else (b[1], a[1])
-            eidx.append((i, j))
-        A = eidx[0::2]
-        B = eidx[1::2]
+            at[v] = len(chain)
+        A = chain[0::2]
+        B = chain[1::2]
         up = min(min(1.0 - y[i, j] for (i, j) in A), min((y[i, j] for (i, j) in B), default=np.inf))
         down = min(min(y[i, j] for (i, j) in A), min((1.0 - y[i, j] for (i, j) in B), default=np.inf))
         if up <= eps and down <= eps:
@@ -172,7 +143,7 @@ def dependent_rounding(y: np.ndarray, rng, row_caps: Optional[Sequence] = None,
         y[np.abs(y) < eps] = 0.0
         y[np.abs(y - 1.0) < eps] = 1.0
 
-    return frozenset((i, j) for i in range(n) for j in range(m) if y[i, j] > 0.5)
+    return frozenset(_edges(y > 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -328,12 +328,9 @@ class Instance:
 # ---------------------------------------------------------------------------
 # Generators
 
-# Random instances use a named, versioned bit generator so that runs are
-# reproducible across platforms; Exp(1) supplier weights are drawn via the
-# inverse CDF -log(1-u).
-PRNG_NAME = "numpy.random.PCG64"
-
-
+# Random instances use a named, versioned bit generator (numpy's PCG64) so
+# that runs are reproducible across platforms; Exp(1) supplier weights are
+# drawn via the inverse CDF -log(1-u).
 def generate_random_instance(n: int, m: int, seed: int,
                              profile: CardinalityProfile = CardinalityProfile()) -> Instance:
     """Random MNL market: v_ij ~ U[0,1], w_ji ~ Exp(1); deterministic per seed."""

@@ -154,58 +154,36 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     b[neg] *= -1.0
     slack = np.where(neg, -1.0, 1.0)
 
-    n_art = int(neg.sum())
-    total = ncols + nrows + n_art
+    art = np.flatnonzero(neg)
+    total = ncols + nrows + art.size
     T = np.zeros((nrows + 1, total + 1))
     T[:-1, :ncols] = A
     T[:-1, ncols:ncols + nrows] = np.diag(slack)
-    art_cols = []
-    k = 0
-    basis = np.zeros(nrows, dtype=int)
-    for i in range(nrows):
-        if neg[i]:
-            col = ncols + nrows + k
-            T[i, col] = 1.0
-            art_cols.append(col)
-            basis[i] = col
-            k += 1
-        else:
-            basis[i] = ncols + i
+    basis = np.arange(ncols, ncols + nrows)
+    basis[art] = ncols + nrows + np.arange(art.size)
+    T[art, basis[art]] = 1.0
     T[:-1, -1] = b
 
-    if n_art:
+    pivots = 0
+    if art.size:
         cost1 = np.zeros(total)
-        cost1[art_cols] = -1.0
+        cost1[ncols + nrows:] = -1.0
         _set_objective(T, basis, cost1)
         status, pivots = _run(T, basis, total)
         if status != "optimal":  # -sum(artificials) <= 0 bounds phase 1
             raise RuntimeError(f"simplex phase 1 came back {status}")
         if T[-1, -1] < -RHS_TOL:
             return LpSolution("infeasible", pivots=pivots)
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        drop = []
-        dropped_rows = []
-        for i in range(nrows):
-            if basis[i] >= ncols + nrows:
-                piv_col = -1
-                for j in range(ncols + nrows):
-                    if abs(T[i, j]) > PIVOT_TOL:
-                        piv_col = j
-                        break
-                if piv_col >= 0:
-                    _pivot(T, basis, i, piv_col)
-                    pivots += 1
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(nrows) if i not in drop]
-            dropped_rows = drop
-            T = np.vstack([T[keep], T[-1:]])
-            basis = basis[keep]
-            nrows = len(keep)
-        T = np.hstack([T[:, :ncols + problem.A.shape[0]], T[:, -1:]])
-    else:
-        dropped_rows, pivots = [], 0
+        # Drive leftover artificials out of the basis, each through its first
+        # usable column.  One always exists, so no row is redundant: pivots
+        # keep artificial r's column the exact negation of slack r's, so the
+        # row where r is basic holds -1 in slack r's column.
+        for i in np.flatnonzero(basis >= ncols + nrows):
+            _pivot(T, basis, i, np.flatnonzero(np.abs(T[i, :ncols + nrows]) > PIVOT_TOL)[0])
+            pivots += 1
+        # np.delete keeps the tableau C-contiguous, which the rounding of
+        # ``cb @ T`` in phase 2 depends on; a fancy-indexed copy would not be.
+        T = np.delete(T, np.s_[ncols + nrows:-1], axis=1)
 
     total = T.shape[1] - 1
     cost2 = np.zeros(total)
@@ -220,10 +198,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x[basis] = T[:-1, -1]
     xsol = x[:ncols]
     value = float(problem.c @ xsol)
-    # Duals are the reduced costs of the slack columns in the final tableau;
-    # rows dropped as redundant in phase 1 get dual 0.
-    dual = T[-1, ncols:ncols + problem.A.shape[0]].copy()
-    dual[dropped_rows] = 0.0
+    # Duals are the reduced costs of the slack columns in the final tableau.
+    dual = T[-1, ncols:ncols + nrows].copy()
     slack_residual = problem.b - problem.A @ xsol
     cs = float(abs(dual @ slack_residual)) + float(abs((dual @ problem.A - problem.c) @ xsol))
     return LpSolution("optimal", xsol, value, dual, cs, pivots)

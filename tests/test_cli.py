@@ -2,6 +2,8 @@ import json
 import os
 import time
 
+import pytest
+
 from tsa.cli import main
 from tsa.instances import load_instance, save_instance, tight_instance, generate_random_instance
 
@@ -66,6 +68,20 @@ def test_config_error_exit_code(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"frobnicate": 1}')
     assert run(["generate", "--config", str(unknown), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("field", [
+    {"seeds": "3"}, {"seed": "a"}, {"jobs": "2"}, {"jobs": 1.5}, {"time_limit": "5"},
+    {"out": 5}, {"sizes": [[2, 2.5]]}, {"seeds": True}, {"time_limit": True}, [],
+])
+def test_config_field_of_wrong_type_exits_2(tmp_path, monkeypatch, field):
+    """A config field is checked like an instance file's: a string, float or
+    boolean where another type belongs is refused, not passed to the run."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(field if isinstance(field, list) else {"sizes": [[2, 2]], **field}))
+    assert run(["tables", "--config", str(cfg_path)]) == 2
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_size_refusal_exit_code(tmp_path):

@@ -324,6 +324,17 @@ def test_os_enumeration_matches_direct_families():
         assert opt_one_sided_static(inst, "C") == pytest.approx(best, abs=1e-9)
 
 
+def test_os_blocks_of_one_candidate_match_one_block(monkeypatch):
+    from tsa import exact
+
+    profiles = (CardinalityProfile(), CardinalityProfile("two-way", 1, 2))
+    cases = [(generate_random_instance(3, m, seed, profile), side)
+             for m in (3, 4) for seed in range(2) for profile in profiles for side in "CS"]
+    whole = [opt_one_sided_static(inst, side) for inst, side in cases]
+    monkeypatch.setattr(exact, "_OS_BLOCK", 1)
+    assert [opt_one_sided_static(inst, side) for inst, side in cases] == whole
+
+
 def naive_first_action_value(instance, action, side=None):
     """Expected matches of ``action`` at the root followed by optimal play, by
     memoized recursion over explicit sets.  ``side=None`` is the fully adaptive

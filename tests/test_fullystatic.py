@@ -123,6 +123,32 @@ def test_dependent_rounding_negative_row_correlation():
             assert cov[a, b] <= 0.005
 
 
+def test_dependent_rounding_matches_tagged_vertex_walk():
+    """The index-list walk against the tagged-vertex walk it replaced
+    (tests/rounding_reference.py): same edges and generator state, bit for bit."""
+    from rounding_reference import dependent_rounding as reference
+
+    def both(y, seed, caps=(None, None)):
+        runs = []
+        for rounding in (dependent_rounding, reference):
+            rng = np.random.default_rng(seed)
+            runs.append((sorted(rounding(y, rng, *caps)), rng.bit_generator.state))
+        assert runs[0] == runs[1]
+
+    for n in range(1, 6):
+        for m in range(1, 6):
+            for seed in range(4):
+                g = np.random.default_rng([n, m, seed])
+                y, r = g.random((n, m)), g.random((n, m))
+                y[r < 0.2], y[r > 0.85] = 0.0, 1.0
+                both(y, seed)
+    profile = CardinalityProfile("two-way", 2, 2)
+    for seed in range(6):
+        inst = generate_random_instance(4, 5, seed, profile)
+        y, _ = lowlow_lp(inst)
+        both(y, seed, (inst.k_customer, inst.k_supplier))
+
+
 def test_highvalue_subproblem_examples():
     inst = Instance(2, 1, (MNL((1.0,)), MNL((2.0,))), (MNL((1.0, 1.0)),))
     edges, val = exact_highvalue_subproblem(inst, [(0, 0), (1, 0)], side="C")

@@ -71,6 +71,24 @@ def test_equality_rows():
     assert sol.value == pytest.approx(0.5)
 
 
+def test_repeated_equality_drives_every_artificial_out():
+    """An equality given once more and once doubled leaves artificials basic
+    at zero after phase 1; each pivots out, and the solution is the single
+    equality's, with duals that certify it."""
+    base = LpProblem(np.array([1.0, 2.0, 0.5]), np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]),
+                     np.array([4.0, 3.0]))
+    base.add_equality(np.array([1.0, 0.0, 1.0]), 2.0)
+    rep = LpProblem(base.c, base.A, base.b)
+    rep.add_equality(np.array([1.0, 0.0, 1.0]), 2.0)
+    rep.add_equality(np.array([2.0, 0.0, 2.0]), 4.0)
+    one, sol = solve_lp(base), solve_lp(rep)
+    assert one.status == sol.status == "optimal"
+    assert sol.value == pytest.approx(one.value) == pytest.approx(6.0)
+    np.testing.assert_allclose(sol.x, one.x, atol=1e-12)
+    assert sol.dual @ rep.b == pytest.approx(sol.value)
+    assert (sol.dual >= -1e-12).all() and (sol.dual @ rep.A >= rep.c - 1e-12).all()
+
+
 @given(st.integers(0, 2000))
 @settings(max_examples=120, deadline=None)
 def test_matches_vertex_enumeration(seed):
