@@ -52,6 +52,8 @@ class ExperimentConfig:
     def validate(self):
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if not self.sizes:
             raise ValueError("sizes must be nonempty")
         for s in self.sizes:
@@ -133,8 +135,8 @@ def cmd_generate(args) -> int:
     cfg = _load_config(args)
     os.makedirs(cfg.out, exist_ok=True)
     if args.kind:
-        inst = tight_instance(args.kind, args.n or 2)
-        path = os.path.join(cfg.out, f"{args.kind}_n{args.n or 2}.json")
+        inst = tight_instance(args.kind, args.n)
+        path = os.path.join(cfg.out, f"{args.kind}_n{args.n}.json")
         save_instance(inst, path)
         print(path)
         return EXIT_OK
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(g, reports=False)
     g.add_argument("--kind", choices=["prop1", "lemma3", "lemma6", "thm3"],
                    help="emit a tight construction instead of random instances")
-    g.add_argument("--n", type=int, default=None, help="size parameter for --kind")
+    g.add_argument("--n", type=int, default=2, help="size parameter for --kind (default 2)")
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="run exact solvers and bounds on one instance")

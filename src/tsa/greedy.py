@@ -79,18 +79,19 @@ class GreedyOneSidedPolicy:
 
         A run's display depends only on its history, the responder each
         earlier initiator picked, so each step computes one display per
-        distinct history (``mnl_best``'s rule, with ``_sample_choice``'s
-        cumulative probabilities) and each run compares its draw with its
-        history's row; runs that pick alike move on to the same child
-        history.  A child's backlog sums are its parent's plus the pick's
-        weight, the same additions a run makes on the scalar path.
+        distinct history (``_display_probs``, the rule ``exact_greedy_value``
+        weighs by probability, summed into ``_sample_choice``'s cumulative
+        probabilities) and each run compares its draw with its history's row;
+        runs that pick alike move on to the same child history.  A child's
+        backlog sums are its parent's plus the pick's weight, the same
+        additions a run makes on the scalar path.
 
         Weight sums run in processing order (a backlog) and in id order (a
         display), where the scalar path sums in set iteration order: the
         same for ids below 8 in ascending processing order, else equal up to
         the last bit of a sum of three or more weights."""
         v, w = self.instance.require_mnl_weights("batched greedy")
-        init_w, resp_w = (v, w) if self.side == "C" else (w, v)  # init_w[i, j], resp_w[j, i]
+        resp_w = w if self.side == "C" else v  # resp_w[j, i]
         nresp, ninit = resp_w.shape
         runs = len(uniforms)
         if not (ninit and nresp):
@@ -99,7 +100,9 @@ class GreedyOneSidedPolicy:
         sums = np.zeros((1, nresp))  # per history: backlog weight sums, added in processing order
         picks = np.full((1, ninit), nresp)  # per history: responder each initiator chose, nresp for none
         for t, i in enumerate(self.order):
-            cdf = _display_cdf(init_w[i], resp_w[:, i], sums)
+            grown = sums + resp_w[:, i]
+            theta = np.maximum(grown / (1.0 + grown) - sums / (1.0 + sums), 0.0)
+            cdf = np.cumsum(_display_probs(self.instance.model(self.side, i), UNBOUNDED, theta), axis=1)
             # _sample_choice: the first option, in ascending id order, whose
             # cumulative choice probability exceeds the draw.  The rows do not
             # decrease, so that is the count of entries at most the draw, and
@@ -119,75 +122,70 @@ class GreedyOneSidedPolicy:
         return (uniforms[:, ninit:] < chance[hist]).sum(axis=1)
 
 
-def _display_cdf(init_w: np.ndarray, resp_w: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Cumulative choice probabilities, in ascending responder id order, over
-    greedy's display for one initiator (its weights ``init_w``, its weight
-    ``resp_w`` with each responder) at each row of backlog weight sums."""
-    grown = sums + resp_w
-    theta = np.maximum(grown / (1.0 + grown) - sums / (1.0 + sums), 0.0)
-    # mnl_best's display: the best theta-ordered prefix of the options with
-    # theta > 0 and w > 0.
-    _, size, order = _mnl_prefix_rows(init_w, theta, (theta > 0.0) & (init_w > 0.0))
-    shown = np.zeros(theta.shape, dtype=bool)
-    shown[np.arange(len(theta))[:, None], order] = np.arange(theta.shape[1]) < size[:, None]
-    shown_w = np.where(shown, init_w, 0.0)
-    denom = 1.0 + np.cumsum(shown_w, axis=1)[:, -1:]
-    return np.cumsum(shown_w / denom, axis=1)
+def _display_probs(model, budget, theta: np.ndarray) -> np.ndarray:
+    """Each row's choice probabilities, in responder id order, of one
+    initiator's display (``best_weighted_assortment``) at marginals ``theta``."""
+    if budget is UNBOUNDED and is_mnl(model):
+        # mnl_best's display on every row at once: the best theta-ordered
+        # prefix of the options with theta > 0 and w > 0.
+        w = np.array(model.weights)
+        _, size, order = _mnl_prefix_rows(w, theta, (theta > 0.0) & (w > 0.0))
+        shown = np.zeros(theta.shape, dtype=bool)
+        shown[np.arange(len(theta))[:, None], order] = np.arange(theta.shape[1]) < size[:, None]
+        shown_w = np.where(shown, w, 0.0)
+        return shown_w / (1.0 + np.cumsum(shown_w, axis=1)[:, -1:])
+    probs = np.zeros(theta.shape)
+    for r, row in enumerate(theta.tolist()):
+        s = best_weighted_assortment(model, row, budget).assortment
+        for j in s:
+            probs[r, j] = model.prob(j, s)
+    return probs
 
 
 # The largest initiating side whose greedy value is computed exactly.
 MAX_EXACT_SIDE = 8
+_BLOCK = 1024  # the most histories valued by one display call
 
 
 def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[int]] = None) -> float:
-    """Exact expected matches of greedy on ``side`` by expanding the initiating
-    side's choice tree; responders contribute their backlog demand in closed form.
-    The deadline is polled once per state valued."""
+    """Exact expected matches of greedy on ``side``: the sum, over steps and
+    histories, of a history's probability times the step's expected marginal
+    gain sum_j p_j (F_j[mask_j + i] - F_j[mask_j]), with F_j responder j's
+    demand table and p the display's choice probabilities (``_display_probs``,
+    the rule ``batch_matches`` samples from).
+
+    A history, the responder each earlier initiator picked, is a row of
+    backlog masks, and no two share one; they are expanded depth first in
+    blocks of at most ``_BLOCK`` rows, and the deadline is polled once per
+    block.  A pick of probability 0, or an outside option of at most 1e-15,
+    starts no child history."""
     ninit = instance.side_size(side)
-    resp_side = "S" if side == "C" else "C"
-    nresp = instance.side_size(resp_side)
     if ninit > MAX_EXACT_SIDE:
         raise SizeRefusalError(f"exact greedy evaluation refuses initiating side {ninit} > {MAX_EXACT_SIDE}")
+    policy = GreedyOneSidedPolicy(instance, side, order)
+    nresp = instance.side_size(policy.resp_side)
     if ninit == 0 or nresp == 0:
         return 0.0
-    order = list(order) if order is not None else list(range(ninit))
-    if sorted(order) != list(range(ninit)):
-        raise ValueError("order must permute the initiating side")
-
-    F = [demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
-         for j in range(nresp)]
-    models = [instance.model(side, i) for i in range(ninit)]
-    budgets = [instance.budget(side, i) for i in range(ninit)]
-
-    # (t, masks) fixes the whole history, the responder each earlier
-    # initiator picked, so no state is reached twice and nothing is memoized.
-    def value(t: int, masks: tuple) -> float:
-        if t == ninit:
-            return sum(F[j][masks[j]] for j in range(nresp))
+    F = np.array([demand_table(instance.model(policy.resp_side, j), ninit, instance.budget(policy.resp_side, j))
+                  for j in range(nresp)])
+    ids, total, stack = np.arange(nresp), 0.0, [(0, np.zeros((1, nresp), dtype=np.int64), np.ones(1))]
+    while stack:
         check_deadline()
-        i = order[t]
-        bit = 1 << i
-        theta = [max(F[j][masks[j] | bit] - F[j][masks[j]], 0.0) for j in range(nresp)]
-        res = best_weighted_assortment(models[i], theta, budgets[i])
-        s = res.assortment
-        out_p = 1.0
-        total = 0.0
-        for j in sorted(s):
-            p = models[i].prob(j, s)
-            out_p -= p
-            if p > 0.0:
-                grown = list(masks)
-                grown[j] |= bit
-                total += p * value(t + 1, tuple(grown))
-        if out_p > 1e-15:
-            total += out_p * value(t + 1, masks)
-        return total
-
-    # Dropping the name breaks the closure's reference to itself, so what it
-    # holds is freed on return rather than by the cyclic collector.
-    result = value(0, tuple([0] * nresp))
-    del value
-    return result
+        t, masks, reach = stack.pop()
+        i = policy.order[t]
+        gain = F[ids, masks | 1 << i] - F[ids, masks]
+        probs = _display_probs(instance.model(side, i), instance.budget(side, i), np.maximum(gain, 0.0))
+        total += reach @ (probs * gain).sum(axis=1)
+        if t + 1 == ninit:
+            continue
+        out = 1.0 - probs.sum(axis=1)
+        row, pick = np.nonzero(probs > 0.0)
+        stay = np.flatnonzero(out > 1e-15)
+        child = np.concatenate([masks[row], masks[stay]])
+        child[np.arange(len(row)), pick] |= 1 << i
+        reach = np.concatenate([reach[row] * probs[row, pick], reach[stay] * out[stay]])
+        stack += [(t + 1, child[k:k + _BLOCK], reach[k:k + _BLOCK]) for k in range(0, len(child), _BLOCK)]
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

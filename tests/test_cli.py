@@ -31,6 +31,12 @@ def test_generate_tight_kind(tmp_path, capsys):
     assert (inst.n, inst.m) == (3, 1)
 
 
+def test_generate_tight_kind_below_2_exits_2(tmp_path):
+    for n in ("0", "1"):
+        assert run(["generate", "--kind", "prop1", "--n", n, "--out", str(tmp_path)]) == 2
+    assert not os.listdir(tmp_path)
+
+
 def test_generate_rejects_run_flags(tmp_path):
     """generate runs no solver, so --time-limit and --jobs are unknown flags."""
     for flag, value in (("--time-limit", "0.000001"), ("--jobs", "2")):
@@ -145,6 +151,21 @@ def test_tables_parallel_jobs_match_serial(tmp_path):
     assert run(base + ["--out", str(out_a)]) == 0
     assert run(base + ["--jobs", "2", "--out", str(out_b)]) == 0
     assert (out_a / "instances.csv").read_bytes() == (out_b / "instances.csv").read_bytes()
+
+
+def test_jobs_below_1_exits_2_and_null_means_one_process(tmp_path):
+    base = ["tables", "--sizes", "2", "--seeds", "1"]
+    for jobs in ("0", "-1"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert run(base + ["--jobs", jobs, "--out", str(out_dir)]) == 2
+        assert not out_dir.exists()
+    for jobs, code in ((0, 2), (None, 0)):
+        cfg_path = tmp_path / f"cfg_{jobs}.json"
+        cfg_path.write_text(json.dumps({"jobs": jobs}))
+        out_dir = tmp_path / f"cfg_out_{jobs}"
+        assert run(base + ["--config", str(cfg_path), "--out", str(out_dir)]) == code
+        assert out_dir.exists() == (code == 0)
+    assert (tmp_path / "cfg_out_None" / "table_gaps.csv").exists()
 
 
 def test_unknown_policy_is_config_error(tmp_path):

@@ -2,19 +2,21 @@ import gc
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import independent_model
+from greedy_reference import recursive_greedy_value
 from helpers import exact_value_deterministic_adaptive
 from tsa.exact import opt_fully_adaptive, opt_one_sided_adaptive
-from tsa.greedy import (GreedyOneSidedPolicy, SamplingConfig,
+from tsa.greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
                         cointoss_exact_value, cointoss_fully_adaptive,
                         exact_greedy_value, phi_min, sample_count,
                         sampling_side_selector)
-from tsa.bounds import alg_one_sided_adaptive_value
-from tsa.errors import TimeLimitError
+from tsa.bounds import _SELECTOR_RUNS, alg_one_sided_adaptive_value
+from tsa.errors import SizeRefusalError, TimeLimitError
 from tsa.instances import (MNL, Instance, Mixture, generate_random_instance,
                            tight_instance)
 from tsa.policies import _CHUNK, _stream_uniforms, monte_carlo
@@ -271,7 +273,10 @@ def test_batched_monte_carlo_stops_within_a_chunk():
 
 
 def test_exact_greedy_evaluators_stop_at_deadline():
-    inst = generate_random_instance(8, 8, seed=0)
+    # Side C's walk takes about 2 s, far past the limit, and the selector
+    # commits to side C, so all three evaluators reach it.
+    inst = generate_random_instance(8, 16, seed=4)
+    assert sampling_side_selector(inst, SamplingConfig(runs_override=_SELECTOR_RUNS)).metadata["side"] == "C"
     for value in (lambda: exact_greedy_value(inst, "C"),
                   lambda: cointoss_exact_value(inst),
                   lambda: alg_one_sided_adaptive_value(inst, 0)):
@@ -294,3 +299,48 @@ def test_exact_greedy_value_frees_its_memo():
     finally:
         gc.enable()
     assert leaked == 0
+
+
+def _greedy_corpus():
+    """Random markets under four budget profiles, the tight constructions and
+    a market with a Mixture agent on each side, which take the scalar display."""
+    for n, m in [(k, k) for k in range(1, 8)] + [(2, 5), (5, 2), (3, 9)]:
+        base = generate_random_instance(n, m, seed=n * 10 + m)
+        for kc, ks in ((None, None), (2, 2), (1, None), (1, 3)):
+            yield Instance(n, m, base.customer_models, base.supplier_models, (kc,) * n, (ks,) * m)
+    for kind in ("prop1", "lemma3", "lemma6", "thm3"):
+        for n in (2, 3):
+            yield tight_instance(kind, n)
+    base = generate_random_instance(3, 3, seed=4)
+    mix = Mixture((MNL((1.0, 0.5, 2.0)), MNL((0.3, 2.0, 1.0))), (0.5, 0.5))
+    yield Instance(3, 3, base.customer_models[:2] + (mix,), base.supplier_models[:2] + (mix,))
+
+
+def test_exact_greedy_value_matches_recursion():
+    """The block walk against the recursion it replaced
+    (tests/greedy_reference.py), on both sides in shuffled orders; sides
+    above ``MAX_EXACT_SIDE`` are refused by both."""
+    rng = np.random.default_rng(16)
+    for inst in _greedy_corpus():
+        for side in ("C", "S"):
+            order = [int(a) for a in rng.permutation(inst.side_size(side))]
+            if len(order) > MAX_EXACT_SIDE:
+                for value in (exact_greedy_value, recursive_greedy_value):
+                    with pytest.raises(SizeRefusalError):
+                        value(inst, side, order)
+                continue
+            expected = recursive_greedy_value(inst, side, order)
+            assert exact_greedy_value(inst, side, order) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_exact_greedy_value_walks_in_blocks():
+    """Histories are valued a block at a time: the walk peaks near 3 MB on a
+    random 8x12 market, where one layer of histories would take hundreds."""
+    inst = generate_random_instance(8, 12, seed=0)
+    tracemalloc.start()
+    try:
+        exact_greedy_value(inst, "C")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
