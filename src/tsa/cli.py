@@ -132,11 +132,14 @@ def _instances_of(cfg: ExperimentConfig):
 
 
 def cmd_generate(args) -> int:
+    if args.n is not None and not args.kind:
+        raise ValueError("--n applies only with --kind")
     cfg = _load_config(args)
     os.makedirs(cfg.out, exist_ok=True)
     if args.kind:
-        inst = tight_instance(args.kind, args.n)
-        path = os.path.join(cfg.out, f"{args.kind}_n{args.n}.json")
+        n = 2 if args.n is None else args.n
+        inst = tight_instance(args.kind, n)
+        path = os.path.join(cfg.out, f"{args.kind}_n{n}.json")
         save_instance(inst, path)
         print(path)
         return EXIT_OK
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(g, reports=False)
     g.add_argument("--kind", choices=["prop1", "lemma3", "lemma6", "thm3"],
                    help="emit a tight construction instead of random instances")
-    g.add_argument("--n", type=int, default=2, help="size parameter for --kind (default 2)")
+    g.add_argument("--n", type=int, default=None, help="size parameter for --kind (default 2)")
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="run exact solvers and bounds on one instance")

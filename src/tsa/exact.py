@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import SizeRefusalError
 from .instances import UNBOUNDED, Instance, is_mnl
-from .oracles import _TOL, _agent_oracle, _budget_masks, demand_table, prob_table
+from .oracles import (_TOL, _agent_oracle, _budget_masks, best_weighted_assortment,
+                      demand_table, prob_table)
 from .policies import PolicyAction, one_sided_values, static_values
 from .util import check_deadline
 
@@ -60,7 +61,7 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
     movers done.  Which states are reachable does not depend on values, so a
     forward pass enumerates the layers; a backward pass then fills each layer
     from the next, one row oracle call per (layer, mover), and frees the next.
-    The root's first action comes from the scalar oracles."""
+    The root's first action comes from ``best_weighted_assortment``."""
     n, m = instance.n, instance.m
     if n == 0 or m == 0:
         return DpValue(0.0, 0, None)
@@ -85,16 +86,14 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
         raise SizeRefusalError(f"adaptive DP refuses a {pos}-bit state key > {_KEY_BITS} bits")
 
     budgets = [instance.budget(*agent) for agent in agents]
-    # Per mover: its scalar oracle (w, usable, oracle), and its row oracle with,
-    # over the usable options, the opponent's done flag, the bit the choice
-    # sets in the opponent's backlog, and the own backlog bit (a match if set).
-    scalar, plans = {}, {}
+    # Per mover: its usable options and row oracle, and over the usable
+    # options the opponent's done flag, the bit the choice sets in the
+    # opponent's backlog, and the own backlog bit (a match if set).
+    plans = {}
     for a in movers:
-        w, usable, oracle, rows_oracle = _agent_oracle(instance.model(*agents[a]), opp_count[a],
-                                                       budgets[a])
+        usable, rows_oracle = _agent_oracle(instance.model(*agents[a]), opp_count[a], budgets[a])
         opps = [l + n if a < n else l for l in usable]
-        scalar[a] = (w, usable, oracle)
-        plans[a] = (rows_oracle, np.array([done[o] for o in opps], dtype=np.int64),
+        plans[a] = (usable, rows_oracle, np.array([done[o] for o in opps], dtype=np.int64),
                     np.array([1 << (offsets[o] + agents[a][1]) for o in opps], dtype=np.int64),
                     np.array([own[a] and 1 << (offsets[a] + l) for l in usable], dtype=np.int64))
 
@@ -103,7 +102,7 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
         keys, parts = layers[-1], []
         for a in movers:
             check_deadline()
-            _, opp_done, kid, _ = plans[a]
+            _, _, opp_done, kid, _ = plans[a]
             rows = keys[keys & done[a] == 0]
             base = (rows & ~own[a]) | done[a]
             parts += [base, (base[:, None] | kid)[(rows[:, None] & opp_done) == 0]]
@@ -129,7 +128,7 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
         best = np.zeros(len(keys))
         for a in movers:
             check_deadline()
-            rows_oracle, opp_done, kid, match = plans[a]
+            _, rows_oracle, opp_done, kid, match = plans[a]
             sel = np.flatnonzero(keys & done[a] == 0)
             rows = keys[sel]
             base = (rows & ~own[a]) | done[a]
@@ -145,23 +144,22 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
         values = best
         layers.pop()
 
-    # Root (key 0): the best move wins; a later agent wins only by more than
-    # 1e-12 for the first action.
+    # Root (key 0): each mover's display is the oracle's on its usable
+    # options' gains above 1e-12 (others at 0).  The best move wins; a later
+    # agent wins only by more than 1e-12 for the first action.
     nxt = layers[1]
     opt, best, action = 0.0, 0.0, None
     for a in movers:
-        w, usable, oracle = scalar[a]
+        usable, _, _, kid, _ = plans[a]
         v_out = values[np.searchsorted(nxt, done[a])]
-        items = []
-        for l, bit in zip(usable, plans[a][2].tolist()):
-            th = values[np.searchsorted(nxt, done[a] | bit)] - v_out
-            if th > _TOL:
-                items.append((th, w[l], l))
-        val, chosen = oracle(items, budgets[a])
-        cand = v_out + val
+        gain = values[np.searchsorted(nxt, done[a] | kid)] - v_out
+        theta = np.zeros(opp_count[a])
+        theta[usable] = np.where(gain > _TOL, gain, 0.0)
+        res = best_weighted_assortment(instance.model(*agents[a]), theta.tolist(), budgets[a])
+        cand = v_out + res.value
         opt = max(opt, cand)
         if action is None or cand > best + _TOL:
-            best, action = cand, PolicyAction(agents[a], frozenset(j for _, _, j in chosen))
+            best, action = cand, PolicyAction(agents[a], res.assortment)
     return DpValue(float(opt), states, action)
 
 

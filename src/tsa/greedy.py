@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, SizeRefusalError
+from .errors import ContractViolationError, SizeRefusalError, UnsupportedOracleError
 from .instances import UNBOUNDED, Instance, Tabular, is_mnl
 from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_demand,
                       demand_table, prob_table)
@@ -49,12 +49,8 @@ class GreedyOneSidedPolicy:
             model = inst.model(self.resp_side, j)
             k = inst.budget(self.resp_side, j)
             backlog = frozenset(state.backlog((self.resp_side, j)))
-            if k is UNBOUNDED:
-                base = model.demand(backlog)
-                grown = model.demand(backlog | {initiator})
-            else:
-                base = constrained_demand(model, backlog, k).value
-                grown = constrained_demand(model, backlog | {initiator}, k).value
+            base = constrained_demand(model, backlog, k).value
+            grown = constrained_demand(model, backlog | {initiator}, k).value
             theta[j] = max(grown - base, 0.0)
         return theta
 
@@ -75,7 +71,8 @@ class GreedyOneSidedPolicy:
     def batch_matches(self, uniforms: np.ndarray) -> np.ndarray:
         """Matches of one run per row of ``uniforms`` (runs, n + m): the draws
         a run makes in processing order, one per initiator in ``order`` and
-        then one per responder.  Unbudgeted MNL markets only.
+        then one per responder.  Unbudgeted MNL markets only: a budget
+        raises ``UnsupportedOracleError``.
 
         A run's display depends only on its history, the responder each
         earlier initiator picked, so each step computes one display per
@@ -90,6 +87,8 @@ class GreedyOneSidedPolicy:
         display), where the scalar path sums in set iteration order: the
         same for ids below 8 in ascending processing order, else equal up to
         the last bit of a sum of three or more weights."""
+        if self.instance.constrained:
+            raise UnsupportedOracleError("batched greedy refuses a budgeted market")
         v, w = self.instance.require_mnl_weights("batched greedy")
         resp_w = w if self.side == "C" else v  # resp_w[j, i]
         nresp, ninit = resp_w.shape

@@ -175,48 +175,34 @@ def _budget_masks(count: int, budget) -> list:
 # Row oracles: the weighted oracle on one theta vector per row
 
 
-def _enumeration_oracle(phi: np.ndarray, masks, items, budget):
-    """Max over assortment masks of sum_j phi[mask, j] * theta_j for
-    (theta, weight, option) triples; returns (value, chosen triples).  The
-    budget is already applied by ``masks``."""
-    theta = [0.0] * phi.shape[1]
-    for th, _, j in items:
-        theta[j] = th
-    best_val, best_mask = 0.0, 0
-    for mask in masks:
-        row = phi[mask]
-        val = 0.0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            j = low.bit_length() - 1
-            val += row[j] * theta[j]
-            mm ^= low
-        if val > best_val + _TOL:
-            best_val, best_mask = val, mask
-    return best_val, [t for t in items if best_mask >> t[2] & 1]
-
-
 def _agent_oracle(model, n_opts: int, budget):
-    """(weights, usable options, oracle, row oracle) for one agent: an MNL
-    agent skips its zero-weight options and runs ``mnl_best``; any other model
-    enumerates its budget-feasible assortments.  The oracle maps (triples,
-    budget) to (value, chosen triples); the row oracle maps (theta, item)
-    arrays over the usable options to the oracle's value on each row, bit for
-    bit."""
+    """(usable options, row oracle) for one agent: an MNL agent skips its
+    zero-weight options and runs ``mnl_best``'s rules; any other model
+    enumerates its budget-feasible assortments.  The row oracle maps (theta,
+    item) arrays over the usable options to ``best_weighted_assortment``'s
+    value on each row, non-items at theta 0, bit for bit (for other models
+    below 9 options, where a set iterates in ascending order)."""
     if is_mnl(model):
         w = model.weights
         usable = [j for j in range(n_opts) if w[j] > 0.0]
-        return w, usable, mnl_best, partial(_mnl_rows, np.array([w[j] for j in usable]), budget)
-    w, usable = [0.0] * n_opts, list(range(n_opts))
-    oracle = partial(_enumeration_oracle, prob_table(model, n_opts), _budget_masks(n_opts, budget))
-    return w, usable, oracle, partial(_scalar_rows, oracle, [(w[l], l) for l in usable], budget)
+        return usable, partial(_mnl_rows, np.array([w[j] for j in usable]), budget)
+    return list(range(n_opts)), partial(_enumeration_rows, prob_table(model, n_opts),
+                                        _budget_masks(n_opts, budget))
 
 
-def _scalar_rows(oracle, options, budget, theta, item):
-    """The scalar oracle on each row's (theta, weight, option) triples."""
-    return np.array([oracle([(t, *o) for t, o, i in zip(ts, options, its) if i], budget)[0]
-                     for ts, its in zip(theta.tolist(), item.tolist())])
+def _enumeration_rows(phi: np.ndarray, masks, theta, item):
+    """``_enumerate_best`` on every row at once: each assortment mask in turn
+    (the budget is already applied by ``masks``) sums phi[mask, j] * theta_j
+    over its options in ascending order, and a later mask wins only by more
+    than 1e-12."""
+    theta = np.where(item, theta, 0.0)
+    best = np.zeros(len(theta))
+    for mask in masks:
+        val = 0.0
+        for j in _mask_options(mask):
+            val = val + phi[mask, j] * theta[:, j]
+        best = np.where(val > best + _TOL, val, best)
+    return best
 
 
 def _mnl_rows(w, budget, theta, item):

@@ -4,8 +4,9 @@ same states and does the same arithmetic per state, so values, state counts
 and first actions must agree exactly."""
 
 from tsa.exact import DpValue
+from tsa.instances import is_mnl
 from tsa.oracles import _TOL as _THETA_TOL
-from tsa.oracles import _agent_oracle, demand_table
+from tsa.oracles import best_weighted_assortment, demand_table
 from tsa.policies import PolicyAction
 
 
@@ -36,11 +37,13 @@ def recursive_adaptive_dp(instance, first) -> DpValue:
     budgets = [instance.budget(*agent) for agent in agents]
     movers = [a for a in range(total) if first in (None, agents[a][0])]
     movers_done = sum(1 << done_bit[a] for a in movers)
-    oracles = [_agent_oracle(instance.model(*agents[a]), opp_count[a], budgets[a])
-               if a in movers else None for a in range(total)]
+    models = [instance.model(*agent) for agent in agents]
+    # Options a mover may show: an MNL agent's positive-weight ones, else all.
+    usable = [[l for l in range(opp_count[a]) if not is_mnl(models[a]) or models[a].weights[l] > 0]
+              for a in range(total)]
     # Responders: (slot offset, backlog mask, F table).
     responders = [(offsets[a], (1 << opp_count[a]) - 1,
-                   demand_table(instance.model(*agents[a]), opp_count[a], budgets[a]))
+                   demand_table(models[a], opp_count[a], budgets[a]))
                   for a in range(total) if a not in movers]
 
     memo = {}
@@ -49,18 +52,17 @@ def recursive_adaptive_dp(instance, first) -> DpValue:
         base = (key & ~slot_mask[a]) | (1 << done_bit[a])
         v_out = value(base)
         backlog = (key >> offsets[a]) & ((1 << opp_count[a]) - 1)
-        w, usable, oracle, _ = oracles[a]
-        items = []
-        for l in usable:
+        theta = [0.0] * opp_count[a]
+        for l in usable[a]:
             o = opp_global[a][l]
             if backlog >> l & 1:
-                items.append((1.0, w[l], l))
+                theta[l] = 1.0
             elif not key >> done_bit[o] & 1:
                 th = value(base | (1 << (offsets[o] + local_id[a]))) - v_out
                 if th > _THETA_TOL:
-                    items.append((th, w[l], l))
-        val, chosen = oracle(items, budgets[a])
-        return v_out + val, chosen
+                    theta[l] = th
+        res = best_weighted_assortment(models[a], theta, budgets[a])
+        return v_out + res.value, res.assortment
 
     def value(key: int) -> float:
         if responders and key & movers_done == movers_done:
@@ -87,5 +89,5 @@ def recursive_adaptive_dp(instance, first) -> DpValue:
     for a in movers:
         cand, chosen = agent_value(0, a)
         if action is None or cand > best + 1e-12:
-            best, action = cand, PolicyAction(agents[a], frozenset(j for _, _, j in chosen))
+            best, action = cand, PolicyAction(agents[a], chosen)
     return DpValue(opt, len(memo), action)

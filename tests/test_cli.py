@@ -37,6 +37,17 @@ def test_generate_tight_kind_below_2_exits_2(tmp_path):
     assert not os.listdir(tmp_path)
 
 
+def test_generate_n_needs_kind(tmp_path, capsys):
+    """--n sizes a hard construction only: without --kind it exits 2 and
+    writes nothing; --kind alone means n = 2."""
+    out_dir = tmp_path / "random"
+    assert run(["generate", "--sizes", "2", "--seeds", "1", "--n", "5", "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    assert run(["generate", "--kind", "lemma6", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == str(tmp_path / "lemma6_n2.json")
+    assert run(["generate", "--kind", "lemma6", "--n", "0", "--out", str(tmp_path / "zero")]) == 2
+
+
 def test_generate_rejects_run_flags(tmp_path):
     """generate runs no solver, so --time-limit and --jobs are unknown flags."""
     for flag, value in (("--time-limit", "0.000001"), ("--jobs", "2")):

@@ -16,9 +16,9 @@ from tsa.greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
                         exact_greedy_value, phi_min, sample_count,
                         sampling_side_selector)
 from tsa.bounds import _SELECTOR_RUNS, alg_one_sided_adaptive_value
-from tsa.errors import SizeRefusalError, TimeLimitError
-from tsa.instances import (MNL, Instance, Mixture, generate_random_instance,
-                           tight_instance)
+from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
+from tsa.instances import (MNL, CardinalityProfile, Instance, Mixture,
+                           generate_random_instance, tight_instance)
 from tsa.policies import _CHUNK, _stream_uniforms, monte_carlo
 from tsa.util import Deadline
 
@@ -249,6 +249,16 @@ def test_budgeted_and_non_mnl_markets_run_the_scalar_path():
         assert calls == []
 
 
+def test_batch_matches_refuses_budgeted_markets():
+    """The kernel does not apply budgets, so it refuses a budgeted market,
+    called directly or through a committed policy."""
+    inst = generate_random_instance(4, 4, seed=0, profile=CardinalityProfile("two-way", 1, 1))
+    uniforms = _stream_uniforms([5], 0, 20, inst.n + inst.m)
+    for pol in (GreedyOneSidedPolicy(inst, "C"), cointoss_fully_adaptive(inst, seed=0)):
+        with pytest.raises(UnsupportedOracleError, match="budget"):
+            pol.batch_matches(uniforms)
+
+
 def test_stream_uniforms_reproduce_default_rng():
     for prefix in ([0], [5], [5, 1], [7, 0, 9], [2 ** 32], [123, 2 ** 64 + 5]):
         for lo, hi in ((0, 40), (4090, 4110)):
@@ -286,9 +296,10 @@ def test_exact_greedy_evaluators_stop_at_deadline():
         assert time.monotonic() - start < 1.0
 
 
-def test_exact_greedy_value_frees_its_memo():
+def test_exact_greedy_value_leaves_no_cyclic_garbage():
     """With the cyclic collector off, the call leaves nothing for it to find:
-    the memo was freed by reference counting when the call returned."""
+    every array and block of the walk is freed by reference counting when the
+    call returns."""
     inst = generate_random_instance(4, 4, seed=1)
     expected = exact_greedy_value(inst, "C")
     gc.collect()

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import independent_model
 from helpers import is_submodular
 from tsa.errors import UnsupportedOracleError
-from tsa.instances import (MNL, UNBOUNDED, BetaUniform, UniformNoOutside,
+from tsa.instances import (MNL, UNBOUNDED, BetaUniform, Mixture, UniformNoOutside,
                            counterexample_constrained_demand_model, demand)
-from tsa.oracles import (_mnl_prefix_rows, _mnl_rows, best_weighted_assortment,
-                         constrained_demand, mnl_best)
+from tsa.oracles import (_budget_masks, _enumeration_rows, _mnl_prefix_rows, _mnl_rows,
+                         best_weighted_assortment, constrained_demand, mnl_best,
+                         prob_table)
 
 
 def brute_force_weighted(model, theta, budget=None):
@@ -195,3 +197,26 @@ def test_row_oracles_match_mnl_best_bit_for_bit():
             value, chosen = mnl_best(t)
             assert best[r] == value, (trial, r)
             assert order[r, :size[r]].tolist() == [j for _, _, j in chosen], (trial, r)
+
+
+def test_enumeration_rows_match_the_oracle_bit_for_bit():
+    """The row form of the enumeration oracle, which the adaptive DPs use for
+    every non-MNL mover, against ``best_weighted_assortment`` row by row, a
+    non-item's theta read as 0: Tabular, Mixture, UniformNoOutside with a
+    support and BetaUniform agents, thetas with ties and zeros, items masked
+    off, budgets 1, 2 and none.  Values must be equal with ==."""
+    rng = np.random.default_rng(17)
+    for trial in range(24):
+        n = 1 + trial % 7
+        model = [independent_model(list(rng.random(n) / (n + 1))),
+                 Mixture((MNL(tuple(rng.random(n) * 2)), BetaUniform(n)), (0.3, 0.7)),
+                 UniformNoOutside(n, support=tuple(j for j in range(n) if rng.random() < 0.6)),
+                 BetaUniform(n)][trial % 4]
+        tied = rng.choice([0.0, 0.25, 0.5, 0.5 + 1e-13, 1.0], (30, n))  # 1e-13: wins by < _TOL
+        theta = np.where(rng.random((30, n)) < 0.5, tied, rng.random((30, n)))
+        item = rng.random((30, n)) < 0.8
+        for budget in (1, 2, UNBOUNDED):
+            got = _enumeration_rows(prob_table(model, n), _budget_masks(n, budget), theta, item)
+            want = [best_weighted_assortment(model, np.where(its, ts, 0.0).tolist(), budget).value
+                    for ts, its in zip(theta, item)]
+            assert got.tolist() == want, (trial, budget)
