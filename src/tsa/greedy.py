@@ -19,8 +19,7 @@ from .errors import ContractViolationError, SizeRefusalError, UnsupportedOracleE
 from .instances import UNBOUNDED, Instance, Tabular, is_mnl
 from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_demand,
                       demand_table, prob_table)
-from .policies import (PolicyAction, PolicyState, monte_carlo,
-                       respond_with_backlog)
+from .policies import PolicyAction, PolicyState, monte_carlo
 from .util import check_deadline
 
 
@@ -29,7 +28,9 @@ class GreedyOneSidedPolicy:
 
     Marginals use the responding side's demand functions (budget-constrained
     demand when the responder carries a budget); the displayed assortment
-    respects the initiating agent's budget.
+    respects the initiating agent's budget.  Each responder then shows
+    ``constrained_demand``'s set of its backlog: the backlog itself with no
+    budget, else its best subset within the budget.
     """
 
     def __init__(self, instance: Instance, side: str, order: Optional[Sequence[int]] = None):
@@ -64,8 +65,10 @@ class GreedyOneSidedPolicy:
                                                inst.budget(self.side, a))
                 return PolicyAction((self.side, a), res.assortment)
         for b in range(nresp):
-            if (self.resp_side, b) not in state.processed:
-                return PolicyAction((self.resp_side, b), respond_with_backlog(state, self.resp_side, b))
+            agent = (self.resp_side, b)
+            if agent not in state.processed:
+                shown = constrained_demand(inst.model(*agent), state.backlog(agent), inst.budget(*agent))
+                return PolicyAction(agent, shown.assortment)
         raise ContractViolationError("all agents processed")
 
     def batch_matches(self, uniforms: np.ndarray) -> np.ndarray:
@@ -86,7 +89,10 @@ class GreedyOneSidedPolicy:
         Weight sums run in processing order (a backlog) and in id order (a
         display), where the scalar path sums in set iteration order: the
         same for ids below 8 in ascending processing order, else equal up to
-        the last bit of a sum of three or more weights."""
+        the last bit of a sum of three or more weights.  A responder matches
+        with W / (1 + W), W its backlog's weight sum, where the scalar path
+        adds its members' choice probabilities in id order: equal up to the
+        last bit."""
         if self.instance.constrained:
             raise UnsupportedOracleError("batched greedy refuses a budgeted market")
         v, w = self.instance.require_mnl_weights("batched greedy")
@@ -97,7 +103,6 @@ class GreedyOneSidedPolicy:
             return np.zeros(runs, dtype=np.int64)
         hist = np.zeros(runs, dtype=np.int64)  # each run's history
         sums = np.zeros((1, nresp))  # per history: backlog weight sums, added in processing order
-        picks = np.full((1, ninit), nresp)  # per history: responder each initiator chose, nresp for none
         for t, i in enumerate(self.order):
             grown = sums + resp_w[:, i]
             theta = np.maximum(grown / (1.0 + grown) - sums / (1.0 + sums), 0.0)
@@ -109,16 +114,12 @@ class GreedyOneSidedPolicy:
             pick = (cdf[hist] <= uniforms[:, t, None]).sum(axis=1)
             child, hist = np.unique(hist * (nresp + 1) + pick, return_inverse=True)
             parent, pick = np.divmod(child, nresp + 1)
-            sums, picks = sums[parent], picks[parent]
-            picks[:, i] = pick
+            sums = sums[parent]
             chose = np.flatnonzero(pick < nresp)
             sums[chose, pick[chose]] += resp_w[pick[chose], i]
         # Each responder shows its whole backlog, all of whom chose it, so any
-        # choice is a match.  Its choice probabilities are summed in id order.
-        chance, denom, ids = np.zeros_like(sums), 1.0 + sums, np.arange(nresp)
-        for i in range(ninit):
-            chance += np.where(picks[:, i, None] == ids, resp_w[:, i] / denom, 0.0)
-        return (uniforms[:, ninit:] < chance[hist]).sum(axis=1)
+        # choice is a match: it matches with its demand W / (1 + W).
+        return (uniforms[:, ninit:] < (sums / (1.0 + sums))[hist]).sum(axis=1)
 
 
 def _display_probs(model, budget, theta: np.ndarray) -> np.ndarray:

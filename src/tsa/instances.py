@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -190,24 +190,6 @@ class BetaUniform:
 
 
 ChoiceSpec = Union[MNL, Tabular, Mixture, UniformNoOutside, BetaUniform]
-
-
-def choice_prob(model: ChoiceSpec, option: Optional[int], assortment: Iterable[int]) -> float:
-    """Probability that the agent picks ``option`` (None = outside) from ``assortment``."""
-    s = frozenset(assortment)
-    if not all(0 <= j < model.num_options for j in s):
-        raise ChoiceModelError(f"assortment {sorted(s)} outside option universe of size {model.num_options}")
-    if option is not None and not (0 <= option < model.num_options):
-        raise ChoiceModelError(f"unknown option id {option}")
-    return model.prob(option, s)
-
-
-def demand(model: ChoiceSpec, assortment: Iterable[int]) -> float:
-    """Probability the agent picks anything from ``assortment``."""
-    s = frozenset(assortment)
-    if not all(0 <= j < model.num_options for j in s):
-        raise ChoiceModelError(f"assortment {sorted(s)} outside option universe of size {model.num_options}")
-    return model.demand(s)
 
 
 def is_mnl(model: ChoiceSpec) -> bool:

@@ -2,15 +2,17 @@
 their tables over subsets, and their row form for the exact DPs.
 
 The weighted problem is max over S (|S| <= budget) of sum_{j in S} theta_j *
-phi(j, S); a responder is worth its demand, or its budget-constrained demand
-f^K.  MNL has one exact oracle, ``mnl_best``: the best theta-ordered prefix
-when unconstrained, and under a cardinality budget Dinkelbach's iteration on
-the ratio z, each step keeping the K largest positive w_j (theta_j - z)
-(Rusmevichientong, Shen & Shmoys 2010).  Every other model is solved by
-exhaustive enumeration up to universe size 20; beyond that the oracle refuses
-rather than approximate silently.  The row oracles apply the same rules to
-many theta vectors at once, bit for bit: the adaptive DPs value a layer with
-them, and greedy's batched kernel shows its displays with the prefix rule.
+phi(j, S).  A responder shows, and is worth, ``constrained_demand`` of its
+backlog B: under budget K the best subset of at most K members of B and its
+demand f^K(B), with no budget B and its demand.  MNL has one exact oracle,
+``mnl_best``: the best theta-ordered prefix when unconstrained, and under a
+cardinality budget Dinkelbach's iteration on the ratio z, each step keeping
+the K largest positive w_j (theta_j - z) (Rusmevichientong, Shen & Shmoys
+2010).  Every other model is solved by exhaustive enumeration up to universe
+size 20; beyond that the oracle refuses rather than approximate silently.
+The row oracles apply the same rules to many theta vectors at once, bit for
+bit: the adaptive DPs value a layer with them, and greedy's batched kernel
+shows its displays with the prefix rule.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class OracleResult:
 
 
 def _weighted_value(model: ChoiceSpec, theta: Sequence[float], s: frozenset) -> float:
-    return sum(theta[j] * model.prob(j, s) for j in s)
+    return sum(theta[j] * model.prob(j, s) for j in sorted(s))
 
 
 def _enumerate_best(model: ChoiceSpec, theta, candidates, budget) -> OracleResult:
@@ -99,11 +101,14 @@ def best_weighted_assortment(model: ChoiceSpec, theta: Sequence[float],
 
 
 def constrained_demand(model: ChoiceSpec, ground: Iterable[int], budget=UNBOUNDED) -> OracleResult:
-    """f^K(ground): best demand over sub-assortments of ``ground`` of size <= K."""
+    """f^K(ground): the best demand over sub-assortments of ``ground`` of size
+    <= K, and the set a responder with budget K shows from its backlog
+    ``ground``; with no budget, ``ground`` itself.  MNL demand only grows with
+    the set, so an MNL ground within the budget is shown whole."""
     ground = frozenset(ground)
     if budget is not UNBOUNDED and budget < 1:
         raise ValueError("budget must be >= 1 or unbounded")
-    if budget is UNBOUNDED:
+    if budget is UNBOUNDED or (is_mnl(model) and len(ground) <= budget):
         return OracleResult(ground, model.demand(ground))
     if is_mnl(model):
         # Optimal set keeps the K largest positive weights (Lemma: f^K = W/(1+W)).
@@ -128,7 +133,7 @@ def _mask_options(mask: int):
 
 
 def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
-    """Demand (or budget-constrained demand) of every subset, indexed by bitmask."""
+    """``constrained_demand``'s value on every subset, indexed by bitmask."""
     if n_opts > 20:
         raise ValueError("demand_table limited to option universes of size <= 20")
     size = 1 << n_opts
@@ -140,11 +145,7 @@ def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray
             w[mask] = w[mask ^ low] + model.weights[low.bit_length() - 1]
         return w / (1.0 + w)
     for mask in range(1, size):
-        if is_mnl(model):  # the ``budget`` largest weights
-            w = sum(sorted((model.weights[j] for j in _mask_options(mask)), reverse=True)[:budget])
-            out[mask] = w / (1.0 + w)
-        else:
-            out[mask] = constrained_demand(model, _mask_options(mask), budget).value
+        out[mask] = constrained_demand(model, _mask_options(mask), budget).value
     return out
 
 
@@ -180,8 +181,7 @@ def _agent_oracle(model, n_opts: int, budget):
     zero-weight options and runs ``mnl_best``'s rules; any other model
     enumerates its budget-feasible assortments.  The row oracle maps (theta,
     item) arrays over the usable options to ``best_weighted_assortment``'s
-    value on each row, non-items at theta 0, bit for bit (for other models
-    below 9 options, where a set iterates in ascending order)."""
+    value on each row, non-items at theta 0, bit for bit."""
     if is_mnl(model):
         w = model.weights
         usable = [j for j in range(n_opts) if w[j] > 0.0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractViolationError, SizeRefusalError
 from .instances import UNBOUNDED, Instance
-from .oracles import constrained_demand, demand_table
+from .oracles import demand_table
 from .util import check_deadline
 
 Agent = Tuple[str, int]  # ("C", i) or ("S", j)
@@ -348,8 +348,8 @@ _MAX_STATIC_INITIATING = 18
 
 def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> float:
     """Exact expectation when ``side`` is shown static assortments first and each
-    responder is then shown its backlog (its budget-constrained best subset when
-    constrained)."""
+    responder then shows ``constrained_demand``'s set of its backlog: the
+    backlog itself with no budget, else its best subset within the budget."""
     init_n = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     resp_n = instance.side_size(resp_side)
@@ -390,18 +390,3 @@ def one_sided_values(instance: Instance, side: str, probs) -> np.ndarray:
             f = np.tensordot(f, np.stack([1.0 - q[:, j], q[:, j]]), axes=(0, 0))
         values += f
     return values
-
-
-# ---------------------------------------------------------------------------
-# Responders' display rule
-
-
-def respond_with_backlog(state: PolicyState, side: str, idx: int) -> frozenset:
-    """Backlog display rule for responding agents: the whole backlog, or its
-    constrained-demand argmax when the agent carries a budget."""
-    inst = state.instance
-    backlog = frozenset(state.backlog((side, idx)))
-    k = inst.budget(side, idx)
-    if k is UNBOUNDED or len(backlog) <= k:
-        return backlog
-    return constrained_demand(inst.model(side, idx), backlog, k).assortment

@@ -22,6 +22,16 @@ def independent_model(probs):
     return Tabular(n, rows)
 
 
+def nonmonotone_market():
+    """Two MNL(4.0) customers and one Tabular supplier of budget 2 whose demand
+    is not monotone: {0} 0.5, {1} 0.9, {0, 1} 0.6.  Holding both customers,
+    the supplier shows {1}."""
+    supplier = Tabular(2, {frozenset(): ({}, 1.0), frozenset({0}): ({0: 0.5}, 0.5),
+                           frozenset({1}): ({1: 0.9}, 0.1),
+                           frozenset({0, 1}): ({0: 0.3, 1: 0.3}, 0.4)})
+    return Instance(2, 1, (MNL((4.0,)),) * 2, (supplier,), (), (2,))
+
+
 def low_value_instance(n, m, seed, alpha=0.7574):
     """Random MNL instance with every weight strictly below alpha."""
     rng = np.random.default_rng(seed)

@@ -1,15 +1,34 @@
-"""Test-only code kept out of the package: a submodularity checker, the exact
-evaluator of a deterministic policy by its full choice tree, two fixed-assortment
-policies, the distribution residual of a one-sided relaxation, and the exact
-high-value subproblem of the fully static approximation.  No pipeline calls
-them; the tests use them as independent checks."""
+"""Test-only code kept out of the package: range-checked choice probability
+and demand, a submodularity checker, the exact evaluator of a deterministic
+policy by its full choice tree, two fixed-assortment policies, the
+distribution residual of a one-sided relaxation, and the exact high-value
+subproblem of the fully static approximation.  No pipeline calls them; the
+tests use them as independent checks."""
 
-from typing import Callable, Dict, Iterable
+from typing import Callable, Dict, Iterable, Optional
 
-from tsa.errors import ContractViolationError, SizeRefusalError
-from tsa.instances import UNBOUNDED, Instance
-from tsa.policies import (PolicyAction, PolicyState, _apply_choice, _validate_action,
-                          respond_with_backlog)
+from tsa.errors import ChoiceModelError, ContractViolationError, SizeRefusalError
+from tsa.instances import UNBOUNDED, ChoiceSpec, Instance
+from tsa.oracles import constrained_demand
+from tsa.policies import PolicyAction, PolicyState, _apply_choice, _validate_action
+
+
+def choice_prob(model: ChoiceSpec, option: Optional[int], assortment: Iterable[int]) -> float:
+    """Probability that the agent picks ``option`` (None = outside) from ``assortment``."""
+    s = frozenset(assortment)
+    if not all(0 <= j < model.num_options for j in s):
+        raise ChoiceModelError(f"assortment {sorted(s)} outside option universe of size {model.num_options}")
+    if option is not None and not (0 <= option < model.num_options):
+        raise ChoiceModelError(f"unknown option id {option}")
+    return model.prob(option, s)
+
+
+def demand(model: ChoiceSpec, assortment: Iterable[int]) -> float:
+    """Probability the agent picks anything from ``assortment``."""
+    s = frozenset(assortment)
+    if not all(0 <= j < model.num_options for j in s):
+        raise ChoiceModelError(f"assortment {sorted(s)} outside option universe of size {model.num_options}")
+    return model.demand(s)
 
 
 def is_submodular(values: Callable[[frozenset], float], universe: Iterable[int],
@@ -123,8 +142,8 @@ class StaticPolicy:
 
 
 class OneSidedStaticPolicy:
-    """Show fixed assortments to one side, then each responder its backlog
-    (or the best budget-feasible subset of it)."""
+    """Show fixed assortments to one side; each responder then shows
+    ``constrained_demand``'s set of its backlog."""
 
     def __init__(self, instance: Instance, side: str, assortments):
         self.side = side
@@ -139,8 +158,10 @@ class OneSidedStaticPolicy:
                 return PolicyAction((self.side, a), self.assortments[a])
         resp = "S" if self.side == "C" else "C"
         for b in range(inst.side_size(resp)):
-            if (resp, b) not in state.processed:
-                return PolicyAction((resp, b), respond_with_backlog(state, resp, b))
+            agent = (resp, b)
+            if agent not in state.processed:
+                shown = constrained_demand(inst.model(*agent), state.backlog(agent), inst.budget(*agent))
+                return PolicyAction(agent, shown.assortment)
         raise ContractViolationError("all agents processed")
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import independent_model
+from conftest import independent_model, nonmonotone_market
 from greedy_reference import recursive_greedy_value
 from helpers import exact_value_deterministic_adaptive
 from tsa.exact import opt_fully_adaptive, opt_one_sided_adaptive
@@ -44,8 +44,7 @@ def test_greedy_zero_demand_suppliers_shows_empty():
 
 
 def test_greedy_policy_matches_exact_evaluator():
-    for seed in range(4):
-        inst = generate_random_instance(2, 2, seed=seed)
+    for inst in [generate_random_instance(2, 2, seed=seed) for seed in range(4)] + [nonmonotone_market()]:
         tree = exact_value_deterministic_adaptive(inst, GreedyOneSidedPolicy(inst, "C"))
         fast = exact_greedy_value(inst, "C")
         assert tree == pytest.approx(fast, abs=1e-12)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import choice_prob, demand
 from tsa.cli import main
 from tsa.errors import ChoiceModelError, ParseError
 from tsa.instances import (MNL, BetaUniform, CardinalityProfile, Instance,
-                           Mixture, Tabular, UniformNoOutside, choice_prob,
-                           counterexample_constrained_demand_model, demand,
+                           Mixture, Tabular, UniformNoOutside,
+                           counterexample_constrained_demand_model,
                            generate_random_instance, instance_to_dict,
                            load_instance, save_instance, tight_instance)
 

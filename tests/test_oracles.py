@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import independent_model
-from helpers import is_submodular
+from helpers import demand, is_submodular
 from tsa.errors import UnsupportedOracleError
 from tsa.instances import (MNL, UNBOUNDED, BetaUniform, Mixture, UniformNoOutside,
-                           counterexample_constrained_demand_model, demand)
+                           counterexample_constrained_demand_model)
 from tsa.oracles import (_budget_masks, _enumeration_rows, _mnl_prefix_rows, _mnl_rows,
                          best_weighted_assortment, constrained_demand, mnl_best,
                          prob_table)
@@ -204,19 +204,22 @@ def test_enumeration_rows_match_the_oracle_bit_for_bit():
     every non-MNL mover, against ``best_weighted_assortment`` row by row, a
     non-item's theta read as 0: Tabular, Mixture, UniformNoOutside with a
     support and BetaUniform agents, thetas with ties and zeros, items masked
-    off, budgets 1, 2 and none.  Values must be equal with ==."""
+    off, budgets 1, 2 and none, 1-7 options and, few rows each, 9-11 options,
+    where a set of option ids no longer iterates in ascending order.  Values
+    must be equal with ==."""
     rng = np.random.default_rng(17)
-    for trial in range(24):
-        n = 1 + trial % 7
+    cases = [(1 + t % 7, t % 4, 30) for t in range(24)]
+    cases += [(n, kind, 8) for n in (9, 10, 11) for kind in (1, 2, 3)]
+    for n, kind, rows in cases:
         model = [independent_model(list(rng.random(n) / (n + 1))),
                  Mixture((MNL(tuple(rng.random(n) * 2)), BetaUniform(n)), (0.3, 0.7)),
                  UniformNoOutside(n, support=tuple(j for j in range(n) if rng.random() < 0.6)),
-                 BetaUniform(n)][trial % 4]
-        tied = rng.choice([0.0, 0.25, 0.5, 0.5 + 1e-13, 1.0], (30, n))  # 1e-13: wins by < _TOL
-        theta = np.where(rng.random((30, n)) < 0.5, tied, rng.random((30, n)))
-        item = rng.random((30, n)) < 0.8
+                 BetaUniform(n)][kind]
+        tied = rng.choice([0.0, 0.25, 0.5, 0.5 + 1e-13, 1.0], (rows, n))  # 1e-13: wins by < _TOL
+        theta = np.where(rng.random((rows, n)) < 0.5, tied, rng.random((rows, n)))
+        item = rng.random((rows, n)) < 0.8
         for budget in (1, 2, UNBOUNDED):
             got = _enumeration_rows(prob_table(model, n), _budget_masks(n, budget), theta, item)
             want = [best_weighted_assortment(model, np.where(its, ts, 0.0).tolist(), budget).value
                     for ts, its in zip(theta, item)]
-            assert got.tolist() == want, (trial, budget)
+            assert got.tolist() == want, (n, kind, budget)

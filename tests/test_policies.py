@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import nonmonotone_market
 from helpers import OneSidedStaticPolicy, StaticPolicy, exact_value_deterministic_adaptive
 from tsa.errors import ContractViolationError, SizeRefusalError
 from tsa.greedy import GreedyOneSidedPolicy
@@ -105,6 +106,10 @@ def test_exact_value_one_sided_static(unit_1x1):
         val = exact_value_one_sided_static(inst, "C", [{0}] * n)
         assert val == pytest.approx(1 - (1 - 1 / n) ** n)
         assert exact_value_one_sided_static(inst, "C", [set()] * n) == 0.0
+    inst = nonmonotone_market()
+    tree = exact_value_deterministic_adaptive(inst, OneSidedStaticPolicy(inst, "C", [{0}, {0}]))
+    assert exact_value_one_sided_static(inst, "C", [{0}, {0}]) == pytest.approx(tree, abs=1e-12)
+    assert tree == pytest.approx(0.8, abs=1e-12)
 
 
 def test_exact_value_one_sided_static_size_refusal():
