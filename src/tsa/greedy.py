@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, SizeRefusalError, UnsupportedOracleError
+from .errors import ContractViolationError, SizeRefusalError
 from .instances import UNBOUNDED, Instance, Tabular, is_mnl
 from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_demand,
                       demand_table, prob_table)
@@ -74,27 +74,29 @@ class GreedyOneSidedPolicy:
     def batch_matches(self, uniforms: np.ndarray) -> np.ndarray:
         """Matches of one run per row of ``uniforms`` (runs, n + m): the draws
         a run makes in processing order, one per initiator in ``order`` and
-        then one per responder.  Unbudgeted MNL markets only: a budget
-        raises ``UnsupportedOracleError``.
+        then one per responder.  MNL markets only, with or without budgets.
 
         A run's display depends only on its history, the responder each
         earlier initiator picked, so each step computes one display per
         distinct history (``_display_probs``, the rule ``exact_greedy_value``
         weighs by probability, summed into ``_sample_choice``'s cumulative
         probabilities) and each run compares its draw with its history's row;
-        runs that pick alike move on to the same child history.  A child's
-        backlog sums are its parent's plus the pick's weight, the same
-        additions a run makes on the scalar path.
+        runs that pick alike move on to the same child history.  A history
+        carries each responder's backlog weight sum W, worth W / (1 + W); a
+        pick moves the picked responder's sum to its grown value.  With no
+        budget, a grown sum is the backlog's plus the initiator's weight: the
+        additions a run makes on the scalar path, in processing order.  Under
+        budgets a history also carries each backlog's members, and a sum is
+        ``constrained_demand``'s: the K largest-weight members (ties to the
+        lower id), added in id order.
 
-        Weight sums run in processing order (a backlog) and in id order (a
-        display), where the scalar path sums in set iteration order: the
-        same for ids below 8 in ascending processing order, else equal up to
-        the last bit of a sum of three or more weights.  A responder matches
-        with W / (1 + W), W its backlog's weight sum, where the scalar path
-        adds its members' choice probabilities in id order: equal up to the
-        last bit."""
-        if self.instance.constrained:
-            raise UnsupportedOracleError("batched greedy refuses a budgeted market")
+        Weight sums run in processing order (an unbudgeted backlog) or in id
+        order (a budgeted backlog, a display), where the scalar path sums a
+        set in its iteration order: the same for ids below 8 (in ascending
+        processing order, for an unbudgeted backlog), else equal up to the
+        last bit of a sum of three or more weights.  A responder matches with
+        W / (1 + W), where the scalar path adds its shown members' choice
+        probabilities in id order: equal up to the last bit."""
         v, w = self.instance.require_mnl_weights("batched greedy")
         resp_w = w if self.side == "C" else v  # resp_w[j, i]
         nresp, ninit = resp_w.shape
@@ -102,24 +104,51 @@ class GreedyOneSidedPolicy:
         if not (ninit and nresp):
             return np.zeros(runs, dtype=np.int64)
         hist = np.zeros(runs, dtype=np.int64)  # each run's history
-        sums = np.zeros((1, nresp))  # per history: backlog weight sums, added in processing order
+        sums = np.zeros((1, nresp))  # per history: each responder's backlog weight sum
+        budgeted = self.instance.constrained
+        if budgeted:
+            member = np.zeros((1, nresp, ninit), dtype=bool)  # per history: the backlogs
+            by_weight = np.argsort(-resp_w, axis=1, kind="stable")[None]  # ties to the lower id
+            budgets = [self.instance.budget(self.resp_side, j) for j in range(nresp)]
+            keep = np.array([[ninit if k is UNBOUNDED else k] for k in budgets])
         for t, i in enumerate(self.order):
-            grown = sums + resp_w[:, i]
+            if budgeted:
+                grown = _kept_sums(resp_w, by_weight, keep, member | (np.arange(ninit) == i))
+            else:
+                grown = sums + resp_w[:, i]
             theta = np.maximum(grown / (1.0 + grown) - sums / (1.0 + sums), 0.0)
-            cdf = np.cumsum(_display_probs(self.instance.model(self.side, i), UNBOUNDED, theta), axis=1)
+            probs = _display_probs(self.instance.model(self.side, i), self.instance.budget(self.side, i), theta)
             # _sample_choice: the first option, in ascending id order, whose
             # cumulative choice probability exceeds the draw.  The rows do not
             # decrease, so that is the count of entries at most the draw, and
             # nresp when there is none.
-            pick = (cdf[hist] <= uniforms[:, t, None]).sum(axis=1)
+            pick = (np.cumsum(probs, axis=1)[hist] <= uniforms[:, t, None]).sum(axis=1)
             child, hist = np.unique(hist * (nresp + 1) + pick, return_inverse=True)
             parent, pick = np.divmod(child, nresp + 1)
-            sums = sums[parent]
             chose = np.flatnonzero(pick < nresp)
-            sums[chose, pick[chose]] += resp_w[pick[chose], i]
-        # Each responder shows its whole backlog, all of whom chose it, so any
-        # choice is a match: it matches with its demand W / (1 + W).
+            sums = sums[parent]
+            sums[chose, pick[chose]] = grown[parent[chose], pick[chose]]
+            if budgeted:
+                member = member[parent]
+                member[chose, pick[chose], i] = True
+        # Each responder shows its best backlog subset, all of whom chose it,
+        # so any choice is a match: it matches with its demand W / (1 + W).
         return (uniforms[:, ninit:] < (sums / (1.0 + sums))[hist]).sum(axis=1)
+
+
+def _kept_sums(resp_w, by_weight, keep, member) -> np.ndarray:
+    """``constrained_demand``'s MNL weight sum per (history, responder j) of
+    backlogs ``member`` (histories, responders, initiators): the weights of
+    the keep[j] members first in ``by_weight`` order, which a member is when
+    at most keep[j] members come up to it there, added in id order one column
+    at a time (``np.sum`` would add pairwise)."""
+    ranked = np.take_along_axis(member, by_weight, axis=2)
+    kept = np.zeros_like(member)
+    np.put_along_axis(kept, by_weight, ranked & (np.cumsum(ranked, axis=2, dtype=np.int32) <= keep), axis=2)
+    total = np.zeros(member.shape[:2])
+    for i in range(member.shape[2]):
+        total = total + np.where(kept[:, :, i], resp_w[:, i], 0.0)
+    return total
 
 
 def _display_probs(model, budget, theta: np.ndarray) -> np.ndarray:

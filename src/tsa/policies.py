@@ -234,8 +234,8 @@ def _stream_uniforms(prefix: list, lo: int, hi: int, draws: int) -> np.ndarray:
 def monte_carlo(instance: Instance, policy, runs: int, seed: int | tuple) -> SimulationResult:
     """Mean matches with a normal-approximation 95% CI; run r uses stream
     (*seed, r) for a tuple ``seed`` and (seed, r) for an int.  A policy with a
-    ``batch_matches`` kernel gets ``_CHUNK`` runs' draws at a time on
-    unbudgeted MNL markets, with the same streams and results (greedy's
+    ``batch_matches`` kernel gets ``_CHUNK`` runs' draws at a time on MNL
+    markets, budgeted or not, with the same streams and results (greedy's
     kernel computes one display per distinct history, not one per run); any
     other policy or market runs ``simulate_once`` per run.  The deadline is
     polled before each run or chunk."""
@@ -244,8 +244,7 @@ def monte_carlo(instance: Instance, policy, runs: int, seed: int | tuple) -> Sim
     prefix = list(seed) if isinstance(seed, tuple) else [seed]
     total = 0
     total_sq = 0
-    if hasattr(policy, "batch_matches") and not instance.constrained \
-            and instance.mnl_weights() is not None:
+    if hasattr(policy, "batch_matches") and instance.mnl_weights() is not None:
         # A run draws exactly one uniform per agent, in processing order.
         draws = instance.n + instance.m
         for lo in range(0, runs, _CHUNK):

@@ -16,10 +16,10 @@ from tsa.greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
                         exact_greedy_value, phi_min, sample_count,
                         sampling_side_selector)
 from tsa.bounds import _SELECTOR_RUNS, alg_one_sided_adaptive_value
-from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
+from tsa.errors import SizeRefusalError, TimeLimitError
 from tsa.instances import (MNL, CardinalityProfile, Instance, Mixture,
                            generate_random_instance, tight_instance)
-from tsa.policies import _CHUNK, _stream_uniforms, monte_carlo
+from tsa.policies import _CHUNK, _stream_uniforms, monte_carlo, simulate_once
 from tsa.util import Deadline
 
 
@@ -192,15 +192,23 @@ def _zero_weight_instance():
 
 
 # Markets whose runs share most histories (one responder, two, or one
-# initiator) next to ones where they seldom do.
+# initiator) next to ones where they seldom do; then budgeted markets, where
+# a responder keeps its top K and a budgeted initiator shows at most K.
 @pytest.mark.parametrize("inst", [generate_random_instance(3, 3, seed=0),
                                   generate_random_instance(2, 5, seed=1),
                                   generate_random_instance(10, 9, seed=2),
                                   _zero_weight_instance(),
                                   generate_random_instance(12, 1, seed=3),
                                   generate_random_instance(10, 2, seed=4),
-                                  generate_random_instance(1, 10, seed=5)],
-                         ids=["3x3", "2x5", "10x9", "zero-weights", "12x1", "10x2", "1x10"])
+                                  generate_random_instance(1, 10, seed=5),
+                                  generate_random_instance(1, 1, seed=0, profile=CardinalityProfile("two-way", 1, 1)),
+                                  generate_random_instance(3, 3, seed=1, profile=CardinalityProfile("one-way", 2)),
+                                  generate_random_instance(3, 3, seed=2, profile=CardinalityProfile("two-way", 1, 1)),
+                                  generate_random_instance(10, 9, seed=3, profile=CardinalityProfile("two-way", 2, 2)),
+                                  generate_random_instance(12, 1, seed=4, profile=CardinalityProfile("two-way", 3, 1)),
+                                  generate_random_instance(12, 1, seed=5, profile=CardinalityProfile("one-way", 2))],
+                         ids=["3x3", "2x5", "10x9", "zero-weights", "12x1", "10x2", "1x10", "1x1-k1,1",
+                              "3x3-k2,-", "3x3-k1,1", "10x9-k2,2", "12x1-k3,1", "12x1-k2,-"])
 def test_batched_monte_carlo_matches_scalar(inst):
     for k, side in enumerate(("C", "S")):
         ninit = inst.side_size(side)
@@ -223,7 +231,8 @@ def test_batched_monte_carlo_matches_scalar(inst):
 def test_batch_matches_do_not_depend_on_chunking():
     """Merging the runs that share a history changes no run's matches: any
     split of the runs, down to one run per call, gives the same matches."""
-    for inst in (generate_random_instance(6, 4, seed=6), generate_random_instance(10, 2, seed=7)):
+    for inst in (generate_random_instance(6, 4, seed=6), generate_random_instance(10, 2, seed=7),
+                 generate_random_instance(6, 4, seed=8, profile=CardinalityProfile("two-way", 2, 1))):
         for side in ("C", "S"):
             pol = GreedyOneSidedPolicy(inst, side)
             uniforms = _stream_uniforms([9], 0, 500, inst.n + inst.m)
@@ -234,28 +243,35 @@ def test_batch_matches_do_not_depend_on_chunking():
             assert np.array_equal([pol.batch_matches(u[None])[0] for u in uniforms[:40]], whole[:40])
 
 
-def test_budgeted_and_non_mnl_markets_run_the_scalar_path():
+def test_non_mnl_markets_run_the_scalar_path():
     base = generate_random_instance(3, 3, seed=4)
-    budgeted = Instance(3, 3, base.customer_models, base.supplier_models,
-                        (2,) * 3, (None,) * 3)
     mixture = Instance(3, 3, base.customer_models,
                        base.supplier_models[:2] + (Mixture((MNL((1.0, 0.5, 2.0)),
                                                             MNL((0.3, 2.0, 1.0))), (0.5, 0.5)),))
-    for inst in (budgeted, mixture):
-        pol = GreedyOneSidedPolicy(inst, "C")
-        calls = _counting_kernel(pol)
-        assert monte_carlo(inst, pol, 50, 1) == monte_carlo(inst, _ScalarOnly(pol), 50, 1)
-        assert calls == []
+    pol = GreedyOneSidedPolicy(mixture, "C")
+    calls = _counting_kernel(pol)
+    assert monte_carlo(mixture, pol, 50, 1) == monte_carlo(mixture, _ScalarOnly(pol), 50, 1)
+    assert calls == []
 
 
-def test_batch_matches_refuses_budgeted_markets():
-    """The kernel does not apply budgets, so it refuses a budgeted market,
-    called directly or through a committed policy."""
+def test_batch_matches_applies_budgets():
+    """The kernel keeps each responder's top K and shows a budgeted
+    initiator at most K, run for run as ``simulate_once`` does, called
+    directly, through a committed policy or from ``monte_carlo``.  A
+    budget-blind kernel averages 1.206 matches on this market, against
+    1.121."""
     inst = generate_random_instance(4, 4, seed=0, profile=CardinalityProfile("two-way", 1, 1))
-    uniforms = _stream_uniforms([5], 0, 20, inst.n + inst.m)
+    uniforms = _stream_uniforms([5], 0, 2000, inst.n + inst.m)
     for pol in (GreedyOneSidedPolicy(inst, "C"), cointoss_fully_adaptive(inst, seed=0)):
-        with pytest.raises(UnsupportedOracleError, match="budget"):
-            pol.batch_matches(uniforms)
+        scalar = [simulate_once(inst, pol, np.random.default_rng([5, r]))[0] for r in range(2000)]
+        assert pol.batch_matches(uniforms).tolist() == scalar
+    base = generate_random_instance(3, 3, seed=4)
+    budgeted = Instance(3, 3, base.customer_models, base.supplier_models,
+                        (2,) * 3, (None,) * 3)
+    pol = GreedyOneSidedPolicy(budgeted, "C")
+    calls = _counting_kernel(pol)
+    assert monte_carlo(budgeted, pol, 50, 1) == monte_carlo(budgeted, _ScalarOnly(pol), 50, 1)
+    assert calls == [50]
 
 
 def test_stream_uniforms_reproduce_default_rng():

@@ -1,7 +1,8 @@
 """Metamorphic properties of the exact optima: the value of a market does not
 depend on which side is called "customers" or on how agents are numbered, and
 the policy classes nest.  Transposition checks the one-sided adaptive DP with
-each side moving first against the other."""
+each side moving first against the other.  Greedy's batched Monte Carlo
+kernel, under any mix of budgets, repeats the scalar simulation run for run."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                        opt_one_sided_static)
+from tsa.greedy import GreedyOneSidedPolicy
 from tsa.instances import MNL, UNBOUNDED, Instance
+from tsa.policies import _stream_uniforms, simulate_once
 
 TOL = 1e-12
 BUDGETS = st.sampled_from([UNBOUNDED, 1, 2])
@@ -77,3 +80,13 @@ def test_nesting_chain_under_budgets(inst):
     assert fs <= os_ + TOL
     assert os_ <= oa + TOL
     assert oa <= fa + TOL
+
+
+@given(markets(budgeted=True), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_batched_greedy_repeats_scalar_runs_under_budgets(inst, seed):
+    for side in ("C", "S"):
+        pol = GreedyOneSidedPolicy(inst, side)
+        uniforms = _stream_uniforms([seed], 0, 60, inst.n + inst.m)
+        scalar = [simulate_once(inst, pol, np.random.default_rng([seed, r]))[0] for r in range(60)]
+        assert pol.batch_matches(uniforms).tolist() == scalar

@@ -10,8 +10,8 @@ from conftest import nonmonotone_market
 from helpers import OneSidedStaticPolicy, StaticPolicy, exact_value_deterministic_adaptive
 from tsa.errors import ContractViolationError, SizeRefusalError
 from tsa.greedy import GreedyOneSidedPolicy
-from tsa.instances import (MNL, UNBOUNDED, Instance, Mixture, generate_random_instance,
-                           tight_instance)
+from tsa.instances import (MNL, UNBOUNDED, CardinalityProfile, Instance, Mixture,
+                           generate_random_instance, tight_instance)
 from tsa.oracles import constrained_demand
 from tsa.policies import (PolicyAction, dump_trace, exact_value_edges,
                           exact_value_one_sided_static, exact_value_static,
@@ -197,8 +197,11 @@ def test_exact_adaptive_size_refusal():
 
 
 def test_monte_carlo_matches_exact_within_4se():
-    for seed in range(3):
-        inst = generate_random_instance(2, 2, seed=seed)
+    # The exact walk follows the policy's own actions, a path apart from the
+    # batched kernel that monte_carlo runs on these MNL markets.
+    for seed, profile in itertools.product(range(3), (CardinalityProfile(),
+                                                      CardinalityProfile("two-way", 1, 1))):
+        inst = generate_random_instance(2, 2, seed=seed, profile=profile)
         pol = GreedyOneSidedPolicy(inst, "C")
         exact = exact_value_deterministic_adaptive(inst, pol)
         res = monte_carlo(inst, pol, runs=4000, seed=seed)
