@@ -313,12 +313,8 @@ def alg_one_sided_static_value(instance: Instance, seed: int = 0) -> float:
         pol = GreedyOneSidedPolicy(instance, side)
         rng = np.random.default_rng([seed, 7, k])
         _, trace = simulate_once(instance, pol, rng)
-        ninit = instance.side_size(side)
-        assorts = [frozenset()] * ninit
-        for rec in trace:
-            agent_side, idx = rec["agent"]
-            if agent_side == side:
-                assorts[idx] = frozenset(rec["assortment"])
+        # Greedy moves the initiators first, in id order.
+        assorts = [frozenset(rec["assortment"]) for rec in trace[:instance.side_size(side)]]
         best = max(best, exact_value_one_sided_static(instance, side, assorts))
     return best
 

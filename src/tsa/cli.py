@@ -1,7 +1,8 @@
 """Command-line harness: instance generation, solvers, simulation, gap reports
 and the experiment tables.
 
-Exit codes: 0 success, 2 configuration error, 3 size-cap refusal, 4 time limit.
+Exit codes: 0 success, 2 configuration error, 3 refusal (a size cap, or a
+quantity the choice models do not support), 4 time limit.
 Every artifact is deterministic given the config (seeded RNG, fixed float
 formatting); per-instance seeds derive as seed + index.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import gap_report, reports_to_csv, ub_fa, ub_oa, lp_relaxation_onesided
-from .errors import ParseError, SizeRefusalError, TimeLimitError
+from .errors import ParseError, SizeRefusalError, TimeLimitError, UnsupportedOracleError
 from .exact import (DEFAULT_CAPS, SolveCaps, opt_fully_adaptive, opt_fully_static,
                     opt_one_sided_adaptive, opt_one_sided_static)
 from .fullystatic import approx_fully_static
@@ -32,7 +33,7 @@ from .util import Deadline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_SIZE = 3
+EXIT_REFUSED = 3
 EXIT_TIME = 4
 
 
@@ -398,7 +399,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SizeRefusalError as exc:
         print(f"size refusal: {exc}", file=sys.stderr)
-        return EXIT_SIZE
+        return EXIT_REFUSED
+    except UnsupportedOracleError as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     except TimeLimitError as exc:
         print(f"time limit: {exc}", file=sys.stderr)
         return EXIT_TIME

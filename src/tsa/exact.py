@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeRefusalError
-from .instances import UNBOUNDED, Instance, is_mnl
+from .instances import UNBOUNDED, Instance
 from .oracles import (_TOL, _agent_oracle, _budget_masks, best_weighted_assortment,
                       demand_table, prob_table)
 from .policies import PolicyAction, one_sided_values, static_values
@@ -178,9 +178,6 @@ def opt_one_sided_adaptive(instance: Instance, side: str,
     ninit = instance.side_size(side)
     if ninit > caps.oa_max_side:
         raise SizeRefusalError(f"one-sided adaptive DP refuses side size {ninit} > {caps.oa_max_side}")
-    if instance.side_size("S" if side == "C" else "C") > 16 and \
-            not all(is_mnl(instance.model(side, i)) for i in range(ninit)):
-        raise SizeRefusalError("assortment enumeration refuses responding side > 16 for non-MNL models")
     return _adaptive_dp(instance, side)
 
 

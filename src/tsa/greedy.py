@@ -49,7 +49,7 @@ class GreedyOneSidedPolicy:
         for j in range(nresp):
             model = inst.model(self.resp_side, j)
             k = inst.budget(self.resp_side, j)
-            backlog = frozenset(state.backlog((self.resp_side, j)))
+            backlog = frozenset(state.backlogs[self.resp_side, j])
             base = constrained_demand(model, backlog, k).value
             grown = constrained_demand(model, backlog | {initiator}, k).value
             theta[j] = max(grown - base, 0.0)
@@ -59,15 +59,15 @@ class GreedyOneSidedPolicy:
         inst = self.instance
         nresp = inst.side_size(self.resp_side)
         for a in self.order:
-            if (self.side, a) not in state.processed:
+            if (self.side, a) not in state.chosen:
                 theta = self._marginals(state, nresp, a)
                 res = best_weighted_assortment(inst.model(self.side, a), theta,
                                                inst.budget(self.side, a))
                 return PolicyAction((self.side, a), res.assortment)
         for b in range(nresp):
             agent = (self.resp_side, b)
-            if agent not in state.processed:
-                shown = constrained_demand(inst.model(*agent), state.backlog(agent), inst.budget(*agent))
+            if agent not in state.chosen:
+                shown = constrained_demand(inst.model(*agent), state.backlogs[agent], inst.budget(*agent))
                 return PolicyAction(agent, shown.assortment)
         raise ContractViolationError("all agents processed")
 

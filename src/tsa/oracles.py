@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedOracleError
+from .errors import SizeRefusalError, UnsupportedOracleError
 from .instances import UNBOUNDED, ChoiceSpec, is_mnl
 
 ENUMERATION_LIMIT = 20
@@ -135,7 +135,7 @@ def _mask_options(mask: int):
 def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
     """``constrained_demand``'s value on every subset, indexed by bitmask."""
     if n_opts > 20:
-        raise ValueError("demand_table limited to option universes of size <= 20")
+        raise SizeRefusalError("demand_table limited to option universes of size <= 20")
     size = 1 << n_opts
     out = np.zeros(size)
     if budget is UNBOUNDED and is_mnl(model):
@@ -152,7 +152,7 @@ def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray
 def prob_table(model: ChoiceSpec, n_opts: int) -> np.ndarray:
     """phi(option, S) for every subset S: shape (2^n, n); outside prob implied."""
     if n_opts > 16:
-        raise ValueError("prob_table limited to option universes of size <= 16")
+        raise SizeRefusalError("prob_table limited to option universes of size <= 16")
     size = 1 << n_opts
     out = np.zeros((size, n_opts))
     for mask in range(1, size):

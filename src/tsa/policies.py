@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
@@ -31,26 +32,17 @@ class PolicyAction:
 
 @dataclass
 class PolicyState:
+    """``chosen`` maps each agent that has moved to its choice, None for the
+    outside option; ``backlogs`` maps an agent to the opposite-side ids that
+    chose it.  ``PolicyState(instance)`` is the state before any move."""
+
     instance: Instance
-    processed: set = field(default_factory=set)
-    supplier_backlogs: list = field(default_factory=list)  # per supplier: customers who chose them
-    customer_backlogs: list = field(default_factory=list)  # per customer: suppliers who chose them
-    matches: int = 0
     chosen: dict = field(default_factory=dict)
-
-    @classmethod
-    def initial(cls, instance: Instance) -> "PolicyState":
-        return cls(instance,
-                   processed=set(),
-                   supplier_backlogs=[set() for _ in range(instance.m)],
-                   customer_backlogs=[set() for _ in range(instance.n)])
-
-    def backlog(self, agent: Agent) -> set:
-        side, idx = agent
-        return self.supplier_backlogs[idx] if side == "S" else self.customer_backlogs[idx]
+    backlogs: dict = field(default_factory=lambda: defaultdict(set))
+    matches: int = 0
 
     def done(self) -> bool:
-        return len(self.processed) == self.instance.n + self.instance.m
+        return len(self.chosen) == self.instance.n + self.instance.m
 
 
 @dataclass
@@ -73,7 +65,6 @@ def _sample_choice(model, assortment: frozenset, rng) -> Optional[int]:
 
 
 def _apply_choice(state: PolicyState, agent: Agent, choice: Optional[int]) -> None:
-    state.processed.add(agent)
     state.chosen[agent] = choice
     if choice is None:
         return
@@ -81,10 +72,7 @@ def _apply_choice(state: PolicyState, agent: Agent, choice: Optional[int]) -> No
     other: Agent = ("S" if side == "C" else "C", choice)
     if state.chosen.get(other) == idx:
         state.matches += 1
-    if side == "C":
-        state.supplier_backlogs[choice].add(idx)
-    else:
-        state.customer_backlogs[choice].add(idx)
+    state.backlogs[other].add(idx)
 
 
 def _validate_action(state: PolicyState, action: PolicyAction, tag: str = "FA") -> None:
@@ -93,7 +81,7 @@ def _validate_action(state: PolicyState, action: PolicyAction, tag: str = "FA") 
     inst = state.instance
     if side not in ("C", "S") or not (0 <= idx < inst.side_size(side)):
         raise ContractViolationError(f"unknown agent {agent}")
-    if agent in state.processed:
+    if agent in state.chosen:
         raise ContractViolationError(f"agent {agent} already processed")
     opposite = inst.m if side == "C" else inst.n
     if any(not (0 <= j < opposite) for j in s):
@@ -104,7 +92,7 @@ def _validate_action(state: PolicyState, action: PolicyAction, tag: str = "FA") 
     if tag and tag[0] in ("C", "S") and tag[1] == "-":
         first = tag[0]
         if side != first:
-            done_first = sum(1 for a in state.processed if a[0] == first)
+            done_first = sum(1 for a in state.chosen if a[0] == first)
             if done_first < inst.side_size(first):
                 raise ContractViolationError(
                     f"{tag} policy processed {agent} before finishing side {first}")
@@ -112,9 +100,8 @@ def _validate_action(state: PolicyState, action: PolicyAction, tag: str = "FA") 
 
 def simulate_once(instance: Instance, policy, rng) -> Tuple[int, list]:
     """Run the policy once; returns (matches, trace records)."""
-    state = PolicyState.initial(instance)
+    state = PolicyState(instance)
     trace = []
-    step = 0
     tag = getattr(policy, "tag", "FA")
     while not state.done():
         action = policy.action(state)
@@ -123,10 +110,9 @@ def simulate_once(instance: Instance, policy, rng) -> Tuple[int, list]:
         model = instance.model(side, idx)
         choice = _sample_choice(model, action.assortment, rng)
         _apply_choice(state, action.agent, choice)
-        trace.append({"step": step, "agent": list(action.agent),
+        trace.append({"step": len(trace), "agent": list(action.agent),
                       "assortment": sorted(action.assortment),
                       "choice": choice})
-        step += 1
     return state.matches, trace
 
 

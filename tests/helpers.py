@@ -5,6 +5,7 @@ distribution residual of a one-sided relaxation, and the exact high-value
 subproblem of the fully static approximation.  No pipeline calls them; the
 tests use them as independent checks."""
 
+from collections import defaultdict
 from typing import Callable, Dict, Iterable, Optional
 
 from tsa.errors import ChoiceModelError, ContractViolationError, SizeRefusalError
@@ -107,19 +108,13 @@ def exact_value_deterministic_adaptive(instance: Instance, policy, max_agents: i
             p = model.prob(choice, action.assortment)
             if p <= 0.0:
                 continue
-            child = PolicyState(
-                instance,
-                processed=set(state.processed),
-                supplier_backlogs=[set(b) for b in state.supplier_backlogs],
-                customer_backlogs=[set(b) for b in state.customer_backlogs],
-                matches=state.matches,
-                chosen=dict(state.chosen),
-            )
+            backlogs = defaultdict(set, {a: set(b) for a, b in state.backlogs.items()})
+            child = PolicyState(instance, dict(state.chosen), backlogs, state.matches)
             _apply_choice(child, action.agent, choice)
             total += recurse(child, prob * p)
         return total
 
-    return recurse(PolicyState.initial(instance), 1.0)
+    return recurse(PolicyState(instance), 1.0)
 
 
 class StaticPolicy:
@@ -133,10 +128,10 @@ class StaticPolicy:
 
     def action(self, state: PolicyState) -> PolicyAction:
         for i in range(state.instance.n):
-            if ("C", i) not in state.processed:
+            if ("C", i) not in state.chosen:
                 return PolicyAction(("C", i), self.customer_assortments[i])
         for j in range(state.instance.m):
-            if ("S", j) not in state.processed:
+            if ("S", j) not in state.chosen:
                 return PolicyAction(("S", j), self.supplier_assortments[j])
         raise ContractViolationError("all agents processed")
 
@@ -154,13 +149,13 @@ class OneSidedStaticPolicy:
         inst = state.instance
         init_n = inst.side_size(self.side)
         for a in range(init_n):
-            if (self.side, a) not in state.processed:
+            if (self.side, a) not in state.chosen:
                 return PolicyAction((self.side, a), self.assortments[a])
         resp = "S" if self.side == "C" else "C"
         for b in range(inst.side_size(resp)):
             agent = (resp, b)
-            if agent not in state.processed:
-                shown = constrained_demand(inst.model(*agent), state.backlog(agent), inst.budget(*agent))
+            if agent not in state.chosen:
+                shown = constrained_demand(inst.model(*agent), state.backlogs[agent], inst.budget(*agent))
                 return PolicyAction(agent, shown.assortment)
         raise ContractViolationError("all agents processed")
 

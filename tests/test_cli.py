@@ -5,7 +5,8 @@ import time
 import pytest
 
 from tsa.cli import main
-from tsa.instances import load_instance, save_instance, tight_instance, generate_random_instance
+from tsa.instances import (MNL, Instance, UniformNoOutside, generate_random_instance, load_instance,
+                           save_instance, tight_instance)
 
 
 def run(args):
@@ -106,6 +107,20 @@ def test_size_refusal_exit_code(tmp_path):
     save_instance(generate_random_instance(5, 5, seed=0), path)
     assert run(["solve", "--instance", str(path), "--what", "fa"]) == 3
 
+
+def test_refusals_exit_3(tmp_path, capsys):
+    """A quantity the choice models do not support and a table past its size
+    limit are both refusals."""
+    uniform = tmp_path / "uniform.json"
+    save_instance(Instance(1, 17, (UniformNoOutside(17),), (MNL((1.0,)),) * 17), uniform)
+    wide = tmp_path / "wide.json"
+    save_instance(generate_random_instance(21, 1, seed=0), wide)
+    for path, args, message in ((uniform, ["--what", "ub_oa"], "unsupported:"),
+                                (uniform, ["--what", "alg_fs"], "unsupported:"),
+                                (uniform, ["--what", "os", "--os-cap", "17"], "size refusal: prob_table"),
+                                (wide, ["--what", "os", "--os-cap", "21"], "size refusal: demand_table")):
+        assert run(["solve", "--instance", str(path), *args]) == 3
+        assert capsys.readouterr().err.startswith(message)
 
 def test_time_limit_exit_code(tmp_path):
     path = tmp_path / "inst.json"

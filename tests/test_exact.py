@@ -10,7 +10,7 @@ from conftest import independent_model
 from tsa.errors import SizeRefusalError
 from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
                        opt_one_sided_adaptive, opt_one_sided_static)
-from tsa.instances import (MNL, CardinalityProfile, Instance, Mixture,
+from tsa.instances import (MNL, CardinalityProfile, Instance, Mixture, UniformNoOutside,
                            generate_random_instance, tight_instance)
 from tsa.policies import exact_value_edges
 
@@ -472,6 +472,14 @@ def test_key_width_refusal():
     assert opt_one_sided_adaptive(inst, "C") == recursive_adaptive_dp(inst, "C")
     with pytest.raises(SizeRefusalError, match="64-bit"):
         opt_one_sided_adaptive(generate_random_instance(2, 31, seed=0), "C")
+
+
+def test_non_mnl_table_refusal():
+    """A non-MNL initiator over 17 responders: its 18-bit key passes, and its
+    choice-probability table is refused before any state is built."""
+    uniform = Instance(1, 17, (UniformNoOutside(17),), (MNL((1.0,)),) * 17)
+    with pytest.raises(SizeRefusalError, match="prob_table"):
+        opt_one_sided_adaptive(uniform, "C")
 
 
 def test_layered_dp_deadline():

@@ -38,7 +38,7 @@ def test_greedy_zero_demand_suppliers_shows_empty():
     pol = GreedyOneSidedPolicy(inst, "C")
     from tsa.policies import PolicyState
 
-    action = pol.action(PolicyState.initial(inst))
+    action = pol.action(PolicyState(inst))
     assert action.assortment == frozenset()
     assert exact_greedy_value(inst, "C") == 0.0
 
