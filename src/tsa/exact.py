@@ -5,9 +5,13 @@ over backlog profiles (states packed into int64 keys, valued layer by layer
 with numpy); a one-sided adaptive policy is a fully adaptive one in which only
 the initiating side moves.
 One-sided static and fully static optima come from exhaustive, vectorized
-enumeration.  Every solver refuses instances above its size cap instead of
-approximating.  The single-agent rules they apply (oracles, demand and choice
-tables, row oracles) live in ``tsa.oracles``.
+enumeration.  The fully static one reads each agent's display as an option
+mask of the edge pattern, keeps the patterns whose mask popcounts fit the
+budgets, and looks the choice probabilities up in per-agent ``prob_table``s
+(``_choice_probs`` for a side over 16 options).  Every solver refuses
+instances above its size cap instead of approximating.  The single-agent
+rules they apply (oracles, demand and choice tables, row oracles) live in
+``tsa.oracles``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import SizeRefusalError
 from .instances import UNBOUNDED, Instance
 from .oracles import (_TOL, _agent_oracle, _budget_masks, best_weighted_assortment,
                       demand_table, prob_table)
-from .policies import PolicyAction, one_sided_values, static_values
+from .policies import PolicyAction, _choice_probs, one_sided_values, pair_sum
 from .util import check_deadline
 
 
@@ -215,15 +219,43 @@ def opt_one_sided_static(instance: Instance, side: str,
 # Fully static enumeration
 
 
-# Patterns ``opt_fully_static`` values at once: bounds its (patterns, n, m)
-# temporaries, and the deadline is polled once per block.
+# Patterns ``opt_fully_static`` values at once (a power of two): bounds its
+# (n, m, patterns) buffers, and the deadline is polled once per block.
 _FS_BLOCK = 1 << 12
+
+
+def _fs_masks(codes: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Each agent's display under the edge patterns ``codes`` (bit i*m + j is
+    edge (i, j)) as an option mask: customer i in row i, supplier j in row n + j."""
+    rows = codes >> (m * np.arange(n))[:, None] & ((1 << m) - 1)
+    cols = sum((row >> np.arange(m)[:, None] & 1) << i for i, row in enumerate(rows))
+    return np.concatenate([rows, cols])
+
+
+def _agent_probs(model, width: int, budget):
+    """One agent's choice probabilities by display: a function that writes
+    phi(j, S_t) to out[j, t] for the option masks S_t in ``masks``.  It reads
+    the agent's ``prob_table``; over 16 options that table is refused, and the
+    displays go through ``_choice_probs``."""
+    try:
+        table = prob_table(model, width, budget).T.copy()
+    except SizeRefusalError:
+        def probs(masks, out):
+            found, row = _choice_probs([model], (masks[:, None, None] >> np.arange(width) & 1) == 1)
+            out[:] = found[row[:, 0]].T
+        return probs
+    # The masks are in range; "clip" writes to ``out`` without a buffered check.
+    return lambda masks, out: np.take(table, masks, axis=1, out=out, mode="clip")
 
 
 def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
     """Exact OPT over mutual-display edge sets; returns (value, edge list).
-    Patterns are valued in blocks of ``_FS_BLOCK``, keeping the first maximum;
-    the deadline is polled before each block."""
+
+    Patterns are enumerated in blocks of ``_FS_BLOCK``, keeping the first
+    maximum; the deadline is polled before each block.  Only the feasible
+    patterns (popcounts of the agents' masks within their budgets) are valued:
+    each agent's probabilities at its mask are gathered into reused buffers
+    and added by ``pair_sum``."""
     n, m = instance.n, instance.m
     nm = n * m
     if nm > caps.fs_max_edges:
@@ -231,22 +263,42 @@ def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
     if nm == 0:
         return 0.0, []
 
+    # Agents in mask-row order: customers, then suppliers.
+    budgets = instance.k_customer + instance.k_supplier
+    probs = [_agent_probs(model, width, k) for model, width, k in
+             zip(instance.customer_models + instance.supplier_models, [m] * n + [n] * m, budgets)]
+    capped = [a for a in range(n + m) if budgets[a] is not UNBOUNDED]
+    # A block is its base code plus offsets 0..size-1 in lower bits, so an
+    # agent's mask is the base's OR the offset's, and their popcounts add.
+    size = min(_FS_BLOCK, 1 << nm)
+    masks = _fs_masks(np.arange(size), n, m)
+    counts = sum(masks[capped] >> b & 1 for b in range(max(n, m)))
+
     best_val, best = -np.inf, 0
-    for lo in range(0, 1 << nm, _FS_BLOCK):
+    for lo in range(0, 1 << nm, size):
         check_deadline()
-        codes = np.arange(lo, min(lo + _FS_BLOCK, 1 << nm))
-        grid = ((codes[:, None] >> np.arange(nm)) & 1).astype(bool).reshape(-1, n, m)
-        feasible = np.ones(len(codes), dtype=bool)
-        for i, k in enumerate(instance.k_customer):
-            if k is not UNBOUNDED:
-                feasible &= grid[:, i, :].sum(axis=1) <= k
-        for j, k in enumerate(instance.k_supplier):
-            if k is not UNBOUNDED:
-                feasible &= grid[:, :, j].sum(axis=1) <= k
-        vals = np.full(len(codes), -np.inf)
-        vals[feasible] = static_values(instance, grid[feasible])
+        base = _fs_masks(np.array([lo]), n, m)[:, 0]
+        feasible = np.ones(size, dtype=bool)
+        for a, count in zip(capped, counts):
+            feasible &= count <= budgets[a] - int(base[a]).bit_count()
+        idx = np.flatnonzero(feasible)
+        if not len(idx):
+            continue
+        if lo == 0:
+            # Buffers reused by every block (fresh ones would cost more in page
+            # faults than the gathers), sized by block 0: its base adds no edge,
+            # so no block has more feasible patterns.
+            pc_buf, ps_buf = np.empty(nm * len(idx)), np.empty(n * len(idx))
+        pc = pc_buf[:nm * len(idx)].reshape(n, m, -1)
+        ps = ps_buf[:n * len(idx)].reshape(n, -1)
+        for i in range(n):
+            probs[i](masks[i].take(idx) | base[i], pc[i])
+        for j in range(m):
+            probs[n + j](masks[n + j].take(idx) | base[n + j], ps)
+            pc[:, j] *= ps
+        vals = pair_sum(pc)
         top = int(vals.argmax())
         if vals[top] > best_val:
-            best_val, best = vals[top], int(codes[top])
+            best_val, best = vals[top], lo + int(idx[top])
     edges = [(e // m, e % m) for e in range(nm) if best >> e & 1]
     return float(best_val), edges

@@ -149,13 +149,15 @@ def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray
     return out
 
 
-def prob_table(model: ChoiceSpec, n_opts: int) -> np.ndarray:
-    """phi(option, S) for every subset S: shape (2^n, n); outside prob implied."""
+def prob_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
+    """phi(option, S) for every subset S: shape (2^n, n); outside prob implied.
+    Rows of sets larger than ``budget`` stay zero."""
     if n_opts > 16:
         raise SizeRefusalError("prob_table limited to option universes of size <= 16")
-    size = 1 << n_opts
-    out = np.zeros((size, n_opts))
-    for mask in range(1, size):
+    out = np.zeros((1 << n_opts, n_opts))
+    for mask in range(1, 1 << n_opts):
+        if budget is not UNBOUNDED and mask.bit_count() > budget:
+            continue
         s = frozenset(_mask_options(mask))
         for j in s:
             out[mask, j] = model.prob(j, s)

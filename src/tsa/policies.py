@@ -12,6 +12,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -266,10 +267,20 @@ def static_values(instance: Instance, xc, xs=None) -> np.ndarray:
     xs = xc.transpose(0, 2, 1) if xs is None else np.asarray(xs, dtype=bool)
     pc, rc = _choice_probs(instance.customer_models, xc)
     ps, rs = _choice_probs(instance.supplier_models, xs)
-    values = np.zeros(len(xc))
-    for i, j in np.argwhere((xc & xs.transpose(0, 2, 1)).any(axis=0)).tolist():
-        values += pc[rc[:, i], j] * ps[rs[:, j], i]
-    return values
+    i, j = np.nonzero((xc & xs.transpose(0, 2, 1)).any(axis=0))
+    return pair_sum(pc[rc.T[i], j[:, None]] * ps[rs.T[j], i[:, None]])
+
+
+def pair_sum(products) -> np.ndarray:
+    """Fully static values from pair products: products[..., t] is
+    phi_i(j, S_i) * phi_j(i, C_j) for a pair (i, j) in pattern t, the pairs on
+    the leading axes.  Each value adds them one pair after another in
+    row-major order, so pairs that cannot match add an exact 0.0."""
+    products = np.ascontiguousarray(products)
+    products = products.reshape(math.prod(products.shape[:-1]), products.shape[-1])
+    if products.shape[1] == 1:  # numpy sums a lone column pairwise, not in order
+        return reduce(np.add, products, np.zeros(1))
+    return np.add.reduce(products, axis=0)
 
 
 def _choice_probs(models, display: np.ndarray):

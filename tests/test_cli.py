@@ -202,11 +202,12 @@ def test_unknown_policy_is_config_error(tmp_path):
 
 
 def test_time_limit_stops_fully_static_enumeration(tmp_path):
-    # The 2^20 edge sets of a 4x5 market take about a second to value.
+    # The 2^20 edge sets of a 4x5 market take about 0.1 s to value, in 256
+    # blocks, each after a poll; unpolled, this solve prints OPT_FS.
     path = tmp_path / "inst.json"
     save_instance(generate_random_instance(4, 5, seed=0), path)
     assert run(["solve", "--instance", str(path), "--what", "fs",
-                "--time-limit", "0.1"]) == 4
+                "--time-limit", "0.01"]) == 4
 
 
 def test_time_limit_stops_one_sided_static_enumeration(tmp_path):

@@ -10,8 +10,8 @@ from conftest import independent_model
 from tsa.errors import SizeRefusalError
 from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
                        opt_one_sided_adaptive, opt_one_sided_static)
-from tsa.instances import (MNL, CardinalityProfile, Instance, Mixture, UniformNoOutside,
-                           generate_random_instance, tight_instance)
+from tsa.instances import (MNL, BetaUniform, CardinalityProfile, Instance, Mixture,
+                           UniformNoOutside, generate_random_instance, tight_instance)
 from tsa.policies import exact_value_edges
 
 E_RATIO = math.e / (math.e - 1.0)
@@ -106,6 +106,52 @@ def test_opt_fs_blocks_keep_the_first_maximum(monkeypatch, profile):
     want = opt_fully_static(inst)
     monkeypatch.setattr("tsa.exact._FS_BLOCK", 32)
     assert opt_fully_static(inst) == want
+
+
+# OPT_FS against the enumeration it replaced (tests/fs_reference.py): the same
+# products added in the same order, so equal values and edge lists.
+
+
+def _general_fs_markets():
+    """The markets of ``test_opt_fs_matches_brute_force_for_general_models``,
+    a BetaUniform/UniformNoOutside market and an all-zero-weight market."""
+    base = generate_random_instance(3, 3, seed=20)
+    mixture = Instance(3, 3, tuple(Mixture((c,), (1.0,)) for c in base.customer_models),
+                       tuple(Mixture((s,), (1.0,)) for s in base.supplier_models),
+                       (1, 2, 1), (1, 1, 2))
+    uniform = Instance(2, 3, (BetaUniform(3), UniformNoOutside(3, (0, 2))),
+                       (UniformNoOutside(2), BetaUniform(2), MNL((0.5, 2.0))), (2, None))
+    zero = Instance(2, 2, (MNL((0.0, 0.0)),) * 2, (MNL((0.0, 0.0)),) * 2)
+    return [tight_instance("thm3", 2), tight_instance("lemma3", 2), mixture, uniform, zero]
+
+
+FS_REFERENCE_MARKETS = {
+    "tables": lambda: [generate_random_instance(s, s, seed) for s in (2, 3, 4) for seed in range(14)],
+    "tables-two-way": lambda: [generate_random_instance(s, s, seed, CardinalityProfile("two-way", 2, 2))
+                               for s in (2, 3, 4) for seed in range(6)],
+    "one-way": lambda: [generate_random_instance(3, 6, seed, CardinalityProfile("one-way", 2, None))
+                        for seed in range(2)]
+                       + [generate_random_instance(6, 3, seed, CardinalityProfile("one-way", None, 2, "S"))
+                          for seed in range(2)],
+    "wide": lambda: [generate_random_instance(2, 10, 0), generate_random_instance(4, 5, 0),
+                     generate_random_instance(5, 4, 0, CardinalityProfile("two-way", 1, 3))],
+    "general": _general_fs_markets,
+}
+
+
+@pytest.mark.parametrize("kind", FS_REFERENCE_MARKETS)
+def test_opt_fs_matches_reference_bit_for_bit(kind):
+    from fs_reference import fs_reference
+
+    for inst in FS_REFERENCE_MARKETS[kind]():
+        assert opt_fully_static(inst) == fs_reference(inst)
+
+
+def test_opt_fs_side_over_16_options():
+    """A side over 16 options has no ``prob_table``; its displays go through
+    ``_choice_probs``.  The literals are ``fs_reference``'s (about 2.5 s)."""
+    inst = generate_random_instance(1, 17, seed=0)
+    assert opt_fully_static(inst) == (0.5353461407282762, [(0, 9), (0, 10), (0, 11), (0, 13), (0, 16)])
 
 
 def test_size_refusals():

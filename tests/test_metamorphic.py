@@ -2,12 +2,14 @@
 depend on which side is called "customers" or on how agents are numbered, and
 the policy classes nest.  Transposition checks the one-sided adaptive DP with
 each side moving first against the other.  Greedy's batched Monte Carlo
-kernel, under any mix of budgets, repeats the scalar simulation run for run."""
+kernel, under any mix of budgets, repeats the scalar simulation run for run,
+and OPT_FS repeats its reference enumeration."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fs_reference import fs_reference
 from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                        opt_one_sided_static)
 from tsa.greedy import GreedyOneSidedPolicy
@@ -80,6 +82,14 @@ def test_nesting_chain_under_budgets(inst):
     assert fs <= os_ + TOL
     assert os_ <= oa + TOL
     assert oa <= fa + TOL
+
+
+@given(markets(budgeted=True))
+@settings(max_examples=80, deadline=None)
+def test_opt_fs_matches_reference_under_mixed_budgets(inst):
+    """Markets of at most 3x3 (n*m <= 9) with per-agent budgets on either side:
+    the mask enumeration repeats the grid enumeration's value and edges."""
+    assert opt_fully_static(inst) == fs_reference(inst)
 
 
 @given(markets(budgeted=True), st.integers(0, 2 ** 32 - 1))

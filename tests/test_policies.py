@@ -15,7 +15,8 @@ from tsa.instances import (MNL, UNBOUNDED, CardinalityProfile, Instance, Mixture
 from tsa.oracles import constrained_demand
 from tsa.policies import (PolicyAction, dump_trace, exact_value_edges,
                           exact_value_one_sided_static, exact_value_static,
-                          monte_carlo, one_sided_values, simulate_once, static_values)
+                          monte_carlo, one_sided_values, pair_sum, simulate_once,
+                          static_values)
 
 
 def test_empty_instance_zero_matches():
@@ -257,6 +258,20 @@ def test_static_values_match_mnl_closed_form():
                 <= 1e-12
             one_way = static_values(inst, xc, xs)
             assert np.abs(one_way - _mnl_static_closed_form(inst, xc, xs)).max() <= 1e-12
+
+
+def test_pair_sum_adds_pairs_in_row_major_order():
+    """One pair after another, for any number of patterns: numpy's own sum of
+    a lone column (a single pattern) adds pairwise, in another order."""
+    rng = np.random.default_rng(23)
+    for patterns in (1, 1, 1, 1, 2, 7):
+        pc = rng.random((4, 5, patterns))
+        ps = rng.random((5, 4, patterns)) * 10.0 ** rng.integers(-8, 2, (5, 4, patterns))
+        want = np.zeros(patterns)
+        for i in range(4):
+            for j in range(5):
+                want += pc[i, j] * ps[j, i]
+        assert pair_sum(pc * ps.transpose(1, 0, 2)).tolist() == want.tolist()
 
 
 def test_class_tag_ordering_enforced():
