@@ -27,7 +27,7 @@ from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
                      cointoss_exact_value, exact_greedy_value, sampling_side_selector)
 from .instances import UNBOUNDED, Instance
 from .lp import LpProblem, solve_lp
-from .oracles import demand_table, prob_table
+from .oracles import demand_table, prob_rows, prob_table
 from .policies import (exact_value_one_sided_static, monte_carlo, one_sided_values,
                        simulate_once)
 from .util import check_deadline
@@ -102,9 +102,7 @@ def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution
     side = relax.side
     x = np.zeros((instance.side_size(side), instance.side_size("S" if side == "C" else "C")))
     for (i, s), p in relax.tau.items():
-        model = instance.model(side, i)
-        for j in s:
-            x[i, j] += p * model.prob(j, s)
+        x[i] += p * prob_rows(instance.model(side, i), x.shape[1], [s])[0]
     return one_sided_values(instance, side, x[:, None, :]).item()
 
 

@@ -8,10 +8,10 @@ One-sided static and fully static optima come from exhaustive, vectorized
 enumeration.  The fully static one reads each agent's display as an option
 mask of the edge pattern, keeps the patterns whose mask popcounts fit the
 budgets, and looks the choice probabilities up in per-agent ``prob_table``s
-(``_choice_probs`` for a side over 16 options).  Every solver refuses
-instances above its size cap instead of approximating.  The single-agent
-rules they apply (oracles, demand and choice tables, row oracles) live in
-``tsa.oracles``.
+(a side over 16 options has none: ``prob_rows`` values each of its masks).
+Every solver refuses instances above its size cap instead of approximating.
+The single-agent rules they apply (oracles, demand and choice tables, row
+oracles) live in ``tsa.oracles``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import SizeRefusalError
 from .instances import UNBOUNDED, Instance
-from .oracles import (_TOL, _agent_oracle, _budget_masks, best_weighted_assortment,
-                      demand_table, prob_table)
-from .policies import PolicyAction, _choice_probs, one_sided_values, pair_sum
+from .oracles import (_TOL, _agent_oracle, _budget_masks, _mask_options,
+                      best_weighted_assortment, demand_table, prob_rows, prob_table)
+from .policies import PolicyAction, one_sided_values, pair_sum
 from .util import check_deadline
 
 
@@ -235,14 +235,13 @@ def _fs_masks(codes: np.ndarray, n: int, m: int) -> np.ndarray:
 def _agent_probs(model, width: int, budget):
     """One agent's choice probabilities by display: a function that writes
     phi(j, S_t) to out[j, t] for the option masks S_t in ``masks``.  It reads
-    the agent's ``prob_table``; over 16 options that table is refused, and the
-    displays go through ``_choice_probs``."""
+    the agent's ``prob_table``; over 16 options that table is refused, and each
+    mask goes through ``prob_rows``."""
     try:
         table = prob_table(model, width, budget).T.copy()
     except SizeRefusalError:
         def probs(masks, out):
-            found, row = _choice_probs([model], (masks[:, None, None] >> np.arange(width) & 1) == 1)
-            out[:] = found[row[:, 0]].T
+            out[:] = prob_rows(model, width, [frozenset(_mask_options(k)) for k in masks.tolist()]).T
         return probs
     # The masks are in range; "clip" writes to ``out`` without a buffered check.
     return lambda masks, out: np.take(table, masks, axis=1, out=out, mode="clip")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ContractViolationError, SizeRefusalError
 from .instances import UNBOUNDED, Instance, Tabular, is_mnl
 from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_demand,
-                      demand_table, prob_table)
+                      demand_table, prob_rows, prob_table)
 from .policies import PolicyAction, PolicyState, monte_carlo
 from .util import check_deadline
 
@@ -163,12 +163,8 @@ def _display_probs(model, budget, theta: np.ndarray) -> np.ndarray:
         shown[np.arange(len(theta))[:, None], order] = np.arange(theta.shape[1]) < size[:, None]
         shown_w = np.where(shown, w, 0.0)
         return shown_w / (1.0 + np.cumsum(shown_w, axis=1)[:, -1:])
-    probs = np.zeros(theta.shape)
-    for r, row in enumerate(theta.tolist()):
-        s = best_weighted_assortment(model, row, budget).assortment
-        for j in s:
-            probs[r, j] = model.prob(j, s)
-    return probs
+    return prob_rows(model, theta.shape[1],
+                     [best_weighted_assortment(model, row, budget).assortment for row in theta.tolist()])
 
 
 # The largest initiating side whose greedy value is computed exactly.
@@ -245,13 +241,13 @@ def phi_min(instance: Instance) -> Optional[float]:
     for side, count, opp in (("C", instance.n, instance.m), ("S", instance.m, instance.n)):
         for a in range(count):
             model = instance.model(side, a)
-            for p in _max_choice_probs(model, opp):
+            for p in _max_phi(model, opp):
                 if p > 0.0:
                     best = p if best is None else min(best, p)
     return best
 
 
-def _max_choice_probs(model, n_opts: int):
+def _max_phi(model, n_opts: int):
     """max_S phi(j, S) per option j."""
     if is_mnl(model):
         return [w / (1.0 + w) for w in model.weights]
@@ -262,8 +258,7 @@ def _max_choice_probs(model, n_opts: int):
                 out[j] = max(out[j], p)
         return out
     if n_opts <= 16:
-        table = prob_table(model, n_opts)
-        return list(table.max(axis=0))
+        return list(prob_table(model, n_opts).max(axis=0))
     # Weak-substitutable variants peak at singletons.
     return [model.prob(j, frozenset({j})) for j in range(n_opts)]
 

@@ -155,12 +155,20 @@ def prob_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
     if n_opts > 16:
         raise SizeRefusalError("prob_table limited to option universes of size <= 16")
     out = np.zeros((1 << n_opts, n_opts))
-    for mask in range(1, 1 << n_opts):
-        if budget is not UNBOUNDED and mask.bit_count() > budget:
-            continue
-        s = frozenset(_mask_options(mask))
+    kmax = n_opts if budget is UNBOUNDED else budget
+    for lo in range(0, 1 << n_opts, 1024):  # all 2^16 sets at once would take about 50 MB
+        block = [k for k in range(lo, min(lo + 1024, 1 << n_opts)) if k.bit_count() <= kmax]
+        out[block] = prob_rows(model, n_opts, [frozenset(_mask_options(k)) for k in block])
+    return out
+
+
+def prob_rows(model: ChoiceSpec, n_opts: int, displays) -> np.ndarray:
+    """phi(j, S), one row per assortment S in ``displays``: each S goes to
+    ``model.prob`` as given, as a sum over a set follows its iteration order."""
+    out = np.zeros((len(displays), n_opts))
+    for r, s in enumerate(displays):
         for j in s:
-            out[mask, j] = model.prob(j, s)
+            out[r, j] = model.prob(j, s)
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolationError, SizeRefusalError
 from .instances import UNBOUNDED, Instance
-from .oracles import demand_table
+from .oracles import _mask_options, demand_table, prob_rows
 from .util import check_deadline
 
 Agent = Tuple[str, int]  # ("C", i) or ("S", j)
@@ -84,12 +84,7 @@ def _validate_action(state: PolicyState, action: PolicyAction, tag: str = "FA") 
         raise ContractViolationError(f"unknown agent {agent}")
     if agent in state.chosen:
         raise ContractViolationError(f"agent {agent} already processed")
-    opposite = inst.m if side == "C" else inst.n
-    if any(not (0 <= j < opposite) for j in s):
-        raise ContractViolationError(f"assortment {sorted(s)} outside opposite side")
-    k = inst.budget(side, idx)
-    if k is not UNBOUNDED and len(s) > k:
-        raise ContractViolationError(f"assortment of size {len(s)} exceeds budget {k} for {agent}")
+    _check_assortment(inst, agent, s)
     if tag and tag[0] in ("C", "S") and tag[1] == "-":
         first = tag[0]
         if side != first:
@@ -97,6 +92,16 @@ def _validate_action(state: PolicyState, action: PolicyAction, tag: str = "FA") 
             if done_first < inst.side_size(first):
                 raise ContractViolationError(
                     f"{tag} policy processed {agent} before finishing side {first}")
+
+
+def _check_assortment(instance: Instance, agent: Agent, s) -> None:
+    """Refuse an option outside the opposite side, or a size over the agent's budget."""
+    opposite = instance.m if agent[0] == "C" else instance.n
+    if any(not (0 <= j < opposite) for j in s):
+        raise ContractViolationError(f"assortment {sorted(s)} of {agent} outside opposite side")
+    k = instance.budget(*agent)
+    if k is not UNBOUNDED and len(s) > k:
+        raise ContractViolationError(f"assortment of size {len(s)} exceeds budget {k} for {agent}")
 
 
 def simulate_once(instance: Instance, policy, rng) -> Tuple[int, list]:
@@ -265,10 +270,22 @@ def static_values(instance: Instance, xc, xs=None) -> np.ndarray:
     is zero unless both show each other."""
     xc = np.asarray(xc, dtype=bool)
     xs = xc.transpose(0, 2, 1) if xs is None else np.asarray(xs, dtype=bool)
-    pc, rc = _choice_probs(instance.customer_models, xc)
-    ps, rs = _choice_probs(instance.supplier_models, xs)
+    pc, ps = _side_probs(instance.customer_models, xc), _side_probs(instance.supplier_models, xs)
     i, j = np.nonzero((xc & xs.transpose(0, 2, 1)).any(axis=0))
-    return pair_sum(pc[rc.T[i], j[:, None]] * ps[rs.T[j], i[:, None]])
+    return pair_sum((pc[:, i, j] * ps[:, j, i]).T)
+
+
+def _side_probs(models, display: np.ndarray) -> np.ndarray:
+    """phi_a(j, S) for one side's displays display[t, a, :], in that shape.
+    Each display is an option mask held as a Python int (any width), and each
+    agent's distinct masks go through ``prob_rows`` once."""
+    out = np.zeros(display.shape)
+    keys = (display @ (1 << np.arange(display.shape[2], dtype=object))).T.tolist()
+    for a, model in enumerate(models):
+        row = {k: r for r, k in enumerate(dict.fromkeys(keys[a]))}  # distinct masks, first seen first
+        found = prob_rows(model, display.shape[2], [frozenset(_mask_options(k)) for k in row])
+        out[:, a] = found[[row[k] for k in keys[a]]]
+    return out
 
 
 def pair_sum(products) -> np.ndarray:
@@ -283,49 +300,14 @@ def pair_sum(products) -> np.ndarray:
     return np.add.reduce(products, axis=0)
 
 
-def _choice_probs(models, display: np.ndarray):
-    """(table, row) for one side's displays display[t, a, :]: table[r, j] is
-    phi_a(j, S) for the r-th distinct (agent a, display S), and row[t, a] is
-    its row.  ``model.prob`` runs once per distinct pair."""
-    batch, count, width = display.shape
-    row = np.broadcast_to(np.arange(count), (batch, count))
-    distinct = count
-    room = max(row.size, 1 << 16)  # the largest key space tabulated at once
-    lo = 0
-    while lo < width:
-        # Append the next options' bits to the row ids, as many as keep the
-        # keys within ``room``, and renumber the keys that occur through a
-        # table: no sort, and any number of options.
-        step = min(width - lo, max(1, (room // max(distinct, 1)).bit_length() - 1))
-        key = (row << step) | (display[:, :, lo:lo + step] @ (1 << np.arange(step)))
-        seen = np.zeros(distinct << step, dtype=bool)
-        seen[key] = True
-        row = (np.cumsum(seen) - 1)[key]
-        distinct = int(seen.sum())
-        lo += step
-    example = np.empty(distinct, dtype=np.int64)  # any (t, a) with that row
-    example[row.ravel()] = np.arange(row.size)
-    t, agents = np.divmod(example, count)
-    table = np.zeros((distinct, width))
-    for r, (a, flags) in enumerate(zip(agents.tolist(), display[t, agents].tolist())):
-        shown = frozenset(j for j, on in enumerate(flags) if on)
-        for j in shown:
-            table[r, j] = models[a].prob(j, shown)
-    return table, row
-
-
 def exact_value_static(instance: Instance, customer_assortments, supplier_assortments) -> float:
     """Expected matches of a fully static display; choices are independent so
     only mutually displayed pairs can match."""
     xc = np.zeros((1, instance.n, instance.m), dtype=bool)
     xs = np.zeros((1, instance.m, instance.n), dtype=bool)
-    for side, name, assortments, x in (("C", "customer", customer_assortments, xc),
-                                       ("S", "supplier", supplier_assortments, xs)):
-        for a, s in enumerate(assortments):
-            s = frozenset(s)
-            k = instance.budget(side, a)
-            if k is not UNBOUNDED and len(s) > k:
-                raise ContractViolationError(f"{name} {a} assortment exceeds budget")
+    for side, assortments, x in (("C", customer_assortments, xc), ("S", supplier_assortments, xs)):
+        for a, s in enumerate(map(frozenset, assortments)):
+            _check_assortment(instance, (side, a), s)
             x[0, a, sorted(s)] = True
     return float(static_values(instance, xc, xs)[0])
 
@@ -356,9 +338,7 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> 
     if len(assortments) != init_n:
         raise ValueError("need one assortment per initiating agent")
     for a, s in enumerate(assortments):
-        k = instance.budget(side, a)
-        if k is not UNBOUNDED and len(s) > k:
-            raise ContractViolationError(f"initiating agent {a} assortment exceeds budget")
+        _check_assortment(instance, (side, a), s)
     probs = [[[instance.model(side, i).prob(j, s) for j in range(resp_n)]]
              for i, s in enumerate(assortments)]
     return one_sided_values(instance, side, probs).item()

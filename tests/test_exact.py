@@ -149,7 +149,7 @@ def test_opt_fs_matches_reference_bit_for_bit(kind):
 
 def test_opt_fs_side_over_16_options():
     """A side over 16 options has no ``prob_table``; its displays go through
-    ``_choice_probs``.  The literals are ``fs_reference``'s (about 2.5 s)."""
+    ``prob_rows``.  The literals are ``fs_reference``'s (about 2.5 s)."""
     inst = generate_random_instance(1, 17, seed=0)
     assert opt_fully_static(inst) == (0.5353461407282762, [(0, 9), (0, 10), (0, 11), (0, 13), (0, 16)])
 

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import nonmonotone_market
+from conftest import independent_model, nonmonotone_market
 from helpers import OneSidedStaticPolicy, StaticPolicy, exact_value_deterministic_adaptive
 from tsa.errors import ContractViolationError, SizeRefusalError
 from tsa.greedy import GreedyOneSidedPolicy
-from tsa.instances import (MNL, UNBOUNDED, CardinalityProfile, Instance, Mixture,
-                           generate_random_instance, tight_instance)
+from tsa.instances import (MNL, UNBOUNDED, BetaUniform, CardinalityProfile, Instance, Mixture,
+                           UniformNoOutside, generate_random_instance, tight_instance)
 from tsa.oracles import constrained_demand
 from tsa.policies import (PolicyAction, dump_trace, exact_value_edges,
                           exact_value_one_sided_static, exact_value_static,
@@ -258,6 +258,50 @@ def test_static_values_match_mnl_closed_form():
                 <= 1e-12
             one_way = static_values(inst, xc, xs)
             assert np.abs(one_way - _mnl_static_closed_form(inst, xc, xs)).max() <= 1e-12
+
+
+def test_static_values_equal_renumbering_reference():
+    """``static_values`` is ``==`` the (agent, display) renumbering it replaced
+    (``fs_reference._choice_probs``): mutual and one-way displays, every model
+    kind, empty batches, all-empty displays, and masks over 63 options wide."""
+    from fs_reference import static_values_reference
+
+    base = generate_random_instance(3, 4, seed=5)
+    mixed = Instance(3, 4, (Mixture((base.customer_models[0], MNL((0.2, 1.5, 0.7, 3.0))), (0.3, 0.7)),
+                            independent_model([0.1, 0.2, 0.3, 0.15]), BetaUniform(4)),
+                     (UniformNoOutside(3, (0, 2)), independent_model([0.5, 0.2, 0.1]),
+                      BetaUniform(3), Mixture((UniformNoOutside(3), MNL((1.0, 0.4, 2.0))), (0.5, 0.5))))
+    wide = generate_random_instance(2, 70, seed=3)
+    wide_mixed = Instance(2, 70, (Mixture(wide.customer_models, (0.4, 0.6)),
+                                  UniformNoOutside(70, tuple(range(0, 70, 3)))), wide.supplier_models)
+    rng = np.random.default_rng(31)
+    for inst in (base, mixed, wide, wide_mixed):
+        for batch in (0, 1, 2, 7, 60):
+            xc = rng.random((batch, inst.n, inst.m)) < 0.5
+            xs = rng.random((batch, inst.m, inst.n)) < 0.5
+            xc[batch // 2:] = xc[:batch - batch // 2]  # repeated displays share a row
+            for args in ((xc,), (xc, xs), (np.zeros_like(xc),), (xc, np.zeros_like(xs))):
+                want = static_values_reference(inst, *args)
+                assert want.shape == (batch,)
+                assert np.array_equal(static_values(inst, *args), want)
+
+
+def test_static_evaluators_refuse_options_outside_the_opposite_side():
+    """An option id below 0 or past the opposite side is refused, not read as
+    another option (numpy's negative indices) or left to an ``IndexError``."""
+    inst = generate_random_instance(2, 3, seed=0)
+    for bad in ({-1}, {3}):
+        with pytest.raises(ContractViolationError):
+            exact_value_static(inst, [bad, set()], [{0}, set(), {0}])
+        with pytest.raises(ContractViolationError):
+            exact_value_one_sided_static(inst, "C", [bad, {0}])
+    with pytest.raises(ContractViolationError):
+        exact_value_static(inst, [set(), set()], [set(), {2}, set()])
+    with pytest.raises(ContractViolationError):
+        exact_value_one_sided_static(inst, "S", [{-1}, set(), set()])
+    for edge in ((0, 3), (2, 0)):
+        with pytest.raises(ContractViolationError):
+            exact_value_edges(inst, [edge])
 
 
 def test_pair_sum_adds_pairs_in_row_major_order():
