@@ -1,7 +1,9 @@
 """Dense linear programming and concave maximization, self-contained.
 
 ``solve_lp`` maximizes c.x subject to A x <= b, x >= 0 with a two-phase
-tableau simplex.  The entering column has the most negative reduced cost
+tableau simplex.  The tableau is dense and column-major, and a pivot updates
+only the columns where the normalized pivot row is nonzero, each one
+contiguous in memory.  The entering column has the most negative reduced cost
 (Dantzig); the leaving row comes from Bland's ratio test.  After a run of
 degenerate pivots it enters by Bland's rule until the objective improves, which
 keeps Bland's anti-cycling guarantee.  ``add_equality`` appends a
@@ -91,19 +93,23 @@ def _bland_leave(T: np.ndarray, basis: np.ndarray, col: int) -> int:
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot the column-major tableau ``T`` on (row, col), updating only the
+    columns where the normalized pivot row is nonzero (rows of ``T.T``)."""
     T[row] /= T[row, col]
     piv = T[row]
+    nz = piv.nonzero()[0]  # flatnonzero would copy the strided row first
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, piv)
-    T[row] = piv
+    T.T[nz] -= np.outer(piv[nz], colvals)
     basis[row] = col
 
 
 def _set_objective(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
-    """Rewrite the last tableau row as reduced costs for ``cost`` under ``basis``."""
+    """Rewrite the last tableau row as reduced costs for ``cost`` under ``basis``.
+    The product runs on a row-major copy: its rounding depends on the layout,
+    and the tests pin the row-major one."""
     cb = cost[basis]
-    T[-1, :] = cb @ T[:-1, :]
+    T[-1, :] = cb @ np.ascontiguousarray(T[:-1, :])
     T[-1, :-1] -= cost
 
 
@@ -121,7 +127,7 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int):
     """Pivot to optimality; returns (status, pivots).  Dantzig entering, and
     Bland's after ``DEGENERATE_RUN`` pivots in a row that leave the objective
     unchanged, until one improves it.  The deadline is polled after every
-    pivot (one clock read against a dense pivot of the whole tableau)."""
+    pivot (one clock read against a pivot's rank-1 update)."""
     pivots = degenerate = 0
     while True:
         enter = _bland_enter if degenerate >= DEGENERATE_RUN else _dantzig_enter
@@ -156,7 +162,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     art = np.flatnonzero(neg)
     total = ncols + nrows + art.size
-    T = np.zeros((nrows + 1, total + 1))
+    T = np.zeros((nrows + 1, total + 1), order="F")
     T[:-1, :ncols] = A
     T[:-1, ncols:ncols + nrows] = np.diag(slack)
     basis = np.arange(ncols, ncols + nrows)
@@ -181,9 +187,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         for i in np.flatnonzero(basis >= ncols + nrows):
             _pivot(T, basis, i, np.flatnonzero(np.abs(T[i, :ncols + nrows]) > PIVOT_TOL)[0])
             pivots += 1
-        # np.delete keeps the tableau C-contiguous, which the rounding of
-        # ``cb @ T`` in phase 2 depends on; a fancy-indexed copy would not be.
-        T = np.delete(T, np.s_[ncols + nrows:-1], axis=1)
+        T = np.delete(T, np.s_[ncols + nrows:-1], axis=1)  # stays column-major
 
     total = T.shape[1] - 1
     cost2 = np.zeros(total)

@@ -306,7 +306,10 @@ def exact_value_static(instance: Instance, customer_assortments, supplier_assort
     xc = np.zeros((1, instance.n, instance.m), dtype=bool)
     xs = np.zeros((1, instance.m, instance.n), dtype=bool)
     for side, assortments, x in (("C", customer_assortments, xc), ("S", supplier_assortments, xs)):
-        for a, s in enumerate(map(frozenset, assortments)):
+        assortments = [frozenset(s) for s in assortments]
+        if len(assortments) != x.shape[1]:
+            raise ValueError(f"need one assortment per agent of side {side}")
+        for a, s in enumerate(assortments):
             _check_assortment(instance, (side, a), s)
             x[0, a, sorted(s)] = True
     return float(static_values(instance, xc, xs)[0])

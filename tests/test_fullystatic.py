@@ -252,8 +252,8 @@ def test_mnl_static_values_matches_scalar():
 
 
 def test_approx_fully_static_stops_at_deadline():
-    # Unchecked, the low-low LP of this market runs for about 15 s.
-    inst = generate_random_instance(30, 30, 0)
+    # Unchecked, the low-low LP of this market runs for about 4 s.
+    inst = generate_random_instance(40, 40, 0)
     with pytest.raises(TimeLimitError), Deadline(0.5):
         approx_fully_static(inst)
 

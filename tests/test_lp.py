@@ -446,3 +446,54 @@ def test_relaxation_layout(monkeypatch):
             [0, 0, 0, 1, 0, 0, -3 / 4, -3 / 5]]  # flow (0, 1)
     (problem,) = seen
     _assert_lp(problem, c, *_pairs(rows, [1, 1, 1, 0, 0]))
+
+
+# ---------------------------------------------------------------------------
+# The pivot against its full-tableau reference (tests/lp_reference.py).
+
+
+def _reference_lps(group, monkeypatch):
+    from tsa.bounds import lp_relaxation_onesided, ub_fa
+    from tsa.fullystatic import lowlow_lp, partition_edges
+    from tsa.instances import CardinalityProfile, generate_random_instance
+
+    if group == "random":
+        problems = [LpProblem(*BEALE)]  # runs the Bland fallback
+        for kind in LP_KINDS:
+            rng = np.random.default_rng(list(LP_KINDS).index(kind))
+            problems += [LpProblem(*_random_lp(kind, rng)) for _ in range(100)]
+        return problems
+    seen = _captured_lps(monkeypatch)
+    if group == "ub_fa":
+        for n in range(1, 13):
+            ub_fa(generate_random_instance(n, n, n))
+        ub_fa(generate_random_instance(16, 16, 0))
+    else:  # the table universes: sizes 2-4, unbudgeted and two-way (2, 2)
+        for profile, seeds in ((CardinalityProfile(), 14), (CardinalityProfile("two-way", 2, 2), 6)):
+            for n in (2, 3, 4):
+                for seed in range(seeds):
+                    inst = generate_random_instance(n, n, seed, profile)
+                    lp_relaxation_onesided(inst, "C")
+                    lp_relaxation_onesided(inst, "S")
+                    lowlow_lp(inst)
+                    low_low = partition_edges(inst)[2]
+                    if low_low:
+                        lowlow_lp(inst, low_low)
+    return seen
+
+
+@pytest.mark.parametrize("group", ["random", "ub_fa", "tables"])
+def test_solve_lp_matches_full_tableau_reference_bit_for_bit(group, monkeypatch):
+    """Skipping the pivot row's zero columns changes no bit: statuses, pivot
+    counts, values, solutions and duals equal the full-tableau simplex's."""
+    import lp_reference
+
+    problems = _reference_lps(group, monkeypatch)
+    assert problems
+    for problem in problems:
+        got, want = solve_lp(problem), lp_reference.solve_lp(problem)
+        assert (got.status, got.pivots) == (want.status, want.pivots)
+        if want.status == "optimal":
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.dual.tobytes() == want.dual.tobytes()

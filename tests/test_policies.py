@@ -304,6 +304,18 @@ def test_static_evaluators_refuse_options_outside_the_opposite_side():
             exact_value_edges(inst, [edge])
 
 
+def test_exact_value_static_refuses_lists_of_the_wrong_length():
+    """A missing agent is refused, not valued as an empty display; an extra one
+    is refused, not left to an ``IndexError``."""
+    inst = generate_random_instance(2, 3, seed=0)
+    customers, suppliers = [{0}, set()], [{0}, set(), set()]
+    for bad_c, bad_s in (([{0}], suppliers), (customers + [set()], suppliers),
+                         (customers, suppliers[:2]), (customers, suppliers + [set()])):
+        with pytest.raises(ValueError, match="one assortment per agent"):
+            exact_value_static(inst, bad_c, bad_s)
+    assert exact_value_static(inst, customers, suppliers) > 0.0
+
+
 def test_pair_sum_adds_pairs_in_row_major_order():
     """One pair after another, for any number of patterns: numpy's own sum of
     a lone column (a single pattern) adds pairwise, in another order."""
