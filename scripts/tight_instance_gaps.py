@@ -10,8 +10,9 @@ lemma6: OPT_FA/OPT_OA approaches 2
 import argparse
 import math
 
-from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
-                       opt_one_sided_adaptive, opt_one_sided_static)
+from tsa.errors import SizeRefusalError
+from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
+                       opt_one_sided_static)
 from tsa.instances import tight_instance
 
 
@@ -19,7 +20,6 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--max-n", type=int, default=3)
     args = p.parse_args()
-    caps = SolveCaps(fa_max_agents=10)
 
     print("kind     n   ratio                     value      limit")
     for n in range(2, args.max_n + 1):
@@ -39,11 +39,12 @@ def main() -> None:
 
     for n in range(2, args.max_n + 1):
         inst = tight_instance("lemma6", n)
-        if 2 * n > caps.fa_max_agents:
+        try:
+            fa = opt_fully_adaptive(inst).value
+        except SizeRefusalError:
             break
         oa = max(opt_one_sided_adaptive(inst, "C").value,
                  opt_one_sided_adaptive(inst, "S").value)
-        fa = opt_fully_adaptive(inst, caps).value
         print(f"lemma6   {n}   OPT_FA/OPT_OA    {fa/oa:14.6f}      2.000000")
 
 

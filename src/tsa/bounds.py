@@ -358,12 +358,12 @@ def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DE
     os_s = _try(opt_one_sided_static, instance, "S", caps)
     if os_c is not None and os_s is not None:
         q["OPT_OS"] = max(os_c, os_s)
-    oa_c = _try(opt_one_sided_adaptive, instance, "C", caps)
-    oa_s = _try(opt_one_sided_adaptive, instance, "S", caps)
+    oa_c = _try(opt_one_sided_adaptive, instance, "C")
+    oa_s = _try(opt_one_sided_adaptive, instance, "S")
     oa_c_val = oa_c.value if oa_c is not None else None
     if oa_c is not None and oa_s is not None:
         q["OPT_OA"] = max(oa_c.value, oa_s.value)
-    fa = _try(opt_fully_adaptive, instance, caps)
+    fa = _try(opt_fully_adaptive, instance)
     q["OPT_FA"] = fa.value if fa is not None else None
 
     rel_c = _try(lp_relaxation_onesided, instance, "C")

@@ -163,10 +163,10 @@ def _solve_one(inst, what, caps: SolveCaps, seed: int):
         values["OPT_OS"] = max(opt_one_sided_static(inst, "C", caps),
                                opt_one_sided_static(inst, "S", caps))
     if "oa" in what:
-        values["OPT_OA"] = max(opt_one_sided_adaptive(inst, "C", caps).value,
-                               opt_one_sided_adaptive(inst, "S", caps).value)
+        values["OPT_OA"] = max(opt_one_sided_adaptive(inst, "C").value,
+                               opt_one_sided_adaptive(inst, "S").value)
     if "fa" in what:
-        values["OPT_FA"] = opt_fully_adaptive(inst, caps).value
+        values["OPT_FA"] = opt_fully_adaptive(inst).value
     if "alg_fs" in what:
         values["ALG_FS"] = approx_fully_static(inst, rng=np.random.default_rng([seed, 3])).value
     if "ub_oa" in what:
@@ -185,8 +185,7 @@ def cmd_solve(args) -> int:
     bad = [w for w in what if w not in _SOLVERS]
     if bad:
         raise ValueError(f"unknown solver(s) {bad}; choose from {_SOLVERS}")
-    caps = SolveCaps(fa_max_agents=args.fa_cap, oa_max_side=args.oa_cap,
-                     os_max_side=args.os_cap, fs_max_edges=args.fs_cap)
+    caps = SolveCaps(os_max_side=args.os_cap, fs_max_edges=args.fs_cap)
     with Deadline(args.time_limit or None):
         values = _solve_one(inst, what, caps, args.seed or 0)
     print(json.dumps({k: round(v, 12) for k, v in sorted(values.items())}, sort_keys=True))
@@ -264,13 +263,14 @@ def _run_reports(items, jobs: int, deadline: Deadline):
 
 def cmd_gaps(args) -> int:
     cfg = _load_config(args)
+    deadline = Deadline(cfg.time_limit or None)
     os.makedirs(cfg.out, exist_ok=True)
     if args.instance:
         items = ((os.path.splitext(os.path.basename(path))[0], load_instance(path), cfg.seed + k)
                  for k, path in enumerate(args.instance))
     else:
         items = _generated(cfg)
-    reports, timed_out = _run_reports(items, cfg.jobs, Deadline(cfg.time_limit or None))
+    reports, timed_out = _run_reports(items, cfg.jobs, deadline)
     path = os.path.join(cfg.out, "gaps.csv")
     with open(path, "w", encoding="utf-8") as fh:
         reports_to_csv(reports, fh)
@@ -295,8 +295,9 @@ def _summary_rows(reports_by_size, names):
 
 def cmd_tables(args) -> int:
     cfg = _load_config(args)
+    deadline = Deadline(cfg.time_limit or None)
     os.makedirs(cfg.out, exist_ok=True)
-    reports, timed_out = _run_reports(_generated(cfg), cfg.jobs, Deadline(cfg.time_limit or None))
+    reports, timed_out = _run_reports(_generated(cfg), cfg.jobs, deadline)
     with open(os.path.join(cfg.out, "instances.csv"), "w", encoding="utf-8") as fh:
         reports_to_csv(reports, fh)
     # _instances_of lists cfg.seeds instances per size, size by size.
@@ -358,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--what", default=None, help=f"comma list from {_SOLVERS}")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--time-limit", dest="time_limit", type=float, default=None)
-    s.add_argument("--fa-cap", type=int, default=DEFAULT_CAPS.fa_max_agents)
-    s.add_argument("--oa-cap", type=int, default=DEFAULT_CAPS.oa_max_side)
     s.add_argument("--os-cap", type=int, default=DEFAULT_CAPS.os_max_side)
     s.add_argument("--fs-cap", type=int, default=DEFAULT_CAPS.fs_max_edges)
     s.set_defaults(func=cmd_solve)

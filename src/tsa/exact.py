@@ -17,6 +17,7 @@ oracles) live in ``tsa.oracles``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -31,10 +32,8 @@ from .util import check_deadline
 
 @dataclass(frozen=True)
 class SolveCaps:
-    """Hard size caps for the exact solvers (configurable, safe defaults)."""
+    """Size caps for the static enumerations (configurable, safe defaults)."""
 
-    fa_max_agents: int = 8
-    oa_max_side: int = 8
     os_max_side: int = 4
     fs_max_edges: int = 20
 
@@ -53,6 +52,7 @@ class DpValue:
 # Adaptive DP (fully adaptive, and one-sided adaptive as a side moving first)
 
 _KEY_BITS = 63  # the widest key a non-negative int64 holds
+_MAX_STATES = 1 << 24  # 8^8, the one-sided 8x6 DP: about 23 s and 0.85 GB on one Xeon core
 
 
 def _adaptive_dp(instance: Instance, first) -> DpValue:
@@ -88,6 +88,13 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
         pos += a in movers
     if pos > _KEY_BITS:
         raise SizeRefusalError(f"adaptive DP refuses a {pos}-bit state key > {_KEY_BITS} bits")
+    # The states, terminal ones included, before any is built: each done mover
+    # chose an undone opponent or none (fewer if an option is unusable).
+    count = ((n + m - len(movers) + 2) ** len(movers) if first else
+             sum(comb(n, a) * comb(m, b) * (m - b + 1) ** a * (n - a + 1) ** b
+                 for a in range(n + 1) for b in range(m + 1)))
+    if count > _MAX_STATES:
+        raise SizeRefusalError(f"adaptive DP refuses {count} states > {_MAX_STATES}")
 
     budgets = [instance.budget(*agent) for agent in agents]
     # Per mover: its usable options and row oracle, and over the usable
@@ -167,21 +174,14 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
     return DpValue(float(opt), states, action)
 
 
-def opt_fully_adaptive(instance: Instance, caps: SolveCaps = DEFAULT_CAPS) -> DpValue:
+def opt_fully_adaptive(instance: Instance) -> DpValue:
     """Exact OPT over fully adaptive policies."""
-    total = instance.n + instance.m
-    if total > caps.fa_max_agents:
-        raise SizeRefusalError(f"fully adaptive DP refuses n+m={total} > {caps.fa_max_agents}")
     return _adaptive_dp(instance, None)
 
 
-def opt_one_sided_adaptive(instance: Instance, side: str,
-                           caps: SolveCaps = DEFAULT_CAPS) -> DpValue:
+def opt_one_sided_adaptive(instance: Instance, side: str) -> DpValue:
     """Exact OPT over policies that adaptively process ``side`` first; each
     responder then sees its backlog (budget-constrained best subset if capped)."""
-    ninit = instance.side_size(side)
-    if ninit > caps.oa_max_side:
-        raise SizeRefusalError(f"one-sided adaptive DP refuses side size {ninit} > {caps.oa_max_side}")
     return _adaptive_dp(instance, side)
 
 

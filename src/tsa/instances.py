@@ -77,8 +77,8 @@ class Tabular:
             outside = float(outside)
             if any(j not in s for j in p):
                 raise ChoiceModelError(f"tabular row {sorted(s)} assigns mass outside the assortment")
-            if any(q < -_PROB_TOL for q in p.values()) or outside < -_PROB_TOL:
-                raise ChoiceModelError(f"tabular row {sorted(s)} has a negative probability")
+            if not all(math.isfinite(q) and q >= -_PROB_TOL for q in (*p.values(), outside)):
+                raise ChoiceModelError(f"tabular row {sorted(s)} has a negative or non-finite probability")
             total = sum(p.values()) + outside
             if abs(total - 1.0) > _PROB_TOL:
                 raise ChoiceModelError(f"tabular row {sorted(s)} sums to {total}, expected 1")
@@ -114,8 +114,8 @@ class Mixture:
         probs = tuple(float(p) for p in self.arrival_probs)
         if len(comps) != len(probs) or not comps:
             raise ChoiceModelError("mixture needs matching, nonempty components/arrival_probs")
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > _PROB_TOL:
-            raise ChoiceModelError("mixture arrival_probs must be a simplex vector")
+        if not all(math.isfinite(p) and p >= 0 for p in probs) or abs(sum(probs) - 1.0) > _PROB_TOL:
+            raise ChoiceModelError("mixture arrival_probs must be a finite simplex vector")
         sizes = {c.num_options for c in comps}
         if len(sizes) != 1:
             raise ChoiceModelError("mixture components disagree on option universe size")

@@ -342,8 +342,7 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> 
         raise ValueError("need one assortment per initiating agent")
     for a, s in enumerate(assortments):
         _check_assortment(instance, (side, a), s)
-    probs = [[[instance.model(side, i).prob(j, s) for j in range(resp_n)]]
-             for i, s in enumerate(assortments)]
+    probs = [prob_rows(instance.model(side, i), resp_n, [s]) for i, s in enumerate(assortments)]
     return one_sided_values(instance, side, probs).item()
 
 

@@ -20,6 +20,8 @@ class Deadline:
     keeps the start, so a worker process that enters it keeps the caller's limit."""
 
     def __init__(self, seconds: Optional[float]):
+        if seconds is not None and not seconds >= 0:
+            raise ValueError(f"time limit must be >= 0 seconds, got {seconds}")
         self.seconds = seconds
         self.t0 = time.monotonic()
 

@@ -15,8 +15,8 @@ import pytest
 from conftest import low_value_instance
 from helpers import exact_highvalue_subproblem, is_submodular
 from tsa.bounds import lp_relaxation_onesided, ub_fa, ub_oa
-from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
-                       opt_one_sided_adaptive, opt_one_sided_static)
+from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
+                       opt_one_sided_static)
 from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static,
                              dependent_rounding, lowlow_lp)
 from tsa.greedy import (SamplingConfig, exact_greedy_value, sampling_side_selector)
@@ -59,7 +59,6 @@ def corpus_adaptive():
     """20 seeds per size n=m in {2,3,4,5}: adaptive optima and algorithm values
     (exact policy evaluation covers every size here; the Monte Carlo fallback
     only engages beyond the exact evaluator's cap)."""
-    caps = SolveCaps(fa_max_agents=10)
     entries = []
     for size in (2, 3, 4, 5):
         for k in range(20):
@@ -68,7 +67,7 @@ def corpus_adaptive():
             e = {"inst": inst, "size": size, "seed": seed}
             e["oa"] = max(opt_one_sided_adaptive(inst, "C").value,
                           opt_one_sided_adaptive(inst, "S").value)
-            e["fa"] = opt_fully_adaptive(inst, caps).value
+            e["fa"] = opt_fully_adaptive(inst).value
             g_c = exact_greedy_value(inst, "C")
             g_s = exact_greedy_value(inst, "S")
             sel = sampling_side_selector(inst, SamplingConfig(runs_override=100), seed=seed)

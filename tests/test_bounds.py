@@ -122,10 +122,11 @@ def test_gap_report_availability_mirrors_caps():
     rep = gap_report(generate_random_instance(5, 5, seed=0), "big")
     assert rep.quantities["OPT_FS"] is None     # nm = 25 > 20
     assert rep.quantities["OPT_OS"] is None     # sides > 4
-    assert rep.quantities["OPT_FA"] is None     # n+m = 10 > 8
-    assert rep.quantities["OPT_OA"] is not None  # sides <= 8
+    assert rep.quantities["OPT_FA"] is not None  # 588,449 states <= 2^24
+    assert rep.quantities["OPT_OA"] is not None  # 7^5 states
     assert rep.quantities["UB_FA"] is not None
-    assert rep.ratios["OPT_FA/OPT_OA"] is None
+    assert rep.ratios["OPT_FA/OPT_OA"] is not None
+    assert rep.verdicts["fa_le_2oa"] is True
 
 
 def _count_greedy_values(monkeypatch):

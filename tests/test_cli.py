@@ -104,8 +104,30 @@ def test_config_field_of_wrong_type_exits_2(tmp_path, monkeypatch, field):
 
 def test_size_refusal_exit_code(tmp_path):
     path = tmp_path / "big.json"
-    save_instance(generate_random_instance(5, 5, seed=0), path)
+    save_instance(generate_random_instance(1, 16, seed=0), path)  # 4.4e7 states > 2^24
     assert run(["solve", "--instance", str(path), "--what", "fa"]) == 3
+    # No flag sets the adaptive DPs' size limit.
+    for flag in ("--fa-cap", "--oa-cap"):
+        assert run(["solve", "--instance", str(path), "--what", "fa", flag, "9"]) == 2
+
+
+@pytest.mark.parametrize("limit", [-1.0, float("nan")])
+def test_time_limit_below_zero_or_nan_is_a_config_error(tmp_path, limit):
+    """Each command refuses the limit before it solves or writes anything; a
+    config file may hold NaN, which JSON readers accept."""
+    path = tmp_path / "inst.json"
+    save_instance(generate_random_instance(2, 2, seed=0), path)
+    out = tmp_path / "out"
+    assert run(["solve", "--instance", str(path), "--what", "fa", "--time-limit", str(limit)]) == 2
+    assert run(["simulate", "--instance", str(path), "--time-limit", str(limit)]) == 2
+    for command in ("gaps", "tables"):
+        assert run([command, "--sizes", "2", "--seeds", "1", "--time-limit", str(limit),
+                    "--out", str(out)]) == 2
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sizes": [[2, 2]], "seeds": 1, "time_limit": limit,
+                                   "out": str(out)}))
+        assert run([command, "--config", str(cfg)]) == 2
+    assert not out.exists()
 
 
 def test_refusals_exit_3(tmp_path, capsys):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import independent_model
+import tsa.exact
 from tsa.errors import SizeRefusalError
-from tsa.exact import (SolveCaps, opt_fully_adaptive, opt_fully_static,
-                       opt_one_sided_adaptive, opt_one_sided_static)
+from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
+                       opt_one_sided_static)
 from tsa.instances import (MNL, BetaUniform, CardinalityProfile, Instance, Mixture,
                            UniformNoOutside, generate_random_instance, tight_instance)
 from tsa.policies import exact_value_edges
@@ -157,16 +158,16 @@ def test_opt_fs_side_over_16_options():
 def test_size_refusals():
     big = generate_random_instance(5, 5, seed=0)
     with pytest.raises(SizeRefusalError):
-        opt_fully_adaptive(big)  # n+m = 10 > 8
+        opt_fully_adaptive(generate_random_instance(1, 16, seed=0))  # 4.4e7 states > 2^24
     with pytest.raises(SizeRefusalError):
         opt_one_sided_static(big, "C")  # sides > 4
     with pytest.raises(SizeRefusalError):
         opt_fully_static(big)  # nm = 25 > 20
-    wide = generate_random_instance(9, 1, seed=0)
     with pytest.raises(SizeRefusalError):
-        opt_one_sided_adaptive(wide, "C")
-    # Raised caps admit the same instance.
-    assert opt_one_sided_adaptive(wide, "C", SolveCaps(oa_max_side=9)).value > 0
+        opt_one_sided_adaptive(generate_random_instance(13, 2, seed=0), "C")  # 4^13 states
+    # 9 initiators and 1 responder: 3^9 states.
+    wide = generate_random_instance(9, 1, seed=0)
+    assert opt_one_sided_adaptive(wide, "C").value > 0
 
 
 @pytest.mark.parametrize("size,seeds", [(2, 6), (3, 4)])
@@ -491,11 +492,10 @@ def _reference_market(n, m, seed, kind, budgets):
 def test_layered_dp_matches_recursion_bit_for_bit(n, m, kind, budgets):
     from dp_reference import recursive_adaptive_dp
 
-    caps = SolveCaps(fa_max_agents=n + m)
     for seed in range(1 if n * m > 10 else 2):  # the recursion takes seconds at 7x2
         inst = _reference_market(n, m, 360 + seed, kind, budgets)
-        runs = [(opt_fully_adaptive(inst, caps), recursive_adaptive_dp(inst, None))]
-        runs += [(opt_one_sided_adaptive(inst, side, caps), recursive_adaptive_dp(inst, side))
+        runs = [(opt_fully_adaptive(inst), recursive_adaptive_dp(inst, None))]
+        runs += [(opt_one_sided_adaptive(inst, side), recursive_adaptive_dp(inst, side))
                  for side in ("C", "S")]
         for got, ref in runs:
             assert got.value == ref.value
@@ -508,7 +508,7 @@ def test_key_width_refusal():
     with pytest.raises(SizeRefusalError, match="72-bit"):
         opt_one_sided_adaptive(generate_random_instance(8, 8, seed=0), "C")  # 8 + 8*8 bits
     with pytest.raises(SizeRefusalError, match="71-bit"):
-        opt_fully_adaptive(generate_random_instance(5, 6, seed=0), SolveCaps(fa_max_agents=11))
+        opt_fully_adaptive(generate_random_instance(5, 6, seed=0))
     # 3 initiators and 20 responders take 3 + 3*20 = 63 bits, the widest key
     # accepted (its top bit is set, and the values still agree); 2 initiators
     # and 31 responders take 64.
@@ -518,6 +518,110 @@ def test_key_width_refusal():
     assert opt_one_sided_adaptive(inst, "C") == recursive_adaptive_dp(inst, "C")
     with pytest.raises(SizeRefusalError, match="64-bit"):
         opt_one_sided_adaptive(generate_random_instance(2, 31, seed=0), "C")
+
+
+# ---------------------------------------------------------------------------
+# The adaptive DPs refuse by their state count, known before any state is built.
+
+
+def predicted_states(n, m, side):
+    """States of the adaptive DP on an n x m market, terminal ones included,
+    when every option is usable: each done mover chose an opponent still undone,
+    or none.  ``side`` moves first; None is fully adaptive."""
+    if side is not None:
+        k, l = (n, m) if side == "C" else (m, n)
+        return (l + 2) ** k
+    return sum(math.comb(n, a) * math.comb(m, b) * (m - b + 1) ** a * (n - a + 1) ** b
+               for a in range(n + 1) for b in range(m + 1))
+
+
+def key_bits(n, m, side):
+    if side is not None:
+        k, l = (n, m) if side == "C" else (m, n)
+        return k * (1 + l)
+    return 2 * n * m + n + m
+
+
+def _solve(inst, side):
+    return opt_fully_adaptive(inst) if side is None else opt_one_sided_adaptive(inst, side)
+
+
+def _admitted(monkeypatch, inst, side):
+    """Whether the DP passes its size checks, seen from whether it reaches its
+    first row oracle, which is patched to stop it there: nothing is solved."""
+    class Admitted(Exception):
+        pass
+
+    def stop(*args):
+        raise Admitted
+
+    monkeypatch.setattr(tsa.exact, "_agent_oracle", stop)
+    try:
+        _solve(inst, side)
+    except Admitted:
+        return True
+    except SizeRefusalError:
+        return False
+    raise AssertionError("the DP ran without a row oracle")
+
+
+@pytest.mark.parametrize("kind", ["mnl", "zero", "general"])
+@pytest.mark.parametrize("budgets", [(None, None), (2, 1)], ids=["none", "two-way"])
+def test_predicted_states_match_the_dp(kind, budgets):
+    """With every weight positive the count is the DP's ``states_expanded``, plus
+    the (l + 1)^k terminal states it leaves out one-sided; with zero weights or
+    non-MNL agents it is an upper bound."""
+    for n in range(1, 6):
+        for m in range(1, 6):
+            inst = _reference_market(n, m, 2400 + 10 * n + m, kind, budgets)
+            for side in (None, "C", "S"):
+                if side is None and n * m == 25 and (kind, budgets) != ("mnl", (None, None)):
+                    continue  # 2 s or more each; once is enough
+                states = _solve(inst, side).states_expanded
+                if side is not None:
+                    k, l = (n, m) if side == "C" else (m, n)
+                    states += (l + 1) ** k
+                if kind == "mnl":
+                    assert states == predicted_states(n, m, side), (n, m, side)
+                else:
+                    assert states <= predicted_states(n, m, side), (n, m, side)
+
+
+def test_state_count_refusal_builds_nothing(monkeypatch):
+    """21x2 one-sided has a 63-bit key, which passes, and 4^21 states; 13x2
+    one-sided and fully adaptive 1x16 are the first shapes of their kind past
+    2^24.  Each is refused before any row oracle exists."""
+    def fail(*args):
+        raise AssertionError("a DP started")
+
+    monkeypatch.setattr(tsa.exact, "_agent_oracle", fail)
+    for n, m, side in ((21, 2, "C"), (13, 2, "C"), (1, 16, None)):
+        with pytest.raises(SizeRefusalError, match=f"refuses {predicted_states(n, m, side)} states"):
+            _solve(generate_random_instance(n, m, seed=0), side)
+
+
+def test_refusal_is_key_width_or_state_count(monkeypatch):
+    """Up to 24x24, each DP refuses exactly when its key takes more than 63 bits
+    or its count exceeds 2^24 (admitted: 12x2 one-sided at 4^12, 1x15 fully
+    adaptive)."""
+    for n in range(1, 25):
+        for m in range(1, 25):
+            inst = generate_random_instance(n, m, seed=0)
+            for side in (None, "C", "S"):
+                expect = key_bits(n, m, side) <= 63 and predicted_states(n, m, side) <= 1 << 24
+                assert _admitted(monkeypatch, inst, side) == expect, (n, m, side)
+
+
+def test_shapes_the_side_caps_admitted_stay_admitted(monkeypatch):
+    """The side caps this count replaced admitted fully adaptive n + m <= 8 and
+    one-sided k <= 8 initiators (with keys of k(1 + l) <= 63 bits).  The largest
+    count among them is 2^24, the one-sided 8x6 DP's 8^8."""
+    shapes = [(n, m, None) for n in range(1, 8) for m in range(1, 9 - n)]
+    one_sided = [(k, l) for k in range(1, 9) for l in range(1, 63) if k * (1 + l) <= 63]
+    shapes += [(k, l, "C") for k, l in one_sided] + [(l, k, "S") for k, l in one_sided]
+    assert max(predicted_states(*shape) for shape in shapes) == predicted_states(8, 6, "C") == 1 << 24
+    for n, m, side in shapes:
+        assert _admitted(monkeypatch, generate_random_instance(n, m, seed=0), side)
 
 
 def test_non_mnl_table_refusal():
@@ -535,5 +639,5 @@ def test_layered_dp_deadline():
     inst = generate_random_instance(5, 5, seed=0)
     start = time.monotonic()
     with pytest.raises(TimeLimitError), Deadline(0.05):
-        opt_fully_adaptive(inst, SolveCaps(fa_max_agents=10))
+        opt_fully_adaptive(inst)
     assert time.monotonic() - start < 1.0

@@ -13,7 +13,7 @@ from tsa.errors import ChoiceModelError, ParseError
 from tsa.instances import (MNL, BetaUniform, CardinalityProfile, Instance,
                            Mixture, Tabular, UniformNoOutside,
                            counterexample_constrained_demand_model,
-                           generate_random_instance, instance_to_dict,
+                           generate_random_instance, instance_from_dict, instance_to_dict,
                            load_instance, save_instance, tight_instance)
 
 
@@ -220,6 +220,29 @@ def test_load_rejects_bad_probability_row(tmp_path):
     path.write_text(json.dumps(d))
     with pytest.raises(ParseError, match="sums to"):
         load_instance(path)
+
+
+def test_nan_probabilities_are_refused(tmp_path):
+    """NaN fails every comparison, so it passed the sign and sum checks."""
+    nan = float("nan")
+    with pytest.raises(ChoiceModelError, match="non-finite"):
+        Tabular(2, {frozenset({0}): ({0: nan}, 0.0), frozenset(): ({}, 1.0)})
+    with pytest.raises(ChoiceModelError, match="non-finite"):
+        Tabular(1, {frozenset({0}): ({0: 1.0}, nan)})
+    with pytest.raises(ChoiceModelError, match="finite simplex"):
+        Mixture((MNL((1, 1)), MNL((2, 0.5))), (nan, 0.5))
+    tabular = {"kind": "tabular", "num_options": 1,
+               "rows": [{"assortment": [0], "probs": {"0": nan, "outside": 0.0}}]}
+    mixture = {"kind": "mixture", "components": [{"kind": "mnl", "weights": [1.0]}] * 2,
+               "arrival_probs": [nan, 0.5]}
+    for model in (tabular, mixture):
+        d = {"n": 1, "m": 1, "customers": [model], "suppliers": [{"kind": "mnl", "weights": [1.0]}],
+             "k_customer": [None], "k_supplier": [None]}
+        with pytest.raises(ParseError, match=r"^customers\[0\]: .*finite"):
+            instance_from_dict(d)
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(d))
+        assert main(["solve", "--instance", str(path), "--what", "fa"]) == 2
 
 
 def test_load_rejects_unknown_fields(tmp_path):

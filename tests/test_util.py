@@ -27,3 +27,10 @@ def test_deadline_scope():
     with Deadline(60) as deadline:
         copy = pickle.loads(pickle.dumps(deadline))
     assert (copy.seconds, copy.t0) == (60, deadline.t0)
+
+
+@pytest.mark.parametrize("seconds", [-1, -0.5, float("nan"), float("-inf")])
+def test_deadline_refuses_a_limit_below_zero_or_nan(seconds):
+    """NaN compares false with everything, so it would never expire."""
+    with pytest.raises(ValueError, match="time limit must be >= 0"):
+        Deadline(seconds)
