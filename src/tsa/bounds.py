@@ -19,8 +19,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import SizeRefusalError, UnsupportedOracleError
-from .exact import (DEFAULT_CAPS, SolveCaps, opt_fully_adaptive,
-                    opt_fully_static, opt_one_sided_adaptive,
+from .exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                     opt_one_sided_static)
 from .fullystatic import approx_fully_static
 from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
@@ -345,17 +344,19 @@ def alg_fully_adaptive_value(instance: Instance, seed: int = 0, oa=None):
     return 0.5 * sum(vals)
 
 
-def gap_report(instance: Instance, label: str = "instance", caps: SolveCaps = DEFAULT_CAPS,
+def gap_report(instance: Instance, label: str = "instance", caps=None,
                seed: int = 0) -> GapReport:
     """Compute every size-feasible optimum, algorithm value and bound, then the
     ratio table and theorem-bound verdicts; unavailable entries stay None.
-    Past the active deadline the first poll raises ``TimeLimitError``."""
+    Past the active deadline the first poll raises ``TimeLimitError``.
+    ``caps`` is unread: ``perfbench/items.py`` still passes a field-less
+    ``SolveCaps`` here, and the parameter goes with that call."""
     q: Dict[str, Optional[float]] = {k: None for k in QUANTITY_ORDER}
 
-    fs = _try(opt_fully_static, instance, caps)
+    fs = _try(opt_fully_static, instance)
     q["OPT_FS"] = fs[0] if fs is not None else None
-    os_c = _try(opt_one_sided_static, instance, "C", caps)
-    os_s = _try(opt_one_sided_static, instance, "S", caps)
+    os_c = _try(opt_one_sided_static, instance, "C")
+    os_s = _try(opt_one_sided_static, instance, "S")
     if os_c is not None and os_s is not None:
         q["OPT_OS"] = max(os_c, os_s)
     oa_c = _try(opt_one_sided_adaptive, instance, "C")

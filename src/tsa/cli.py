@@ -1,7 +1,7 @@
 """Command-line harness: instance generation, solvers, simulation, gap reports
 and the experiment tables.
 
-Exit codes: 0 success, 2 configuration error, 3 refusal (a size cap, or a
+Exit codes: 0 success, 2 configuration error, 3 refusal (a size limit, or a
 quantity the choice models do not support), 4 time limit.
 Every artifact is deterministic given the config (seeded RNG, fixed float
 formatting); per-instance seeds derive as seed + index.
@@ -20,8 +20,8 @@ import numpy as np
 
 from .bounds import gap_report, reports_to_csv, ub_fa, ub_oa, lp_relaxation_onesided
 from .errors import ParseError, SizeRefusalError, TimeLimitError, UnsupportedOracleError
-from .exact import (DEFAULT_CAPS, SolveCaps, opt_fully_adaptive, opt_fully_static,
-                    opt_one_sided_adaptive, opt_one_sided_static)
+from .exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
+                    opt_one_sided_static)
 from .fullystatic import approx_fully_static
 from .greedy import (GreedyOneSidedPolicy, SamplingConfig, cointoss_fully_adaptive,
                      sampling_side_selector)
@@ -155,13 +155,13 @@ def cmd_generate(args) -> int:
 _SOLVERS = ("fs", "os", "oa", "fa", "alg_fs", "ub_oa", "ub_fa", "rel2")
 
 
-def _solve_one(inst, what, caps: SolveCaps, seed: int):
+def _solve_one(inst, what, seed: int):
     values = {}
     if "fs" in what:
-        values["OPT_FS"] = opt_fully_static(inst, caps)[0]
+        values["OPT_FS"] = opt_fully_static(inst)[0]
     if "os" in what:
-        values["OPT_OS"] = max(opt_one_sided_static(inst, "C", caps),
-                               opt_one_sided_static(inst, "S", caps))
+        values["OPT_OS"] = max(opt_one_sided_static(inst, "C"),
+                               opt_one_sided_static(inst, "S"))
     if "oa" in what:
         values["OPT_OA"] = max(opt_one_sided_adaptive(inst, "C").value,
                                opt_one_sided_adaptive(inst, "S").value)
@@ -185,9 +185,8 @@ def cmd_solve(args) -> int:
     bad = [w for w in what if w not in _SOLVERS]
     if bad:
         raise ValueError(f"unknown solver(s) {bad}; choose from {_SOLVERS}")
-    caps = SolveCaps(os_max_side=args.os_cap, fs_max_edges=args.fs_cap)
     with Deadline(args.time_limit or None):
-        values = _solve_one(inst, what, caps, args.seed or 0)
+        values = _solve_one(inst, what, args.seed or 0)
     print(json.dumps({k: round(v, 12) for k, v in sorted(values.items())}, sort_keys=True))
     return EXIT_OK
 
@@ -229,7 +228,7 @@ def cmd_simulate(args) -> int:
 def _gap_one(task):
     label, payload, seed, deadline = task
     with deadline:
-        return gap_report(instance_from_dict(payload), label, DEFAULT_CAPS, seed)
+        return gap_report(instance_from_dict(payload), label, seed=seed)
 
 
 def _generated(cfg: ExperimentConfig):
@@ -264,12 +263,12 @@ def _run_reports(items, jobs: int, deadline: Deadline):
 def cmd_gaps(args) -> int:
     cfg = _load_config(args)
     deadline = Deadline(cfg.time_limit or None)
-    os.makedirs(cfg.out, exist_ok=True)
-    if args.instance:
-        items = ((os.path.splitext(os.path.basename(path))[0], load_instance(path), cfg.seed + k)
-                 for k, path in enumerate(args.instance))
+    if args.instance:  # every file is read before anything is written
+        items = [(os.path.splitext(os.path.basename(path))[0], load_instance(path), cfg.seed + k)
+                 for k, path in enumerate(args.instance)]
     else:
         items = _generated(cfg)
+    os.makedirs(cfg.out, exist_ok=True)
     reports, timed_out = _run_reports(items, cfg.jobs, deadline)
     path = os.path.join(cfg.out, "gaps.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -359,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--what", default=None, help=f"comma list from {_SOLVERS}")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--time-limit", dest="time_limit", type=float, default=None)
-    s.add_argument("--os-cap", type=int, default=DEFAULT_CAPS.os_max_side)
-    s.add_argument("--fs-cap", type=int, default=DEFAULT_CAPS.fs_max_edges)
     s.set_defaults(func=cmd_solve)
 
     sim = sub.add_parser("simulate", help="Monte Carlo a policy on an instance")

@@ -10,7 +10,7 @@ class UnsupportedOracleError(RuntimeError):
 
 
 class SizeRefusalError(RuntimeError):
-    """An exact solver or table refused an instance that exceeds its size cap."""
+    """An exact solver or table refused an instance that exceeds its size limit."""
 
 
 class ContractViolationError(RuntimeError):

@@ -7,9 +7,9 @@ the initiating side moves.
 One-sided static and fully static optima come from exhaustive, vectorized
 enumeration.  The fully static one reads each agent's display as an option
 mask of the edge pattern, keeps the patterns whose mask popcounts fit the
-budgets, and looks the choice probabilities up in per-agent ``prob_table``s
-(a side over 16 options has none: ``prob_rows`` values each of its masks).
-Every solver refuses instances above its size cap instead of approximating.
+budgets, and looks the choice probabilities up in per-agent ``prob_table``s.
+Every solver counts its states or enumerated patterns before it builds
+anything, and refuses past a fixed limit instead of approximating.
 The single-agent rules they apply (oracles, demand and choice tables, row
 oracles) live in ``tsa.oracles``.
 """
@@ -17,28 +17,24 @@ oracles) live in ``tsa.oracles``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 import numpy as np
 
 from .errors import SizeRefusalError
 from .instances import UNBOUNDED, Instance
-from .oracles import (_TOL, _agent_oracle, _budget_masks, _mask_options,
-                      best_weighted_assortment, demand_table, prob_rows, prob_table)
+from .oracles import (_TOL, _agent_oracle, _budget_masks, best_weighted_assortment,
+                      demand_table, prob_table)
 from .policies import PolicyAction, one_sided_values, pair_sum
 from .util import check_deadline
 
 
 @dataclass(frozen=True)
 class SolveCaps:
-    """Size caps for the static enumerations (configurable, safe defaults)."""
-
-    os_max_side: int = 4
-    fs_max_edges: int = 20
-
-
-DEFAULT_CAPS = SolveCaps()
+    """No field: every solver refuses by the size of its own work.  Kept only
+    because ``perfbench/items.py`` still passes one to ``gap_report``; it goes
+    with that call."""
 
 
 @dataclass
@@ -53,6 +49,9 @@ class DpValue:
 
 _KEY_BITS = 63  # the widest key a non-negative int64 holds
 _MAX_STATES = 1 << 24  # 8^8, the one-sided 8x6 DP: about 23 s and 0.85 GB on one Xeon core
+# The static optima's assortment families or edge sets; 5x5 is 2^25 for both:
+# OPT_OS about 0.5 s a side, OPT_FS about 3.3 s on one Xeon core.
+_MAX_ENUMERATION = 1 << 25
 
 
 def _adaptive_dp(instance: Instance, first) -> DpValue:
@@ -194,22 +193,26 @@ def opt_one_sided_adaptive(instance: Instance, side: str) -> DpValue:
 _OS_BLOCK = 1 << 20
 
 
-def opt_one_sided_static(instance: Instance, side: str,
-                         caps: SolveCaps = DEFAULT_CAPS) -> float:
+def opt_one_sided_static(instance: Instance, side: str) -> float:
     """Exact OPT over one-sided static policies initiating on ``side``: brute
     force over all assortment families, with exact backlog expectations,
-    valued in blocks of about ``_OS_BLOCK`` combinations."""
+    valued in blocks of about ``_OS_BLOCK`` combinations.  Refuses more than
+    ``_MAX_ENUMERATION`` families before any table is built."""
     ninit = instance.side_size(side)
-    resp_side = "S" if side == "C" else "C"
-    nresp = instance.side_size(resp_side)
-    if max(instance.n, instance.m) > caps.os_max_side:
+    nresp = instance.side_size("S" if side == "C" else "C")
+    budgets = [instance.budget(side, i) for i in range(ninit)]
+    # Initiator i's candidates: the len(_budget_masks(nresp, K_i)) sets of at
+    # most K_i responders.
+    count = prod(sum(comb(nresp, size) for size in range(nresp + 1) if k is UNBOUNDED or size <= k)
+                 for k in budgets)
+    if count > _MAX_ENUMERATION:
         raise SizeRefusalError(
-            f"one-sided static enumeration refuses sides ({instance.n},{instance.m}) > {caps.os_max_side}")
+            f"one-sided static enumeration refuses {count} assortment families > {_MAX_ENUMERATION}")
     if ninit == 0 or nresp == 0:
         return 0.0
 
-    probs = [prob_table(instance.model(side, i), nresp)[_budget_masks(nresp, instance.budget(side, i))]
-             for i in range(ninit)]
+    probs = [prob_table(instance.model(side, i), nresp)[_budget_masks(nresp, k)]
+             for i, k in enumerate(budgets)]
     step = max(1, _OS_BLOCK // int(np.prod([len(q) for q in probs[1:]])))
     return float(max(one_sided_values(instance, side, [probs[0][lo:lo + step]] + probs[1:]).max()
                      for lo in range(0, len(probs[0]), step)))
@@ -232,40 +235,27 @@ def _fs_masks(codes: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.concatenate([rows, cols])
 
 
-def _agent_probs(model, width: int, budget):
-    """One agent's choice probabilities by display: a function that writes
-    phi(j, S_t) to out[j, t] for the option masks S_t in ``masks``.  It reads
-    the agent's ``prob_table``; over 16 options that table is refused, and each
-    mask goes through ``prob_rows``."""
-    try:
-        table = prob_table(model, width, budget).T.copy()
-    except SizeRefusalError:
-        def probs(masks, out):
-            out[:] = prob_rows(model, width, [frozenset(_mask_options(k)) for k in masks.tolist()]).T
-        return probs
-    # The masks are in range; "clip" writes to ``out`` without a buffered check.
-    return lambda masks, out: np.take(table, masks, axis=1, out=out, mode="clip")
-
-
-def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
+def opt_fully_static(instance: Instance):
     """Exact OPT over mutual-display edge sets; returns (value, edge list).
 
     Patterns are enumerated in blocks of ``_FS_BLOCK``, keeping the first
     maximum; the deadline is polled before each block.  Only the feasible
     patterns (popcounts of the agents' masks within their budgets) are valued:
-    each agent's probabilities at its mask are gathered into reused buffers
-    and added by ``pair_sum``."""
+    each agent's probabilities at its mask are gathered from its ``prob_table``
+    into reused buffers and added by ``pair_sum``.  Refuses more than
+    ``_MAX_ENUMERATION`` edge sets before any table is built."""
     n, m = instance.n, instance.m
     nm = n * m
-    if nm > caps.fs_max_edges:
-        raise SizeRefusalError(f"fully static brute force refuses n*m={nm} > {caps.fs_max_edges}")
+    if 1 << nm > _MAX_ENUMERATION:
+        raise SizeRefusalError(f"fully static enumeration refuses {1 << nm} edge sets > {_MAX_ENUMERATION}")
     if nm == 0:
         return 0.0, []
 
-    # Agents in mask-row order: customers, then suppliers.
+    # Agents in mask-row order: customers, then suppliers; phi(j, S_t) is
+    # tables[a][j, mask of S_t].
     budgets = instance.k_customer + instance.k_supplier
-    probs = [_agent_probs(model, width, k) for model, width, k in
-             zip(instance.customer_models + instance.supplier_models, [m] * n + [n] * m, budgets)]
+    tables = [prob_table(model, width, k).T.copy() for model, width, k in
+              zip(instance.customer_models + instance.supplier_models, [m] * n + [n] * m, budgets)]
     capped = [a for a in range(n + m) if budgets[a] is not UNBOUNDED]
     # A block is its base code plus offsets 0..size-1 in lower bits, so an
     # agent's mask is the base's OR the offset's, and their popcounts add.
@@ -290,10 +280,11 @@ def opt_fully_static(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
             pc_buf, ps_buf = np.empty(nm * len(idx)), np.empty(n * len(idx))
         pc = pc_buf[:nm * len(idx)].reshape(n, m, -1)
         ps = ps_buf[:n * len(idx)].reshape(n, -1)
+        # The masks are in range; "clip" writes to ``out`` without a buffered check.
         for i in range(n):
-            probs[i](masks[i].take(idx) | base[i], pc[i])
+            np.take(tables[i], masks[i].take(idx) | base[i], axis=1, out=pc[i], mode="clip")
         for j in range(m):
-            probs[n + j](masks[n + j].take(idx) | base[n + j], ps)
+            np.take(tables[n + j], masks[n + j].take(idx) | base[n + j], axis=1, out=ps, mode="clip")
             pc[:, j] *= ps
         vals = pair_sum(pc)
         top = int(vals.argmax())

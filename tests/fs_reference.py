@@ -13,8 +13,6 @@ options at a time and calls ``model.prob`` once per distinct pair."""
 
 import numpy as np
 
-from tsa.errors import SizeRefusalError
-from tsa.exact import DEFAULT_CAPS, SolveCaps
 from tsa.instances import UNBOUNDED, Instance
 from tsa.policies import pair_sum
 
@@ -75,12 +73,10 @@ def _static_values(instance: Instance, grid) -> np.ndarray:
     return values
 
 
-def fs_reference(instance: Instance, caps: SolveCaps = DEFAULT_CAPS):
+def fs_reference(instance: Instance):
     """Exact OPT over mutual-display edge sets; returns (value, edge list)."""
     n, m = instance.n, instance.m
     nm = n * m
-    if nm > caps.fs_max_edges:
-        raise SizeRefusalError(f"fully static brute force refuses n*m={nm} > {caps.fs_max_edges}")
     if nm == 0:
         return 0.0, []
 

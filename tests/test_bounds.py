@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from helpers import distribution_residual
-from tsa.bounds import (_block_oracle, _ub_oa_oriented, alg_one_sided_static_value, gap_report,
-                        independent_objective_from_tau, lp_relaxation_onesided, reports_to_csv,
-                        ub_fa, ub_oa)
+from tsa.bounds import (QUANTITY_ORDER, VERDICT_ORDER, _block_oracle, _ub_oa_oriented,
+                        alg_one_sided_static_value, gap_report, independent_objective_from_tau,
+                        lp_relaxation_onesided, reports_to_csv, ub_fa, ub_oa)
 from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
 from tsa.exact import (opt_fully_adaptive, opt_one_sided_adaptive,
                        opt_one_sided_static)
-from tsa.instances import (MNL, Instance, generate_random_instance,
+from tsa.instances import (MNL, CardinalityProfile, Instance, generate_random_instance,
                            tight_instance)
 from tsa.lp import LpProblem, maximize_concave, solve_lp
 from tsa.policies import exact_value_one_sided_static
@@ -119,14 +119,24 @@ def test_gap_report_verdicts_pass_on_random_battery():
 
 
 def test_gap_report_availability_mirrors_caps():
-    rep = gap_report(generate_random_instance(5, 5, seed=0), "big")
-    assert rep.quantities["OPT_FS"] is None     # nm = 25 > 20
-    assert rep.quantities["OPT_OS"] is None     # sides > 4
-    assert rep.quantities["OPT_FA"] is not None  # 588,449 states <= 2^24
-    assert rep.quantities["OPT_OA"] is not None  # 7^5 states
+    rep = gap_report(generate_random_instance(5, 6, seed=0), "big")
+    assert rep.quantities["OPT_FS"] is None     # 2^30 edge sets > 2^25
+    assert rep.quantities["OPT_OS"] is None     # 2^30 assortment families > 2^25
+    assert rep.quantities["OPT_FA"] is None     # a 71-bit state key
+    assert rep.quantities["OPT_OA"] is not None  # 8^5 and 7^6 states
     assert rep.quantities["UB_FA"] is not None
-    assert rep.ratios["OPT_FA/OPT_OA"] is not None
-    assert rep.verdicts["fa_le_2oa"] is True
+    assert rep.ratios["OPT_FA/OPT_OA"] is None
+    assert rep.verdicts["fa_le_2oa"] is None
+
+
+def test_gap_report_5x5_has_every_verdict():
+    """At 5x5 each exact optimum is within its limit (2^25 static patterns,
+    588,449 fully adaptive states), so every quantity is reported and every
+    verdict passes."""
+    inst = generate_random_instance(5, 5, seed=0, profile=CardinalityProfile("two-way", 2, 2))
+    rep = gap_report(inst, "5x5")
+    assert all(rep.quantities[k] is not None for k in QUANTITY_ORDER)
+    assert all(rep.verdicts[k] is True for k in VERDICT_ORDER)
 
 
 def _count_greedy_values(monkeypatch):

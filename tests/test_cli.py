@@ -106,8 +106,8 @@ def test_size_refusal_exit_code(tmp_path):
     path = tmp_path / "big.json"
     save_instance(generate_random_instance(1, 16, seed=0), path)  # 4.4e7 states > 2^24
     assert run(["solve", "--instance", str(path), "--what", "fa"]) == 3
-    # No flag sets the adaptive DPs' size limit.
-    for flag in ("--fa-cap", "--oa-cap"):
+    # No flag sets a solver's size limit.
+    for flag in ("--fa-cap", "--oa-cap", "--os-cap", "--fs-cap"):
         assert run(["solve", "--instance", str(path), "--what", "fa", flag, "9"]) == 2
 
 
@@ -139,8 +139,8 @@ def test_refusals_exit_3(tmp_path, capsys):
     save_instance(generate_random_instance(21, 1, seed=0), wide)
     for path, args, message in ((uniform, ["--what", "ub_oa"], "unsupported:"),
                                 (uniform, ["--what", "alg_fs"], "unsupported:"),
-                                (uniform, ["--what", "os", "--os-cap", "17"], "size refusal: prob_table"),
-                                (wide, ["--what", "os", "--os-cap", "21"], "size refusal: demand_table")):
+                                (uniform, ["--what", "os"], "size refusal: prob_table"),
+                                (wide, ["--what", "os"], "size refusal: demand_table")):
         assert run(["solve", "--instance", str(path), *args]) == 3
         assert capsys.readouterr().err.startswith(message)
 
@@ -176,6 +176,16 @@ def test_gaps_on_tight_instance(tmp_path, capsys):
     cells = rows[1].split(",")
     ratio = dict(zip(header, cells))["OPT_OS/OPT_FS"]
     assert abs(float(ratio) - 2.734375) < 1e-6
+
+
+def test_gaps_bad_instance_file_writes_nothing(tmp_path):
+    """Every --instance file is read before the output directory is made."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_instance(generate_random_instance(2, 2, seed=0), good)
+    bad.write_text(json.dumps({"n": 1}))
+    out_dir = tmp_path / "gaps"
+    assert run(["gaps", "--instance", str(good), str(bad), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
 
 
 def test_tables_deterministic_byte_identical(tmp_path, capsys):
@@ -236,8 +246,8 @@ def test_time_limit_stops_one_sided_static_enumeration(tmp_path):
     # The contraction polls once per responder; unpolled, this solve prints
     # OPT_OS after about a second.
     path = tmp_path / "inst.json"
-    save_instance(generate_random_instance(4, 5, seed=0), path)
-    assert run(["solve", "--instance", str(path), "--what", "os", "--os-cap", "5",
+    save_instance(generate_random_instance(5, 5, seed=0), path)
+    assert run(["solve", "--instance", str(path), "--what", "os",
                 "--time-limit", "0.001"]) == 4
 
 

@@ -149,20 +149,20 @@ def test_opt_fs_matches_reference_bit_for_bit(kind):
 
 
 def test_opt_fs_side_over_16_options():
-    """A side over 16 options has no ``prob_table``; its displays go through
-    ``prob_rows``.  The literals are ``fs_reference``'s (about 2.5 s)."""
-    inst = generate_random_instance(1, 17, seed=0)
-    assert opt_fully_static(inst) == (0.5353461407282762, [(0, 9), (0, 10), (0, 11), (0, 13), (0, 16)])
+    """A side over 16 options has no ``prob_table``, so OPT_FS is refused
+    although its 2^17 edge sets are within the enumeration limit."""
+    with pytest.raises(SizeRefusalError, match="prob_table"):
+        opt_fully_static(generate_random_instance(1, 17, seed=0))
 
 
 def test_size_refusals():
-    big = generate_random_instance(5, 5, seed=0)
+    big = generate_random_instance(5, 6, seed=0)
     with pytest.raises(SizeRefusalError):
         opt_fully_adaptive(generate_random_instance(1, 16, seed=0))  # 4.4e7 states > 2^24
     with pytest.raises(SizeRefusalError):
-        opt_one_sided_static(big, "C")  # sides > 4
+        opt_one_sided_static(big, "C")  # 2^30 assortment families > 2^25
     with pytest.raises(SizeRefusalError):
-        opt_fully_static(big)  # nm = 25 > 20
+        opt_fully_static(big)  # 2^30 edge sets > 2^25
     with pytest.raises(SizeRefusalError):
         opt_one_sided_adaptive(generate_random_instance(13, 2, seed=0), "C")  # 4^13 states
     # 9 initiators and 1 responder: 3^9 states.
@@ -546,23 +546,29 @@ def _solve(inst, side):
     return opt_fully_adaptive(inst) if side is None else opt_one_sided_adaptive(inst, side)
 
 
-def _admitted(monkeypatch, inst, side):
-    """Whether the DP passes its size checks, seen from whether it reaches its
-    first row oracle, which is patched to stop it there: nothing is solved."""
+def _reaches(monkeypatch, name, solve):
+    """Whether ``solve()`` passes its size checks, seen from whether it calls
+    ``tsa.exact.<name>``, which is patched to stop it there: nothing is solved."""
     class Admitted(Exception):
         pass
 
     def stop(*args):
         raise Admitted
 
-    monkeypatch.setattr(tsa.exact, "_agent_oracle", stop)
+    monkeypatch.setattr(tsa.exact, name, stop)
     try:
-        _solve(inst, side)
+        solve()
     except Admitted:
         return True
     except SizeRefusalError:
         return False
-    raise AssertionError("the DP ran without a row oracle")
+    raise AssertionError(f"the solver ran without {name}")
+
+
+def _admitted(monkeypatch, inst, side):
+    """Whether the DP passes its size checks, seen from whether it reaches its
+    first row oracle."""
+    return _reaches(monkeypatch, "_agent_oracle", lambda: _solve(inst, side))
 
 
 @pytest.mark.parametrize("kind", ["mnl", "zero", "general"])
@@ -630,6 +636,63 @@ def test_non_mnl_table_refusal():
     uniform = Instance(1, 17, (UniformNoOutside(17),), (MNL((1.0,)),) * 17)
     with pytest.raises(SizeRefusalError, match="prob_table"):
         opt_one_sided_adaptive(uniform, "C")
+
+
+# ---------------------------------------------------------------------------
+# The static optima refuse by the size of their enumeration, known before any
+# table is built.
+
+
+def os_families(n, m, side, budget=None):
+    """Assortment families OPT_OS initiating on ``side`` enumerates: each
+    initiator shows one of the sets of at most ``budget`` responders."""
+    k, l = (n, m) if side == "C" else (m, n)
+    sets = sum(math.comb(l, size) for size in range(l + 1) if budget is None or size <= budget)
+    return sets ** k
+
+
+def test_static_refusal_builds_no_table(monkeypatch):
+    """OPT_OS on 13x2 side C (4^13 families) and on either side of 5x6 (2^30),
+    and OPT_FS on 5x6 (2^30 edge sets), are refused before any ``prob_table``."""
+    def fail(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(tsa.exact, "prob_table", fail)
+    for n, m, side in ((13, 2, "C"), (5, 6, "C"), (5, 6, "S")):
+        with pytest.raises(SizeRefusalError, match=f"refuses {os_families(n, m, side)} assortment families"):
+            opt_one_sided_static(generate_random_instance(n, m, seed=0), side)
+    with pytest.raises(SizeRefusalError, match=f"refuses {1 << 30} edge sets"):
+        opt_fully_static(generate_random_instance(5, 6, seed=0))
+
+
+@pytest.mark.parametrize("budgets", [(None, None), (2, 1)], ids=["none", "two-way"])
+def test_static_refusal_is_the_count(monkeypatch, budgets):
+    """On every shape of at most 30 edges, each static optimum refuses exactly
+    when its count exceeds 2^25 (admitted: OPT_OS on 12x2 side C at 4^12, OPT_FS
+    on 5x5)."""
+    for n in range(1, 31):
+        for m in range(1, 30 // n + 1):
+            inst = _reference_market(n, m, 0, "mnl", budgets)
+            for side, budget in zip("CS", budgets):
+                assert _reaches(monkeypatch, "prob_table", lambda: opt_one_sided_static(inst, side)) == (
+                    os_families(n, m, side, budget) <= 1 << 25), (n, m, side)
+            assert _reaches(monkeypatch, "prob_table", lambda: opt_fully_static(inst)) == (n * m <= 25)
+
+
+def test_shapes_the_static_caps_admitted_stay_admitted(monkeypatch):
+    """The caps this count replaced admitted OPT_OS on sides of at most 4 under
+    any budgets (a budget only shrinks the count) and OPT_FS on n*m <= 20; the
+    largest counts among them are 2^16 and 2^20.  OPT_FS on 1x17 to 1x20 and
+    their transposes passes the count and is refused by ``prob_table``."""
+    os_shapes = [(n, m, side) for n in range(1, 5) for m in range(1, 5) for side in "CS"]
+    fs_shapes = [(n, m) for n in range(1, 21) for m in range(1, 20 // n + 1)]
+    assert max(os_families(*shape) for shape in os_shapes) == 1 << 16
+    for n, m, side in os_shapes:
+        inst = generate_random_instance(n, m, seed=0)
+        assert _reaches(monkeypatch, "prob_table", lambda: opt_one_sided_static(inst, side))
+    for n, m in fs_shapes:
+        inst = generate_random_instance(n, m, seed=0)
+        assert _reaches(monkeypatch, "prob_table", lambda: opt_fully_static(inst))
 
 
 def test_layered_dp_deadline():
