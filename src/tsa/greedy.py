@@ -23,6 +23,11 @@ from .policies import PolicyAction, PolicyState, monte_carlo
 from .util import check_deadline
 
 
+# The most (history, responder) or (run, responder) entries the batched
+# kernel holds in one temporary.
+_ENTRIES = 1 << 13
+
+
 class GreedyOneSidedPolicy:
     """Arbitrary-order greedy for one initiating side.
 
@@ -71,10 +76,11 @@ class GreedyOneSidedPolicy:
                 return PolicyAction(agent, shown.assortment)
         raise ContractViolationError("all agents processed")
 
-    def batch_matches(self, uniforms: np.ndarray) -> np.ndarray:
-        """Matches of one run per row of ``uniforms`` (runs, n + m): the draws
-        a run makes in processing order, one per initiator in ``order`` and
-        then one per responder.  MNL markets only, with or without budgets.
+    def batch_matches(self, draws) -> np.ndarray:
+        """Matches of ``len(draws)`` runs, where each ``next(draws)`` gives
+        every run's next draw (``policies.Streams``): one per initiator in
+        ``order``, then one per responder.  MNL markets only, with or without
+        budgets.
 
         A run's display depends only on its history, the responder each
         earlier initiator picked, so each step computes one display per
@@ -88,7 +94,9 @@ class GreedyOneSidedPolicy:
         additions a run makes on the scalar path, in processing order.  Under
         budgets a history also carries each backlog's members, and a sum is
         ``constrained_demand``'s: the K largest-weight members (ties to the
-        lower id), added in id order.
+        lower id), added in id order.  Displays are valued, and draws compared,
+        in blocks of ``_ENTRIES`` entries; the deadline is polled once per
+        step.
 
         Weight sums run in processing order (an unbudgeted backlog) or in id
         order (a budgeted backlog, a display), where the scalar path sums a
@@ -100,40 +108,88 @@ class GreedyOneSidedPolicy:
         v, w = self.instance.require_mnl_weights("batched greedy")
         resp_w = w if self.side == "C" else v  # resp_w[j, i]
         nresp, ninit = resp_w.shape
-        runs = len(uniforms)
+        runs = len(draws)
         if not (ninit and nresp):
             return np.zeros(runs, dtype=np.int64)
         hist = np.zeros(runs, dtype=np.int64)  # each run's history
-        sums = np.zeros((1, nresp))  # per history: each responder's backlog weight sum
+        order, start = np.arange(runs), [0, runs]  # history h's runs: order[start[h]:start[h + 1]]
+        # Per responder j, j's backlog weight sum in each history: one array
+        # per responder lets a step re-index them one at a time.
+        sums = [np.zeros(1) for _ in range(nresp)]
         budgeted = self.instance.constrained
         if budgeted:
             member = np.zeros((1, nresp, ninit), dtype=bool)  # per history: the backlogs
             by_weight = np.argsort(-resp_w, axis=1, kind="stable")[None]  # ties to the lower id
             budgets = [self.instance.budget(self.resp_side, j) for j in range(nresp)]
             keep = np.array([[ninit if k is UNBOUNDED else k] for k in budgets])
-        for t, i in enumerate(self.order):
+        rows = max(1, _ENTRIES // nresp)
+        for i in self.order:
+            check_deadline()
+            model, budget = self.instance.model(self.side, i), self.instance.budget(self.side, i)
+            u, pick = next(draws), np.empty(runs, dtype=np.int64)
             if budgeted:
-                grown = _kept_sums(resp_w, by_weight, keep, member | (np.arange(ninit) == i))
-            else:
-                grown = sums + resp_w[:, i]
-            theta = np.maximum(grown / (1.0 + grown) - sums / (1.0 + sums), 0.0)
-            probs = _display_probs(self.instance.model(self.side, i), self.instance.budget(self.side, i), theta)
-            # _sample_choice: the first option, in ascending id order, whose
-            # cumulative choice probability exceeds the draw.  The rows do not
-            # decrease, so that is the count of entries at most the draw, and
-            # nresp when there is none.
-            pick = (np.cumsum(probs, axis=1)[hist] <= uniforms[:, t, None]).sum(axis=1)
-            child, hist = np.unique(hist * (nresp + 1) + pick, return_inverse=True)
+                kept = np.empty((len(member), nresp))  # per history: each responder's grown sum
+            for a in range(0, len(sums[0]), rows):
+                block = slice(a, a + rows)
+                base = np.stack([col[block] for col in sums], axis=1)
+                if budgeted:
+                    grown = kept[block] = _kept_sums(resp_w, by_weight, keep, member[block] | (np.arange(ninit) == i))
+                else:
+                    grown = base + resp_w[:, i]
+                theta = np.maximum(grown / (1.0 + grown) - base / (1.0 + base), 0.0)
+                # Each temporary goes once used: beside a pass's per-run
+                # arrays, a step holds one sums table and one block.
+                del base, grown
+                cum = np.cumsum(_display_probs(model, budget, theta), axis=1)
+                del theta
+                # _sample_choice: the first option, in ascending id order,
+                # whose cumulative choice probability exceeds the draw.  The
+                # rows do not decrease, so that is the count of entries at
+                # most the draw, and nresp when there is none.
+                stop = start[min(a + rows, len(sums[0]))]
+                for b in range(start[a], stop, rows):
+                    r = order[b:min(b + rows, stop)]
+                    pick[r] = (cum[hist[r] - a] <= u[r, None]).sum(axis=1)
+                del cum
+            del u
+            child, hist, order, start = _group(hist * (nresp + 1) + pick)
             parent, pick = np.divmod(child, nresp + 1)
+            del child
             chose = np.flatnonzero(pick < nresp)
-            sums = sums[parent]
-            sums[chose, pick[chose]] = grown[parent[chose], pick[chose]]
+            pick = pick[chose]
             if budgeted:
+                grown = kept[parent[chose], pick]
                 member = member[parent]
-                member[chose, pick[chose], i] = True
+                member[chose, pick, i] = True
+                del kept
+            for j in range(nresp):
+                at = pick == j
+                sums[j] = sums[j][parent]
+                if budgeted:
+                    sums[j][chose[at]] = grown[at]
+                else:
+                    sums[j][chose[at]] += resp_w[j, i]
+            del parent, chose, pick
         # Each responder shows its best backlog subset, all of whom chose it,
         # so any choice is a match: it matches with its demand W / (1 + W).
-        return (uniforms[:, ninit:] < (sums / (1.0 + sums))[hist]).sum(axis=1)
+        matches = np.zeros(runs, dtype=np.int64)
+        for col in sums:
+            matches += next(draws) < (col / (1.0 + col))[hist]
+        return matches
+
+
+def _group(key):
+    """``np.unique(key, return_inverse=True)`` and each distinct key's
+    positions: those of the k-th distinct key are order[start[k]:start[k + 1]]."""
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    inverse = np.empty(len(key), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    start = np.append(np.flatnonzero(first), len(key))
+    return key[first], inverse, order, start
 
 
 def _kept_sums(resp_w, by_weight, keep, member) -> np.ndarray:
@@ -298,8 +354,8 @@ class CommittedPolicy:
     def action(self, state: PolicyState) -> PolicyAction:
         return self._inner.action(state)
 
-    def batch_matches(self, uniforms: np.ndarray) -> np.ndarray:
-        return self._inner.batch_matches(uniforms)
+    def batch_matches(self, draws) -> np.ndarray:
+        return self._inner.batch_matches(draws)
 
 
 def sampling_side_selector(instance: Instance, cfg: SamplingConfig = SamplingConfig(),

@@ -139,10 +139,12 @@ def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray
     size = 1 << n_opts
     out = np.zeros(size)
     if budget is UNBOUNDED and is_mnl(model):
+        # A mask's weight sum is that of the mask without its lowest bit b,
+        # plus weight b: the masks whose lowest bit is b, from the highest b
+        # down, each add onto masks already summed.
         w = np.zeros(size)
-        for mask in range(1, size):
-            low = mask & -mask
-            w[mask] = w[mask ^ low] + model.weights[low.bit_length() - 1]
+        for b in reversed(range(n_opts)):
+            w[1 << b::2 << b] = w[::2 << b] + model.weights[b]
         return w / (1.0 + w)
     for mask in range(1, size):
         out[mask] = constrained_demand(model, _mask_options(mask), budget).value

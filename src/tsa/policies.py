@@ -129,13 +129,16 @@ def dump_trace(trace: list, fh) -> None:
         fh.write("\n")
 
 
-# Runs a batched Monte Carlo hands its kernel at once; the deadline is checked
-# between chunks.  Greedy's kernel shares one display among a chunk's runs with
-# the same history, so larger chunks share more, but drawing a chunk's streams
-# takes about 420 bytes a run.  A `tsa gaps --sizes 10` report process peaks at
-# 43.1 MB (ru_maxrss) with 2,000 runs a chunk, against 42.2 MB with 1,000 and
-# 45.4 MB with 5,000.
-_CHUNK = 2000
+# The most runs a batched Monte Carlo hands its kernel in one call, a pass:
+# an estimate of up to 16,384 runs (the pipelines' 10,000 among them) is one
+# pass, whose runs share each history's display.  A pass keeps 40 bytes a run
+# (a stream's PCG state and a run's history) besides its per-history tables:
+# a 10,000-run estimate on a random 10x10 market peaks at 1.9 MB
+# (tracemalloc), and a longer simulation runs pass after pass.
+_PASS = 1 << 14
+# Streams seeded at once: SeedSequence hashing takes about 420 bytes a stream
+# in temporaries, which a block bounds; the deadline is polled per block.
+_SEED_BLOCK = 2000
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -156,28 +159,41 @@ def _seed_words(x: int) -> list:
     return words
 
 
-def _add128(ahi, alo, bhi, blo):
-    low = alo + blo
-    return ahi + bhi + (low < alo), low
-
-
-def _pcg_step(hi, lo, inc):
-    """state * multiplier + inc mod 2**128, on (high, low) uint64 halves."""
+def _pcg_step(hi, lo, inc_hi, inc_lo) -> None:
+    """state * multiplier + inc mod 2**128, in place on the state's (high,
+    low) uint64 halves, with three stream-length temporaries.  The 128-bit
+    product of the low halves comes from their 32-bit pieces a1:a0 and b1:b0:
+    a1 b1 2^64 + (a0 b1 + a1 b0) 2^32 + a0 b0."""
     mhi, mlo = _PCG_MULT
-    a0, a1 = lo & _LOW32, lo >> _S32
     b0, b1 = mlo & _LOW32, mlo >> _S32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _S32) + (p01 & _LOW32) + (p10 & _LOW32)
-    low = (p00 & _LOW32) | (mid << _S32)
-    high = a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) + hi * mlo + lo * mhi
-    return _add128(high, low, *inc)
+    a1 = lo >> _S32
+    hi *= mlo
+    hi += lo * mhi
+    hi += a1 * b1
+    lo &= _LOW32  # a0
+    mid = lo * b1  # a0 * b1
+    hi += mid >> _S32
+    mid &= _LOW32
+    a1 *= b0
+    hi += a1 >> _S32
+    a1 &= _LOW32
+    mid += a1
+    lo *= b0  # a0 * b0
+    mid += lo >> _S32
+    hi += mid >> _S32
+    lo &= _LOW32
+    mid <<= _S32
+    lo |= mid
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo  # the carry out of the low half
 
 
-def _stream_uniforms(prefix: list, lo: int, hi: int, draws: int) -> np.ndarray:
-    """Row r - lo holds the first ``draws`` values of
-    ``np.random.default_rng(prefix + [r]).random()``, for lo <= r < hi < 2**32:
-    numpy's SeedSequence hashing, PCG64 seeding and XSL-RR output and
-    Generator's 53-bit doubles, carried out for all streams at once."""
+def _seed_streams(prefix: list, lo: int, hi: int) -> np.ndarray:
+    """Rows (state high, state low, increment high, increment low) of the
+    PCG64 generator of ``np.random.default_rng(prefix + [r])``, column r - lo
+    for lo <= r < hi < 2**32: numpy's SeedSequence hashing and PCG64 seeding,
+    carried out for all streams at once."""
     count = hi - lo
     entropy = [np.full(count, w, dtype=np.uint32) for x in prefix for w in _seed_words(x)]
     entropy.append(np.arange(lo, hi, dtype=np.uint32))
@@ -212,39 +228,64 @@ def _stream_uniforms(prefix: list, lo: int, hi: int, draws: int) -> np.ndarray:
         value = value * np.uint32(const)
         words.append((value ^ (value >> _S16)).astype(np.uint64))
     seed_hi, seed_lo, seq_hi, seq_lo = (words[2 * k] | (words[2 * k + 1] << _S32) for k in range(4))
-    inc = ((seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE)
-    state = _pcg_step(*_add128(*inc, seed_hi, seed_lo), inc)
-    out = np.empty((count, draws))
-    for d in range(draws):
-        state = _pcg_step(*state, inc)
-        x, rot = state[0] ^ state[1], state[0] >> np.uint64(58)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        out[:, d] = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-    return out
+    inc_hi, inc_lo = (seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE
+    state_lo = inc_lo + seed_lo
+    state_hi = inc_hi + seed_hi + (state_lo < inc_lo)
+    _pcg_step(state_hi, state_lo, inc_hi, inc_lo)
+    return np.array([state_hi, state_lo, inc_hi, inc_lo])
+
+
+class Streams:
+    """The draws of ``np.random.default_rng(prefix + [r]).random()`` for
+    lo <= r < hi, one draw of every stream at a time: ``len`` is the number
+    of streams and ``next`` returns each stream's next value (PCG64's XSL-RR
+    output as Generator's 53-bit double).  Only the generators' states are
+    kept, 32 bytes a stream; they are seeded ``_SEED_BLOCK`` at a time, with
+    the deadline polled before each block."""
+
+    def __init__(self, prefix: list, lo: int, hi: int):
+        self._state = np.empty((4, hi - lo), dtype=np.uint64)
+        for a in range(lo, hi, _SEED_BLOCK):
+            check_deadline()
+            b = min(a + _SEED_BLOCK, hi)
+            self._state[:, a - lo:b - lo] = _seed_streams(prefix, a, b)
+
+    def __len__(self) -> int:
+        return self._state.shape[1]
+
+    def __next__(self) -> np.ndarray:
+        hi, lo = self._state[:2]
+        _pcg_step(*self._state)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        left = np.uint64(64) - rot
+        left &= np.uint64(63)
+        np.left_shift(x, left, out=left)
+        x >>= rot
+        x |= left
+        x >>= np.uint64(11)
+        return x * (1.0 / 9007199254740992.0)
 
 
 def monte_carlo(instance: Instance, policy, runs: int, seed: int | tuple) -> SimulationResult:
     """Mean matches with a normal-approximation 95% CI; run r uses stream
     (*seed, r) for a tuple ``seed`` and (seed, r) for an int.  A policy with a
-    ``batch_matches`` kernel gets ``_CHUNK`` runs' draws at a time on MNL
-    markets, budgeted or not, with the same streams and results (greedy's
-    kernel computes one display per distinct history, not one per run); any
-    other policy or market runs ``simulate_once`` per run.  The deadline is
-    polled before each run or chunk."""
+    ``batch_matches`` kernel gets up to ``_PASS`` runs' ``Streams`` per call
+    on MNL markets, budgeted or not, with the same streams and results
+    (greedy's kernel computes one display per distinct history, not one per
+    run); any other policy or market runs ``simulate_once`` per run.  The
+    deadline is polled before each run, or per seeding block and per kernel
+    step."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     prefix = list(seed) if isinstance(seed, tuple) else [seed]
     total = 0
     total_sq = 0
     if hasattr(policy, "batch_matches") and instance.mnl_weights() is not None:
-        # A run draws exactly one uniform per agent, in processing order.
-        draws = instance.n + instance.m
-        for lo in range(0, runs, _CHUNK):
-            check_deadline()
-            uniforms = _stream_uniforms(prefix, lo, min(lo + _CHUNK, runs), draws)
-            matches = policy.batch_matches(uniforms)
+        for lo in range(0, runs, _PASS):
+            matches = policy.batch_matches(Streams(prefix, lo, min(lo + _PASS, runs)))
             total += int(matches.sum())
             total_sq += int((matches * matches).sum())
+            del matches  # freed before the next pass starts
     else:
         for r in range(runs):
             check_deadline()

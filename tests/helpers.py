@@ -1,17 +1,20 @@
 """Test-only code kept out of the package: range-checked choice probability
 and demand, a submodularity checker, the exact evaluator of a deterministic
 policy by its full choice tree, two fixed-assortment policies, the
-distribution residual of a one-sided relaxation, and the exact high-value
-subproblem of the fully static approximation.  No pipeline calls them; the
-tests use them as independent checks."""
+distribution residual of a one-sided relaxation, the exact high-value
+subproblem of the fully static approximation, and explicit draws for a
+batched Monte Carlo kernel.  No pipeline calls them; the tests use them as
+independent checks."""
 
 from collections import defaultdict
 from typing import Callable, Dict, Iterable, Optional
 
+import numpy as np
+
 from tsa.errors import ChoiceModelError, ContractViolationError, SizeRefusalError
 from tsa.instances import UNBOUNDED, ChoiceSpec, Instance
 from tsa.oracles import constrained_demand
-from tsa.policies import PolicyAction, PolicyState, _apply_choice, _validate_action
+from tsa.policies import PolicyAction, PolicyState, Streams, _apply_choice, _validate_action
 
 
 def choice_prob(model: ChoiceSpec, option: Optional[int], assortment: Iterable[int]) -> float:
@@ -223,3 +226,27 @@ def exact_highvalue_subproblem(instance: Instance, edges, side: str = "C"):
 
     recurse(0, (), {})
     return best[1], best[0]
+
+
+def stream_uniforms(prefix: list, lo: int, hi: int, draws: int) -> np.ndarray:
+    """Row r - lo holds the first ``draws`` values of stream r of
+    ``Streams(prefix, lo, hi)``, which ``np.random.default_rng(prefix + [r])``
+    also draws."""
+    streams = Streams(prefix, lo, hi)
+    return np.stack([next(streams) for _ in range(draws)], axis=1)
+
+
+class Draws:
+    """Explicit draws for a batched kernel in place of ``Streams``: row r of
+    ``uniforms`` holds run r's draws in order, and each ``next`` hands out
+    the next column."""
+
+    def __init__(self, uniforms):
+        uniforms = np.asarray(uniforms)
+        self._runs, self._columns = len(uniforms), iter(uniforms.T)
+
+    def __len__(self) -> int:
+        return self._runs
+
+    def __next__(self) -> np.ndarray:
+        return next(self._columns)

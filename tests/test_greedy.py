@@ -9,7 +9,7 @@ import pytest
 
 from conftest import independent_model, nonmonotone_market
 from greedy_reference import recursive_greedy_value
-from helpers import exact_value_deterministic_adaptive
+from helpers import Draws, exact_value_deterministic_adaptive, stream_uniforms
 from tsa.exact import opt_fully_adaptive, opt_one_sided_adaptive
 from tsa.greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
                         cointoss_exact_value, cointoss_fully_adaptive,
@@ -19,7 +19,8 @@ from tsa.bounds import _SELECTOR_RUNS, alg_one_sided_adaptive_value
 from tsa.errors import SizeRefusalError, TimeLimitError
 from tsa.instances import (MNL, CardinalityProfile, Instance, Mixture,
                            generate_random_instance, tight_instance)
-from tsa.policies import _CHUNK, _stream_uniforms, monte_carlo, simulate_once
+from tsa import policies
+from tsa.policies import _PASS, _SEED_BLOCK, monte_carlo, simulate_once
 from tsa.util import Deadline
 
 
@@ -175,10 +176,10 @@ class _ScalarOnly:
 
 
 def _counting_kernel(policy):
-    """Record the chunk sizes ``monte_carlo`` hands to ``policy.batch_matches``."""
+    """Record the pass sizes ``monte_carlo`` hands to ``policy.batch_matches``."""
     calls = []
     kernel = policy.batch_matches
-    policy.batch_matches = lambda uniforms: calls.append(len(uniforms)) or kernel(uniforms)
+    policy.batch_matches = lambda draws: calls.append(len(draws)) or kernel(draws)
     return calls
 
 
@@ -214,12 +215,12 @@ def test_batched_monte_carlo_matches_scalar(inst):
         ninit = inst.side_size(side)
         shuffled = [int(a) for a in np.random.default_rng(k).permutation(ninit)]
         for order, seed, runs in ((None, 3, 300), (shuffled, (3, k), 300),
-                                  (None, (7, 1, k), _CHUNK + 37)):
+                                  (None, (7, 1, k), 2037)):
             pol = GreedyOneSidedPolicy(inst, side, order)
             calls = _counting_kernel(pol)
             batched = monte_carlo(inst, pol, runs, seed)
             scalar = monte_carlo(inst, _ScalarOnly(pol), runs, seed)
-            assert calls == [_CHUNK] * (runs // _CHUNK) + [runs % _CHUNK]
+            assert calls == [runs]
             assert (batched.mean, batched.half_width) == (scalar.mean, scalar.half_width)
     # The committed policies forward to the kernel.
     pol = cointoss_fully_adaptive(inst, seed=1)
@@ -235,12 +236,13 @@ def test_batch_matches_do_not_depend_on_chunking():
                  generate_random_instance(6, 4, seed=8, profile=CardinalityProfile("two-way", 2, 1))):
         for side in ("C", "S"):
             pol = GreedyOneSidedPolicy(inst, side)
-            uniforms = _stream_uniforms([9], 0, 500, inst.n + inst.m)
-            whole = pol.batch_matches(uniforms)
+            uniforms = stream_uniforms([9], 0, 500, inst.n + inst.m)
+            whole = pol.batch_matches(Draws(uniforms))
             for k in (1, 2, 137, 250, 499):
-                parts = np.concatenate([pol.batch_matches(uniforms[:k]), pol.batch_matches(uniforms[k:])])
+                parts = np.concatenate([pol.batch_matches(Draws(uniforms[:k])),
+                                        pol.batch_matches(Draws(uniforms[k:]))])
                 assert np.array_equal(parts, whole)
-            assert np.array_equal([pol.batch_matches(u[None])[0] for u in uniforms[:40]], whole[:40])
+            assert np.array_equal([pol.batch_matches(Draws(u[None]))[0] for u in uniforms[:40]], whole[:40])
 
 
 def test_non_mnl_markets_run_the_scalar_path():
@@ -261,10 +263,10 @@ def test_batch_matches_applies_budgets():
     budget-blind kernel averages 1.206 matches on this market, against
     1.121."""
     inst = generate_random_instance(4, 4, seed=0, profile=CardinalityProfile("two-way", 1, 1))
-    uniforms = _stream_uniforms([5], 0, 2000, inst.n + inst.m)
+    uniforms = stream_uniforms([5], 0, 2000, inst.n + inst.m)
     for pol in (GreedyOneSidedPolicy(inst, "C"), cointoss_fully_adaptive(inst, seed=0)):
         scalar = [simulate_once(inst, pol, np.random.default_rng([5, r]))[0] for r in range(2000)]
-        assert pol.batch_matches(uniforms).tolist() == scalar
+        assert pol.batch_matches(Draws(uniforms)).tolist() == scalar
     base = generate_random_instance(3, 3, seed=4)
     budgeted = Instance(3, 3, base.customer_models, base.supplier_models,
                         (2,) * 3, (None,) * 3)
@@ -276,24 +278,24 @@ def test_batch_matches_applies_budgets():
 
 def test_stream_uniforms_reproduce_default_rng():
     for prefix in ([0], [5], [5, 1], [7, 0, 9], [2 ** 32], [123, 2 ** 64 + 5]):
-        for lo, hi in ((0, 40), (4090, 4110)):
+        for lo, hi in ((0, 40), (4090, 4110), (1, _SEED_BLOCK + 3)):  # the last spans two seeding blocks
             expected = [np.random.default_rng(prefix + [r]).random(13) for r in range(lo, hi)]
-            assert np.array_equal(_stream_uniforms(prefix, lo, hi, 13), expected)
+            assert np.array_equal(stream_uniforms(prefix, lo, hi, 13), expected)
     with pytest.raises(ValueError):
-        _stream_uniforms([-1], 0, 2, 3)
+        stream_uniforms([-1], 0, 2, 3)
 
 
 def test_batched_monte_carlo_stops_within_a_chunk():
     inst = generate_random_instance(10, 10, seed=0)
     pol = GreedyOneSidedPolicy(inst, "C")
     start = time.monotonic()
-    monte_carlo(inst, pol, _CHUNK, 0)
+    monte_carlo(inst, pol, 2000, 0)
     chunk = time.monotonic() - start
     start = time.monotonic()
     with pytest.raises(TimeLimitError), Deadline(0.01):
-        monte_carlo(inst, pol, 1000 * _CHUNK, 0)
-    # The limit plus the chunk that was running, with room for timing noise;
-    # without the check all 1,000 chunks would run.
+        monte_carlo(inst, pol, 2_000_000, 0)
+    # The limit plus the seeding block or kernel step that was running, with
+    # room for timing noise; without the polls all 2,000,000 runs would run.
     assert time.monotonic() - start < 0.01 + 3 * chunk
 
 
@@ -370,3 +372,37 @@ def test_exact_greedy_value_walks_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batched_monte_carlo_runs_in_bounded_memory(monkeypatch):
+    """A pass keeps 32 bytes of stream state and 8 of history a run, plus
+    its per-history tables, re-indexed one responder at a time: a 10,000-run
+    estimate on a random 10x10 market peaks near 1.9 MB (2,000-run chunks,
+    each drawn as a whole (runs, draws) matrix, read 1.7 MB).  Passes run one
+    after another: five passes on a 3x3 market peak as one does, give or
+    take the interpreter's own allocations, where a second pass held at once
+    would add over 600 KB; and splitting the runs into passes changes no
+    result."""
+    inst = generate_random_instance(10, 10, seed=0)
+    assert _traced_peak(lambda: monte_carlo(inst, GreedyOneSidedPolicy(inst, "C"), 10_000, 0)) < 2.5 * 2 ** 20
+    small = generate_random_instance(3, 3, seed=1)
+    pol = GreedyOneSidedPolicy(small, "C")
+    monte_carlo(small, pol, 100, 0)
+    one = _traced_peak(lambda: monte_carlo(small, pol, _PASS, 0))
+    five = _traced_peak(lambda: monte_carlo(small, pol, 5 * _PASS, 0))
+    assert five <= one + 2 ** 16
+    calls = _counting_kernel(pol)
+    passes = monte_carlo(small, pol, 5 * _PASS + 37, 0)
+    assert calls == [_PASS] * 5 + [37]
+    monkeypatch.setattr(policies, "_PASS", 6 * _PASS)
+    assert monte_carlo(small, pol, 5 * _PASS + 37, 0) == passes
+    assert calls[6:] == [5 * _PASS + 37]

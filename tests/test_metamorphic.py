@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fs_reference import fs_reference
+from helpers import Draws, stream_uniforms
 from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                        opt_one_sided_static)
 from tsa.greedy import GreedyOneSidedPolicy
 from tsa.instances import MNL, UNBOUNDED, Instance
-from tsa.policies import _stream_uniforms, simulate_once
+from tsa.policies import simulate_once
 
 TOL = 1e-12
 BUDGETS = st.sampled_from([UNBOUNDED, 1, 2])
@@ -97,6 +98,6 @@ def test_opt_fs_matches_reference_under_mixed_budgets(inst):
 def test_batched_greedy_repeats_scalar_runs_under_budgets(inst, seed):
     for side in ("C", "S"):
         pol = GreedyOneSidedPolicy(inst, side)
-        uniforms = _stream_uniforms([seed], 0, 60, inst.n + inst.m)
+        uniforms = stream_uniforms([seed], 0, 60, inst.n + inst.m)
         scalar = [simulate_once(inst, pol, np.random.default_rng([seed, r]))[0] for r in range(60)]
-        assert pol.batch_matches(uniforms).tolist() == scalar
+        assert pol.batch_matches(Draws(uniforms)).tolist() == scalar

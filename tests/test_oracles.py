@@ -12,8 +12,8 @@ from tsa.errors import UnsupportedOracleError
 from tsa.instances import (MNL, UNBOUNDED, BetaUniform, Mixture, UniformNoOutside,
                            counterexample_constrained_demand_model)
 from tsa.oracles import (_budget_masks, _enumeration_rows, _mnl_prefix_rows, _mnl_rows,
-                         best_weighted_assortment, constrained_demand, mnl_best,
-                         prob_table)
+                         best_weighted_assortment, constrained_demand, demand_table,
+                         mnl_best, prob_table)
 
 
 def brute_force_weighted(model, theta, budget=None):
@@ -25,6 +25,27 @@ def brute_force_weighted(model, theta, budget=None):
             s = frozenset(combo)
             best = max(best, sum(theta[j] * model.prob(j, s) for j in s))
     return best
+
+
+def mnl_demand_table_by_mask(weights) -> np.ndarray:
+    """MNL demand on every subset, indexed by bitmask, one mask at a time: a
+    mask's weight sum is that of the mask without its lowest bit, plus that
+    bit's weight."""
+    w = np.zeros(1 << len(weights))
+    for mask in range(1, len(w)):
+        low = mask & -mask
+        w[mask] = w[mask ^ low] + weights[low.bit_length() - 1]
+    return w / (1.0 + w)
+
+
+def test_mnl_demand_table_matches_mask_loop():
+    """The strided sums make the per-mask loop's additions in its order, so
+    the tables agree bit for bit, zero weights included."""
+    rng = np.random.default_rng(3)
+    for n in range(1, 17):
+        for zeros in (0.0, 0.3):
+            weights = tuple(float(x) for x in rng.lognormal(size=n) * (rng.random(n) >= zeros))
+            assert np.array_equal(demand_table(MNL(weights), n), mnl_demand_table_by_mask(weights))
 
 
 def test_unconstrained_examples():
