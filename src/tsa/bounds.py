@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import SizeRefusalError, UnsupportedOracleError
+from .errors import SizeRefusalError, UnsupportedOracleError, refuse_past
 from .exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                     opt_one_sided_static)
 from .fullystatic import approx_fully_static
@@ -26,15 +26,15 @@ from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
                      cointoss_exact_value, exact_greedy_value, sampling_side_selector)
 from .instances import UNBOUNDED, Instance
 from .lp import LpProblem, solve_lp
-from .oracles import demand_table, prob_rows, prob_table
+from .oracles import _budget_counts, demand_table, prob_rows, prob_table
 from .policies import (exact_value_one_sided_static, monte_carlo, one_sided_values,
                        simulate_once)
 from .util import check_deadline
 
-# The largest side the relaxation enumerates the subsets of, Frank-Wolfe
+# The relaxation LP's columns (9x9 has 9,216; 10x10 20,480), Frank-Wolfe
 # iterations per UB_OA orientation, the side selector's sampling runs per side,
 # and Monte Carlo runs per policy.
-_RELAXATION_MAX_SIDE = 6
+_MAX_LP_COLUMNS = 1 << 14
 _UB_OA_ITERS = 1000
 _SELECTOR_RUNS = 100
 _MC_RUNS = 10_000
@@ -50,7 +50,8 @@ class RelaxationSolution:
 
 def lp_relaxation_onesided(instance: Instance, side: str = "C") -> RelaxationSolution:
     """Exact optimum of the one-sided relaxation by explicit subset enumeration,
-    under the instance's budgets.
+    under the instance's budgets.  Refuses more than ``_MAX_LP_COLUMNS``
+    columns before any table is built.
 
     Columns lam[j, C] (responder j, initiator subset C), then tau[i, S]
     (initiator i, assortment S within its budget), masks ascending per agent.
@@ -59,12 +60,12 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C") -> RelaxationSol
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     nresp = instance.side_size(resp_side)
-    if max(ninit, nresp) > _RELAXATION_MAX_SIDE:
-        raise SizeRefusalError(f"relaxation enumerates subsets; refuses sides > {_RELAXATION_MAX_SIDE}")
+    init_budget = [instance.budget(side, i) for i in range(ninit)]
+    columns = (nresp << ninit) + sum(sum(_budget_counts(nresp, k)) for k in init_budget)
+    refuse_past("relaxation LP", columns, _MAX_LP_COLUMNS, "columns")
     if ninit == 0 or nresp == 0:
         return RelaxationSolution(side, {}, {}, 0.0)
 
-    init_budget = [instance.budget(side, i) for i in range(ninit)]
     f = np.stack([demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
                   for j in range(nresp)])
     phi = np.stack([prob_table(instance.model(side, i), nresp) for i in range(ninit)])

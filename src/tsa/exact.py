@@ -17,14 +17,15 @@ oracles) live in ``tsa.oracles``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb, prod
 from typing import Optional
 
 import numpy as np
 
-from .errors import SizeRefusalError
+from .errors import refuse_past
 from .instances import UNBOUNDED, Instance
-from .oracles import (_TOL, _agent_oracle, _budget_masks, best_weighted_assortment,
+from .oracles import (_TOL, _agent_oracle, _budget_counts, _budget_masks, best_weighted_assortment,
                       demand_table, prob_table)
 from .policies import PolicyAction, one_sided_values, pair_sum
 from .util import check_deadline
@@ -85,15 +86,13 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
             own.append(0)
         done.append(1 << pos if a in movers else 0)
         pos += a in movers
-    if pos > _KEY_BITS:
-        raise SizeRefusalError(f"adaptive DP refuses a {pos}-bit state key > {_KEY_BITS} bits")
+    refuse_past("adaptive DP", pos, _KEY_BITS, "-bit state key")
     # The states, terminal ones included, before any is built: each done mover
     # chose an undone opponent or none (fewer if an option is unusable).
     count = ((n + m - len(movers) + 2) ** len(movers) if first else
              sum(comb(n, a) * comb(m, b) * (m - b + 1) ** a * (n - a + 1) ** b
                  for a in range(n + 1) for b in range(m + 1)))
-    if count > _MAX_STATES:
-        raise SizeRefusalError(f"adaptive DP refuses {count} states > {_MAX_STATES}")
+    refuse_past("adaptive DP", count, _MAX_STATES, "states")
 
     budgets = [instance.budget(*agent) for agent in agents]
     # Per mover: its usable options and row oracle, and over the usable
@@ -189,33 +188,36 @@ def opt_one_sided_adaptive(instance: Instance, side: str) -> DpValue:
 
 
 # Entries of the combination tensor ``opt_one_sided_static`` values at once
-# (8 MB of float64); the first initiator's candidates are blocked to fit.
+# (8 MB of float64).
 _OS_BLOCK = 1 << 20
 
 
 def opt_one_sided_static(instance: Instance, side: str) -> float:
     """Exact OPT over one-sided static policies initiating on ``side``: brute
     force over all assortment families, with exact backlog expectations,
-    valued in blocks of about ``_OS_BLOCK`` combinations.  Refuses more than
+    valued in blocks of at most ``_OS_BLOCK`` combinations.  Refuses more than
     ``_MAX_ENUMERATION`` families before any table is built."""
     ninit = instance.side_size(side)
     nresp = instance.side_size("S" if side == "C" else "C")
     budgets = [instance.budget(side, i) for i in range(ninit)]
-    # Initiator i's candidates: the len(_budget_masks(nresp, K_i)) sets of at
-    # most K_i responders.
-    count = prod(sum(comb(nresp, size) for size in range(nresp + 1) if k is UNBOUNDED or size <= k)
-                 for k in budgets)
-    if count > _MAX_ENUMERATION:
-        raise SizeRefusalError(
-            f"one-sided static enumeration refuses {count} assortment families > {_MAX_ENUMERATION}")
+    # Initiator i's candidates: the sets of at most K_i responders.
+    count = prod(sum(_budget_counts(nresp, k)) for k in budgets)
+    refuse_past("one-sided static enumeration", count, _MAX_ENUMERATION, "assortment families")
     if ninit == 0 or nresp == 0:
         return 0.0
 
     probs = [prob_table(instance.model(side, i), nresp)[_budget_masks(nresp, k)]
              for i, k in enumerate(budgets)]
-    step = max(1, _OS_BLOCK // int(np.prod([len(q) for q in probs[1:]])))
-    return float(max(one_sided_values(instance, side, [probs[0][lo:lo + step]] + probs[1:]).max()
-                     for lo in range(0, len(probs[0]), step)))
+    # Blocks over the shortest prefix of initiators whose remaining
+    # combinations fit: the ones before initiator p take one candidate each,
+    # and p's candidates go in slices of ``step``.
+    sizes = [len(q) for q in probs]
+    p = next(p for p in range(ninit) if prod(sizes[p + 1:]) <= _OS_BLOCK)
+    step = _OS_BLOCK // prod(sizes[p + 1:])
+    return float(max(
+        one_sided_values(instance, side, [q[c:c + 1] for q, c in zip(probs, head)]
+                         + [probs[p][lo:lo + step]] + probs[p + 1:]).max()
+        for head in product(*map(range, sizes[:p])) for lo in range(0, sizes[p], step)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +248,7 @@ def opt_fully_static(instance: Instance):
     ``_MAX_ENUMERATION`` edge sets before any table is built."""
     n, m = instance.n, instance.m
     nm = n * m
-    if 1 << nm > _MAX_ENUMERATION:
-        raise SizeRefusalError(f"fully static enumeration refuses {1 << nm} edge sets > {_MAX_ENUMERATION}")
+    refuse_past("fully static enumeration", 1 << nm, _MAX_ENUMERATION, "edge sets")
     if nm == 0:
         return 0.0, []
 

@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, SizeRefusalError
+from .errors import ContractViolationError, refuse_past
 from .instances import UNBOUNDED, Instance, Tabular, is_mnl
-from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_demand,
-                      demand_table, prob_rows, prob_table)
+from .oracles import (_MAX_ENTRIES, _mnl_prefix_rows, best_weighted_assortment,
+                      constrained_demand, demand_table, prob_rows, prob_table)
 from .policies import PolicyAction, PolicyState, monte_carlo
 from .util import check_deadline
 
@@ -241,8 +241,7 @@ def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[i
     block.  A pick of probability 0, or an outside option of at most 1e-15,
     starts no child history."""
     ninit = instance.side_size(side)
-    if ninit > MAX_EXACT_SIDE:
-        raise SizeRefusalError(f"exact greedy evaluation refuses initiating side {ninit} > {MAX_EXACT_SIDE}")
+    refuse_past("exact greedy evaluation", ninit, MAX_EXACT_SIDE, "initiators")
     policy = GreedyOneSidedPolicy(instance, side, order)
     nresp = instance.side_size(policy.resp_side)
     if ninit == 0 or nresp == 0:
@@ -313,7 +312,7 @@ def _max_phi(model, n_opts: int):
             for j, p in probs.items():
                 out[j] = max(out[j], p)
         return out
-    if n_opts <= 16:
+    if n_opts << n_opts <= _MAX_ENTRIES:  # within prob_table's count
         return list(prob_table(model, n_opts).max(axis=0))
     # Weak-substitutable variants peak at singletons.
     return [model.prob(j, frozenset({j})) for j in range(n_opts)]

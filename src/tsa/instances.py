@@ -365,28 +365,6 @@ def tight_instance(kind: str, n: int) -> Instance:
     raise ValueError(f"unknown tight instance kind {kind!r}")
 
 
-def counterexample_constrained_demand_model() -> Mixture:
-    """Four-option mixture whose size-2 constrained demand is not submodular.
-
-    Component 1 behaves like an MNL with weights (1, 1, 0) on options 0..2 and
-    an option 3 that captures all mass whenever it is offered (the limit of an
-    unbounded weight, tabulated explicitly).  Component 2 is MNL (0, 0, 1, 0).
-    Arrival probabilities are 1/2 each.
-    """
-    rows = {}
-    base = (1.0, 1.0, 0.0)
-    for mask in range(16):
-        s = frozenset(j for j in range(4) if mask >> j & 1)
-        if 3 in s:
-            rows[s] = ({3: 1.0}, 0.0)
-        else:
-            tot = 1.0 + sum(base[j] for j in s)
-            probs = {j: base[j] / tot for j in s if base[j] > 0}
-            rows[s] = (probs, 1.0 - sum(probs.values()))
-    limit = Tabular(4, rows)
-    return Mixture((limit, MNL((0.0, 0.0, 1.0, 0.0))), (0.5, 0.5))
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 

@@ -8,8 +8,9 @@ demand f^K(B), with no budget B and its demand.  MNL has one exact oracle,
 ``mnl_best``: the best theta-ordered prefix when unconstrained, and under a
 cardinality budget Dinkelbach's iteration on the ratio z, each step keeping
 the K largest positive w_j (theta_j - z) (Rusmevichientong, Shen & Shmoys
-2010).  Every other model is solved by exhaustive enumeration up to universe
-size 20; beyond that the oracle refuses rather than approximate silently.
+2010).  Every other model is solved by exhaustive enumeration.  Each table
+and enumeration counts the (set, option) entries it evaluates before it
+starts, and refuses past ``_MAX_ENTRIES`` rather than approximate silently.
 The row oracles apply the same rules to many theta vectors at once, bit for
 bit: the adaptive DPs value a layer with them, and greedy's batched kernel
 shows its displays with the prefix rule.
@@ -20,15 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SizeRefusalError, UnsupportedOracleError
+from .errors import refuse_past
 from .instances import UNBOUNDED, ChoiceSpec, is_mnl
 
-ENUMERATION_LIMIT = 20
+# (set, option) entries of a table or enumeration: n 2^n for a probability table
+# (16 options), 2^n for a demand table (20), sum_k k C(n, k) for an enumeration.
+_MAX_ENTRIES = 1 << 20
 _TOL = 1e-12  # a larger set, or a later option, wins only by more than this
 _THETA = itemgetter(0)
 
@@ -43,11 +47,19 @@ def _weighted_value(model: ChoiceSpec, theta: Sequence[float], s: frozenset) -> 
     return sum(theta[j] * model.prob(j, s) for j in sorted(s))
 
 
+def _budget_counts(count: int, budget) -> list:
+    """The number of assortments of each size 0..min(budget, count) over
+    ``count`` options: the sets ``_budget_masks`` lists, by size."""
+    kmax = count if budget is UNBOUNDED else min(budget, count)
+    return [comb(count, k) for k in range(kmax + 1)]
+
+
 def _enumerate_best(model: ChoiceSpec, theta, candidates, budget) -> OracleResult:
     """Exhaustive search; ties broken by smallest cardinality then lexicographic."""
+    sizes = _budget_counts(len(candidates), budget)
+    refuse_past("oracle enumeration", sum(k * c for k, c in enumerate(sizes)), _MAX_ENTRIES, "entries")
     best_set, best_val = frozenset(), 0.0
-    kmax = len(candidates) if budget is UNBOUNDED else min(budget, len(candidates))
-    for k in range(1, kmax + 1):
+    for k in range(1, len(sizes)):
         for combo in combinations(candidates, k):
             s = frozenset(combo)
             val = _weighted_value(model, theta, s)
@@ -90,9 +102,6 @@ def best_weighted_assortment(model: ChoiceSpec, theta: Sequence[float],
     if any(theta[j] < -_TOL for j in options):
         raise ValueError("theta must be componentwise nonnegative")
     if not is_mnl(model):
-        if len(options) > ENUMERATION_LIMIT:
-            raise UnsupportedOracleError(
-                f"no exact oracle for {type(model).__name__} with {len(options)} options")
         return _enumerate_best(model, theta, options, budget)
     w = model.weights
     value, chosen = mnl_best([(theta[j], w[j], j) for j in options if w[j] > 0 and theta[j] > 0],
@@ -117,11 +126,7 @@ def constrained_demand(model: ChoiceSpec, ground: Iterable[int], budget=UNBOUNDE
         s = frozenset(ranked)
         w = sum(model.weights[j] for j in s)
         return OracleResult(s, w / (1.0 + w))
-    if len(ground) > ENUMERATION_LIMIT:
-        raise UnsupportedOracleError(
-            f"no exact constrained demand for {type(model).__name__} with {len(ground)} options")
-    theta = [1.0] * model.num_options
-    return _enumerate_best(model, theta, sorted(ground), budget)
+    return _enumerate_best(model, [1.0] * model.num_options, sorted(ground), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +139,8 @@ def _mask_options(mask: int):
 
 def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
     """``constrained_demand``'s value on every subset, indexed by bitmask."""
-    if n_opts > 20:
-        raise SizeRefusalError("demand_table limited to option universes of size <= 20")
     size = 1 << n_opts
+    refuse_past("demand_table", size, _MAX_ENTRIES, "entries")
     out = np.zeros(size)
     if budget is UNBOUNDED and is_mnl(model):
         # A mask's weight sum is that of the mask without its lowest bit b,
@@ -154,8 +158,7 @@ def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray
 def prob_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
     """phi(option, S) for every subset S: shape (2^n, n); outside prob implied.
     Rows of sets larger than ``budget`` stay zero."""
-    if n_opts > 16:
-        raise SizeRefusalError("prob_table limited to option universes of size <= 16")
+    refuse_past("prob_table", n_opts << n_opts, _MAX_ENTRIES, "entries")
     out = np.zeros((1 << n_opts, n_opts))
     kmax = n_opts if budget is UNBOUNDED else budget
     for lo in range(0, 1 << n_opts, 1024):  # all 2^16 sets at once would take about 50 MB

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractViolationError, SizeRefusalError
+from .errors import ContractViolationError, refuse_past
 from .instances import UNBOUNDED, Instance
 from .oracles import _mask_options, demand_table, prob_rows
 from .util import check_deadline
@@ -375,9 +375,7 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> 
     init_n = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     resp_n = instance.side_size(resp_side)
-    if init_n > _MAX_STATIC_INITIATING:
-        raise SizeRefusalError(f"one-sided static evaluation refuses initiating side {init_n} > "
-                               f"{_MAX_STATIC_INITIATING}")
+    refuse_past("one-sided static evaluation", init_n, _MAX_STATIC_INITIATING, "initiators")
     assortments = [frozenset(s) for s in assortments]
     if len(assortments) != init_n:
         raise ValueError("need one assortment per initiating agent")

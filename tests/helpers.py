@@ -2,8 +2,9 @@
 and demand, a submodularity checker, the exact evaluator of a deterministic
 policy by its full choice tree, two fixed-assortment policies, the
 distribution residual of a one-sided relaxation, the exact high-value
-subproblem of the fully static approximation, and explicit draws for a
-batched Monte Carlo kernel.  No pipeline calls them; the tests use them as
+subproblem of the fully static approximation, explicit draws for a
+batched Monte Carlo kernel, a choice model whose constrained demand is not
+submodular, and a probe of whether a solver passes its size check.  No pipeline calls them; the tests use them as
 independent checks."""
 
 from collections import defaultdict
@@ -12,7 +13,7 @@ from typing import Callable, Dict, Iterable, Optional
 import numpy as np
 
 from tsa.errors import ChoiceModelError, ContractViolationError, SizeRefusalError
-from tsa.instances import UNBOUNDED, ChoiceSpec, Instance
+from tsa.instances import MNL, UNBOUNDED, ChoiceSpec, Instance, Mixture, Tabular
 from tsa.oracles import constrained_demand
 from tsa.policies import PolicyAction, PolicyState, Streams, _apply_choice, _validate_action
 
@@ -250,3 +251,46 @@ class Draws:
 
     def __next__(self) -> np.ndarray:
         return next(self._columns)
+
+
+def counterexample_constrained_demand_model() -> Mixture:
+    """Four-option mixture whose size-2 constrained demand is not submodular.
+
+    Component 1 behaves like an MNL with weights (1, 1, 0) on options 0..2 and
+    an option 3 that captures all mass whenever it is offered (the limit of an
+    unbounded weight, tabulated explicitly).  Component 2 is MNL (0, 0, 1, 0).
+    Arrival probabilities are 1/2 each.
+    """
+    rows = {}
+    base = (1.0, 1.0, 0.0)
+    for mask in range(16):
+        s = frozenset(j for j in range(4) if mask >> j & 1)
+        if 3 in s:
+            rows[s] = ({3: 1.0}, 0.0)
+        else:
+            tot = 1.0 + sum(base[j] for j in s)
+            probs = {j: base[j] / tot for j in s if base[j] > 0}
+            rows[s] = (probs, 1.0 - sum(probs.values()))
+    limit = Tabular(4, rows)
+    return Mixture((limit, MNL((0.0, 0.0, 1.0, 0.0))), (0.5, 0.5))
+
+
+def reaches(monkeypatch, target: str, solve: Callable[[], object]) -> bool:
+    """Whether ``solve()`` passes its size checks, seen from whether it calls
+    ``target`` (a dotted name), which is patched to stop it there: nothing
+    is solved."""
+    class Admitted(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Admitted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(target, stop)
+        try:
+            solve()
+        except Admitted:
+            return True
+        except SizeRefusalError:
+            return False
+    raise AssertionError(f"{target} was never called")

@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from conftest import low_value_instance
-from helpers import exact_highvalue_subproblem, is_submodular
+from helpers import (counterexample_constrained_demand_model, exact_highvalue_subproblem,
+                     is_submodular)
 from tsa.bounds import lp_relaxation_onesided, ub_fa, ub_oa
 from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                        opt_one_sided_static)
 from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static,
                              dependent_rounding, lowlow_lp)
 from tsa.greedy import (SamplingConfig, exact_greedy_value, sampling_side_selector)
-from tsa.instances import (MNL, BetaUniform, Instance,
-                           counterexample_constrained_demand_model,
-                           generate_random_instance, tight_instance)
+from tsa.instances import (MNL, BetaUniform, Instance, generate_random_instance,
+                           tight_instance)
 from tsa.oracles import constrained_demand
 from tsa.policies import static_values
 

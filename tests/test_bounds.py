@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import distribution_residual
+import tsa.bounds
+
+from helpers import distribution_residual, reaches
 from tsa.bounds import (QUANTITY_ORDER, VERDICT_ORDER, _block_oracle, _ub_oa_oriented,
                         alg_one_sided_static_value, gap_report, independent_objective_from_tau,
                         lp_relaxation_onesided, reports_to_csv, ub_fa, ub_oa)
@@ -53,10 +55,63 @@ def test_correlation_gap_of_independent_distribution():
         assert ind >= (1 - 1 / math.e) * rel.value - 1e-9
 
 
-def test_relaxation_size_refusal():
-    inst = generate_random_instance(7, 2, seed=0)
-    with pytest.raises(SizeRefusalError):
+def test_relaxation_size_refusal(monkeypatch):
+    """10x10 has 20,480 columns, past 2^14: refused before any table is built."""
+    def fail(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(tsa.bounds, "demand_table", fail)
+    monkeypatch.setattr(tsa.bounds, "prob_table", fail)
+    inst = generate_random_instance(10, 10, seed=0)
+    with pytest.raises(SizeRefusalError, match="refuses 20480 columns"):
         lp_relaxation_onesided(inst, "C")
+
+
+def rel2_columns(n, m, side, budgets):
+    """Columns of the relaxation initiating on ``side``: lam per (responder,
+    initiator subset), tau per (initiator, set of at most its budget of
+    responders)."""
+    k, l = (n, m) if side == "C" else (m, n)
+    budget = budgets["CS".index(side)]
+    sets = sum(math.comb(l, size) for size in range(l + 1) if budget is None or size <= budget)
+    return l * 2 ** k + k * sets
+
+
+def _budgeted(n, m, budgets):
+    base = generate_random_instance(n, m, seed=0)
+    return Instance(n, m, base.customer_models, base.supplier_models,
+                    (budgets[0],) * n, (budgets[1],) * m)
+
+
+@pytest.mark.parametrize("budgets", [(None, None), (2, 1)], ids=["none", "two-way"])
+def test_relaxation_refusal_is_its_column_count(monkeypatch, budgets):
+    """Up to 12x12, REL2 refuses exactly when its LP has more than 2^14
+    columns (unbudgeted: 9x9, 10x9 and 11x7 admitted; 10x10, 13x2 and 15x1
+    side C refused), before its first demand table."""
+    for n in range(1, 13):
+        for m in range(1, 13):
+            inst = _budgeted(n, m, budgets)
+            for side in "CS":
+                assert reaches(monkeypatch, "tsa.bounds.demand_table",
+                               lambda: lp_relaxation_onesided(inst, side)) == (
+                    rel2_columns(n, m, side, budgets) <= 1 << 14), (n, m, side)
+
+
+@pytest.mark.parametrize("budgets", [(None, None), (2, 1)], ids=["none", "two-way"])
+def test_relaxation_column_count_is_the_lp(monkeypatch, budgets):
+    """The counted columns are those of the LP handed to the simplex."""
+    columns = []
+
+    def spy(problem):
+        columns.append(problem.c.size)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(tsa.bounds, "solve_lp", spy)
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for side in "CS":
+                lp_relaxation_onesided(_budgeted(n, m, budgets), side)
+                assert columns[-1] == rel2_columns(n, m, side, budgets), (n, m, side)
 
 
 def test_constrained_relaxation_uses_fk():

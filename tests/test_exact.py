@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import independent_model
+from helpers import reaches
 import tsa.exact
 from tsa.errors import SizeRefusalError
 from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
@@ -548,21 +549,8 @@ def _solve(inst, side):
 
 def _reaches(monkeypatch, name, solve):
     """Whether ``solve()`` passes its size checks, seen from whether it calls
-    ``tsa.exact.<name>``, which is patched to stop it there: nothing is solved."""
-    class Admitted(Exception):
-        pass
-
-    def stop(*args):
-        raise Admitted
-
-    monkeypatch.setattr(tsa.exact, name, stop)
-    try:
-        solve()
-    except Admitted:
-        return True
-    except SizeRefusalError:
-        return False
-    raise AssertionError(f"the solver ran without {name}")
+    ``tsa.exact.<name>``: nothing is solved."""
+    return reaches(monkeypatch, f"tsa.exact.{name}", solve)
 
 
 def _admitted(monkeypatch, inst, side):
@@ -693,6 +681,52 @@ def test_shapes_the_static_caps_admitted_stay_admitted(monkeypatch):
     for n, m in fs_shapes:
         inst = generate_random_instance(n, m, seed=0)
         assert _reaches(monkeypatch, "prob_table", lambda: opt_fully_static(inst))
+
+
+def _os_blocks(monkeypatch, inst, side):
+    """OPT_OS's value and the candidate combinations of each block it values."""
+    blocks, values = [], tsa.exact.one_sided_values
+
+    def spy(instance, side, probs):
+        blocks.append(math.prod(len(q) for q in probs))
+        return values(instance, side, probs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tsa.exact, "one_sided_values", spy)
+        return opt_one_sided_static(inst, side), blocks
+
+
+def test_os_blocks_over_a_prefix_of_initiators(monkeypatch):
+    """On 12x2 side C the other initiators' 4^11 combinations exceed a block,
+    so each block fixes the first initiator's candidate and slices the second's;
+    the value equals one block's.  5x5 still slices the first initiator."""
+    inst = generate_random_instance(12, 2, seed=0)
+    value, blocks = _os_blocks(monkeypatch, inst, "C")
+    assert blocks == [1 << 20] * 16
+    monkeypatch.setattr(tsa.exact, "_OS_BLOCK", 4 ** 12)
+    assert _os_blocks(monkeypatch, inst, "C") == (value, [4 ** 12])
+    monkeypatch.undo()
+    assert _os_blocks(monkeypatch, generate_random_instance(5, 5, seed=0), "C")[1] == [1 << 20] * 32
+
+
+def test_refusal_messages_stay_short():
+    """Counts past 15 digits print short: 2^2500 edge sets at 50x50, about
+    1.96e155 families of at most 2 suppliers."""
+    inst = generate_random_instance(50, 50, seed=0)
+    budgeted = Instance(50, 50, inst.customer_models, inst.supplier_models, (2,) * 50, (2,) * 50)
+    solves = [lambda: opt_fully_static(inst), lambda: opt_one_sided_static(inst, "C"),
+              lambda: opt_one_sided_static(budgeted, "C"), lambda: opt_one_sided_adaptive(inst, "C"),
+              lambda: opt_fully_adaptive(inst)]
+    messages = []
+    for solve in solves:
+        with pytest.raises(SizeRefusalError) as refused:
+            solve()
+        messages.append(str(refused.value))
+    assert all(len(message) < 120 for message in messages), messages
+    assert messages[:3] == ["fully static enumeration refuses 2^2500 edge sets > 33554432",
+                            "one-sided static enumeration refuses 2^2500 assortment families > 33554432",
+                            "one-sided static enumeration refuses 1.96e155 assortment families > 33554432"]
+    assert f"{1276 ** 50:.2e}" == "1.96e+155"  # (1 + 50 + C(50, 2))^50
 
 
 def test_layered_dp_deadline():

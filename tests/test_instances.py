@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import choice_prob, demand
+from helpers import choice_prob, counterexample_constrained_demand_model, demand
 from tsa.cli import main
 from tsa.errors import ChoiceModelError, ParseError
 from tsa.instances import (MNL, BetaUniform, CardinalityProfile, Instance,
                            Mixture, Tabular, UniformNoOutside,
-                           counterexample_constrained_demand_model,
                            generate_random_instance, instance_from_dict, instance_to_dict,
                            load_instance, save_instance, tight_instance)
 

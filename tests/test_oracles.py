@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import combinations
 
@@ -7,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import independent_model
-from helpers import demand, is_submodular
-from tsa.errors import UnsupportedOracleError
-from tsa.instances import (MNL, UNBOUNDED, BetaUniform, Mixture, UniformNoOutside,
-                           counterexample_constrained_demand_model)
+from helpers import counterexample_constrained_demand_model, demand, is_submodular, reaches
+from tsa.errors import SizeRefusalError
+from tsa.instances import MNL, UNBOUNDED, BetaUniform, Mixture, UniformNoOutside
 from tsa.oracles import (_budget_masks, _enumeration_rows, _mnl_prefix_rows, _mnl_rows,
                          best_weighted_assortment, constrained_demand, demand_table,
                          mnl_best, prob_table)
@@ -71,8 +71,38 @@ def test_negative_theta_rejected():
 
 
 def test_non_mnl_large_universe_refused():
-    with pytest.raises(UnsupportedOracleError):
+    with pytest.raises(SizeRefusalError):
         best_weighted_assortment(BetaUniform(25), [1.0] * 25)
+
+
+def test_entry_counts_at_their_limits(monkeypatch):
+    """Each table and enumeration counts its (set, option) entries and refuses
+    past 2^20 before it starts: prob_table n 2^n admits 16 options, demand_table
+    2^n admits 20, and an unbudgeted enumeration, sum_k k C(n, k) = n 2^(n-1),
+    admits 16."""
+    for n in (16, 17):
+        assert reaches(monkeypatch, "tsa.oracles.prob_rows",
+                       lambda: prob_table(BetaUniform(n), n)) == (n == 16)
+        assert reaches(monkeypatch, "tsa.oracles._weighted_value",
+                       lambda: best_weighted_assortment(BetaUniform(n), [1.0] * n)) == (n == 16)
+    for n in (20, 21):
+        assert reaches(monkeypatch, "tsa.oracles.constrained_demand",
+                       lambda: demand_table(BetaUniform(n), n)) == (n == 20)
+    with pytest.raises(SizeRefusalError, match="^prob_table refuses 2228224 entries > 1048576$"):
+        prob_table(BetaUniform(17), 17)
+    with pytest.raises(SizeRefusalError, match="^demand_table refuses 2097152 entries > 1048576$"):
+        demand_table(MNL((1.0,) * 21), 21)
+    with pytest.raises(SizeRefusalError, match="^oracle enumeration refuses 1114112 entries"):
+        constrained_demand(BetaUniform(17), range(17), 17)
+
+
+def test_budget_admits_a_larger_enumeration():
+    """Under budget 2, 25 options are 25 + 2 C(25, 2) = 625 entries; every pair
+    is worth beta(2) on all-ones theta, more than a singleton."""
+    res = best_weighted_assortment(BetaUniform(25), [1.0] * 25, 2)
+    assert res.value == BetaUniform.beta(2) == pytest.approx(2 * (1 - math.exp(-0.5)), abs=1e-15)
+    assert res.assortment == frozenset({0, 1})
+    assert constrained_demand(BetaUniform(25), range(25), 2).value == res.value
 
 
 @given(st.integers(1, 10), st.integers(0, 10_000))
