@@ -24,9 +24,9 @@ from .exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive
 from .fullystatic import approx_fully_static
 from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
                      cointoss_exact_value, exact_greedy_value, sampling_side_selector)
-from .instances import UNBOUNDED, Instance
+from .instances import Instance
 from .lp import LpProblem, solve_lp
-from .oracles import _budget_counts, demand_table, prob_rows, prob_table
+from .oracles import _budget_counts, _budget_masks, demand_table, prob_rows, prob_table
 from .policies import (exact_value_one_sided_static, monte_carlo, one_sided_values,
                        simulate_once)
 from .util import check_deadline
@@ -68,17 +68,18 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C") -> RelaxationSol
 
     f = np.stack([demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
                   for j in range(nresp)])
-    phi = np.stack([prob_table(instance.model(side, i), nresp) for i in range(ninit)])
+    # tau's columns and their rows phi_i(., S), agent by agent.
+    masks = [sorted(_budget_masks(nresp, k)) for k in init_budget]
+    phi = np.concatenate([prob_table(instance.model(side, i), nresp, k)
+                          for i, k in enumerate(init_budget)])
     lam_j, lam_c = np.divmod(np.arange(nresp << ninit), 1 << ninit)
-    caps = np.array([nresp if k is UNBOUNDED else k for k in init_budget])
-    sizes = np.array([bin(s).count("1") for s in range(1 << nresp)])
-    tau_i, tau_s = np.nonzero(sizes <= caps[:, None])
+    tau_i, tau_s = np.repeat(np.arange(ninit), [len(s) for s in masks]), np.concatenate(masks)
     nl, nt = lam_j.size, tau_i.size
     i, j = np.arange(ninit)[:, None, None], np.arange(nresp)[:, None]
     lam = np.concatenate([lam_j == j, np.zeros((ninit, nl)),
                           ((lam_j == j) & (lam_c >> i & 1 == 1)).reshape(-1, nl)])
     tau = np.concatenate([np.zeros((nresp, nt)), tau_i == i[:, 0],
-                          np.where((tau_i == i) & (tau_s >> j & 1 == 1), -phi[tau_i, tau_s].T,
+                          np.where((tau_i == i) & (tau_s >> j & 1 == 1), -phi.T,
                                    0.0).reshape(-1, nt)])
     problem = LpProblem(np.concatenate([f.ravel(), np.zeros(nt)]), np.zeros((0, nl + nt)), np.zeros(0))
     problem.add_equality(np.hstack([lam, tau]), np.repeat([1.0, 0.0], [nresp + ninit, ninit * nresp]))
@@ -266,6 +267,26 @@ def ub_fa(instance: Instance) -> float:
 # Gap report
 
 
+def _better_side(value):
+    """A one-sided class's optimum: the better of its two orientations, side C
+    first (its refusal is the one raised)."""
+    return lambda instance, seed: max(value(instance, "C"), value(instance, "S"))
+
+
+# How each quantity ``tsa solve`` offers follows from (instance, seed), in solve
+# order.  Each solver is named inside a lambda, so it is looked up in this
+# module when called: whatever rebinds the name (a tracer, a test) sees the call.
+QUANTITIES = {
+    "OPT_FS": lambda inst, seed: opt_fully_static(inst)[0],
+    "OPT_OS": _better_side(lambda inst, side: opt_one_sided_static(inst, side)),
+    "OPT_OA": _better_side(lambda inst, side: opt_one_sided_adaptive(inst, side).value),
+    "OPT_FA": lambda inst, seed: opt_fully_adaptive(inst).value,
+    "ALG_FS": lambda inst, seed: approx_fully_static(inst, rng=np.random.default_rng([seed, 3])).value,
+    "UB_OA": lambda inst, seed: ub_oa(inst),
+    "UB_FA": lambda inst, seed: ub_fa(inst),
+    "REL2": _better_side(lambda inst, side: lp_relaxation_onesided(inst, side).value),
+}
+
 RATIO_DEFS = [
     ("OPT_OS/OPT_FS", "OPT_OS", "OPT_FS"),
     ("OPT_OA/ALG_OS", "OPT_OA", "ALG_OS"),
@@ -353,31 +374,17 @@ def gap_report(instance: Instance, label: str = "instance", caps=None,
     ``caps`` is unread: ``perfbench/items.py`` still passes a field-less
     ``SolveCaps`` here, and the parameter goes with that call."""
     q: Dict[str, Optional[float]] = {k: None for k in QUANTITY_ORDER}
-
-    fs = _try(opt_fully_static, instance)
-    q["OPT_FS"] = fs[0] if fs is not None else None
-    os_c = _try(opt_one_sided_static, instance, "C")
-    os_s = _try(opt_one_sided_static, instance, "S")
-    if os_c is not None and os_s is not None:
-        q["OPT_OS"] = max(os_c, os_s)
+    for name in ("OPT_FS", "OPT_OS", "OPT_FA", "UB_OA", "UB_FA", "ALG_FS"):
+        q[name] = _try(QUANTITIES[name], instance, seed)
+    # OPT_OA and REL2 side by side: side C's results feed two verdicts.
     oa_c = _try(opt_one_sided_adaptive, instance, "C")
     oa_s = _try(opt_one_sided_adaptive, instance, "S")
-    oa_c_val = oa_c.value if oa_c is not None else None
     if oa_c is not None and oa_s is not None:
         q["OPT_OA"] = max(oa_c.value, oa_s.value)
-    fa = _try(opt_fully_adaptive, instance)
-    q["OPT_FA"] = fa.value if fa is not None else None
-
-    rel_c = _try(lp_relaxation_onesided, instance, "C")
+    rel = _try(lp_relaxation_onesided, instance, "C")
     rel_s = _try(lp_relaxation_onesided, instance, "S")
-    rel = rel_c
-    if rel_c is not None and rel_s is not None:
-        q["REL2"] = max(rel_c.value, rel_s.value)
-    q["UB_OA"] = _try(ub_oa, instance)
-    q["UB_FA"] = _try(ub_fa, instance)
-
-    sol = _try(approx_fully_static, instance, rng=np.random.default_rng([seed, 3]))
-    q["ALG_FS"] = sol.value if sol is not None else None
+    if rel is not None and rel_s is not None:
+        q["REL2"] = max(rel.value, rel_s.value)
     q["ALG_OS"] = _try(alg_one_sided_static_value, instance, seed)
     oa_alg = _try(alg_one_sided_adaptive_value, instance, seed)
     q["ALG_OA"] = oa_alg[0] if oa_alg is not None else None
@@ -409,8 +416,8 @@ def gap_report(instance: Instance, label: str = "instance", caps=None,
         verdicts["ub_oa_valid"] = q["UB_OA"] >= q["OPT_OA"] - 1e-6
     if q["UB_FA"] is not None and q["OPT_FA"] is not None:
         verdicts["ub_fa_valid"] = q["UB_FA"] >= q["OPT_FA"] - 1e-6
-    if rel is not None and oa_c_val is not None:
-        verdicts["rel2_ge_opt_c_oa"] = rel.value >= oa_c_val - 1e-6
+    if rel is not None and oa_c is not None:
+        verdicts["rel2_ge_opt_c_oa"] = rel.value >= oa_c.value - 1e-6
     if rel is not None and (not instance.constrained or instance.mnl_weights() is not None):
         # The correlation-gap factor needs submodular responder objectives,
         # which budgeted demand guarantees only for MNL.

@@ -18,11 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import gap_report, reports_to_csv, ub_fa, ub_oa, lp_relaxation_onesided
+from .bounds import QUANTITIES, gap_report, reports_to_csv
 from .errors import ParseError, SizeRefusalError, TimeLimitError, UnsupportedOracleError
-from .exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
-                    opt_one_sided_static)
-from .fullystatic import approx_fully_static
 from .greedy import (GreedyOneSidedPolicy, SamplingConfig, cointoss_fully_adaptive,
                      sampling_side_selector)
 from .instances import (CardinalityProfile, _integer, _number, generate_random_instance,
@@ -152,31 +149,8 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-_SOLVERS = ("fs", "os", "oa", "fa", "alg_fs", "ub_oa", "ub_fa", "rel2")
-
-
-def _solve_one(inst, what, seed: int):
-    values = {}
-    if "fs" in what:
-        values["OPT_FS"] = opt_fully_static(inst)[0]
-    if "os" in what:
-        values["OPT_OS"] = max(opt_one_sided_static(inst, "C"),
-                               opt_one_sided_static(inst, "S"))
-    if "oa" in what:
-        values["OPT_OA"] = max(opt_one_sided_adaptive(inst, "C").value,
-                               opt_one_sided_adaptive(inst, "S").value)
-    if "fa" in what:
-        values["OPT_FA"] = opt_fully_adaptive(inst).value
-    if "alg_fs" in what:
-        values["ALG_FS"] = approx_fully_static(inst, rng=np.random.default_rng([seed, 3])).value
-    if "ub_oa" in what:
-        values["UB_OA"] = ub_oa(inst)
-    if "ub_fa" in what:
-        values["UB_FA"] = ub_fa(inst)
-    if "rel2" in what:
-        values["REL2"] = max(lp_relaxation_onesided(inst, "C").value,
-                             lp_relaxation_onesided(inst, "S").value)
-    return values
+# The --what name of each quantity in ``QUANTITIES``, in solve order: fs is OPT_FS.
+_SOLVERS = tuple(name.lower().removeprefix("opt_") for name in QUANTITIES)
 
 
 def cmd_solve(args) -> int:
@@ -186,7 +160,8 @@ def cmd_solve(args) -> int:
     if bad:
         raise ValueError(f"unknown solver(s) {bad}; choose from {_SOLVERS}")
     with Deadline(args.time_limit or None):
-        values = _solve_one(inst, what, args.seed or 0)
+        values = {name: solve(inst, args.seed or 0)
+                  for w, (name, solve) in zip(_SOLVERS, QUANTITIES.items()) if w in what}
     print(json.dumps({k: round(v, 12) for k, v in sorted(values.items())}, sort_keys=True))
     return EXIT_OK
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import refuse_past
 from .instances import UNBOUNDED, Instance
-from .oracles import (_TOL, _agent_oracle, _budget_counts, _budget_masks, best_weighted_assortment,
-                      demand_table, prob_table)
+from .oracles import (_TOL, _agent_oracle, _budget_counts, best_weighted_assortment, demand_table,
+                      prob_table)
 from .policies import PolicyAction, one_sided_values, pair_sum
 from .util import check_deadline
 
@@ -206,8 +206,7 @@ def opt_one_sided_static(instance: Instance, side: str) -> float:
     if ninit == 0 or nresp == 0:
         return 0.0
 
-    probs = [prob_table(instance.model(side, i), nresp)[_budget_masks(nresp, k)]
-             for i, k in enumerate(budgets)]
+    probs = [prob_table(instance.model(side, i), nresp, k) for i, k in enumerate(budgets)]
     # Blocks over the shortest prefix of initiators whose remaining
     # combinations fit: the ones before initiator p take one candidate each,
     # and p's candidates go in slices of ``step``.
@@ -253,10 +252,10 @@ def opt_fully_static(instance: Instance):
         return 0.0, []
 
     # Agents in mask-row order: customers, then suppliers; phi(j, S_t) is
-    # tables[a][j, mask of S_t].
+    # tables[a][j, mask of S_t], from the full tables (the budgets drop patterns).
     budgets = instance.k_customer + instance.k_supplier
-    tables = [prob_table(model, width, k).T.copy() for model, width, k in
-              zip(instance.customer_models + instance.supplier_models, [m] * n + [n] * m, budgets)]
+    tables = [prob_table(model, width).T.copy() for model, width in
+              zip(instance.customer_models + instance.supplier_models, [m] * n + [n] * m)]
     capped = [a for a in range(n + m) if budgets[a] is not UNBOUNDED]
     # A block is its base code plus offsets 0..size-1 in lower bits, so an
     # agent's mask is the base's OR the offset's, and their popcounts add.

@@ -30,8 +30,9 @@ import numpy as np
 from .errors import refuse_past
 from .instances import UNBOUNDED, ChoiceSpec, is_mnl
 
-# (set, option) entries of a table or enumeration: n 2^n for a probability table
-# (16 options), 2^n for a demand table (20), sum_k k C(n, k) for an enumeration.
+# (set, option) entries of a table or enumeration: n sum_{k<=K} C(n, k) for a
+# probability table (16 options unbudgeted), 2^n for a demand table (20),
+# sum_k k C(n, k) for an enumeration.
 _MAX_ENTRIES = 1 << 20
 _TOL = 1e-12  # a larger set, or a later option, wins only by more than this
 _THETA = itemgetter(0)
@@ -156,14 +157,15 @@ def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray
 
 
 def prob_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
-    """phi(option, S) for every subset S: shape (2^n, n); outside prob implied.
-    Rows of sets larger than ``budget`` stay zero."""
-    refuse_past("prob_table", n_opts << n_opts, _MAX_ENTRIES, "entries")
-    out = np.zeros((1 << n_opts, n_opts))
-    kmax = n_opts if budget is UNBOUNDED else budget
-    for lo in range(0, 1 << n_opts, 1024):  # all 2^16 sets at once would take about 50 MB
-        block = [k for k in range(lo, min(lo + 1024, 1 << n_opts)) if k.bit_count() <= kmax]
-        out[block] = prob_rows(model, n_opts, [frozenset(_mask_options(k)) for k in block])
+    """phi(option, S) for every set S of at most ``budget`` options, one row per
+    set in ascending mask order (with no budget, row k is mask k): shape
+    (sets, n); outside prob implied."""
+    refuse_past("prob_table", n_opts * sum(_budget_counts(n_opts, budget)), _MAX_ENTRIES, "entries")
+    masks = sorted(_budget_masks(n_opts, budget))
+    out = np.empty((len(masks), n_opts))
+    for lo in range(0, len(masks), 1024):  # all 2^16 sets at once would take about 50 MB
+        out[lo:lo + 1024] = prob_rows(model, n_opts, [frozenset(_mask_options(k))
+                                                      for k in masks[lo:lo + 1024]])
     return out
 
 

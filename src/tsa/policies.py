@@ -364,8 +364,11 @@ def exact_value_edges(instance: Instance, edges: Iterable[Tuple[int, int]]) -> f
     return exact_value_static(instance, s_list, c_list)
 
 
-# The largest initiating side ``exact_value_one_sided_static`` values.
-_MAX_STATIC_INITIATING = 18
+# Demand-table entries (responders x 2^initiators) ``exact_value_one_sided_static``
+# contracts.  18x18 has 4,718,592; 19x16 and 20x8 reach the limit.  An entry
+# costs about 0.05 us for an unbudgeted MNL responder (19x16 in 0.41 s) and
+# about 9 us under a budget (14x14 two-way (2, 2) in 2.1 s) on one Xeon core.
+_MAX_STATIC_EVALUATION = 1 << 23
 
 
 def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> float:
@@ -375,7 +378,8 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> 
     init_n = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     resp_n = instance.side_size(resp_side)
-    refuse_past("one-sided static evaluation", init_n, _MAX_STATIC_INITIATING, "initiators")
+    refuse_past("one-sided static evaluation", resp_n << init_n, _MAX_STATIC_EVALUATION,
+                "demand-table entries")
     assortments = [frozenset(s) for s in assortments]
     if len(assortments) != init_n:
         raise ValueError("need one assortment per initiating agent")

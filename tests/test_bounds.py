@@ -11,7 +11,7 @@ from tsa.bounds import (QUANTITY_ORDER, VERDICT_ORDER, _block_oracle, _ub_oa_ori
                         alg_one_sided_static_value, gap_report, independent_objective_from_tau,
                         lp_relaxation_onesided, reports_to_csv, ub_fa, ub_oa)
 from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
-from tsa.exact import (opt_fully_adaptive, opt_one_sided_adaptive,
+from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                        opt_one_sided_static)
 from tsa.instances import (MNL, CardinalityProfile, Instance, generate_random_instance,
                            tight_instance)
@@ -65,6 +65,20 @@ def test_relaxation_size_refusal(monkeypatch):
     inst = generate_random_instance(10, 10, seed=0)
     with pytest.raises(SizeRefusalError, match="refuses 20480 columns"):
         lp_relaxation_onesided(inst, "C")
+
+
+def test_budgeted_tables_admit_a_wide_budgeted_market():
+    """On a 1x17 market under two-way budgets (1, 1), side C's initiator has
+    18 displays, and its table holds only their rows: OPT_OS is the best of
+    them valued one by one, and REL2 (52 columns) stays above OPT_OA.  OPT_FS
+    indexes full tables by mask, so ``prob_table`` still refuses it."""
+    inst = generate_random_instance(1, 17, seed=0, profile=CardinalityProfile("two-way", 1, 1))
+    displays = [set()] + [{j} for j in range(17)]
+    assert opt_one_sided_static(inst, "C") == max(
+        exact_value_one_sided_static(inst, "C", [s]) for s in displays)
+    assert lp_relaxation_onesided(inst, "C").value >= opt_one_sided_adaptive(inst, "C").value - 1e-9
+    with pytest.raises(SizeRefusalError, match="^prob_table refuses 2228224 entries > 1048576$"):
+        opt_fully_static(inst)
 
 
 def rel2_columns(n, m, side, budgets):

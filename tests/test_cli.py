@@ -4,9 +4,10 @@ import time
 
 import pytest
 
+from tsa.bounds import gap_report
 from tsa.cli import main
-from tsa.instances import (MNL, Instance, UniformNoOutside, generate_random_instance, load_instance,
-                           save_instance, tight_instance)
+from tsa.instances import (MNL, CardinalityProfile, Instance, UniformNoOutside,
+                           generate_random_instance, load_instance, save_instance, tight_instance)
 
 
 def run(args):
@@ -23,6 +24,21 @@ def test_generate_and_solve(tmp_path, capsys):
     assert run(["solve", "--instance", str(path), "--what", "fs,os,oa,fa"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["OPT_FS"] <= out["OPT_OS"] + 1e-9 <= out["OPT_OA"] + 2e-9 <= out["OPT_FA"] + 3e-9
+
+
+@pytest.mark.parametrize("budgets", [(None, None), (2, 2)], ids=["none", "two-way"])
+def test_solve_prints_the_gap_report_values(tmp_path, capsys, budgets):
+    """``tsa solve`` prints, rounded, the values the gap report holds for all
+    eight quantities it offers, ALG_FS on the same seed."""
+    profile = CardinalityProfile("two-way", *budgets) if budgets[0] else CardinalityProfile()
+    path = tmp_path / "inst.json"
+    save_instance(generate_random_instance(3, 3, seed=0, profile=profile), path)
+    assert run(["solve", "--instance", str(path), "--seed", "3",
+                "--what", "fs,os,oa,fa,alg_fs,ub_oa,ub_fa,rel2"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    report = gap_report(load_instance(path), seed=3).quantities
+    names = ["OPT_FS", "OPT_OS", "OPT_OA", "OPT_FA", "ALG_FS", "UB_OA", "UB_FA", "REL2"]
+    assert printed == {name: round(report[name], 12) for name in names}
 
 
 def test_generate_tight_kind(tmp_path, capsys):

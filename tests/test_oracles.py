@@ -77,23 +77,40 @@ def test_non_mnl_large_universe_refused():
 
 def test_entry_counts_at_their_limits(monkeypatch):
     """Each table and enumeration counts its (set, option) entries and refuses
-    past 2^20 before it starts: prob_table n 2^n admits 16 options, demand_table
-    2^n admits 20, and an unbudgeted enumeration, sum_k k C(n, k) = n 2^(n-1),
+    past 2^20 before it starts: prob_table n sum_{k<=K} C(n, k) admits 16
+    options unbudgeted and 17 under a budget of 7 (not 8), demand_table 2^n
+    admits 20, and an unbudgeted enumeration, sum_k k C(n, k) = n 2^(n-1),
     admits 16."""
     for n in (16, 17):
         assert reaches(monkeypatch, "tsa.oracles.prob_rows",
                        lambda: prob_table(BetaUniform(n), n)) == (n == 16)
         assert reaches(monkeypatch, "tsa.oracles._weighted_value",
                        lambda: best_weighted_assortment(BetaUniform(n), [1.0] * n)) == (n == 16)
+    for budget in (7, 8):
+        assert reaches(monkeypatch, "tsa.oracles.prob_rows",
+                       lambda: prob_table(BetaUniform(17), 17, budget)) == (budget == 7)
     for n in (20, 21):
         assert reaches(monkeypatch, "tsa.oracles.constrained_demand",
                        lambda: demand_table(BetaUniform(n), n)) == (n == 20)
     with pytest.raises(SizeRefusalError, match="^prob_table refuses 2228224 entries > 1048576$"):
         prob_table(BetaUniform(17), 17)
+    with pytest.raises(SizeRefusalError, match="^prob_table refuses 1114112 entries > 1048576$"):
+        prob_table(BetaUniform(17), 17, 8)
     with pytest.raises(SizeRefusalError, match="^demand_table refuses 2097152 entries > 1048576$"):
         demand_table(MNL((1.0,) * 21), 21)
     with pytest.raises(SizeRefusalError, match="^oracle enumeration refuses 1114112 entries"):
         constrained_demand(BetaUniform(17), range(17), 17)
+
+
+def test_budgeted_prob_table_holds_only_the_feasible_rows():
+    """Under a budget the table holds one row per set of at most K options, in
+    ascending mask order, each equal to the full table's row for that mask."""
+    model = BetaUniform(5)
+    full = prob_table(model, 5)
+    for budget in (0, 1, 2, 4):
+        masks = sorted(_budget_masks(5, budget))
+        np.testing.assert_array_equal(prob_table(model, 5, budget), full[masks])
+    assert prob_table(BetaUniform(17), 17, 1).shape == (18, 17)
 
 
 def test_budget_admits_a_larger_enumeration():

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import tsa.policies
+
 from conftest import independent_model, nonmonotone_market
-from helpers import OneSidedStaticPolicy, StaticPolicy, exact_value_deterministic_adaptive
+from helpers import (OneSidedStaticPolicy, StaticPolicy, exact_value_deterministic_adaptive,
+                     reaches)
 from tsa.errors import ContractViolationError, SizeRefusalError
 from tsa.greedy import GreedyOneSidedPolicy
 from tsa.instances import (MNL, UNBOUNDED, BetaUniform, CardinalityProfile, Instance, Mixture,
@@ -113,10 +116,22 @@ def test_exact_value_one_sided_static(unit_1x1):
     assert tree == pytest.approx(0.8, abs=1e-12)
 
 
-def test_exact_value_one_sided_static_size_refusal():
-    inst = generate_random_instance(19, 2, seed=0)
-    with pytest.raises(SizeRefusalError):
-        exact_value_one_sided_static(inst, "C", [set()] * 19)
+def test_exact_value_one_sided_static_size_refusal(monkeypatch):
+    """The evaluator counts responders x 2^initiators demand-table entries and
+    refuses past 2^23 before any table is built: 19x17 is refused, and 19x16
+    (2^23) reaches its first table."""
+    def fail(*args):
+        raise AssertionError("a table was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tsa.policies, "prob_rows", fail)
+        patch.setattr(tsa.policies, "demand_table", fail)
+        with pytest.raises(SizeRefusalError, match="^one-sided static evaluation refuses "
+                                                   "8912896 demand-table entries > 8388608$"):
+            exact_value_one_sided_static(generate_random_instance(19, 17, seed=0), "C", [set()] * 19)
+    inst = generate_random_instance(19, 16, seed=0)
+    assert reaches(monkeypatch, "tsa.policies.prob_rows",
+                   lambda: exact_value_one_sided_static(inst, "C", [set()] * 19))
 
 
 def brute_one_sided_values(instance, side, probs):
