@@ -55,6 +55,55 @@ _MAX_STATES = 1 << 24  # 8^8, the one-sided 8x6 DP: about 23 s and 0.85 GB on on
 _MAX_ENUMERATION = 1 << 25
 
 
+# Plans of DPs predicted to have at most this many states are kept: every DP
+# of ``tsa tables --sizes 2,3,4`` (fully adaptive 4x4 has 21,520 states and a
+# 0.56 MB plan), but not fully adaptive 5x5 (588,449).  No plan under the
+# limit exceeds 0.60 MB (fully adaptive 1x9), so 16 kept shapes stay under 10 MB.
+_PLAN_STATES = 1 << 15
+_PLANS_KEPT = 16  # shapes whose plans stay; the least recently used goes first
+_PLANS: dict = {}
+
+
+@dataclass
+class _Plan:
+    """The part of an adaptive DP that no weight changes, for one shape.
+    ``layers`` are the sorted keys of layers 0..movers-1 (the last layer is
+    dropped once valued), ``states`` the count reported, and ``lookups`` maps
+    (layer d, mover a) to the positions in layer d + 1 of a's moves from its
+    rows (staying out, then each open choice), and (last layer, responder) to
+    the responder's demand-table indices, in the narrowest unsigned dtypes."""
+    layers: list
+    states: int
+    lookups: dict
+
+
+def _children(nxt, rows, own: int, done: int, kid, open_):
+    """Positions in ``nxt`` of the rows' moves by one mover: staying out, then
+    each open choice."""
+    base = (rows & ~own) | done
+    return np.searchsorted(nxt, base), np.searchsorted(nxt, (base[:, None] | kid)[open_])
+
+
+def _forward_layers(movers, done, own, moves) -> list:
+    """The sorted keys of the states with 0, 1, ... movers done.  Its own
+    function, so the last layer's candidate keys are freed before valuing."""
+    layers = [np.zeros(1, dtype=np.int64)]
+    for _ in movers:
+        keys, parts = layers[-1], []
+        for a in movers:
+            check_deadline()
+            opp_done, kid, _ = moves[a]
+            rows = keys[keys & done[a] == 0]
+            base = (rows & ~own[a]) | done[a]
+            parts += [base, (base[:, None] | kid)[(rows[:, None] & opp_done) == 0]]
+        keys = np.concatenate(parts)
+        del parts  # sort in place without the pieces
+        # Stable sort: the default SIMD int64 sort maps about 0.25 MB more of numpy.
+        keys.sort(kind="stable")
+        layers.append(keys[np.concatenate(([True], keys[1:] != keys[:-1]))])
+    return layers
+
+
 def _adaptive_dp(instance: Instance, first) -> DpValue:
     """Value-to-go DP on packed (done agents, backlog profile) states, by layers.
 
@@ -64,8 +113,16 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
     not counted.  Layer d holds the sorted int64 keys of the states with d
     movers done.  Which states are reachable does not depend on values, so a
     forward pass enumerates the layers; a backward pass then fills each layer
-    from the next, one row oracle call per (layer, mover), and frees the next.
-    The root's first action comes from ``best_weighted_assortment``."""
+    from the next, one row oracle call per (layer, mover).  The root's first
+    action comes from ``best_weighted_assortment``.
+
+    The layers, the child positions and the state count depend only on the
+    shape (n, m, ``first``, each mover's usable options), so they form a
+    ``_Plan``.  A shape of at most ``_PLAN_STATES`` predicted states keeps its
+    plan once a solve completes (``_PLANS_KEPT`` shapes at most), and later
+    markets of that shape skip the forward pass and the ``searchsorted``
+    calls; the masks are recomputed from the keys, and the valuation is the
+    same.  A larger shape keeps nothing and frees each layer once valued."""
     n, m = instance.n, instance.m
     if n == 0 or m == 0:
         return DpValue(0.0, 0, None)
@@ -98,70 +155,76 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
     # Per mover: its usable options and row oracle, and over the usable
     # options the opponent's done flag, the bit the choice sets in the
     # opponent's backlog, and the own backlog bit (a match if set).
-    plans = {}
+    oracles, moves = {}, {}
     for a in movers:
-        usable, rows_oracle = _agent_oracle(instance.model(*agents[a]), opp_count[a], budgets[a])
+        oracles[a] = _agent_oracle(instance.model(*agents[a]), opp_count[a], budgets[a])
+        usable = oracles[a][0]
         opps = [l + n if a < n else l for l in usable]
-        plans[a] = (usable, rows_oracle, np.array([done[o] for o in opps], dtype=np.int64),
+        moves[a] = (np.array([done[o] for o in opps], dtype=np.int64),
                     np.array([1 << (offsets[o] + agents[a][1]) for o in opps], dtype=np.int64),
                     np.array([own[a] and 1 << (offsets[a] + l) for l in usable], dtype=np.int64))
 
-    layers = [np.zeros(1, dtype=np.int64)]
-    for _ in movers:
-        keys, parts = layers[-1], []
-        for a in movers:
-            check_deadline()
-            _, _, opp_done, kid, _ = plans[a]
-            rows = keys[keys & done[a] == 0]
-            base = (rows & ~own[a]) | done[a]
-            parts += [base, (base[:, None] | kid)[(rows[:, None] & opp_done) == 0]]
-        keys = np.concatenate(parts)
-        del parts  # sort in place without the pieces
-        # Stable sort: the default SIMD int64 sort maps about 0.25 MB more of numpy.
-        keys.sort(kind="stable")
-        layers.append(keys[np.concatenate(([True], keys[1:] != keys[:-1]))])
-    states = sum(map(len, layers))
+    shape = (n, m, first, tuple(tuple(oracles[a][0]) for a in movers))
+    plan = _PLANS.get(shape)
+    if plan is None:
+        layers = _forward_layers(movers, done, own, moves)
+        plan = _Plan(layers, sum(map(len, layers)) - (len(layers[-1]) if first else 0), {})
+    layers, keep = plan.layers, count <= _PLAN_STATES
+
+    def lookup(key, build):
+        """``plan.lookups[key]``, else ``build()``'s arrays, stored if kept."""
+        found = plan.lookups.get(key)
+        if found is None:
+            found = build()
+            if keep:
+                plan.lookups[key] = found = [p.astype(np.min_scalar_type(int(p.max(initial=0))))
+                                             for p in found]
+        return found
 
     if first is None:
         values = np.zeros(1)  # everyone done
     else:
-        keys, values = layers[-1], 0.0
-        states -= len(keys)
+        values, last = 0.0, len(movers)
         for a in range(n + m):
             if a not in movers:
                 F = demand_table(instance.model(*agents[a]), opp_count[a], budgets[a])
-                values = values + F[(keys & own[a]) >> offsets[a]]
+                values = values + F[lookup((last, a),
+                                           lambda: [(layers[last] & own[a]) >> offsets[a]])[0]]
 
     for d in range(len(movers) - 1, 0, -1):
-        keys, nxt = layers[d], layers[d + 1]
+        keys = layers[d]
         best = np.zeros(len(keys))
         for a in movers:
             check_deadline()
-            _, rows_oracle, opp_done, kid, match = plans[a]
+            opp_done, kid, match = moves[a]
             sel = np.flatnonzero(keys & done[a] == 0)
             rows = keys[sel]
-            base = (rows & ~own[a]) | done[a]
-            v_out = values[np.searchsorted(nxt, base)]
-            matched = (rows[:, None] & match) != 0
             open_ = (rows[:, None] & opp_done) == 0
+            out, kids = lookup((d, a), lambda: _children(layers[d + 1], rows, own[a], done[a],
+                                                         kid, open_))
+            v_out = values[out]
+            matched = (rows[:, None] & match) != 0
             th = np.zeros(open_.shape)
-            th[open_] = values[np.searchsorted(nxt, (base[:, None] | kid)[open_])]
+            th[open_] = values[kids]
+            del out, kids  # large DPs hold no positions through the oracle call
             th -= v_out[:, None]
-            cand = v_out + rows_oracle(np.where(matched, 1.0, th),
-                                       matched | (open_ & (th > _TOL)))
+            cand = v_out + oracles[a][1](np.where(matched, 1.0, th),
+                                         matched | (open_ & (th > _TOL)))
             best[sel] = np.where(cand > best[sel], cand, best[sel])
         values = best
-        layers.pop()
+        if not keep:
+            layers.pop()
 
     # Root (key 0): each mover's display is the oracle's on its usable
     # options' gains above 1e-12 (others at 0).  The best move wins; a later
     # agent wins only by more than 1e-12 for the first action.
-    nxt = layers[1]
     opt, best, action = 0.0, 0.0, None
     for a in movers:
-        usable, _, _, kid, _ = plans[a]
-        v_out = values[np.searchsorted(nxt, done[a])]
-        gain = values[np.searchsorted(nxt, done[a] | kid)] - v_out
+        usable, kid = oracles[a][0], moves[a][1]
+        out, kids = lookup((0, a), lambda: _children(layers[1], layers[0], own[a], done[a], kid,
+                                                     np.ones((1, len(kid)), dtype=bool)))
+        v_out = values[out[0]]
+        gain = values[kids] - v_out
         theta = np.zeros(opp_count[a])
         theta[usable] = np.where(gain > _TOL, gain, 0.0)
         res = best_weighted_assortment(instance.model(*agents[a]), theta.tolist(), budgets[a])
@@ -169,7 +232,13 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
         opt = max(opt, cand)
         if action is None or cand > best + _TOL:
             best, action = cand, PolicyAction(agents[a], res.assortment)
-    return DpValue(float(opt), states, action)
+    if keep:  # the solve completed: keep the plan, without its last layer
+        del layers[len(movers):]
+        _PLANS.pop(shape, None)
+        _PLANS[shape] = plan
+        if len(_PLANS) > _PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]
+    return DpValue(float(opt), plan.states, action)
 
 
 def opt_fully_adaptive(instance: Instance) -> DpValue:

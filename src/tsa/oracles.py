@@ -142,15 +142,29 @@ def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray
     """``constrained_demand``'s value on every subset, indexed by bitmask."""
     size = 1 << n_opts
     refuse_past("demand_table", size, _MAX_ENTRIES, "entries")
-    out = np.zeros(size)
-    if budget is UNBOUNDED and is_mnl(model):
-        # A mask's weight sum is that of the mask without its lowest bit b,
-        # plus weight b: the masks whose lowest bit is b, from the highest b
-        # down, each add onto masks already summed.
-        w = np.zeros(size)
+    if is_mnl(model):
+        weights, w = model.weights, np.zeros(size)
+        if budget is UNBOUNDED:
+            # A mask's weight sum is that of the mask without its lowest bit
+            # b, plus weight b: the masks whose lowest bit is b, from the
+            # highest b down, each add onto masks already summed.
+            for b in reversed(range(n_opts)):
+                w[1 << b::2 << b] = w[::2 << b] + weights[b]
+            return w / (1.0 + w)
+        # ``constrained_demand``'s K largest positive weights, ranked by
+        # (-weight, option): a mask keeps option b if it holds b, w_b > 0 and
+        # fewer than K of its members rank before b.  The kept weights add in
+        # ascending option order, from popcounts summed like the weights above.
+        count, masks = np.zeros(size, dtype=np.int8), np.arange(size, dtype=np.int32)
         for b in reversed(range(n_opts)):
-            w[1 << b::2 << b] = w[::2 << b] + model.weights[b]
+            count[1 << b::2 << b] = count[::2 << b] + 1
+        ranked = sorted(range(n_opts), key=lambda j: (-weights[j], j))
+        for b in range(n_opts):
+            if weights[b] > 0:
+                before = sum(1 << j for j in ranked[:ranked.index(b)])
+                w[(masks & 1 << b != 0) & (count[masks & before] < budget)] += weights[b]
         return w / (1.0 + w)
+    out = np.zeros(size)
     for mask in range(1, size):
         out[mask] = constrained_demand(model, _mask_options(mask), budget).value
     return out

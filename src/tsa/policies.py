@@ -367,7 +367,8 @@ def exact_value_edges(instance: Instance, edges: Iterable[Tuple[int, int]]) -> f
 # Demand-table entries (responders x 2^initiators) ``exact_value_one_sided_static``
 # contracts.  18x18 has 4,718,592; 19x16 and 20x8 reach the limit.  An entry
 # costs about 0.05 us for an unbudgeted MNL responder (19x16 in 0.41 s) and
-# about 9 us under a budget (14x14 two-way (2, 2) in 2.1 s) on one Xeon core.
+# about 0.2 us under two-way (2, 2) budgets (19x16 in 1.8 s, 14x14 in 0.03 s)
+# on one Xeon core.
 _MAX_STATIC_EVALUATION = 1 << 23
 
 

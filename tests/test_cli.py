@@ -218,13 +218,19 @@ def test_tables_deterministic_byte_identical(tmp_path, capsys):
         and "OPT_OS/OPT_FS max" in header
 
 
-def test_tables_parallel_jobs_match_serial(tmp_path):
+def test_tables_parallel_jobs_match_serial(tmp_path, monkeypatch):
+    """The serial run values each shape's later markets from the DP plans its
+    first one kept; the pool's workers start with no plan kept."""
+    import tsa.exact
+
     out_a = tmp_path / "serial"
     out_b = tmp_path / "par"
-    base = ["tables", "--sizes", "2", "--seeds", "2", "--seed", "1"]
+    base = ["tables", "--sizes", "2,3", "--seeds", "3", "--seed", "1"]
     assert run(base + ["--out", str(out_a)]) == 0
+    monkeypatch.setattr(tsa.exact, "_PLANS", {})
     assert run(base + ["--jobs", "2", "--out", str(out_b)]) == 0
-    assert (out_a / "instances.csv").read_bytes() == (out_b / "instances.csv").read_bytes()
+    for name in ("instances.csv", "table_gaps.csv", "table_adaptive.csv", "table_fullystatic.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_jobs_below_1_exits_2_and_null_means_one_process(tmp_path):

@@ -486,22 +486,95 @@ def _reference_market(n, m, seed, kind, budgets):
     return Instance(n, m, tuple(sides[0]), tuple(sides[1]), (budgets[0],) * n, (budgets[1],) * m)
 
 
+def _matches_recursion(inst, before=None):
+    """Each DP of ``inst``, solved with no plan kept and then again from the
+    plan its first solve kept, equals the recursion.  ``before``, a market of
+    the same shape, is solved first, so its plans are kept too."""
+    from dp_reference import recursive_adaptive_dp
+
+    for side in (None, "C", "S"):
+        tsa.exact._PLANS.clear()
+        if before is not None:
+            _solve(before, side)
+        cold, warm = _solve(inst, side), _solve(inst, side)
+        ref = recursive_adaptive_dp(inst, side)
+        for got in (cold, warm):
+            assert got.value == ref.value
+            assert got.states_expanded == ref.states_expanded
+            assert got.optimal_first_action == ref.optimal_first_action
+
+
 @pytest.mark.parametrize("n,m", [(1, 4), (4, 1), (2, 5), (7, 2)])
 @pytest.mark.parametrize("kind", ["mnl", "zero", "general"])
 @pytest.mark.parametrize("budgets", [(None, None), (2, None), (None, 1), (2, 1)],
                          ids=["none", "one-way-C", "one-way-S", "two-way"])
-def test_layered_dp_matches_recursion_bit_for_bit(n, m, kind, budgets):
-    from dp_reference import recursive_adaptive_dp
-
+def test_layered_dp_matches_recursion_bit_for_bit(n, m, kind, budgets, monkeypatch):
+    """Cold and warm.  A zero-weight market follows the all-positive market
+    of its n x m, whose plans it must not use.  Fully adaptive 7x2 (33,780
+    predicted states) is past ``_PLAN_STATES``, so it keeps no plan."""
+    monkeypatch.setattr(tsa.exact, "_PLANS", {})
     for seed in range(1 if n * m > 10 else 2):  # the recursion takes seconds at 7x2
-        inst = _reference_market(n, m, 360 + seed, kind, budgets)
-        runs = [(opt_fully_adaptive(inst), recursive_adaptive_dp(inst, None))]
-        runs += [(opt_one_sided_adaptive(inst, side), recursive_adaptive_dp(inst, side))
-                 for side in ("C", "S")]
-        for got, ref in runs:
-            assert got.value == ref.value
-            assert got.states_expanded == ref.states_expanded
-            assert got.optimal_first_action == ref.optimal_first_action
+        positive = _reference_market(n, m, 360 + seed, "mnl", budgets)
+        _matches_recursion(_reference_market(n, m, 360 + seed, kind, budgets),
+                           positive if kind == "zero" else None)
+
+
+@pytest.mark.parametrize("kind", ["lemma3", "lemma6"])
+def test_layered_dp_matches_recursion_on_tight_instances(kind, monkeypatch):
+    """Non-MNL agents (both), and MNL agents with zero weights (lemma6)."""
+    monkeypatch.setattr(tsa.exact, "_PLANS", {})
+    _matches_recursion(tight_instance(kind, 3))
+
+
+def test_time_limit_while_planning_keeps_no_plan(monkeypatch):
+    """A time limit reached at the first deadline poll of the forward pass, of
+    the backward pass, or the last, keeps no plan; the next solve is the cold
+    one and keeps it."""
+    from tsa.errors import TimeLimitError
+
+    inst = generate_random_instance(3, 3, seed=0)
+    monkeypatch.setattr(tsa.exact, "_PLANS", {})
+    polls = []
+    monkeypatch.setattr(tsa.exact, "check_deadline", lambda: polls.append(1))
+    cold = opt_fully_adaptive(inst)
+    assert len(polls) == 6 * 6 + 5 * 6  # (layer, mover) pairs: forward, then backward
+    for stop in (1, 6 * 6 + 1, len(polls)):
+        tsa.exact._PLANS.clear()
+        polls.clear()
+
+        def poll():
+            polls.append(1)
+            if len(polls) == stop:
+                raise TimeLimitError("time limit")
+
+        monkeypatch.setattr(tsa.exact, "check_deadline", poll)
+        with pytest.raises(TimeLimitError):
+            opt_fully_adaptive(inst)
+        assert tsa.exact._PLANS == {}
+    monkeypatch.undo()
+    monkeypatch.setattr(tsa.exact, "_PLANS", {})
+    assert opt_fully_adaptive(inst) == cold
+    assert len(tsa.exact._PLANS) == 1
+
+
+def test_large_dp_keeps_no_plan(monkeypatch):
+    """Fully adaptive 5x5 (588,449 states) leaves the kept plans as they were."""
+    monkeypatch.setattr(tsa.exact, "_PLANS", {})
+    opt_fully_adaptive(generate_random_instance(2, 2, seed=0))
+    kept = list(tsa.exact._PLANS.items())
+    assert opt_fully_adaptive(generate_random_instance(5, 5, seed=0)).states_expanded == 588449
+    assert [(key, id(plan)) for key, plan in tsa.exact._PLANS.items()] == [
+        (key, id(plan)) for key, plan in kept]
+
+
+def test_kept_plans_drop_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(tsa.exact, "_PLANS", {})
+    monkeypatch.setattr(tsa.exact, "_PLANS_KEPT", 2)
+    solves = [lambda: opt_fully_adaptive(generate_random_instance(2, 2, seed=0)),
+              lambda: opt_one_sided_adaptive(generate_random_instance(2, 2, seed=0), "C"),
+              lambda: opt_fully_adaptive(generate_random_instance(2, 3, seed=0))]
+    solves[0](), solves[1](), solves[0](), solves[2]()
+    assert [key[:3] for key in tsa.exact._PLANS] == [(2, 2, None), (2, 3, None)]
 
 
 def test_key_width_refusal():

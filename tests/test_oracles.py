@@ -11,8 +11,8 @@ from conftest import independent_model
 from helpers import counterexample_constrained_demand_model, demand, is_submodular, reaches
 from tsa.errors import SizeRefusalError
 from tsa.instances import MNL, UNBOUNDED, BetaUniform, Mixture, UniformNoOutside
-from tsa.oracles import (_budget_masks, _enumeration_rows, _mnl_prefix_rows, _mnl_rows,
-                         best_weighted_assortment, constrained_demand, demand_table,
+from tsa.oracles import (_budget_masks, _enumeration_rows, _mask_options, _mnl_prefix_rows,
+                         _mnl_rows, best_weighted_assortment, constrained_demand, demand_table,
                          mnl_best, prob_table)
 
 
@@ -46,6 +46,22 @@ def test_mnl_demand_table_matches_mask_loop():
         for zeros in (0.0, 0.3):
             weights = tuple(float(x) for x in rng.lognormal(size=n) * (rng.random(n) >= zeros))
             assert np.array_equal(demand_table(MNL(weights), n), mnl_demand_table_by_mask(weights))
+
+
+def test_budgeted_mnl_demand_table_matches_mask_loop():
+    """Under a budget each mask sums its kept weights in ascending option order,
+    as ``constrained_demand`` sums a frozenset of options below 8, so up to 8
+    options the tables agree bit for bit: zero weights, ties and budgets at or
+    past the option count included."""
+    rng = np.random.default_rng(4)
+    for n in range(1, 9):
+        for budget in (1, 2, 3, 4):
+            for weights in (rng.lognormal(size=n), rng.lognormal(size=n) * (rng.random(n) >= 0.3),
+                            rng.integers(0, 3, size=n) * 0.5):
+                model = MNL(tuple(float(x) for x in weights))
+                loop = [constrained_demand(model, _mask_options(mask), budget).value
+                        for mask in range(1 << n)]
+                assert np.array_equal(demand_table(model, n, budget), loop), (n, budget, weights)
 
 
 def test_unconstrained_examples():
