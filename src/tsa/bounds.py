@@ -22,8 +22,8 @@ from .errors import SizeRefusalError, UnsupportedOracleError, refuse_past
 from .exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                     opt_one_sided_static)
 from .fullystatic import approx_fully_static
-from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
-                     cointoss_exact_value, exact_greedy_value, sampling_side_selector)
+from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, cointoss_exact_value,
+                     exact_greedy_value, sampling_side_selector)
 from .instances import Instance
 from .lp import LpProblem, solve_lp
 from .oracles import _budget_counts, _budget_masks, demand_table, prob_rows, prob_table
@@ -341,7 +341,7 @@ def alg_one_sided_static_value(instance: Instance, seed: int = 0) -> float:
 def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0):
     """Value of the sampling side-selector's committed greedy: exact when the
     initiating side is small enough, else Monte Carlo."""
-    policy = sampling_side_selector(instance, SamplingConfig(runs_override=_SELECTOR_RUNS), seed)
+    policy = sampling_side_selector(instance, _SELECTOR_RUNS, seed)
     side = policy.metadata["side"]
     if instance.side_size(side) <= MAX_EXACT_SIDE:
         return exact_greedy_value(instance, side), policy.metadata

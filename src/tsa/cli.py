@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import QUANTITIES, gap_report, reports_to_csv
+from .bounds import _SELECTOR_RUNS, QUANTITIES, gap_report, reports_to_csv
 from .errors import ParseError, SizeRefusalError, TimeLimitError, UnsupportedOracleError
-from .greedy import (GreedyOneSidedPolicy, SamplingConfig, cointoss_fully_adaptive,
-                     sampling_side_selector)
+from .greedy import GreedyOneSidedPolicy, cointoss_fully_adaptive, sampling_side_selector
 from .instances import (CardinalityProfile, _integer, _number, generate_random_instance,
                         instance_from_dict, instance_to_dict, load_instance, save_instance,
                         tight_instance)
@@ -177,7 +176,7 @@ def _build_policy(inst, name: str, seed: int):
     if name == "cointoss":
         return cointoss_fully_adaptive(inst, seed)
     if name == "sampling":
-        return sampling_side_selector(inst, SamplingConfig(runs_override=100), seed)
+        return sampling_side_selector(inst, _SELECTOR_RUNS, seed)
     raise ValueError(f"unknown policy {name!r}")
 
 

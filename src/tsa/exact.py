@@ -321,10 +321,11 @@ def opt_fully_static(instance: Instance):
         return 0.0, []
 
     # Agents in mask-row order: customers, then suppliers; phi(j, S_t) is
-    # tables[a][j, mask of S_t], from the full tables (the budgets drop patterns).
+    # tables[a][j, mask of S_t], from tables indexed by every mask and filled
+    # within the budget (the budgets drop the other patterns).
     budgets = instance.k_customer + instance.k_supplier
-    tables = [prob_table(model, width).T.copy() for model, width in
-              zip(instance.customer_models + instance.supplier_models, [m] * n + [n] * m)]
+    tables = [prob_table(model, width, k, by_mask=True).T.copy() for model, width, k in
+              zip(instance.customer_models + instance.supplier_models, [m] * n + [n] * m, budgets)]
     capped = [a for a in range(n + m) if budgets[a] is not UNBOUNDED]
     # A block is its base code plus offsets 0..size-1 in lower bits, so an
     # agent's mask is the base's OR the offset's, and their popcounts add.

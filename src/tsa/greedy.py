@@ -9,16 +9,14 @@ guarantee does not depend on the order.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, refuse_past
-from .instances import UNBOUNDED, Instance, Tabular, is_mnl
-from .oracles import (_MAX_ENTRIES, _mnl_prefix_rows, best_weighted_assortment,
-                      constrained_demand, demand_table, prob_rows, prob_table)
+from .instances import UNBOUNDED, Instance, is_mnl
+from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_demand,
+                      demand_table, prob_rows)
 from .policies import PolicyAction, PolicyState, monte_carlo
 from .util import check_deadline
 
@@ -268,80 +266,6 @@ def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[i
     return float(total)
 
 
-# ---------------------------------------------------------------------------
-# Sampling machinery
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Accuracy targets for the side-selection estimates; runs_override skips
-    the phi_min-based count (labelled heuristic-T in metadata)."""
-
-    epsilon: float = 0.1
-    delta: float = 0.1
-    runs_override: Optional[int] = None
-
-    def __post_init__(self):
-        # epsilon = 1 is admitted as the degenerate zero-accuracy boundary.
-        if not (0 < self.epsilon <= 1 and 0 < self.delta < 1):
-            raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
-        if self.runs_override is not None and self.runs_override < 1:
-            raise ValueError("runs_override must be >= 1")
-
-
-def phi_min(instance: Instance) -> Optional[float]:
-    """Smallest nonzero max-assortment choice probability across agents and
-    options; None when no pair has positive probability."""
-    best = None
-    for side, count, opp in (("C", instance.n, instance.m), ("S", instance.m, instance.n)):
-        for a in range(count):
-            model = instance.model(side, a)
-            for p in _max_phi(model, opp):
-                if p > 0.0:
-                    best = p if best is None else min(best, p)
-    return best
-
-
-def _max_phi(model, n_opts: int):
-    """max_S phi(j, S) per option j."""
-    if is_mnl(model):
-        return [w / (1.0 + w) for w in model.weights]
-    if isinstance(model, Tabular):
-        out = [0.0] * n_opts
-        for s, (probs, _) in model.rows.items():
-            for j, p in probs.items():
-                out[j] = max(out[j], p)
-        return out
-    if n_opts << n_opts <= _MAX_ENTRIES:  # within prob_table's count
-        return list(prob_table(model, n_opts).max(axis=0))
-    # Weak-substitutable variants peak at singletons.
-    return [model.prob(j, frozenset({j})) for j in range(n_opts)]
-
-
-def sample_count(cfg: SamplingConfig, phi_min_value: float) -> int:
-    """T = ceil(3 / (eps^2 * phi_min) * ln(2/delta)) independent greedy runs."""
-    if phi_min_value is None or phi_min_value <= 0:
-        raise ValueError("sample_count needs phi_min > 0; use runs_override instead")
-    return math.ceil(3.0 / (cfg.epsilon ** 2 * phi_min_value) * math.log(2.0 / cfg.delta))
-
-
-_RUNS_CAP = 100_000
-
-
-def effective_runs(instance: Instance, cfg: SamplingConfig):
-    """(runs, heuristic_flag): derived T when available and practical, else the
-    override (default 100)."""
-    if cfg.runs_override is not None:
-        return cfg.runs_override, True
-    pm = phi_min(instance)
-    if pm is None or pm <= 0:
-        return 100, True
-    t = sample_count(cfg, pm)
-    if t > _RUNS_CAP:
-        return 100, True
-    return t, False
-
-
 class CommittedPolicy:
     """Wraps a committed one-sided greedy run with selection metadata."""
 
@@ -357,19 +281,16 @@ class CommittedPolicy:
         return self._inner.batch_matches(draws)
 
 
-def sampling_side_selector(instance: Instance, cfg: SamplingConfig = SamplingConfig(),
-                           seed: int = 0) -> CommittedPolicy:
-    """Estimate each side's greedy value with T independent runs (side k's run
-    r on stream (seed, k, r)), then commit deterministically to the higher
-    estimate and run greedy there."""
-    runs, heuristic = effective_runs(instance, cfg)
+def sampling_side_selector(instance: Instance, runs: int, seed: int = 0) -> CommittedPolicy:
+    """Estimate each side's greedy value with ``runs`` independent runs (side
+    k's run r on stream (seed, k, r)), then commit deterministically to the
+    higher estimate and run greedy there."""
     estimates = {}
     for k, side in enumerate(("C", "S")):
         pol = GreedyOneSidedPolicy(instance, side)
         estimates[side] = monte_carlo(instance, pol, runs, (seed, k)).mean
     side = "C" if estimates["C"] >= estimates["S"] else "S"
-    meta = {"runs": runs, "heuristic_T": heuristic,
-            "estimate_C": estimates["C"], "estimate_S": estimates["S"],
+    meta = {"runs": runs, "estimate_C": estimates["C"], "estimate_S": estimates["S"],
             "side": side, "seed": seed}
     return CommittedPolicy(GreedyOneSidedPolicy(instance, side),
                            "C-OA" if side == "C" else "S-OA", meta)

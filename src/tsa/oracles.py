@@ -170,16 +170,20 @@ def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray
     return out
 
 
-def prob_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
+def prob_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED, by_mask=False) -> np.ndarray:
     """phi(option, S) for every set S of at most ``budget`` options, one row per
     set in ascending mask order (with no budget, row k is mask k): shape
-    (sets, n); outside prob implied."""
-    refuse_past("prob_table", n_opts * sum(_budget_counts(n_opts, budget)), _MAX_ENTRIES, "entries")
+    (sets, n); outside prob implied.  With ``by_mask`` row k is mask k for
+    all 2^n masks, the sets over the budget left at 0: a budgeted model need
+    not tabulate them."""
+    sets = 1 << n_opts if by_mask else sum(_budget_counts(n_opts, budget))
+    refuse_past("prob_table", n_opts * sets, _MAX_ENTRIES, "entries")
     masks = sorted(_budget_masks(n_opts, budget))
-    out = np.empty((len(masks), n_opts))
+    rows = np.array(masks) if by_mask else np.arange(len(masks))
+    out = np.zeros((sets, n_opts))
     for lo in range(0, len(masks), 1024):  # all 2^16 sets at once would take about 50 MB
-        out[lo:lo + 1024] = prob_rows(model, n_opts, [frozenset(_mask_options(k))
-                                                      for k in masks[lo:lo + 1024]])
+        out[rows[lo:lo + 1024]] = prob_rows(model, n_opts, [frozenset(_mask_options(k))
+                                                            for k in masks[lo:lo + 1024]])
     return out
 
 
@@ -210,14 +214,15 @@ def _budget_masks(count: int, budget) -> list:
 def _agent_oracle(model, n_opts: int, budget):
     """(usable options, row oracle) for one agent: an MNL agent skips its
     zero-weight options and runs ``mnl_best``'s rules; any other model
-    enumerates its budget-feasible assortments.  The row oracle maps (theta,
+    enumerates its budget-feasible assortments (tabulated by mask, so only
+    those need be in a ``Tabular`` model).  The row oracle maps (theta,
     item) arrays over the usable options to ``best_weighted_assortment``'s
     value on each row, non-items at theta 0, bit for bit."""
     if is_mnl(model):
         w = model.weights
         usable = [j for j in range(n_opts) if w[j] > 0.0]
         return usable, partial(_mnl_rows, np.array([w[j] for j in usable]), budget)
-    return list(range(n_opts)), partial(_enumeration_rows, prob_table(model, n_opts),
+    return list(range(n_opts)), partial(_enumeration_rows, prob_table(model, n_opts, budget, by_mask=True),
                                         _budget_masks(n_opts, budget))
 
 

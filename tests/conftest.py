@@ -40,3 +40,18 @@ def low_value_instance(n, m, seed, alpha=0.7574):
     return Instance(n, m,
                     tuple(MNL(tuple(v[i])) for i in range(n)),
                     tuple(MNL(tuple(w[j])) for j in range(m)))
+
+
+def budget_only_market(full: bool = False, side: str = "C") -> Instance:
+    """One agent of budget 1 on ``side`` facing two MNL opponents, whose
+    ``Tabular`` model lists only the displays its budget allows (with
+    ``full``, the forbidden display {0, 1} too, at probabilities no solver
+    may use)."""
+    rows = {frozenset(): ({}, 1.0), frozenset({0}): ({0: 0.6}, 0.4),
+            frozenset({1}): ({1: 0.3}, 0.7)}
+    if full:
+        rows[frozenset({0, 1})] = ({0: 0.1, 1: 0.8}, 0.1)
+    agent, opponents = (Tabular(2, rows),), (MNL((1.0,)), MNL((2.0,)))
+    if side == "C":
+        return Instance(1, 2, agent, opponents, (1,), ())
+    return Instance(2, 1, opponents, agent, (), (1,))

@@ -4,17 +4,19 @@ policy by its full choice tree, two fixed-assortment policies, the
 distribution residual of a one-sided relaxation, the exact high-value
 subproblem of the fully static approximation, explicit draws for a
 batched Monte Carlo kernel, a choice model whose constrained demand is not
-submodular, and a probe of whether a solver passes its size check.  No pipeline calls them; the tests use them as
-independent checks."""
+submodular, a probe of whether a solver passes its size check, and the
+paper's sample count T for the sampling side-selector.  No pipeline calls
+them; the tests use them as independent checks."""
 
+import math
 from collections import defaultdict
 from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
 from tsa.errors import ChoiceModelError, ContractViolationError, SizeRefusalError
-from tsa.instances import MNL, UNBOUNDED, ChoiceSpec, Instance, Mixture, Tabular
-from tsa.oracles import constrained_demand
+from tsa.instances import MNL, UNBOUNDED, ChoiceSpec, Instance, Mixture, Tabular, is_mnl
+from tsa.oracles import _MAX_ENTRIES, constrained_demand, prob_table
 from tsa.policies import PolicyAction, PolicyState, Streams, _apply_choice, _validate_action
 
 
@@ -294,3 +296,43 @@ def reaches(monkeypatch, target: str, solve: Callable[[], object]) -> bool:
         except SizeRefusalError:
             return False
     raise AssertionError(f"{target} was never called")
+
+
+def phi_min(instance: Instance) -> Optional[float]:
+    """Smallest nonzero max-assortment choice probability across agents and
+    options; None when no pair has positive probability."""
+    best = None
+    for side, count, opp in (("C", instance.n, instance.m), ("S", instance.m, instance.n)):
+        for a in range(count):
+            model = instance.model(side, a)
+            for p in _max_phi(model, opp):
+                if p > 0.0:
+                    best = p if best is None else min(best, p)
+    return best
+
+
+def _max_phi(model, n_opts: int):
+    """max_S phi(j, S) per option j."""
+    if is_mnl(model):
+        return [w / (1.0 + w) for w in model.weights]
+    if isinstance(model, Tabular):
+        out = [0.0] * n_opts
+        for s, (probs, _) in model.rows.items():
+            for j, p in probs.items():
+                out[j] = max(out[j], p)
+        return out
+    if n_opts << n_opts <= _MAX_ENTRIES:  # within prob_table's count
+        return list(prob_table(model, n_opts).max(axis=0))
+    # Weak-substitutable variants peak at singletons.
+    return [model.prob(j, frozenset({j})) for j in range(n_opts)]
+
+
+def sample_count(epsilon: float, delta: float, phi_min: float) -> int:
+    """The paper's T = ceil(3 / (eps^2 * phi_min) * ln(2/delta)) independent
+    greedy runs per side for the sampling side-selector."""
+    # epsilon = 1 is admitted as the degenerate zero-accuracy boundary.
+    if not (0 < epsilon <= 1 and 0 < delta < 1):
+        raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
+    if phi_min is None or phi_min <= 0:
+        raise ValueError("sample_count needs phi_min > 0")
+    return math.ceil(3.0 / (epsilon ** 2 * phi_min) * math.log(2.0 / delta))

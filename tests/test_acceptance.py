@@ -20,7 +20,7 @@ from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adapt
                        opt_one_sided_static)
 from tsa.fullystatic import (DEFAULT_ALPHA, approx_fully_static,
                              dependent_rounding, lowlow_lp)
-from tsa.greedy import (SamplingConfig, exact_greedy_value, sampling_side_selector)
+from tsa.greedy import exact_greedy_value, sampling_side_selector
 from tsa.instances import (MNL, BetaUniform, Instance, generate_random_instance,
                            tight_instance)
 from tsa.oracles import constrained_demand
@@ -70,7 +70,7 @@ def corpus_adaptive():
             e["fa"] = opt_fully_adaptive(inst).value
             g_c = exact_greedy_value(inst, "C")
             g_s = exact_greedy_value(inst, "S")
-            sel = sampling_side_selector(inst, SamplingConfig(runs_override=100), seed=seed)
+            sel = sampling_side_selector(inst, 100, seed=seed)
             e["alg_oa"] = g_c if sel.metadata["side"] == "C" else g_s
             e["alg_fa"] = 0.5 * (g_c + g_s)
             entries.append(e)

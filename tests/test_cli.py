@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from conftest import budget_only_market
 from tsa.bounds import gap_report
 from tsa.cli import main
 from tsa.instances import (MNL, CardinalityProfile, Instance, UniformNoOutside,
@@ -192,6 +193,18 @@ def test_gaps_on_tight_instance(tmp_path, capsys):
     cells = rows[1].split(",")
     ratio = dict(zip(header, cells))["OPT_OS/OPT_FS"]
     assert abs(float(ratio) - 2.734375) < 1e-6
+
+
+def test_budgeted_tabular_market_solves_and_reports(tmp_path, capsys):
+    """A budgeted ``Tabular`` model listing only the displays its budget
+    allows: every exact solver and the gap report run on it."""
+    inst_path = tmp_path / "budget.json"
+    save_instance(budget_only_market(), inst_path)
+    assert run(["solve", "--instance", str(inst_path), "--what", "fs,os,oa,fa"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"OPT_FS", "OPT_OS", "OPT_OA", "OPT_FA"}
+    out_dir = tmp_path / "gaps"
+    assert run(["gaps", "--instance", str(inst_path), "--out", str(out_dir)]) == 0
+    assert len((out_dir / "gaps.csv").read_text().strip().split("\n")) == 2
 
 
 def test_gaps_bad_instance_file_writes_nothing(tmp_path):

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import independent_model
+from conftest import budget_only_market, independent_model
 from helpers import reaches
 import tsa.exact
 from tsa.errors import SizeRefusalError
@@ -154,6 +154,21 @@ def test_opt_fs_side_over_16_options():
     although its 2^17 edge sets are within the enumeration limit."""
     with pytest.raises(SizeRefusalError, match="prob_table"):
         opt_fully_static(generate_random_instance(1, 17, seed=0))
+
+
+@pytest.mark.parametrize("side", ["C", "S"])
+def test_budgeted_tabular_needs_only_its_allowed_displays(side):
+    """OPT_FS and the adaptive DPs never ask a budgeted model for a display
+    over its budget: the market whose table stops at the budget solves, with
+    the same values, edges, state counts and first actions as its twin that
+    also lists the forbidden display."""
+    short, full = budget_only_market(False, side), budget_only_market(True, side)
+    fs = opt_fully_static(short)
+    assert fs == opt_fully_static(full) and fs[0] > 0.0
+    for solve in (opt_fully_adaptive, lambda inst: opt_one_sided_adaptive(inst, "C"),
+                  lambda inst: opt_one_sided_adaptive(inst, "S")):
+        dp = solve(short)
+        assert dp == solve(full) and dp.optimal_first_action is not None
 
 
 def test_size_refusals():

@@ -9,12 +9,10 @@ import pytest
 
 from conftest import independent_model, nonmonotone_market
 from greedy_reference import recursive_greedy_value
-from helpers import Draws, exact_value_deterministic_adaptive, stream_uniforms
+from helpers import Draws, exact_value_deterministic_adaptive, phi_min, sample_count, stream_uniforms
 from tsa.exact import opt_fully_adaptive, opt_one_sided_adaptive
-from tsa.greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, SamplingConfig,
-                        cointoss_exact_value, cointoss_fully_adaptive,
-                        exact_greedy_value, phi_min, sample_count,
-                        sampling_side_selector)
+from tsa.greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, cointoss_exact_value,
+                        cointoss_fully_adaptive, exact_greedy_value, sampling_side_selector)
 from tsa.bounds import _SELECTOR_RUNS, alg_one_sided_adaptive_value
 from tsa.errors import SizeRefusalError, TimeLimitError
 from tsa.instances import (MNL, CardinalityProfile, Instance, Mixture,
@@ -95,34 +93,32 @@ def test_phi_min_examples():
 
 
 def test_sample_count_examples():
-    assert sample_count(SamplingConfig(epsilon=1.0, delta=2 / math.e), 1.0) == 3
-    assert sample_count(SamplingConfig(epsilon=0.1, delta=0.05), 0.5) == 2214
-    t1 = sample_count(SamplingConfig(epsilon=0.2, delta=0.1), 0.5)
-    t2 = sample_count(SamplingConfig(epsilon=0.1, delta=0.1), 0.5)
+    assert sample_count(1.0, 2 / math.e, 1.0) == 3
+    assert sample_count(0.1, 0.05, 0.5) == 2214
+    t1 = sample_count(0.2, 0.1, 0.5)
+    t2 = sample_count(0.1, 0.1, 0.5)
     assert t1 * 4 - 4 <= t2 <= t1 * 4 + 4
 
 
 def test_sample_count_needs_positive_phi_min():
     with pytest.raises(ValueError):
-        sample_count(SamplingConfig(), 0.0)
+        sample_count(0.1, 0.1, 0.0)
 
 
 def test_selector_picks_better_side_on_prop1():
     inst = tight_instance("prop1", 2)
-    pol = sampling_side_selector(inst, SamplingConfig(runs_override=300), seed=5)
+    pol = sampling_side_selector(inst, 300, seed=5)
     assert pol.metadata["side"] == "C"  # 0.75 beats 0.5
     assert pol.metadata["runs"] == 300
-    assert pol.metadata["heuristic_T"]
 
 
 def test_selector_derived_runs_and_determinism():
     inst = Instance(1, 1, (MNL((3.0,)),), (MNL((3.0,)),))
-    cfg = SamplingConfig(epsilon=0.5, delta=0.5)
-    a = sampling_side_selector(inst, cfg, seed=2)
-    b = sampling_side_selector(inst, cfg, seed=2)
+    runs = sample_count(0.5, 0.5, phi_min(inst))
+    a = sampling_side_selector(inst, runs, seed=2)
+    b = sampling_side_selector(inst, runs, seed=2)
     assert a.metadata == b.metadata
-    assert not a.metadata["heuristic_T"]
-    assert a.metadata["runs"] == sample_count(cfg, phi_min(inst))
+    assert a.metadata["runs"] == runs
 
 
 def test_selector_symmetric_instance_value_identical():
@@ -303,7 +299,7 @@ def test_exact_greedy_evaluators_stop_at_deadline():
     # Side C's walk takes about 2 s, far past the limit, and the selector
     # commits to side C, so all three evaluators reach it.
     inst = generate_random_instance(8, 16, seed=4)
-    assert sampling_side_selector(inst, SamplingConfig(runs_override=_SELECTOR_RUNS)).metadata["side"] == "C"
+    assert sampling_side_selector(inst, _SELECTOR_RUNS).metadata["side"] == "C"
     for value in (lambda: exact_greedy_value(inst, "C"),
                   lambda: cointoss_exact_value(inst),
                   lambda: alg_one_sided_adaptive_value(inst, 0)):
