@@ -12,6 +12,7 @@ packing LP.  Both need MNL weights.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -100,11 +101,13 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C") -> RelaxationSol
 def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution) -> float:
     """Objective of the product (independent) backlog distribution built from the
     relaxation's tau marginals; correlation gap says it loses at most 1-1/e."""
-    side = relax.side
-    x = np.zeros((instance.side_size(side), instance.side_size("S" if side == "C" else "C")))
+    side, resp_side = relax.side, "S" if relax.side == "C" else "C"
+    x = np.zeros((instance.side_size(side), instance.side_size(resp_side)))
     for (i, s), p in relax.tau.items():
         x[i] += p * prob_rows(instance.model(side, i), x.shape[1], [s])[0]
-    return one_sided_values(instance, side, x[:, None, :]).item()
+    tables = [demand_table(instance.model(resp_side, j), len(x), instance.budget(resp_side, j))
+              for j in range(x.shape[1])]
+    return one_sided_values(tables, x[:, None, :]).item()
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +431,13 @@ def gap_report(instance: Instance, label: str = "instance", caps=None,
 
 
 def reports_to_csv(reports, fh) -> None:
-    """One row per instance; empty cells mark unavailable quantities."""
-    header = (["label"] + QUANTITY_ORDER + [r[0] for r in RATIO_DEFS] + VERDICT_ORDER)
-    fh.write(",".join(header) + "\n")
+    """One row per instance; empty cells mark unavailable quantities.  A label
+    holding a comma, a double quote or a newline is quoted."""
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(["label"] + QUANTITY_ORDER + [r[0] for r in RATIO_DEFS] + VERDICT_ORDER)
     for rep in reports:
-        cells = [rep.label]
-        for k in QUANTITY_ORDER:
-            x = rep.quantities.get(k)
-            cells.append("" if x is None else format(x, ".9g"))
-        for name, _, _ in RATIO_DEFS:
-            x = rep.ratios.get(name)
-            cells.append("" if x is None else format(x, ".9g"))
-        for k in VERDICT_ORDER:
-            x = rep.verdicts.get(k)
-            cells.append("" if x is None else ("pass" if x else "FAIL"))
-        fh.write(",".join(cells) + "\n")
+        numbers = ([rep.quantities.get(k) for k in QUANTITY_ORDER]
+                   + [rep.ratios.get(r) for r, _, _ in RATIO_DEFS])
+        verdicts = [rep.verdicts.get(k) for k in VERDICT_ORDER]
+        out.writerow([rep.label] + ["" if x is None else format(x, ".9g") for x in numbers]
+                     + ["" if x is None else ("pass" if x else "FAIL") for x in verdicts])

@@ -266,8 +266,8 @@ def opt_one_sided_static(instance: Instance, side: str) -> float:
     force over all assortment families, with exact backlog expectations,
     valued in blocks of at most ``_OS_BLOCK`` combinations.  Refuses more than
     ``_MAX_ENUMERATION`` families before any table is built."""
-    ninit = instance.side_size(side)
-    nresp = instance.side_size("S" if side == "C" else "C")
+    resp_side = "S" if side == "C" else "C"
+    ninit, nresp = instance.side_size(side), instance.side_size(resp_side)
     budgets = [instance.budget(side, i) for i in range(ninit)]
     # Initiator i's candidates: the sets of at most K_i responders.
     count = prod(sum(_budget_counts(nresp, k)) for k in budgets)
@@ -276,6 +276,8 @@ def opt_one_sided_static(instance: Instance, side: str) -> float:
         return 0.0
 
     probs = [prob_table(instance.model(side, i), nresp, k) for i, k in enumerate(budgets)]
+    tables = [demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
+              for j in range(nresp)]
     # Blocks over the shortest prefix of initiators whose remaining
     # combinations fit: the ones before initiator p take one candidate each,
     # and p's candidates go in slices of ``step``.
@@ -283,7 +285,7 @@ def opt_one_sided_static(instance: Instance, side: str) -> float:
     p = next(p for p in range(ninit) if prod(sizes[p + 1:]) <= _OS_BLOCK)
     step = _OS_BLOCK // prod(sizes[p + 1:])
     return float(max(
-        one_sided_values(instance, side, [q[c:c + 1] for q, c in zip(probs, head)]
+        one_sided_values(tables, [q[c:c + 1] for q, c in zip(probs, head)]
                          + [probs[p][lo:lo + step]] + probs[p + 1:]).max()
         for head in product(*map(range, sizes[:p])) for lo in range(0, sizes[p], step)))
 

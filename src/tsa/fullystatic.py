@@ -88,62 +88,55 @@ def dependent_rounding(y: np.ndarray, rng, row_caps: Optional[Sequence] = None,
     degrees never exceed the ceiling of their fractional degree (hence caps
     with feasible fractional input are hard), negatively correlated within
     each row and column."""
-    y = np.array(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     n, m = y.shape
     eps = 1e-12
-    if row_caps is not None:
-        for i in range(n):
-            if row_caps[i] is not UNBOUNDED and y[i].sum() > row_caps[i] + 1e-9:
-                raise ValueError(f"fractional row {i} exceeds its cap")
-    if col_caps is not None:
-        for j in range(m):
-            if col_caps[j] is not UNBOUNDED and y[:, j].sum() > col_caps[j] + 1e-9:
-                raise ValueError(f"fractional column {j} exceeds its cap")
+    for caps, lines, what in ((row_caps, y, "row"), (col_caps, y.T, "column")):
+        for a, k in enumerate(() if caps is None else caps):
+            if k is not UNBOUNDED and lines[a].sum() > k + 1e-9:
+                raise ValueError(f"fractional {what} {a} exceeds its cap")
 
+    # Built once: vertex v < m is column v, vertex m + i is row i, each with
+    # the far ends of its fractional edges.  A step edits only its chain, and
+    # an edge that stops being fractional leaves both its ends.
+    adj = [set() for _ in range(n + m)]
+    for i, j in _edges((y > eps) & (y < 1.0 - eps)):
+        adj[j].add(m + i)
+        adj[m + i].add(j)
+    x = y.tolist()
     while True:
-        # Vertex v < m is column v, vertex m + i is row i; each lists its
-        # fractional edges as (i, j, other end), other ends ascending.
-        frac = ((y > eps) & (y < 1.0 - eps)).tolist()
-        adj = [[(i, j, m + i) for i in range(n) if frac[i][j]] for j in range(m)]
-        adj += [[(i, j, j) for j in range(m) if frac[i][j]] for i in range(n)]
-        degree = [len(a) for a in adj]
+        degree = list(map(len, adj))
         if not any(degree):
             break
         # Start at the first leaf, else at the first vertex with an edge; take
-        # the lowest unused edge until stuck (a maximal path) or back at a
-        # visited vertex (a cycle, walked alone).  Every vertex on the chain is
-        # distinct, so the only used edge at the current one leads back.
+        # the lowest far end but the one just left (the chain's vertices are
+        # distinct) until stuck (a maximal path) or back at a visited vertex
+        # (a cycle, walked alone).
         v = degree.index(1) if 1 in degree else next(v for v, d in enumerate(degree) if d)
         at, chain, prev = {v: 0}, [], -1
-        while True:
-            e = next((e for e in adj[v] if e[2] != prev), None)
-            if e is None:
-                break
-            chain.append(e[:2])
-            prev, v = v, e[2]
+        while (u := min((u for u in adj[v] if u != prev), default=None)) is not None:
+            chain.append((u - m, v) if v < m else (v - m, u))
+            prev, v = v, u
             if v in at:
                 chain = chain[at[v]:]
                 break
             at[v] = len(chain)
         A = chain[0::2]
         B = chain[1::2]
-        up = min(min(1.0 - y[i, j] for (i, j) in A), min((y[i, j] for (i, j) in B), default=np.inf))
-        down = min(min(y[i, j] for (i, j) in A), min((1.0 - y[i, j] for (i, j) in B), default=np.inf))
+        up = min(min(1.0 - x[i][j] for (i, j) in A), min((x[i][j] for (i, j) in B), default=np.inf))
+        down = min(min(x[i][j] for (i, j) in A), min((1.0 - x[i][j] for (i, j) in B), default=np.inf))
         if up <= eps and down <= eps:
             break
-        if rng.random() < down / (up + down):
-            delta_a, delta_b = up, -up
-        else:
-            delta_a, delta_b = -down, down
-        for (i, j) in A:
-            y[i, j] += delta_a
-        for (i, j) in B:
-            y[i, j] += delta_b
-        y = np.clip(y, 0.0, 1.0)
-        y[np.abs(y) < eps] = 0.0
-        y[np.abs(y - 1.0) < eps] = 1.0
+        delta = up if rng.random() < down / (up + down) else -down
+        for edges, d in ((A, delta), (B, -delta)):
+            for i, j in edges:
+                t = min(max(x[i][j] + d, 0.0), 1.0)
+                x[i][j] = t = 0.0 if abs(t) < eps else 1.0 if abs(t - 1.0) < eps else t
+                if not eps < t < 1.0 - eps:
+                    adj[j].discard(m + i)
+                    adj[m + i].discard(j)
 
-    return frozenset(_edges(y > 0.5))
+    return frozenset(_edges(np.array(x) > 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -387,27 +387,28 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> 
     for a, s in enumerate(assortments):
         _check_assortment(instance, (side, a), s)
     probs = [prob_rows(instance.model(side, i), resp_n, [s]) for i, s in enumerate(assortments)]
-    return one_sided_values(instance, side, probs).item()
+    tables = [demand_table(instance.model(resp_side, j), init_n, instance.budget(resp_side, j))
+              for j in range(resp_n)]
+    return one_sided_values(tables, probs).item()
 
 
-def one_sided_values(instance: Instance, side: str, probs) -> np.ndarray:
-    """Expected matches of one-sided static displays initiating on ``side``, for
-    every combination of candidates: probs[i][c, j] is the probability that
-    initiating agent i, shown its c-th candidate, picks responder j.  Choices
-    are independent, so responder j is worth E[F_j(B_j)] over its random
-    backlog B_j (the multilinear extension of F_j), where F_j is its demand,
-    budget-constrained when it carries a budget.  Shape (len(probs[0]), ...,
-    len(probs[-1])).  The deadline is polled once per responder."""
-    resp_side = "S" if side == "C" else "C"
+def one_sided_values(tables, probs) -> np.ndarray:
+    """Expected matches of one-sided static displays, for every combination of
+    candidates: probs[i][c, j] is the probability that initiating agent i,
+    shown its c-th candidate, picks responder j, and tables[j] is responder
+    j's ``demand_table`` over the initiators (budget-constrained when it
+    carries a budget).  Choices are independent, so responder j is worth
+    E[F_j(B_j)] over its random backlog B_j (the multilinear extension of
+    F_j).  Shape (len(probs[0]), ..., len(probs[-1])).  The deadline is
+    polled once per responder."""
     n = len(probs)
     probs = [np.asarray(q, dtype=float) for q in probs]
     values = np.zeros(tuple(len(q) for q in probs))
-    for j in range(instance.side_size(resp_side)):
+    for j, f in enumerate(tables):
         check_deadline()
-        budget = instance.budget(resp_side, j)
         # Axis i of the table is bit i of the backlog mask.  Each contraction
         # takes the leading axis and appends initiator i's candidate axis.
-        f = demand_table(instance.model(resp_side, j), n, budget).reshape((2,) * n, order="F")
+        f = f.reshape((2,) * n, order="F")
         for q in probs:
             f = np.tensordot(f, np.stack([1.0 - q[:, j], q[:, j]]), axes=(0, 0))
         values += f

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -246,6 +247,19 @@ def test_gap_report_values_each_greedy_once(monkeypatch, n, seed, kind, side):
     assert meta["side"] == side
     assert rep.quantities["ALG_OA"] == oa
     assert rep.quantities["ALG_FA"] == alg_fully_adaptive_value(inst, seed)
+
+
+def test_csv_quotes_labels_with_commas_and_quotes():
+    """A label holding a comma or a double quote reads back as one cell, and
+    every row keeps the header's length."""
+    labels = ["a,b.json", 'say "hi"', "plain"]
+    reps = [tsa.bounds.GapReport(label, {"OPT_FS": 1.5}, {}, {"nesting_chain": True}) for label in labels]
+    buf = io.StringIO()
+    reports_to_csv(reps, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert [row[0] for row in rows[1:]] == labels
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert buf.getvalue().splitlines()[3].startswith("plain,")
 
 
 def test_csv_round_trip_shape():

@@ -775,13 +775,31 @@ def _os_blocks(monkeypatch, inst, side):
     """OPT_OS's value and the candidate combinations of each block it values."""
     blocks, values = [], tsa.exact.one_sided_values
 
-    def spy(instance, side, probs):
+    def spy(tables, probs):
         blocks.append(math.prod(len(q) for q in probs))
-        return values(instance, side, probs)
+        return values(tables, probs)
 
     with monkeypatch.context() as patch:
         patch.setattr(tsa.exact, "one_sided_values", spy)
         return opt_one_sided_static(inst, side), blocks
+
+
+def test_os_builds_each_demand_table_once_per_solve(monkeypatch):
+    """Every block contracts the same tables: one ``demand_table`` per
+    responder per OPT_OS solve, even when each block holds one combination."""
+    calls, build = [], tsa.exact.demand_table
+
+    def count(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(tsa.exact, "demand_table", count)
+    monkeypatch.setattr(tsa.exact, "_OS_BLOCK", 1)
+    budgeted = generate_random_instance(3, 4, seed=1, profile=CardinalityProfile("two-way", 1, 2))
+    for inst, side in ((generate_random_instance(3, 4, seed=0), "C"), (budgeted, "S")):
+        calls.clear()
+        opt_one_sided_static(inst, side)
+        assert len(calls) == inst.side_size("S" if side == "C" else "C")
 
 
 def test_os_blocks_over_a_prefix_of_initiators(monkeypatch):

@@ -124,8 +124,10 @@ def test_dependent_rounding_negative_row_correlation():
 
 
 def test_dependent_rounding_matches_tagged_vertex_walk():
-    """The index-list walk against the tagged-vertex walk it replaced
-    (tests/rounding_reference.py): same edges and generator state, bit for bit."""
+    """The graph edited in place against the tagged-vertex walk rebuilt every
+    step (tests/rounding_reference.py): same edges and generator state, bit
+    for bit.  Entries within 1e-12 of 0 or 1 are never on a walk, which only
+    the reference snaps; two-way low-low LP solutions go up to 10x10."""
     from rounding_reference import dependent_rounding as reference
 
     def both(y, seed, caps=(None, None)):
@@ -135,18 +137,25 @@ def test_dependent_rounding_matches_tagged_vertex_walk():
             runs.append((sorted(rounding(y, rng, *caps)), rng.bit_generator.state))
         assert runs[0] == runs[1]
 
-    for n in range(1, 6):
-        for m in range(1, 6):
+    for n in range(1, 9):
+        for m in range(1, 9):
             for seed in range(4):
                 g = np.random.default_rng([n, m, seed])
                 y, r = g.random((n, m)), g.random((n, m))
                 y[r < 0.2], y[r > 0.85] = 0.0, 1.0
+                if n + m > 10:
+                    y[(r > 0.2) & (r < 0.25)], y[(r > 0.8) & (r < 0.85)] = 1e-13, 1.0 - 1e-13
                 both(y, seed)
     profile = CardinalityProfile("two-way", 2, 2)
     for seed in range(6):
         inst = generate_random_instance(4, 5, seed, profile)
         y, _ = lowlow_lp(inst)
         both(y, seed, (inst.k_customer, inst.k_supplier))
+    for n, m in ((10, 10), (3, 8)):
+        for seed in range(8):
+            inst = generate_random_instance(n, m, seed, profile)
+            y, _ = lowlow_lp(inst)
+            both(y, seed, (inst.k_customer, inst.k_supplier))
 
 
 def test_highvalue_subproblem_examples():

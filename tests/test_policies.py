@@ -15,7 +15,7 @@ from tsa.errors import ContractViolationError, SizeRefusalError
 from tsa.greedy import GreedyOneSidedPolicy
 from tsa.instances import (MNL, UNBOUNDED, BetaUniform, CardinalityProfile, Instance, Mixture,
                            UniformNoOutside, generate_random_instance, tight_instance)
-from tsa.oracles import constrained_demand
+from tsa.oracles import constrained_demand, demand_table
 from tsa.policies import (PolicyAction, dump_trace, exact_value_edges,
                           exact_value_one_sided_static, exact_value_static,
                           monte_carlo, one_sided_values, pair_sum, simulate_once,
@@ -190,7 +190,10 @@ def test_one_sided_values_match_outcome_enumeration():
     for inst in cases:
         for side in ("C", "S"):
             probs = _candidate_probs(inst, side, rng)
-            got = one_sided_values(inst, side, probs)
+            resp = "S" if side == "C" else "C"
+            tables = [demand_table(inst.model(resp, j), len(probs), inst.budget(resp, j))
+                      for j in range(inst.side_size(resp))]
+            got = one_sided_values(tables, probs)
             want = brute_one_sided_values(inst, side, probs)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
