@@ -27,7 +27,7 @@ from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, cointoss_exact_value,
                      exact_greedy_value, sampling_side_selector)
 from .instances import Instance
 from .lp import LpProblem, solve_lp
-from .oracles import _budget_counts, _budget_masks, demand_table, prob_rows, prob_table
+from .oracles import _budget_counts, _budget_masks, demand_tables, prob_rows, prob_table
 from .policies import (exact_value_one_sided_static, monte_carlo, one_sided_values,
                        simulate_once)
 from .util import check_deadline
@@ -67,8 +67,7 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C") -> RelaxationSol
     if ninit == 0 or nresp == 0:
         return RelaxationSolution(side, {}, {}, 0.0)
 
-    f = np.stack([demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
-                  for j in range(nresp)])
+    f = demand_tables(instance, side)
     # tau's columns and their rows phi_i(., S), agent by agent.
     masks = [sorted(_budget_masks(nresp, k)) for k in init_budget]
     phi = np.concatenate([prob_table(instance.model(side, i), nresp, k)
@@ -105,9 +104,7 @@ def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution
     x = np.zeros((instance.side_size(side), instance.side_size(resp_side)))
     for (i, s), p in relax.tau.items():
         x[i] += p * prob_rows(instance.model(side, i), x.shape[1], [s])[0]
-    tables = [demand_table(instance.model(resp_side, j), len(x), instance.budget(resp_side, j))
-              for j in range(x.shape[1])]
-    return one_sided_values(tables, x[:, None, :]).item()
+    return one_sided_values(demand_tables(instance, side), x[:, None, :]).item()
 
 
 # ---------------------------------------------------------------------------

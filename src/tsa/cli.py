@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gp = sub.add_parser("gaps", help="gap report CSV for instances")
     common(gp)
-    gp.add_argument("--instance", nargs="*", default=None, help="instance files (else generated)")
+    gp.add_argument("--instance", nargs="+", default=None, help="instance files (else generated)")
     gp.set_defaults(func=cmd_gaps)
 
     t = sub.add_parser("tables", help="experiment tables with min/mean/max per ratio")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import refuse_past
 from .instances import UNBOUNDED, Instance
-from .oracles import (_TOL, _agent_oracle, _budget_counts, best_weighted_assortment, demand_table,
+from .oracles import (_TOL, _agent_oracle, _budget_counts, best_weighted_assortment, demand_tables,
                       prob_table)
 from .policies import PolicyAction, one_sided_values, pair_sum
 from .util import check_deadline
@@ -55,12 +55,12 @@ _MAX_STATES = 1 << 24  # 8^8, the one-sided 8x6 DP: about 23 s and 0.85 GB on on
 _MAX_ENUMERATION = 1 << 25
 
 
-# Plans of DPs predicted to have at most this many states are kept: every DP
-# of ``tsa tables --sizes 2,3,4`` (fully adaptive 4x4 has 21,520 states and a
-# 0.56 MB plan), but not fully adaptive 5x5 (588,449).  No plan under the
-# limit exceeds 0.60 MB (fully adaptive 1x9), so 16 kept shapes stay under 10 MB.
-_PLAN_STATES = 1 << 15
-_PLANS_KEPT = 16  # shapes whose plans stay; the least recently used goes first
+# The one budget of kept plans, in states: a DP predicted to have at most this
+# many keeps its plan, and the least recently used plans go until the kept
+# ones total at most this.  Fully adaptive 5x5 (588,449 states) fits, with a
+# 33.7 MB plan.  Plans take at most 57 bytes a state fully adaptive and 77
+# one-sided (5x10 side C), so the kept plans stay under about 80 MB.
+_PLAN_STATES = 1 << 20
 _PLANS: dict = {}
 
 
@@ -119,7 +119,7 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
     The layers, the child positions and the state count depend only on the
     shape (n, m, ``first``, each mover's usable options), so they form a
     ``_Plan``.  A shape of at most ``_PLAN_STATES`` predicted states keeps its
-    plan once a solve completes (``_PLANS_KEPT`` shapes at most), and later
+    plan once a solve completes, within that budget of kept states, and later
     markets of that shape skip the forward pass and the ``searchsorted``
     calls; the masks are recomputed from the keys, and the valuation is the
     same.  A larger shape keeps nothing and frees each layer once valued."""
@@ -185,11 +185,10 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
         values = np.zeros(1)  # everyone done
     else:
         values, last = 0.0, len(movers)
-        for a in range(n + m):
-            if a not in movers:
-                F = demand_table(instance.model(*agents[a]), opp_count[a], budgets[a])
-                values = values + F[lookup((last, a),
-                                           lambda: [(layers[last] & own[a]) >> offsets[a]])[0]]
+        responders = [a for a in range(n + m) if a not in movers]
+        for a, F in zip(responders, demand_tables(instance, first)):
+            values = values + F[lookup((last, a),
+                                       lambda: [(layers[last] & own[a]) >> offsets[a]])[0]]
 
     for d in range(len(movers) - 1, 0, -1):
         keys = layers[d]
@@ -236,7 +235,7 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
         del layers[len(movers):]
         _PLANS.pop(shape, None)
         _PLANS[shape] = plan
-        if len(_PLANS) > _PLANS_KEPT:
+        while sum(p.states for p in _PLANS.values()) > _PLAN_STATES:
             del _PLANS[next(iter(_PLANS))]
     return DpValue(float(opt), plan.states, action)
 
@@ -276,8 +275,7 @@ def opt_one_sided_static(instance: Instance, side: str) -> float:
         return 0.0
 
     probs = [prob_table(instance.model(side, i), nresp, k) for i, k in enumerate(budgets)]
-    tables = [demand_table(instance.model(resp_side, j), ninit, instance.budget(resp_side, j))
-              for j in range(nresp)]
+    tables = demand_tables(instance, side)
     # Blocks over the shortest prefix of initiators whose remaining
     # combinations fit: the ones before initiator p take one candidate each,
     # and p's candidates go in slices of ``step``.

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ContractViolationError, refuse_past
 from .instances import UNBOUNDED, Instance, is_mnl
 from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_demand,
-                      demand_table, prob_rows)
+                      demand_tables, prob_rows)
 from .policies import PolicyAction, PolicyState, monte_carlo
 from .util import check_deadline
 
@@ -244,8 +244,7 @@ def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[i
     nresp = instance.side_size(policy.resp_side)
     if ninit == 0 or nresp == 0:
         return 0.0
-    F = np.array([demand_table(instance.model(policy.resp_side, j), ninit, instance.budget(policy.resp_side, j))
-                  for j in range(nresp)])
+    F = demand_tables(instance, side)
     ids, total, stack = np.arange(nresp), 0.0, [(0, np.zeros((1, nresp), dtype=np.int64), np.ones(1))]
     while stack:
         check_deadline()

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import refuse_past
-from .instances import UNBOUNDED, ChoiceSpec, is_mnl
+from .instances import UNBOUNDED, ChoiceSpec, Instance, is_mnl
 
 # (set, option) entries of a table or enumeration: n sum_{k<=K} C(n, k) for a
 # probability table (16 options unbudgeted), 2^n for a demand table (20),
@@ -168,6 +168,13 @@ def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray
     for mask in range(1, size):
         out[mask] = constrained_demand(model, _mask_options(mask), budget).value
     return out
+
+
+def demand_tables(instance: Instance, side: str) -> np.ndarray:
+    """Row j: the ``demand_table`` of responder j over initiating ``side``."""
+    resp, ninit = "S" if side == "C" else "C", instance.side_size(side)
+    return np.array([demand_table(instance.model(resp, j), ninit, instance.budget(resp, j))
+                     for j in range(instance.side_size(resp))])
 
 
 def prob_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED, by_mask=False) -> np.ndarray:

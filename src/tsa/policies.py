@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolationError, refuse_past
 from .instances import UNBOUNDED, Instance
-from .oracles import _mask_options, demand_table, prob_rows
+from .oracles import _mask_options, demand_tables, prob_rows
 from .util import check_deadline
 
 Agent = Tuple[str, int]  # ("C", i) or ("S", j)
@@ -387,9 +387,7 @@ def exact_value_one_sided_static(instance: Instance, side: str, assortments) -> 
     for a, s in enumerate(assortments):
         _check_assortment(instance, (side, a), s)
     probs = [prob_rows(instance.model(side, i), resp_n, [s]) for i, s in enumerate(assortments)]
-    tables = [demand_table(instance.model(resp_side, j), init_n, instance.budget(resp_side, j))
-              for j in range(resp_n)]
-    return one_sided_values(tables, probs).item()
+    return one_sided_values(demand_tables(instance, side), probs).item()
 
 
 def one_sided_values(tables, probs) -> np.ndarray:

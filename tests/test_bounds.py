@@ -61,7 +61,7 @@ def test_relaxation_size_refusal(monkeypatch):
     def fail(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(tsa.bounds, "demand_table", fail)
+    monkeypatch.setattr(tsa.bounds, "demand_tables", fail)
     monkeypatch.setattr(tsa.bounds, "prob_table", fail)
     inst = generate_random_instance(10, 10, seed=0)
     with pytest.raises(SizeRefusalError, match="refuses 20480 columns"):
@@ -107,7 +107,7 @@ def test_relaxation_refusal_is_its_column_count(monkeypatch, budgets):
         for m in range(1, 13):
             inst = _budgeted(n, m, budgets)
             for side in "CS":
-                assert reaches(monkeypatch, "tsa.bounds.demand_table",
+                assert reaches(monkeypatch, "tsa.bounds.demand_tables",
                                lambda: lp_relaxation_onesided(inst, side)) == (
                     rel2_columns(n, m, side, budgets) <= 1 << 14), (n, m, side)
 

@@ -217,6 +217,14 @@ def test_gaps_bad_instance_file_writes_nothing(tmp_path):
     assert not out_dir.exists()
 
 
+def test_gaps_instance_without_a_file_exits_2(tmp_path):
+    """``--instance`` takes one or more files: given none, it is a usage error,
+    not a run over generated markets."""
+    out_dir = tmp_path / "gaps"
+    assert run(["gaps", "--instance", "--sizes", "2", "--seeds", "1", "--out", str(out_dir)]) == 2
+    assert not (out_dir / "gaps.csv").exists()
+
+
 def test_tables_deterministic_byte_identical(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

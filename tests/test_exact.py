@@ -9,6 +9,7 @@ import pytest
 from conftest import budget_only_market, independent_model
 from helpers import reaches
 import tsa.exact
+import tsa.oracles
 from tsa.errors import SizeRefusalError
 from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                        opt_one_sided_static)
@@ -525,9 +526,11 @@ def _matches_recursion(inst, before=None):
                          ids=["none", "one-way-C", "one-way-S", "two-way"])
 def test_layered_dp_matches_recursion_bit_for_bit(n, m, kind, budgets, monkeypatch):
     """Cold and warm.  A zero-weight market follows the all-positive market
-    of its n x m, whose plans it must not use.  Fully adaptive 7x2 (33,780
-    predicted states) is past ``_PLAN_STATES``, so it keeps no plan."""
+    of its n x m, whose plans it must not use.  Under a budget of 2^15
+    states, fully adaptive 7x2 (33,780 predicted states) keeps no plan, so
+    the no-plan path meets the recursion too."""
     monkeypatch.setattr(tsa.exact, "_PLANS", {})
+    monkeypatch.setattr(tsa.exact, "_PLAN_STATES", 1 << 15)
     for seed in range(1 if n * m > 10 else 2):  # the recursion takes seconds at 7x2
         positive = _reference_market(n, m, 360 + seed, "mnl", budgets)
         _matches_recursion(_reference_market(n, m, 360 + seed, kind, budgets),
@@ -573,23 +576,47 @@ def test_time_limit_while_planning_keeps_no_plan(monkeypatch):
 
 
 def test_large_dp_keeps_no_plan(monkeypatch):
-    """Fully adaptive 5x5 (588,449 states) leaves the kept plans as they were."""
+    """A shape predicted past ``_PLAN_STATES`` (fully adaptive 4x4, 21,520
+    states, under a budget of 20,000) leaves the kept plans as they were."""
     monkeypatch.setattr(tsa.exact, "_PLANS", {})
+    monkeypatch.setattr(tsa.exact, "_PLAN_STATES", 20000)
     opt_fully_adaptive(generate_random_instance(2, 2, seed=0))
-    kept = list(tsa.exact._PLANS.items())
+    kept = [(key, id(plan), len(plan.layers), len(plan.lookups))
+            for key, plan in tsa.exact._PLANS.items()]
+    assert opt_fully_adaptive(generate_random_instance(4, 4, seed=0)).states_expanded == 21520
+    assert [(key, id(plan), len(plan.layers), len(plan.lookups))
+            for key, plan in tsa.exact._PLANS.items()] == kept
+
+
+def test_fully_adaptive_5x5_keeps_its_plan(monkeypatch):
+    """Fully adaptive 5x5 (588,449 states) fits the budget: it keeps its
+    plan, and a second 5x5 market valued from that plan gives the DpValue of
+    its cold solve."""
+    monkeypatch.setattr(tsa.exact, "_PLANS", {})
+    second = generate_random_instance(5, 5, seed=1)
+    cold = opt_fully_adaptive(second)
+    tsa.exact._PLANS.clear()
     assert opt_fully_adaptive(generate_random_instance(5, 5, seed=0)).states_expanded == 588449
-    assert [(key, id(plan)) for key, plan in tsa.exact._PLANS.items()] == [
-        (key, id(plan)) for key, plan in kept]
+    (plan,) = tsa.exact._PLANS.values()
+    assert plan.states == 588449
+    assert opt_fully_adaptive(second) == cold
+    assert [id(kept) for kept in tsa.exact._PLANS.values()] == [id(plan)]
 
 
 def test_kept_plans_drop_the_least_recently_used(monkeypatch):
+    """Under a budget of 22,000 states, keeping fully adaptive 4x4 (21,520)
+    drops the least recently used plans, 2x2 (64) and then 3x3 (1,009),
+    until the kept states fit; one-sided 3x3 (61), used since, stays."""
     monkeypatch.setattr(tsa.exact, "_PLANS", {})
-    monkeypatch.setattr(tsa.exact, "_PLANS_KEPT", 2)
-    solves = [lambda: opt_fully_adaptive(generate_random_instance(2, 2, seed=0)),
-              lambda: opt_one_sided_adaptive(generate_random_instance(2, 2, seed=0), "C"),
-              lambda: opt_fully_adaptive(generate_random_instance(2, 3, seed=0))]
-    solves[0](), solves[1](), solves[0](), solves[2]()
-    assert [key[:3] for key in tsa.exact._PLANS] == [(2, 2, None), (2, 3, None)]
+    monkeypatch.setattr(tsa.exact, "_PLAN_STATES", 22000)
+    opt_fully_adaptive(generate_random_instance(2, 2, seed=0))
+    opt_one_sided_adaptive(generate_random_instance(3, 3, seed=0), "C")
+    opt_fully_adaptive(generate_random_instance(3, 3, seed=0))
+    opt_one_sided_adaptive(generate_random_instance(3, 3, seed=1), "C")
+    assert [key[:3] for key in tsa.exact._PLANS] == [(2, 2, None), (3, 3, None), (3, 3, "C")]
+    opt_fully_adaptive(generate_random_instance(4, 4, seed=0))
+    assert [(key[:3], plan.states) for key, plan in tsa.exact._PLANS.items()] == [
+        ((3, 3, "C"), 61), ((4, 4, None), 21520)]
 
 
 def test_key_width_refusal():
@@ -787,13 +814,13 @@ def _os_blocks(monkeypatch, inst, side):
 def test_os_builds_each_demand_table_once_per_solve(monkeypatch):
     """Every block contracts the same tables: one ``demand_table`` per
     responder per OPT_OS solve, even when each block holds one combination."""
-    calls, build = [], tsa.exact.demand_table
+    calls, build = [], tsa.oracles.demand_table
 
     def count(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(tsa.exact, "demand_table", count)
+    monkeypatch.setattr(tsa.oracles, "demand_table", count)
     monkeypatch.setattr(tsa.exact, "_OS_BLOCK", 1)
     budgeted = generate_random_instance(3, 4, seed=1, profile=CardinalityProfile("two-way", 1, 2))
     for inst, side in ((generate_random_instance(3, 4, seed=0), "C"), (budgeted, "S")):

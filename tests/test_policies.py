@@ -125,7 +125,7 @@ def test_exact_value_one_sided_static_size_refusal(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(tsa.policies, "prob_rows", fail)
-        patch.setattr(tsa.policies, "demand_table", fail)
+        patch.setattr(tsa.policies, "demand_tables", fail)
         with pytest.raises(SizeRefusalError, match="^one-sided static evaluation refuses "
                                                    "8912896 demand-table entries > 8388608$"):
             exact_value_one_sided_static(generate_random_instance(19, 17, seed=0), "C", [set()] * 19)
