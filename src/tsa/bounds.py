@@ -23,8 +23,8 @@ from .errors import SizeRefusalError, UnsupportedOracleError, refuse_past
 from .exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                     opt_one_sided_static)
 from .fullystatic import approx_fully_static
-from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, cointoss_exact_value,
-                     exact_greedy_value, sampling_side_selector)
+from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, exact_greedy_value,
+                     sampling_side_selector)
 from .instances import Instance
 from .lp import LpProblem, solve_lp
 from .oracles import _budget_counts, _budget_masks, demand_tables, prob_rows, prob_table
@@ -338,32 +338,34 @@ def alg_one_sided_static_value(instance: Instance, seed: int = 0) -> float:
     return best
 
 
-def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0):
-    """Value of the sampling side-selector's committed greedy: exact when the
-    initiating side is small enough, else Monte Carlo."""
-    policy = sampling_side_selector(instance, _SELECTOR_RUNS, seed)
-    side = policy.metadata["side"]
+def _greedy_value(instance: Instance, side: str, seed: int):
+    """Greedy's value on ``side`` and its CI half-width: exact, with half-width
+    None, when the side has at most ``MAX_EXACT_SIDE`` initiators, else the
+    mean of ``_MC_RUNS`` runs on streams (seed, r)."""
     if instance.side_size(side) <= MAX_EXACT_SIDE:
-        return exact_greedy_value(instance, side), policy.metadata
-    res = monte_carlo(instance, policy, _MC_RUNS, seed)
-    return res.mean, {**policy.metadata, "ci_half_width": res.half_width}
+        return exact_greedy_value(instance, side), None
+    res = monte_carlo(instance, GreedyOneSidedPolicy(instance, side), _MC_RUNS, seed)
+    return res.mean, res.half_width
+
+
+def alg_one_sided_adaptive_value(instance: Instance, seed: int = 0):
+    """Value of the sampling side-selector's committed greedy: ``_greedy_value``
+    of its side, with ``ci_half_width`` in the metadata when sampled."""
+    policy = sampling_side_selector(instance, _SELECTOR_RUNS, seed)
+    value, half = _greedy_value(instance, policy.metadata["side"], seed)
+    return value, policy.metadata if half is None else {**policy.metadata, "ci_half_width": half}
 
 
 def alg_fully_adaptive_value(instance: Instance, seed: int = 0, oa=None):
-    """Expected value of the coin-toss policy: exact average of both sides when
-    both are small enough, else Monte Carlo per side (side k on streams
-    (seed + k, r)).  ``oa``, the result of ``alg_one_sided_adaptive_value``
-    with the same seed, stands in for its side where that is the same number:
-    an exact greedy value, or side C's Monte Carlo on streams (seed, r)."""
-    small = max(instance.n, instance.m) <= MAX_EXACT_SIDE
-    shared = oa is not None and (small or (oa[1]["side"] == "C" and instance.n > MAX_EXACT_SIDE))
-    known = {oa[1]["side"]: oa[0]} if shared else {}
-    if small:
-        return cointoss_exact_value(instance, known)
-    vals = [known[side] if side in known else
-            monte_carlo(instance, GreedyOneSidedPolicy(instance, side), _MC_RUNS, seed + k).mean
-            for k, side in enumerate(("C", "S"))]
-    return 0.5 * sum(vals)
+    """Expected value of the coin-toss policy: the average of ``_greedy_value``
+    over side C on ``seed`` and side S on ``seed + 1``.  ``oa``, the result of
+    ``alg_one_sided_adaptive_value`` with the same seed, stands in for its side
+    where that is the same number: an exact value, or side C's estimate."""
+    known = {}
+    if oa is not None and ("ci_half_width" not in oa[1] or oa[1]["side"] == "C"):
+        known[oa[1]["side"]] = oa[0]
+    return 0.5 * sum(known[side] if side in known else _greedy_value(instance, side, seed + k)[0]
+                     for k, side in enumerate(("C", "S")))
 
 
 def gap_report(instance: Instance, label: str = "instance", caps=None,

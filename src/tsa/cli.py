@@ -10,6 +10,7 @@ formatting); per-instance seeds derive as seed + index.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -287,12 +288,10 @@ def cmd_tables(args) -> int:
     }
     for fname, names in tables.items():
         with open(os.path.join(cfg.out, fname), "w", encoding="utf-8") as fh:
-            header = ["size"]
-            for name in names:
-                header += [f"{name} min", f"{name} mean", f"{name} max"]
-            fh.write(",".join(header) + "\n")
-            for row in _summary_rows(by_size, names):
-                fh.write(",".join(row) + "\n")
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["size"] + [f"{name} {stat}" for name in names
+                                     for stat in ("min", "mean", "max")])
+            out.writerows(_summary_rows(by_size, names))
         print(os.path.join(cfg.out, fname))
     return EXIT_TIME if timed_out else EXIT_OK
 

@@ -55,11 +55,11 @@ _MAX_STATES = 1 << 24  # 8^8, the one-sided 8x6 DP: about 23 s and 0.85 GB on on
 _MAX_ENUMERATION = 1 << 25
 
 
-# The one budget of kept plans, in states: a DP predicted to have at most this
-# many keeps its plan, and the least recently used plans go until the kept
-# ones total at most this.  Fully adaptive 5x5 (588,449 states) fits, with a
-# 33.7 MB plan.  Plans take at most 57 bytes a state fully adaptive and 77
-# one-sided (5x10 side C), so the kept plans stay under about 80 MB.
+# The one budget of kept plans, in predicted states (terminal ones included):
+# a DP predicted to have at most this many keeps its plan, and the least
+# recently used plans go until the kept ones predict at most this in all.
+# Fully adaptive 5x5 (588,449 states) fits, with a 33.7 MB plan; at 57 bytes
+# a predicted state or less, the kept plans stay under about 60 MB.
 _PLAN_STATES = 1 << 20
 _PLANS: dict = {}
 
@@ -68,12 +68,14 @@ _PLANS: dict = {}
 class _Plan:
     """The part of an adaptive DP that no weight changes, for one shape.
     ``layers`` are the sorted keys of layers 0..movers-1 (the last layer is
-    dropped once valued), ``states`` the count reported, and ``lookups`` maps
+    dropped once valued), ``states`` the count reported, ``count`` the
+    predicted count it is budgeted by, and ``lookups`` maps
     (layer d, mover a) to the positions in layer d + 1 of a's moves from its
     rows (staying out, then each open choice), and (last layer, responder) to
     the responder's demand-table indices, in the narrowest unsigned dtypes."""
     layers: list
     states: int
+    count: int
     lookups: dict
 
 
@@ -168,7 +170,7 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
     plan = _PLANS.get(shape)
     if plan is None:
         layers = _forward_layers(movers, done, own, moves)
-        plan = _Plan(layers, sum(map(len, layers)) - (len(layers[-1]) if first else 0), {})
+        plan = _Plan(layers, sum(map(len, layers)) - (len(layers[-1]) if first else 0), count, {})
     layers, keep = plan.layers, count <= _PLAN_STATES
 
     def lookup(key, build):
@@ -235,7 +237,7 @@ def _adaptive_dp(instance: Instance, first) -> DpValue:
         del layers[len(movers):]
         _PLANS.pop(shape, None)
         _PLANS[shape] = plan
-        while sum(p.states for p in _PLANS.values()) > _PLAN_STATES:
+        while sum(p.count for p in _PLANS.values()) > _PLAN_STATES:
             del _PLANS[next(iter(_PLANS))]
     return DpValue(float(opt), plan.states, action)
 

@@ -304,11 +304,7 @@ def cointoss_fully_adaptive(instance: Instance, seed: int = 0) -> CommittedPolic
     return CommittedPolicy(GreedyOneSidedPolicy(instance, side), "FA", meta)
 
 
-def cointoss_exact_value(instance: Instance, known: Optional[dict] = None) -> float:
+def cointoss_exact_value(instance: Instance) -> float:
     """Exact expected value of the coin-toss policy: the average of the two
-    sides' exact greedy values.  ``known`` maps a side to its exact greedy
-    value when the caller already has it."""
-    vc, vs = (known[side] if known and side in known else
-              exact_greedy_value(instance, side)
-              for side in ("C", "S"))
-    return 0.5 * (vc + vs)
+    sides' exact greedy values."""
+    return 0.5 * (exact_greedy_value(instance, "C") + exact_greedy_value(instance, "S"))

@@ -14,10 +14,11 @@ from tsa.bounds import (QUANTITY_ORDER, VERDICT_ORDER, _block_oracle, _ub_oa_ori
 from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
 from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                        opt_one_sided_static)
+from tsa.greedy import MAX_EXACT_SIDE, GreedyOneSidedPolicy, exact_greedy_value
 from tsa.instances import (MNL, CardinalityProfile, Instance, generate_random_instance,
                            tight_instance)
 from tsa.lp import LpProblem, maximize_concave, solve_lp
-from tsa.policies import exact_value_one_sided_static
+from tsa.policies import exact_value_one_sided_static, monte_carlo
 from tsa.util import Deadline
 from ub_oa_reference import plain_fw_ub_oa_oriented
 
@@ -232,21 +233,35 @@ def _count_greedy_values(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("n, seed, kind, side", [(3, 0, "exact", "S"), (3, 1, "exact", "C"),
-                                                 (10, 31, "estimates", "C")])
-def test_gap_report_values_each_greedy_once(monkeypatch, n, seed, kind, side):
-    """ALG_FA reuses ALG_OA's greedy value for the side they share: the exact
-    value of the selector's side, or its side-C estimate on the same streams."""
-    from tsa.bounds import alg_fully_adaptive_value, alg_one_sided_adaptive_value
+# Ids read shape-seed-reused-side: the greedy value ALG_FA takes from ALG_OA
+# (its exact value, its side-C estimate, or none when it samples side S), then
+# the selector's side.
+@pytest.mark.parametrize("n, m, seed, exact, estimates, side", [
+    pytest.param(3, 3, 0, 2, 0, "S", id="3-0-exact-S"),
+    pytest.param(3, 3, 1, 2, 0, "C", id="3-1-exact-C"),
+    pytest.param(10, 10, 31, 0, 2, "C", id="10-31-estimates-C"),
+    pytest.param(4, 12, 0, 1, 2, "S", id="4x12-0-none-S"),
+    pytest.param(12, 4, 0, 1, 1, "C", id="12x4-0-estimates-C"),
+])
+def test_gap_report_values_each_greedy_once(monkeypatch, n, m, seed, exact, estimates, side):
+    """ALG_FA averages greedy's value over both sides: exact on a side of at
+    most ``MAX_EXACT_SIDE`` initiators, else sampled on streams (seed + k, r),
+    k the side's index.  It reuses ALG_OA's value for the side they share
+    where that is the same number, and equals its value computed afresh."""
+    from tsa.bounds import _MC_RUNS, alg_fully_adaptive_value, alg_one_sided_adaptive_value
 
-    inst = generate_random_instance(n, n, seed)
+    inst = generate_random_instance(n, m, seed)
     counts = _count_greedy_values(monkeypatch)
     rep = gap_report(inst, "r", seed=seed)
-    assert counts[kind] == 2  # 3 when ALG_FA valued both sides afresh
+    assert counts == {"exact": exact, "estimates": estimates}
     oa, meta = alg_one_sided_adaptive_value(inst, seed)
     assert meta["side"] == side
     assert rep.quantities["ALG_OA"] == oa
     assert rep.quantities["ALG_FA"] == alg_fully_adaptive_value(inst, seed)
+    greedy = [exact_greedy_value(inst, s) if inst.side_size(s) <= MAX_EXACT_SIDE else
+              monte_carlo(inst, GreedyOneSidedPolicy(inst, s), _MC_RUNS, seed + k).mean
+              for k, s in enumerate(("C", "S"))]
+    assert rep.quantities["ALG_FA"] == 0.5 * (greedy[0] + greedy[1])
 
 
 def test_csv_quotes_labels_with_commas_and_quotes():

@@ -604,9 +604,9 @@ def test_fully_adaptive_5x5_keeps_its_plan(monkeypatch):
 
 
 def test_kept_plans_drop_the_least_recently_used(monkeypatch):
-    """Under a budget of 22,000 states, keeping fully adaptive 4x4 (21,520)
-    drops the least recently used plans, 2x2 (64) and then 3x3 (1,009),
-    until the kept states fit; one-sided 3x3 (61), used since, stays."""
+    """Under a budget of 22,000 predicted states, keeping fully adaptive 4x4
+    (21,520) drops the least recently used plans, 2x2 (64) and then 3x3
+    (1,009), until the kept plans fit; one-sided 3x3 (125), used since, stays."""
     monkeypatch.setattr(tsa.exact, "_PLANS", {})
     monkeypatch.setattr(tsa.exact, "_PLAN_STATES", 22000)
     opt_fully_adaptive(generate_random_instance(2, 2, seed=0))
@@ -617,6 +617,21 @@ def test_kept_plans_drop_the_least_recently_used(monkeypatch):
     opt_fully_adaptive(generate_random_instance(4, 4, seed=0))
     assert [(key[:3], plan.states) for key, plan in tsa.exact._PLANS.items()] == [
         ((3, 3, "C"), 61), ((4, 4, None), 21520)]
+
+
+def test_kept_plans_are_budgeted_by_predicted_states(monkeypatch):
+    """A one-sided plan keeps its terminal layer's demand-table indices, so it
+    is budgeted by its predicted states, terminal ones included: under a
+    budget of 1,350, keeping one-sided 3x3 side C (125 predicted) drops 4x4
+    side C (1,296 predicted, 671 counted)."""
+    monkeypatch.setattr(tsa.exact, "_PLANS", {})
+    monkeypatch.setattr(tsa.exact, "_PLAN_STATES", 1350)
+    assert opt_one_sided_adaptive(generate_random_instance(4, 4, seed=0), "C").states_expanded == 671
+    assert [key[:3] for key in tsa.exact._PLANS] == [(4, 4, "C")]
+    opt_one_sided_adaptive(generate_random_instance(3, 3, seed=0), "C")
+    assert [key[:3] for key in tsa.exact._PLANS] == [(3, 3, "C")]
+    (plan,) = tsa.exact._PLANS.values()
+    assert (plan.states, plan.count) == (61, 125)
 
 
 def test_key_width_refusal():
