@@ -8,8 +8,12 @@ contiguous in memory.  The entering column has the most negative reduced cost
 degenerate pivots it enters by Bland's rule until the objective improves, which
 keeps Bland's anti-cycling guarantee.  ``add_equality`` appends a
 block of equality rows, each as a <= row followed by its >= row (the row
-negated).  The simplex serves UB_FA, the one-sided relaxation (REL2) and the
-low-low LP, whose builders make each row family in one array expression.
+negated).  The simplex serves the one-sided relaxation (REL2) and the low-low
+LP, whose rounding needs its vertex; their builders make each row family in one
+array expression.  ``solve_packing`` maximizes c.x subject to A x <= b, x >= 0
+for A, b, c >= 0 by a primal-dual interior point (Mehrotra's predictor-corrector
+on the normal equations) and returns a dual certificate, a bound that holds
+whether or not it converged; it serves UB_FA.
 ``maximize_concave`` runs Frank-Wolfe with the simplex as linear oracle and
 reports a certified upper bound (best iterate value plus duality gap).  It is
 the LP-backed reference the tests compare UB_OA against; UB_OA itself uses the
@@ -65,6 +69,7 @@ class LpSolution:
     dual: Optional[np.ndarray] = None
     cs_residual: Optional[float] = None
     pivots: int = 0  # simplex pivots over both phases
+    iterations: int = 0  # interior-point iterations (solve_packing)
 
 
 def _bland_enter(obj_row: np.ndarray, allowed: int) -> int:
@@ -207,6 +212,130 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     slack_residual = problem.b - problem.A @ xsol
     cs = float(abs(dual @ slack_residual)) + float(abs((dual @ problem.A - problem.c) @ xsol))
     return LpSolution("optimal", xsol, value, dual, cs, pivots)
+
+
+# ---------------------------------------------------------------------------
+# Packing LPs by a primal-dual interior point
+
+# Stop once the certified gap is at most this times max(1, bound).
+PACKING_GAP = 1e-11
+# Iterations after which the interior point returns its best certificate.
+PACKING_MAX_ITERATIONS = 100
+# It also stops once x.z + s.y is this fraction of the target gap.
+PACKING_ROUNDING = 1e-3
+# Added to M's diagonal, times its largest entry, when rounding leaves M singular.
+PACKING_RIDGE = 1e-13
+STEP_FRACTION = 0.99  # of the distance to the boundary
+
+
+def _step(u: np.ndarray, du: np.ndarray, fraction: float = 1.0) -> float:
+    """min(1, fraction * the largest step that keeps u + step * du >= 0), for u > 0."""
+    t = -float((du / u).min())
+    return 1.0 if t <= fraction else fraction / t
+
+
+def solve_packing(problem: LpProblem) -> LpSolution:
+    """max c.x  s.t.  A x <= b, x >= 0 for A, b, c >= 0, by Mehrotra's
+    predictor-corrector from a strictly feasible start.
+
+    Presolve drops the columns with c_j = 0 and those that meet a row with
+    b_k = 0 (both are 0 at an optimum), then the rows left all zero.  Each
+    iteration solves the normal equations M dx = r, with
+    M = X^-1 Z + A^T (Y S^-1) A, for the affine and the centring-corrector
+    directions, and takes separate primal and dual steps.  The returned
+    ``value`` is the certificate b.y / min_j (A^T y)_j / c_j over the columns
+    with c_j > 0, for y = ``dual``: an upper bound whether or not the solve
+    converged.  It stops once that bound is within ``PACKING_GAP`` *
+    max(1, bound) of the best primal point scaled into the region (``x``),
+    once x.z + s.y is ``PACKING_ROUNDING`` of that target, or after
+    ``PACKING_MAX_ITERATIONS``.  The deadline is polled once an iteration."""
+    A, b, c = problem.A, problem.b, problem.c
+    if (A < 0).any() or (b < 0).any() or (c < 0).any():
+        raise ValueError("solve_packing needs A >= 0, b >= 0 and c >= 0")
+    nrows, ncols = A.shape
+    if not (c > 0).any():
+        return LpSolution("optimal", np.zeros(ncols), 0.0, np.zeros(nrows))
+    cols = (c > 0) & ~(A[b == 0] > 0).any(axis=0)
+    rows = (A[:, cols] > 0).any(axis=1)
+    if not (A[:, cols] > 0).any(axis=0).all():  # a column no row limits
+        return LpSolution("unbounded")
+    x, y = np.zeros(ncols), np.zeros(nrows)
+    rho, iterations = 1.0, 0
+    if cols.any():
+        Ar = A[np.ix_(rows, cols)]
+        x[cols], y[rows], iterations = _packing_ipm(Ar, b[rows], c[cols])
+        rho = float(np.min((Ar.T @ y[rows]) / c[cols]))
+    # Rows with b_k = 0 cost nothing in b.y: weight them to cover the columns
+    # presolve fixed at 0, at the same ratio rho as the kept columns.
+    zero = b == 0
+    if zero.any():
+        Az = A[zero]
+        y[zero] = rho * np.max(np.where(Az > 0, c / np.where(Az > 0, Az, 1.0), 0.0), axis=1)
+    # Every y >= 0 certifies a packing LP: divided by this ratio it is dual feasible.
+    pos = c > 0
+    value = float(b @ y) / float(np.min((A.T @ y)[pos] / c[pos]))
+    return LpSolution("optimal", x, value, y, iterations=iterations)
+
+
+def _packing_ipm(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """(x, y, iterations) for A > 0 somewhere in every row and column, b > 0
+    and c > 0.  x is the best primal point scaled into the region, y the dual
+    with the lowest certificate."""
+    q = c.size
+    AT = np.ascontiguousarray(A.T)
+    x = np.full(q, 0.5 * np.min(b / A.sum(axis=1)))
+    y = np.full(b.size, 2.0 * np.max(c / A.sum(axis=0)))
+    # u = (x, s) and v = (z, y) pair up elementwise: x with z, s with y.
+    u = np.concatenate([x, b - A @ x])
+    v = np.concatenate([AT @ y - c, y])
+    best_upper, best_lower = np.inf, -np.inf
+    best_x = best_y = None
+    iterations = 0
+    while True:
+        x, y = u[:q], v[q:]
+        Aty, Ax = AT @ y, A @ x
+        upper = float(b @ y) / float((Aty / c).min())
+        scale = max(1.0, float((Ax / b).max()))
+        lower = float(c @ x) / scale
+        if upper < best_upper:
+            best_upper, best_y = upper, y.copy()
+        if lower > best_lower:
+            best_lower, best_x = lower, x / scale
+        uv = u * v
+        complementarity = float(uv.sum())  # x.z + s.y
+        tol = PACKING_GAP * max(1.0, best_upper)
+        # Once x.z + s.y is far below the target, what is left of the
+        # certified gap is rounding, and further steps do not close it.
+        if (best_upper - best_lower <= tol or complementarity <= PACKING_ROUNDING * tol
+                or iterations == PACKING_MAX_ITERATIONS):
+            return best_x, best_y, iterations
+        check_deadline()
+        iterations += 1
+
+        h = v / u
+        M = (AT * h[q:]) @ A
+        M.flat[::q + 1] += h[:q]
+        mu = complementarity / uv.size
+        # The steps keep A x + s = b and A^T y - z = c only up to rounding;
+        # each direction also takes back what has drifted.
+        r_p = b - Ax - u[q:]
+        drift = c - Aty + v[:q] + AT @ (h[q:] * r_p)
+
+        def direction(g):
+            """The Newton step (du, dv) that moves u * v by g * u and takes back the drift."""
+            dx = np.linalg.solve(M, g[:q] - AT @ g[q:] + drift)
+            du = np.concatenate([dx, r_p - A @ dx])
+            return du, g - h * du
+
+        try:
+            du, dv = direction(-v)
+        except np.linalg.LinAlgError:  # rounding left M singular: regularize it
+            M.flat[::q + 1] += PACKING_RIDGE * M.diagonal().max()
+            du, dv = direction(-v)
+        mu_aff = float((u + _step(u, du) * du) @ (v + _step(v, dv) * dv)) / uv.size
+        du, dv = direction(((mu_aff / mu) ** 3 * mu - uv - du * dv) / u)
+        u = u + _step(u, du, STEP_FRACTION) * du
+        v = v + _step(v, dv, STEP_FRACTION) * dv
 
 
 # ---------------------------------------------------------------------------

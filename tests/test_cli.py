@@ -349,8 +349,10 @@ def test_simulate_time_limit(tmp_path, capsys):
 
 
 def test_gaps_time_limit_stops_simplex_pivots(tmp_path, capsys):
-    # At 30x30 one dense pivot of UB_FA's tableau takes tens of milliseconds;
-    # the simplex must see the limit within a pivot or two.
+    # A 30x30 report takes seconds: UB_FA's interior point (2-3 s, one poll an
+    # iteration), ALG_FS's low-low LP in the simplex (one poll a pivot) and
+    # the greedy estimates.  The report must stop within a poll or two of the
+    # limit.  tests/test_lp.py stops the simplex on UB_FA's 30x30 LP.
     start = time.monotonic()
     assert run(["gaps", "--sizes", "30", "--seeds", "1", "--time-limit", "1",
                 "--out", str(tmp_path)]) == 4

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from tsa import lp
 from tsa.errors import TimeLimitError
-from tsa.lp import (PIVOT_TOL, LpProblem, _bland_enter, _bland_leave,
-                    maximize_concave, solve_lp)
-from tsa.util import Deadline
+from tsa.instances import MNL, CardinalityProfile, Instance, generate_random_instance
+from tsa.lp import (PIVOT_TOL, LpProblem, LpSolution, _bland_enter, _bland_leave,
+                    maximize_concave, solve_lp, solve_packing)
+from tsa.util import Deadline, check_deadline
 
 
 def enumerate_vertices_best(problem: LpProblem):
@@ -258,21 +260,20 @@ def test_beale_lp_cycles_without_the_fallback(monkeypatch):
 
 
 def test_ub_fa_pivots_at_12x12(monkeypatch):
-    """Dantzig entering takes UB_FA at 12x12 seed 0 in 283 pivots (805 under
-    Bland's rule throughout)."""
-    import tsa.bounds
-    from tsa.bounds import ub_fa
-    from tsa.instances import generate_random_instance
+    """Dantzig entering takes UB_FA's LP at 12x12 seed 0 in 283 pivots (805
+    under Bland's rule throughout)."""
+    problem = _ub_fa_lp(monkeypatch, generate_random_instance(12, 12, 0))
+    assert solve_lp(problem).pivots <= 400
 
-    solutions = []
 
-    def spy(problem):
-        solutions.append(solve_lp(problem))
-        return solutions[-1]
-
-    monkeypatch.setattr(tsa.bounds, "solve_lp", spy)
-    ub_fa(generate_random_instance(12, 12, 0))
-    assert len(solutions) == 1 and solutions[0].pivots <= 400
+def test_solve_lp_stops_at_the_deadline_on_ub_fa_30x30(monkeypatch):
+    # One dense pivot of the 1,800-row tableau takes tens of milliseconds; the
+    # simplex sees the limit within a pivot or two (it needs about 35 s in all).
+    problem = _ub_fa_lp(monkeypatch, generate_random_instance(30, 30, 0))
+    start = time.monotonic()
+    with pytest.raises(TimeLimitError), Deadline(1):
+        solve_lp(problem)
+    assert time.monotonic() - start < 4.0
 
 
 def _random_lp(kind, rng):
@@ -327,13 +328,16 @@ def test_solve_lp_agrees_with_highs(kind):
 
 
 # ---------------------------------------------------------------------------
-# The formulations handed to the simplex, written out by hand from their
-# constraints.  Row order: per edge (i, j), row-major, its customer row then its
-# supplier row; budget rows last, customers first; each equality as a <= row
-# followed by its >= row (the row and right-hand side negated).
+# The formulations handed to the simplex (UB_FA's to the interior point),
+# written out by hand from their constraints.  Row order: per edge (i, j),
+# row-major, its customer row then its supplier row; budget rows last,
+# customers first; each equality as a <= row followed by its >= row (the row
+# and right-hand side negated).
 
 
 def _captured_lps(monkeypatch):
+    """Every LP the bounds and the static approximation hand to an LP solver,
+    each solved by the simplex."""
     import tsa.bounds
     import tsa.fullystatic
 
@@ -344,8 +348,22 @@ def _captured_lps(monkeypatch):
         return solve_lp(problem)
 
     monkeypatch.setattr(tsa.bounds, "solve_lp", spy)
+    monkeypatch.setattr(tsa.bounds, "solve_packing", spy)
     monkeypatch.setattr(tsa.fullystatic, "solve_lp", spy)
     return seen
+
+
+def _ub_fa_lp(monkeypatch, inst):
+    """The LP ``ub_fa(inst)`` builds, unsolved."""
+    import tsa.bounds
+
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(tsa.bounds, "solve_packing",
+                      lambda problem: seen.append(problem) or LpSolution("optimal", value=0.0))
+        tsa.bounds.ub_fa(inst)
+    (problem,) = seen
+    return problem
 
 
 def _assert_lp(problem, c, A, b):
@@ -497,3 +515,152 @@ def test_solve_lp_matches_full_tableau_reference_bit_for_bit(group, monkeypatch)
             assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
             assert got.x.tobytes() == want.x.tobytes()
             assert got.dual.tobytes() == want.dual.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The packing interior point, UB_FA's solver, against the simplex.
+
+
+def _certificate(problem, y):
+    """b.y / min_j (A^T y)_j / c_j over the columns with c_j > 0."""
+    pos = problem.c > 0
+    return float(problem.b @ y) / float(np.min((problem.A.T @ y)[pos] / problem.c[pos]))
+
+
+def _random_packing_lps(rng, count):
+    """Packing LPs of up to 11 rows and columns: A dense or sparse, about a
+    tenth of b and c zero, and a third on small integers (degenerate)."""
+    for _ in range(count):
+        rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        A = rng.random((rows, cols)) * (rng.random((rows, cols)) < rng.uniform(0.2, 1.0))
+        b = rng.uniform(0.0, 3.0, rows) * (rng.random(rows) < 0.9)
+        c = rng.uniform(0.0, 2.0, cols) * (rng.random(cols) < 0.9)
+        if rng.random() < 0.3:
+            A, b, c = np.round(3.0 * A), np.round(b), np.round(c)
+        yield LpProblem(c, A, b)
+
+
+def _packing_universe(group, monkeypatch):
+    if group == "random":
+        return list(_random_packing_lps(np.random.default_rng(34), 600))
+    if group == "tables":  # sizes 2-4, unbudgeted and two-way (2, 2)
+        return [_ub_fa_lp(monkeypatch, generate_random_instance(n, n, seed, profile))
+                for profile, seeds in ((CardinalityProfile(), 14),
+                                       (CardinalityProfile("two-way", 2, 2), 6))
+                for n in (2, 3, 4) for seed in range(seeds)]
+    markets = [(n, n, seed) for n in range(1, 13) for seed in range(3)]
+    markets += [(n, m, seed) for n, m in ((1, 15), (3, 8), (8, 3)) for seed in range(3)]
+    return [_ub_fa_lp(monkeypatch, generate_random_instance(*market))
+            for market in markets + [(16, 16, 0)]]
+
+
+# The most iterations measured: 14 on the table universes, 16 on the markets
+# (at 12x12 and 16x16) and 11 on the random packing LPs.
+PACKING_ITERATIONS = 20
+
+
+@pytest.mark.parametrize("group", ["tables", "markets", "random"])
+def test_solve_packing_certifies_the_simplex_optimum(group, monkeypatch):
+    """The returned value is the certificate of the returned dual, bit for bit,
+    and lies within [-1e-12, +1e-9] * max(1, v) of the simplex's optimum v;
+    x is feasible."""
+    statuses = set()
+    for problem in _packing_universe(group, monkeypatch):
+        got, want = solve_packing(problem), solve_lp(problem)
+        assert got.status == want.status
+        statuses.add(got.status)
+        if got.status != "optimal":
+            continue
+        scale = max(1.0, want.value)
+        assert -1e-12 * scale <= got.value - want.value <= 1e-9 * scale
+        assert (got.dual >= 0).all() and (got.x >= 0).all()
+        assert (problem.A @ got.x <= problem.b * (1 + 1e-12)).all()
+        if (problem.c > 0).any():
+            assert got.value == _certificate(problem, got.dual)
+        assert got.iterations <= PACKING_ITERATIONS
+    assert statuses == ({"optimal", "unbounded"} if group == "random" else {"optimal"})
+
+
+def test_solve_packing_takes_back_rounding_drift():
+    """A degenerate LP (11 rows, 10 columns, small integers).  Steps that let
+    A x + s = b and A^T y - z = c drift leave its certificate 6e-10 loose;
+    taking the drift back keeps it within 1e-10.  Near the optimum more steps
+    only add rounding, and the solve stops."""
+    *_, problem = _random_packing_lps(np.random.default_rng(0), 337)
+    got, want = solve_packing(problem), solve_lp(problem)
+    assert 0.0 <= got.value - want.value <= 1e-10 * max(1.0, want.value)
+    assert got.iterations <= PACKING_ITERATIONS
+
+
+def test_solve_packing_presolve():
+    """Column 0 has c = 0 and column 1 meets row 0, where b = 0: both are fixed
+    at 0.  Row 2 is all zero.  Row 0's dual covers column 1 at no cost."""
+    problem = LpProblem([0.0, 1.0, 1.0], [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+                        [0.0, 2.0, 1.0])
+    sol = solve_packing(problem)
+    assert sol.status == "optimal"
+    assert sol.x[0] == sol.x[1] == 0.0
+    assert sol.value == pytest.approx(2.0, abs=1e-10)
+    assert sol.dual[0] > 0 and sol.dual[2] == 0.0
+    assert sol.value == _certificate(problem, sol.dual)
+    free = LpProblem([1.0, 1.0], [[1.0, 0.0]], [1.0])
+    assert solve_packing(free).status == "unbounded"
+    nothing = solve_packing(LpProblem([0.0, 0.0], [[1.0, 1.0]], [1.0]))
+    assert (nothing.status, nothing.value) == ("optimal", 0.0)
+    with pytest.raises(ValueError, match="A >= 0"):
+        solve_packing(LpProblem([1.0], [[-1.0]], [1.0]))
+
+
+def test_solve_packing_regularizes_a_singular_normal_matrix():
+    """Two equal columns: near the optimum the diagonal of M drowns in rounding
+    and M turns singular; a ridge lets the solve reach the target gap."""
+    sol = solve_packing(LpProblem([1.0, 1.0], [[2.0, 2.0], [1.0, 1.0]], [1.0, 2.0]))
+    assert 0.5 <= sol.value <= 0.5 * (1 + 1e-11)
+
+
+def test_ub_fa_zero_weights(monkeypatch):
+    """Presolve fixes zero-weight edges at 0; a market of zero weights has
+    UB_FA 0.0."""
+    from tsa.bounds import ub_fa
+
+    assert ub_fa(Instance(1, 1, (MNL((0.0,)),), (MNL((0.0,)),))) == 0.0
+    assert ub_fa(Instance(2, 3, (MNL((0.0,) * 3),) * 2, (MNL((0.0,) * 2),) * 3)) == 0.0
+    v, w = V2.copy(), W2.copy()
+    v[0, 1] = w[0, 1] = 0.0  # edges (0, 1) and (1, 0)
+    problem = _ub_fa_lp(monkeypatch, Instance(2, 2, tuple(MNL(tuple(r)) for r in v),
+                                              tuple(MNL(tuple(r)) for r in w)))
+    sol, want = solve_packing(problem), solve_lp(problem)
+    assert sol.x[1] == sol.x[2] == 0.0
+    assert want.value <= sol.value <= want.value + 1e-9
+    assert sol.value == _certificate(problem, sol.dual)
+
+
+def test_solve_packing_polls_the_deadline_every_iteration(monkeypatch):
+    """A deadline that passes at the third poll stops the solve there; without
+    one it polls once an iteration."""
+    problem = _ub_fa_lp(monkeypatch, generate_random_instance(4, 4, 0))
+    polls = []
+
+    def poll():
+        polls.append(None)
+        if len(polls) == 3:
+            time.sleep(0.3)
+        check_deadline()
+
+    monkeypatch.setattr(lp, "check_deadline", poll)
+    with pytest.raises(TimeLimitError), Deadline(0.2):
+        solve_packing(problem)
+    assert len(polls) == 3
+    polls.clear()
+    assert solve_packing(problem).iterations == len(polls) > 3
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_ub_fa_agrees_with_highs(n, monkeypatch):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    from tsa.bounds import ub_fa
+
+    problem = _ub_fa_lp(monkeypatch, generate_random_instance(n, n, 0))
+    ref = linprog(-problem.c, A_ub=problem.A, b_ub=problem.b, bounds=(0, None), method="highs")
+    value = ub_fa(generate_random_instance(n, n, 0))
+    assert ref.status == 0 and abs(value + ref.fun) <= 1e-9 * value
