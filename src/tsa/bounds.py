@@ -25,8 +25,7 @@ from .errors import SizeRefusalError, UnsupportedOracleError, refuse_past
 from .exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                     opt_one_sided_static)
 from .fullystatic import approx_fully_static
-from .greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, exact_greedy_value,
-                     sampling_side_selector)
+from .greedy import GreedyOneSidedPolicy, exact_greedy_value, sampling_side_selector
 from .instances import Instance
 from .lp import LpProblem, solve_lp, solve_packing
 from .oracles import _budget_counts, _budget_masks, demand_tables, prob_rows, prob_table
@@ -344,11 +343,12 @@ def alg_one_sided_static_value(instance: Instance, seed: int = 0) -> float:
 
 def _greedy_value(instance: Instance, side: str, seed: int):
     """Greedy's value on ``side`` and its CI half-width: exact, with half-width
-    None, when the side has at most ``MAX_EXACT_SIDE`` initiators, else the
-    mean of ``_MC_RUNS`` runs on streams (seed, r)."""
-    if instance.side_size(side) <= MAX_EXACT_SIDE:
+    None, unless ``exact_greedy_value`` refuses the walk's predicted histories,
+    then the mean of ``_MC_RUNS`` runs on streams (seed, r)."""
+    try:
         return exact_greedy_value(instance, side), None
-    res = monte_carlo(instance, GreedyOneSidedPolicy(instance, side), _MC_RUNS, seed)
+    except SizeRefusalError:
+        res = monte_carlo(instance, GreedyOneSidedPolicy(instance, side), _MC_RUNS, seed)
     return res.mean, res.half_width
 
 

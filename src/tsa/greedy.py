@@ -221,8 +221,7 @@ def _display_probs(model, budget, theta: np.ndarray) -> np.ndarray:
                      [best_weighted_assortment(model, row, budget).assortment for row in theta.tolist()])
 
 
-# The largest initiating side whose greedy value is computed exactly.
-MAX_EXACT_SIDE = 8
+_MAX_HISTORIES = 1 << 24  # the most predicted histories the exact walk admits
 _BLOCK = 1024  # the most histories valued by one display call
 
 
@@ -237,11 +236,14 @@ def exact_greedy_value(instance: Instance, side: str, order: Optional[Sequence[i
     backlog masks, and no two share one; they are expanded depth first in
     blocks of at most ``_BLOCK`` rows, and the deadline is polled once per
     block.  A pick of probability 0, or an outside option of at most 1e-15,
-    starts no child history."""
-    ninit = instance.side_size(side)
-    refuse_past("exact greedy evaluation", ninit, MAX_EXACT_SIDE, "initiators")
+    starts no child history.  The walk is refused (``SizeRefusalError``),
+    before any table is built, when its predicted histories, the sum over
+    t < initiators of (responders + 1)^t, exceed ``_MAX_HISTORIES`` = 2^24:
+    8x8 and 8x9 are walked, 8x10 and 9x9 refused."""
     policy = GreedyOneSidedPolicy(instance, side, order)
-    nresp = instance.side_size(policy.resp_side)
+    ninit, nresp = instance.side_size(side), instance.side_size(policy.resp_side)
+    histories = sum((nresp + 1) ** t for t in range(ninit))
+    refuse_past("exact greedy evaluation", histories, _MAX_HISTORIES, "histories")
     if ninit == 0 or nresp == 0:
         return 0.0
     F = demand_tables(instance, side)
@@ -306,5 +308,5 @@ def cointoss_fully_adaptive(instance: Instance, seed: int = 0) -> CommittedPolic
 
 def cointoss_exact_value(instance: Instance) -> float:
     """Exact expected value of the coin-toss policy: the average of the two
-    sides' exact greedy values."""
+    sides' exact greedy values, refused where either side's walk is."""
     return 0.5 * (exact_greedy_value(instance, "C") + exact_greedy_value(instance, "S"))

@@ -412,8 +412,14 @@ def _model_from_dict(d: dict, where: str) -> ChoiceSpec:
                 _check_fields(row, {"assortment", "probs"}, at)
                 probs = {k: _number(p, f"{at}.probs.{k}") for k, p in dict(row["probs"]).items()}
                 outside = probs.pop("outside", 0.0)
-                s = frozenset(_integer(j, f"{at}.assortment") for j in row["assortment"])
-                rows[s] = ({int(k): p for k, p in probs.items()}, outside)
+                s = _ids(row["assortment"], f"{at}.assortment")
+                if s in rows:
+                    raise ParseError(f"{at}: assortment {sorted(s)} repeats rows[{list(rows).index(s)}]")
+                ids = {str(j): j for j in s}  # a key is an offered id's decimal form
+                bad = sorted(map(json.dumps, probs.keys() - ids.keys()))
+                if bad:
+                    raise ParseError(f"{at}.probs: key {bad[0]} names no option of {sorted(s)}")
+                rows[s] = ({ids[k]: p for k, p in probs.items()}, outside)
             return Tabular(_integer(d["num_options"], f"{where}.num_options"), rows)
         if kind == "mixture":
             _check_fields(d, {"kind", "components", "arrival_probs"}, where)
@@ -422,8 +428,7 @@ def _model_from_dict(d: dict, where: str) -> ChoiceSpec:
                                         for k, p in enumerate(d["arrival_probs"])))
         if kind == "uniform_no_outside":
             _check_fields(d, {"kind", "num_options", "support"}, where, optional={"support"})
-            supp = (tuple(_integer(j, f"{where}.support") for j in d["support"])
-                    if "support" in d else None)
+            supp = _ids(d["support"], f"{where}.support") if "support" in d else None
             return UniformNoOutside(_integer(d["num_options"], f"{where}.num_options"), support=supp)
         if kind == "beta_uniform":
             _check_fields(d, {"kind", "num_options"}, where)
@@ -443,6 +448,14 @@ def _integer(x, where: str, types=int, what="an integer"):
 
 def _number(x, where: str):
     return _integer(x, where, (int, float), "a number")
+
+
+def _ids(values, where: str) -> frozenset:
+    """Option ids, each a JSON integer listed once: a repeat is refused, not merged."""
+    ids = [_integer(j, where) for j in values]
+    if len(set(ids)) < len(ids):
+        raise ParseError(f"{where}: lists an option id twice in {json.dumps(ids)}")
+    return frozenset(ids)
 
 
 def _check_fields(d: dict, allowed: set, where: str, optional: set = frozenset()):

@@ -7,7 +7,7 @@ order of floating-point sums."""
 from typing import Optional, Sequence
 
 from tsa.errors import SizeRefusalError
-from tsa.greedy import MAX_EXACT_SIDE
+from tsa.greedy import _MAX_HISTORIES
 from tsa.instances import Instance
 from tsa.oracles import best_weighted_assortment, demand_table
 from tsa.util import check_deadline
@@ -16,12 +16,17 @@ from tsa.util import check_deadline
 def recursive_greedy_value(instance: Instance, side: str, order: Optional[Sequence[int]] = None) -> float:
     """Exact expected matches of greedy on ``side`` by expanding the initiating
     side's choice tree; responders contribute their backlog demand in closed form.
-    The deadline is polled once per state valued."""
+    The deadline is polled once per state valued.  Refused, like the block
+    walk, when the tree's predicted histories, one per node above the leaves,
+    exceed ``_MAX_HISTORIES``."""
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     nresp = instance.side_size(resp_side)
-    if ninit > MAX_EXACT_SIDE:
-        raise SizeRefusalError(f"exact greedy evaluation refuses initiating side {ninit} > {MAX_EXACT_SIDE}")
+    # Depth t of the tree has at most (nresp + 1)^t nodes: each earlier
+    # initiator picked one of nresp responders or none.
+    histories = sum((nresp + 1) ** t for t in range(ninit))
+    if histories > _MAX_HISTORIES:
+        raise SizeRefusalError(f"exact greedy evaluation refuses {histories} histories > {_MAX_HISTORIES}")
     if ninit == 0 or nresp == 0:
         return 0.0
     order = list(order) if order is not None else list(range(ninit))

@@ -14,7 +14,7 @@ from tsa.bounds import (QUANTITY_ORDER, VERDICT_ORDER, _block_oracle, _ub_oa_ori
 from tsa.errors import SizeRefusalError, TimeLimitError, UnsupportedOracleError
 from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                        opt_one_sided_static)
-from tsa.greedy import MAX_EXACT_SIDE, GreedyOneSidedPolicy, exact_greedy_value
+from tsa.greedy import GreedyOneSidedPolicy, exact_greedy_value
 from tsa.instances import (MNL, CardinalityProfile, Instance, generate_random_instance,
                            tight_instance)
 from tsa.lp import LpProblem, maximize_concave, solve_lp
@@ -211,8 +211,9 @@ def test_gap_report_5x5_has_every_verdict():
 
 
 def _count_greedy_values(monkeypatch):
-    """Counts of exact greedy values and of the algorithm values' 10,000-run
-    Monte Carlo estimates, wherever the report looks either up."""
+    """Counts of exact greedy values returned (a refused walk is not one) and
+    of the algorithm values' 10,000-run Monte Carlo estimates, wherever the
+    report looks either up."""
     import tsa.bounds
     import tsa.greedy
 
@@ -220,8 +221,9 @@ def _count_greedy_values(monkeypatch):
     exact, mc = tsa.greedy.exact_greedy_value, tsa.bounds.monte_carlo
 
     def counted_exact(*args, **kwargs):
+        value = exact(*args, **kwargs)
         counts["exact"] += 1
-        return exact(*args, **kwargs)
+        return value
 
     def counted_mc(instance, policy, runs, *args, **kwargs):
         counts["estimates"] += runs == tsa.bounds._MC_RUNS
@@ -242,12 +244,16 @@ def _count_greedy_values(monkeypatch):
     pytest.param(10, 10, 31, 0, 2, "C", id="10-31-estimates-C"),
     pytest.param(4, 12, 0, 1, 2, "S", id="4x12-0-none-S"),
     pytest.param(12, 4, 0, 1, 1, "C", id="12x4-0-estimates-C"),
+    pytest.param(8, 20, 0, 0, 3, "S", id="8x20-0-none-S"),
+    pytest.param(9, 2, 0, 2, 0, "C", id="9x2-0-exact-C"),
 ])
 def test_gap_report_values_each_greedy_once(monkeypatch, n, m, seed, exact, estimates, side):
-    """ALG_FA averages greedy's value over both sides: exact on a side of at
-    most ``MAX_EXACT_SIDE`` initiators, else sampled on streams (seed + k, r),
-    k the side's index.  It reuses ALG_OA's value for the side they share
-    where that is the same number, and equals its value computed afresh."""
+    """ALG_FA averages greedy's value over both sides: exact unless
+    ``exact_greedy_value`` refuses the side's predicted histories, then
+    sampled on streams (seed + k, r), k the side's index.  It reuses ALG_OA's
+    value for the side they share where that is the same number, and equals
+    its value computed afresh.  8x20's side C (1.9e9 histories) is sampled
+    and 9x2's (9,841) exact, though it has 9 initiators."""
     from tsa.bounds import _MC_RUNS, alg_fully_adaptive_value, alg_one_sided_adaptive_value
 
     inst = generate_random_instance(n, m, seed)
@@ -258,9 +264,12 @@ def test_gap_report_values_each_greedy_once(monkeypatch, n, m, seed, exact, esti
     assert meta["side"] == side
     assert rep.quantities["ALG_OA"] == oa
     assert rep.quantities["ALG_FA"] == alg_fully_adaptive_value(inst, seed)
-    greedy = [exact_greedy_value(inst, s) if inst.side_size(s) <= MAX_EXACT_SIDE else
-              monte_carlo(inst, GreedyOneSidedPolicy(inst, s), _MC_RUNS, seed + k).mean
-              for k, s in enumerate(("C", "S"))]
+    greedy = []
+    for k, s in enumerate(("C", "S")):
+        try:
+            greedy.append(exact_greedy_value(inst, s))
+        except SizeRefusalError:
+            greedy.append(monte_carlo(inst, GreedyOneSidedPolicy(inst, s), _MC_RUNS, seed + k).mean)
     assert rep.quantities["ALG_FA"] == 0.5 * (greedy[0] + greedy[1])
 
 

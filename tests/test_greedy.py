@@ -11,8 +11,8 @@ from conftest import independent_model, nonmonotone_market
 from greedy_reference import recursive_greedy_value
 from helpers import Draws, exact_value_deterministic_adaptive, phi_min, sample_count, stream_uniforms
 from tsa.exact import opt_fully_adaptive, opt_one_sided_adaptive
-from tsa.greedy import (MAX_EXACT_SIDE, GreedyOneSidedPolicy, cointoss_exact_value,
-                        cointoss_fully_adaptive, exact_greedy_value, sampling_side_selector)
+from tsa.greedy import (GreedyOneSidedPolicy, cointoss_exact_value, cointoss_fully_adaptive,
+                        exact_greedy_value, sampling_side_selector)
 from tsa.bounds import _SELECTOR_RUNS, alg_one_sided_adaptive_value
 from tsa.errors import SizeRefusalError, TimeLimitError
 from tsa.instances import (MNL, CardinalityProfile, Instance, Mixture,
@@ -296,9 +296,10 @@ def test_batched_monte_carlo_stops_within_a_chunk():
 
 
 def test_exact_greedy_evaluators_stop_at_deadline():
-    # Side C's walk takes about 2 s, far past the limit, and the selector
-    # commits to side C, so all three evaluators reach it.
-    inst = generate_random_instance(8, 16, seed=4)
+    # Side C's walk (7,174,453 predicted histories) takes about 0.35 s, far
+    # past the limit, and the selector commits to side C, so all three
+    # evaluators reach it.
+    inst = generate_random_instance(15, 2, seed=2)
     assert sampling_side_selector(inst, _SELECTOR_RUNS).metadata["side"] == "C"
     for value in (lambda: exact_greedy_value(inst, "C"),
                   lambda: cointoss_exact_value(inst),
@@ -328,7 +329,7 @@ def test_exact_greedy_value_leaves_no_cyclic_garbage():
 def _greedy_corpus():
     """Random markets under four budget profiles, the tight constructions and
     a market with a Mixture agent on each side, which take the scalar display."""
-    for n, m in [(k, k) for k in range(1, 8)] + [(2, 5), (5, 2), (3, 9)]:
+    for n, m in [(k, k) for k in range(1, 8)] + [(2, 5), (5, 2), (3, 9), (2, 25)]:
         base = generate_random_instance(n, m, seed=n * 10 + m)
         for kc, ks in ((None, None), (2, 2), (1, None), (1, 3)):
             yield Instance(n, m, base.customer_models, base.supplier_models, (kc,) * n, (ks,) * m)
@@ -342,25 +343,47 @@ def _greedy_corpus():
 
 def test_exact_greedy_value_matches_recursion():
     """The block walk against the recursion it replaced
-    (tests/greedy_reference.py), on both sides in shuffled orders; sides
-    above ``MAX_EXACT_SIDE`` are refused by both."""
+    (tests/greedy_reference.py), on both sides in shuffled orders.  Both
+    refuse a side by the same predicted history count: 3x9's side S (87,381
+    histories) is valued, 2x25's (423,644,304,721) refused, under every
+    budget profile."""
     rng = np.random.default_rng(16)
+    refused = []
     for inst in _greedy_corpus():
         for side in ("C", "S"):
             order = [int(a) for a in rng.permutation(inst.side_size(side))]
-            if len(order) > MAX_EXACT_SIDE:
-                for value in (exact_greedy_value, recursive_greedy_value):
-                    with pytest.raises(SizeRefusalError):
-                        value(inst, side, order)
+            try:
+                expected = recursive_greedy_value(inst, side, order)
+            except SizeRefusalError as exc:
+                with pytest.raises(SizeRefusalError) as walk:
+                    exact_greedy_value(inst, side, order)
+                assert str(walk.value) == str(exc)
+                refused.append((inst.n, inst.m, side))
                 continue
-            expected = recursive_greedy_value(inst, side, order)
             assert exact_greedy_value(inst, side, order) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert refused == [(2, 25, "S")] * 4
+
+
+def test_exact_greedy_value_refuses_predicted_histories(monkeypatch):
+    """The walk is refused by its predicted histories, the sum over t below
+    the initiator count of (responders + 1)^t, before any demand table is
+    built: 8x10's side C (21,435,888) is past 2^24, 8x9's (11,111,111) is not."""
+    import tsa.greedy
+
+    def no_tables(instance, side):
+        raise LookupError("demand tables built")
+
+    monkeypatch.setattr(tsa.greedy, "demand_tables", no_tables)
+    with pytest.raises(SizeRefusalError, match="^exact greedy evaluation refuses 21435888 histories > 16777216$"):
+        exact_greedy_value(generate_random_instance(8, 10, seed=0), "C")
+    with pytest.raises(LookupError, match="demand tables built"):
+        exact_greedy_value(generate_random_instance(8, 9, seed=0), "C")
 
 
 def test_exact_greedy_value_walks_in_blocks():
-    """Histories are valued a block at a time: the walk peaks near 3 MB on a
-    random 8x12 market, where one layer of histories would take hundreds."""
-    inst = generate_random_instance(8, 12, seed=0)
+    """Histories are valued a block at a time: the walk peaks near 2 MB on a
+    random 8x9 market, where its last layer alone could hold 10^7 histories."""
+    inst = generate_random_instance(8, 9, seed=0)
     tracemalloc.start()
     try:
         exact_greedy_value(inst, "C")

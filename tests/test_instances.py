@@ -290,6 +290,42 @@ def test_solve_exits_2_on_uncoerced_fields(tmp_path, capsys, keys, value, field)
     assert f"{field}: expected" in capsys.readouterr().err
 
 
+def _tabular(*rows):
+    return {"kind": "tabular", "num_options": 2,
+            "rows": [{"assortment": a, "probs": p} for a, p in rows]}
+
+
+# (customer model, the error): a model that lists a row, an option key or an
+# id twice, where keeping either copy would load a different model.
+MERGED_MODELS = [
+    (_tabular(([0, 1], {"0": 0.2, "1": 0.3, "outside": 0.5}), ([1, 0], {"0": 0.5, "1": 0.5, "outside": 0.0})),
+     "customers[0].rows[1]: assortment [0, 1] repeats rows[0]"),
+    (_tabular(([0], {"0": 0.6, "outside": 0.4}), ([0, 0], {"0": 0.1, "outside": 0.9})),
+     "customers[0].rows[1].assortment: lists an option id twice in [0, 0]"),
+    (_tabular(([0, 1], {"0": 0.2, "1": 0.3, " +01": 0.3, "outside": 0.5})),
+     'customers[0].rows[0].probs: key " +01" names no option of [0, 1]'),
+    (_tabular(([0, 1], {"0": 0.5, "01": 0.1, "outside": 0.4})),
+     'customers[0].rows[0].probs: key "01" names no option of [0, 1]'),
+    ({"kind": "uniform_no_outside", "num_options": 2, "support": [1, 1]},
+     "customers[0].support: lists an option id twice in [1, 1]"),
+]
+
+
+@pytest.mark.parametrize("model, error", MERGED_MODELS)
+def test_load_refuses_repeated_rows_keys_and_ids(tmp_path, capsys, model, error):
+    """A repeated tabular row, a probs key other than an offered option id's
+    decimal form, or a support id listed twice is refused, naming the row or
+    field, not merged."""
+    d = {"n": 1, "m": 2, "customers": [model], "k_customer": [None], "k_supplier": [None, None],
+         "suppliers": [{"kind": "mnl", "weights": [1.0]}, {"kind": "mnl", "weights": [2.0]}]}
+    with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+        instance_from_dict(d)
+    path = tmp_path / "merged.json"
+    path.write_text(json.dumps(d))
+    assert main(["solve", "--instance", str(path), "--what", "os"]) == 2
+    assert error in capsys.readouterr().err
+
+
 def test_load_reports_malformed_json_position(tmp_path):
     path = tmp_path / "mangled.json"
     path.write_text('{"n": 1,,}')
