@@ -6,10 +6,13 @@ through flow-consistency rows; its optimum upper-bounds the one-sided
 adaptive optimum.  UB_OA is a concave program solved by block-wise pairwise
 Frank-Wolfe whose linear oracle is closed form: the load polytope is a product
 of MNL blocks, each block's LP is solved by its best revenue-ordered prefix, and
-each block keeps an active set of such prefixes to step away from.  UB_FA is a
-packing LP, solved by the interior point ``lp.solve_packing``; the bound it
-reports is the dual certificate b.y / min_j (A^T y)_j, valid for any y >= 0.
-Both need MNL weights.
+each block keeps an active set of such prefixes to step away from.  Its two
+orientations advance in turn, and one whose running certificate falls below the
+other's best value is stopped: its final bound could only be lower, so the max
+is the same float as when both run to the end.  UB_FA is a packing LP, solved
+by the interior point ``lp.solve_packing``; the bound it reports is the dual
+certificate b.y / min_j (A^T y)_j, valid for any y >= 0.  Both need MNL
+weights.
 """
 
 from __future__ import annotations
@@ -140,19 +143,21 @@ def _line_search(z: np.ndarray, zd: np.ndarray) -> float:
 
     The function is concave in t, so its slope sum_j zd_j/(1 + z_j + t zd_j)^2
     decreases; Newton on the slope, kept inside a bisection bracket."""
-    if (zd / (1.0 + z + zd) ** 2).sum() >= 0.0:
+    # np.add.reduce is ndarray.sum without its Python wrapper: the same sums.
+    base, sq, total = 1.0 + z, zd * zd, np.add.reduce
+    if total(zd / (base + zd) ** 2) >= 0.0:
         return 1.0
     lo, hi, t = 0.0, 1.0, 0.0
     for _ in range(60):
-        d = 1.0 + z + t * zd
-        slope = (zd / d ** 2).sum()
+        d = base + t * zd
+        slope = total(zd / d ** 2)
         if slope > 0.0:
             lo = t
         elif slope < 0.0:
             hi = t
         else:
             return t
-        nxt = t + slope / (2.0 * (zd * zd / d ** 3).sum())
+        nxt = t + slope / (2.0 * total(sq / d ** 3))
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - t) <= 1e-15:
@@ -178,8 +183,10 @@ def _move_weight(block: dict, key: bytes, image: np.ndarray, t: float, away=None
 
 
 def _ub_oa_oriented(v: np.ndarray, w: np.ndarray):
-    """(certified bound, iterations, final gap) on the oriented concave program
-    max f = sum_j z_j/(1+z_j), z_j = sum_i v_ij w_ji y_ij, over the load polytope.
+    """Stepper of the oriented concave program max f = sum_j z_j/(1+z_j),
+    z_j = sum_i v_ij w_ji y_ij, over the load polytope: it yields the running
+    (certificate, best value) before each step and returns (certified bound,
+    iterations, final gap) when it stops.
 
     Block-wise pairwise Frank-Wolfe from y = 0, kept in load space: the
     gradient in y is v_ij w_ji / (1+z_j)^2, and each initiator block i holds an
@@ -214,6 +221,7 @@ def _ub_oa_oriented(v: np.ndarray, w: np.ndarray):
         best = max(best, fz)
         if gap <= 1e-6:
             break
+        yield certified, best
         keys = [row.tobytes() for row in s > 0]
         t = _line_search(z, zd)
         z = z + t * zd
@@ -240,9 +248,26 @@ def _ub_oa_oriented(v: np.ndarray, w: np.ndarray):
 
 
 def ub_oa(instance: Instance) -> float:
-    """Upper bound on the one-sided adaptive optimum: max of both orientations."""
+    """Upper bound on the one-sided adaptive optimum: max of both orientations.
+
+    The two steppers advance in turn, one iteration each.  One whose
+    certificate falls more than 1e-9 below the other's best value is stopped:
+    its final bound is at most that certificate (up to rounding near 1e-15) and
+    the other's is at least its best, so the max is the survivor's final bound,
+    the float both full runs give."""
     v, w = instance.require_mnl_weights("this bound")
-    return max(_ub_oa_oriented(v, w)[0], _ub_oa_oriented(w, v)[0])
+    runs = {0: _ub_oa_oriented(v, w), 1: _ub_oa_oriented(w, v)}
+    floor = [0.0, 0.0]  # each run's best value so far, then its final bound
+    while runs:
+        for k in list(runs):
+            try:
+                certified, floor[k] = next(runs[k])
+                if certified >= floor[1 - k] - 1e-9:
+                    continue
+            except StopIteration as stop:
+                floor[k] = stop.value[0]
+            del runs[k]
+    return max(floor)
 
 
 def ub_fa(instance: Instance) -> float:

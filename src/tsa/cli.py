@@ -23,8 +23,8 @@ from .bounds import _SELECTOR_RUNS, QUANTITIES, gap_report, reports_to_csv
 from .errors import ParseError, SizeRefusalError, TimeLimitError, UnsupportedOracleError
 from .greedy import GreedyOneSidedPolicy, cointoss_fully_adaptive, sampling_side_selector
 from .instances import (CardinalityProfile, _integer, _number, generate_random_instance,
-                        instance_from_dict, instance_to_dict, load_instance, save_instance,
-                        tight_instance)
+                        instance_from_dict, instance_to_dict, load_instance, load_json,
+                        save_instance, tight_instance)
 from .policies import dump_trace, monte_carlo, simulate_once
 from .util import Deadline
 
@@ -82,8 +82,7 @@ def _check_config_field(key, val, where):
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = load_json(args.config)
         if not isinstance(data, dict):
             raise ParseError(f"{args.config}: expected a JSON object")
         # A field is known where the subcommand has its flag (generate has no

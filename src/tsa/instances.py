@@ -501,10 +501,26 @@ def save_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
-def load_instance(path) -> Instance:
+def _unique_keys(pairs) -> dict:
+    d = {}
+    for key, val in pairs:
+        if key in d:
+            raise ParseError(f"key {json.dumps(key)} repeats in one object")
+        d[key] = val
+    return d
+
+
+def load_json(path):
+    """The JSON value in file ``path``.  A key listed twice in one object is
+    refused, not overwritten (``json.load`` keeps the last copy)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            d = json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    return instance_from_dict(d)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+
+def load_instance(path) -> Instance:
+    return instance_from_dict(load_json(path))

@@ -20,7 +20,7 @@ from tsa.instances import (MNL, CardinalityProfile, Instance, generate_random_in
 from tsa.lp import LpProblem, maximize_concave, solve_lp
 from tsa.policies import exact_value_one_sided_static, monte_carlo
 from tsa.util import Deadline
-from ub_oa_reference import plain_fw_ub_oa_oriented
+from ub_oa_reference import plain_fw_ub_oa_oriented, run_to_end
 
 E_RATIO = math.e / (math.e - 1.0)
 
@@ -152,6 +152,54 @@ def test_ub_oa_upper_bounds_opt():
         oa = max(opt_one_sided_adaptive(inst, "C").value,
                  opt_one_sided_adaptive(inst, "S").value)
         assert ub_oa(inst) >= oa - 1e-6
+
+
+def _mnl_market(v, w):
+    return Instance(len(v), len(w), tuple(MNL(tuple(r)) for r in v), tuple(MNL(tuple(r)) for r in w))
+
+
+def _stopping_markets():
+    """Random shapes from 1x1 to 12x12 with 1xk and kx1, then markets whose
+    suppliers mirror their customers (w = v, so both orientations are one
+    program and tie), identical agents, and weights that are zero in part or
+    in full."""
+    for n, m, seeds in ((1, 1, 3), (1, 9, 3), (9, 1, 3), (2, 5, 3), (5, 2, 3), (3, 3, 6),
+                        (4, 4, 6), (6, 10, 2), (10, 6, 2), (12, 12, 2)):
+        for seed in range(seeds):
+            yield generate_random_instance(n, m, seed=seed)
+    rng = np.random.default_rng(36)
+    for n, m in ((1, 1), (3, 3), (5, 5), (2, 6), (6, 2)):
+        v = rng.uniform(0.1, 2.0, (n, m))
+        if n == m:
+            yield _mnl_market(v, v)
+        yield _mnl_market(np.full((n, m), v[0, 0]), np.full((m, n), v[-1, -1]))
+        yield _mnl_market(v * (rng.random((n, m)) < 0.5), rng.uniform(0.1, 2.0, (m, n)))
+        yield _mnl_market(v, np.zeros((m, n)))
+
+
+def test_ub_oa_equals_the_max_of_both_full_runs():
+    """Stopping the orientation that cannot hold the max keeps the float the
+    two full runs give, bit for bit."""
+    for inst in _stopping_markets():
+        v, w = inst.mnl_weights()
+        full = max(run_to_end(_ub_oa_oriented(v, w))[0], run_to_end(_ub_oa_oriented(w, v))[0])
+        assert ub_oa(inst) == full, (inst.n, inst.m, v.tolist(), w.tolist())
+
+
+def test_ub_oa_stops_the_losing_orientation(monkeypatch):
+    """ub_oa polls the deadline once an iteration: on 12x12 it makes fewer
+    iterations than the two full runs together, while a market whose
+    orientations tie (w = v) runs both to the end."""
+    polls = []
+    monkeypatch.setattr(tsa.bounds, "check_deadline", lambda: polls.append(1))
+    tie = np.random.default_rng(7).uniform(0.1, 2.0, (6, 6))
+    for inst, stops in [(generate_random_instance(12, 12, seed=s), True) for s in range(2)] + \
+            [(_mnl_market(tie, tie), False)]:
+        v, w = inst.mnl_weights()
+        full = run_to_end(_ub_oa_oriented(v, w))[1] + run_to_end(_ub_oa_oriented(w, v))[1]
+        polls.clear()
+        ub_oa(inst)
+        assert (len(polls) < full) if stops else (len(polls) == full), (len(polls), full)
 
 
 def test_ub_fa_examples(unit_1x1):
@@ -365,7 +413,7 @@ def test_ub_oa_converges_and_is_no_looser_than_plain_frank_wolfe(n, seeds):
         inst = generate_random_instance(n, n, seed=seed)
         v, w = inst.mnl_weights()
         for a, b in ((v, w), (w, v)):
-            bound, iterations, gap = _ub_oa_oriented(a, b)
+            bound, iterations, gap = run_to_end(_ub_oa_oriented(a, b))
             assert gap <= 1e-6 and iterations < 1000, (n, seed)
             assert bound <= plain_fw_ub_oa_oriented(a, b, 1000)[0] + 1e-6, (n, seed)
         if n <= 4:

@@ -105,6 +105,15 @@ def test_config_error_exit_code(tmp_path):
     assert run(["generate", "--config", str(unknown), "--out", str(tmp_path)]) == 2
 
 
+def test_config_file_repeating_a_key_exits_2(tmp_path, capsys):
+    """A config key listed twice is refused by name, not read as its last copy."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sizes": [[2, 2]], "seeds": 1, "seeds": 2}')
+    assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert 'key "seeds" repeats in one object' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field", [
     {"seeds": "3"}, {"seed": "a"}, {"jobs": "2"}, {"jobs": 1.5}, {"time_limit": "5"},
     {"out": 5}, {"sizes": [[2, 2.5]]}, {"seeds": True}, {"time_limit": True}, [],

@@ -326,6 +326,21 @@ def test_load_refuses_repeated_rows_keys_and_ids(tmp_path, capsys, model, error)
     assert error in capsys.readouterr().err
 
 
+def test_load_refuses_a_key_repeated_in_one_object(tmp_path, capsys):
+    """Plain ``json.load`` keeps the last of two equal keys, which loaded this
+    row as 0.6/0.4 and solved it; the loader names the key instead."""
+    path = tmp_path / "repeated.json"
+    path.write_text('{"n": 1, "m": 1, "k_customer": [null], "k_supplier": [null],'
+                    ' "customers": [{"kind": "tabular", "num_options": 1, "rows": ['
+                    '{"assortment": [], "probs": {"outside": 1.0}},'
+                    ' {"assortment": [0], "probs": {"0": 0.9, "0": 0.6, "outside": 0.4}}]}],'
+                    ' "suppliers": [{"kind": "mnl", "weights": [1.0]}]}')
+    with pytest.raises(ParseError, match=f'^{re.escape(str(path))}: key "0" repeats in one object$'):
+        load_instance(path)
+    assert main(["solve", "--instance", str(path), "--what", "os"]) == 2
+    assert 'key "0" repeats' in capsys.readouterr().err
+
+
 def test_load_reports_malformed_json_position(tmp_path):
     path = tmp_path / "mangled.json"
     path.write_text('{"n": 1,,}')

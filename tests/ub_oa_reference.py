@@ -2,11 +2,22 @@
 oracle, line search and certificate as ``tsa.bounds._ub_oa_oriented``, which
 adds away and pairwise steps.  Both certificates are valid upper bounds, so the
 reference checks how tight the new bound is and that the two never disagree by
-more than the gap either one reached."""
+more than the gap either one reached.  ``run_to_end`` runs one orientation's
+stepper to completion, the run ``ub_oa`` may stop early."""
 
 import numpy as np
 
 from tsa.bounds import _block_oracle, _line_search
+
+
+def run_to_end(stepper):
+    """What an ``_ub_oa_oriented`` stepper returns once it stops by itself:
+    (certified bound, iterations, final gap)."""
+    while True:
+        try:
+            next(stepper)
+        except StopIteration as stop:
+            return stop.value
 
 
 def plain_fw_ub_oa_oriented(v: np.ndarray, w: np.ndarray, iters: int = 1000):
