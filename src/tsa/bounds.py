@@ -60,8 +60,12 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C") -> RelaxationSol
 
     Columns lam[j, C] (responder j, initiator subset C), then tau[i, S]
     (initiator i, assortment S within its budget), masks ascending per agent.
-    Equality rows: each lam[j] and each tau[i] sums to 1, then per (i, j),
-    i-major, sum_{C ∋ i} lam[j, C] = sum_{S ∋ j} phi_i(j, S) tau[i, S]."""
+    Rows: each lam[j] and each tau[i] sums to at most 1, then per (i, j),
+    i-major, the equality sum_{C ∋ i} lam[j, C] = sum_{S ∋ j} phi_i(j, S) tau[i, S]
+    as a pair of rows with right-hand side 0, so the origin is feasible.  The
+    sums lose nothing to ``<= 1``: lam[j, {}] and tau[i, {}] earn 0 and enter no
+    flow row, so a row's slack moves onto them at no cost, and each is read
+    back as 1 minus the rest of its agent's distribution."""
     ninit = instance.side_size(side)
     resp_side = "S" if side == "C" else "C"
     nresp = instance.side_size(resp_side)
@@ -80,25 +84,27 @@ def lp_relaxation_onesided(instance: Instance, side: str = "C") -> RelaxationSol
     tau_i, tau_s = np.repeat(np.arange(ninit), [len(s) for s in masks]), np.concatenate(masks)
     nl, nt = lam_j.size, tau_i.size
     i, j = np.arange(ninit)[:, None, None], np.arange(nresp)[:, None]
-    lam = np.concatenate([lam_j == j, np.zeros((ninit, nl)),
-                          ((lam_j == j) & (lam_c >> i & 1 == 1)).reshape(-1, nl)])
-    tau = np.concatenate([np.zeros((nresp, nt)), tau_i == i[:, 0],
-                          np.where((tau_i == i) & (tau_s >> j & 1 == 1), -phi.T,
-                                   0.0).reshape(-1, nt)])
-    problem = LpProblem(np.concatenate([f.ravel(), np.zeros(nt)]), np.zeros((0, nl + nt)), np.zeros(0))
-    problem.add_equality(np.hstack([lam, tau]), np.repeat([1.0, 0.0], [nresp + ninit, ninit * nresp]))
+    sums = np.block([[lam_j == j, np.zeros((nresp, nt))], [np.zeros((ninit, nl)), tau_i == i[:, 0]]])
+    flow = np.hstack([((lam_j == j) & (lam_c >> i & 1 == 1)).reshape(-1, nl),
+                      np.where((tau_i == i) & (tau_s >> j & 1 == 1), -phi.T, 0.0).reshape(-1, nt)])
+    problem = LpProblem(np.concatenate([f.ravel(), np.zeros(nt)]), sums, np.ones(nresp + ninit))
+    problem.add_equality(flow, np.zeros(ninit * nresp))
 
     sol = solve_lp(problem)
     if sol.status != "optimal":
         raise RuntimeError(f"relaxation LP came back {sol.status}")
+    # The empty sets, one per sum row in row order, take what their rows leave.
+    x, empty = sol.x.copy(), np.flatnonzero(np.concatenate([lam_c, tau_s]) == 0)
+    x[empty] = 0.0
+    x[empty] = 1.0 - sums @ x
 
     def support(agents, masks, x, width):
         keep = x > 1e-12
         return {(a, frozenset(b for b in range(width) if mask >> b & 1)): p
                 for a, mask, p in zip(agents[keep].tolist(), masks[keep].tolist(), x[keep].tolist())}
 
-    return RelaxationSolution(side, support(lam_j, lam_c, sol.x[:nl], ninit),
-                              support(tau_i, tau_s, sol.x[nl:], nresp), float(sol.value))
+    return RelaxationSolution(side, support(lam_j, lam_c, x[:nl], ninit),
+                              support(tau_i, tau_s, x[nl:], nresp), float(sol.value))
 
 
 def independent_objective_from_tau(instance: Instance, relax: RelaxationSolution) -> float:

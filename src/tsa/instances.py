@@ -301,11 +301,6 @@ class Instance:
             raise UnsupportedOracleError(f"{what} requires MNL models on both sides")
         return mw
 
-    def transpose(self) -> "Instance":
-        """Swap sides: suppliers become customers and vice versa."""
-        return Instance(self.m, self.n, self.supplier_models, self.customer_models,
-                        self.k_supplier, self.k_customer)
-
 
 # ---------------------------------------------------------------------------
 # Generators

@@ -1,16 +1,19 @@
 """Dense linear programming and concave maximization, self-contained.
 
-``solve_lp`` maximizes c.x subject to A x <= b, x >= 0 with a two-phase
-tableau simplex.  The tableau is dense and column-major, and a pivot updates
-only the columns where the normalized pivot row is nonzero, each one
-contiguous in memory.  The entering column has the most negative reduced cost
-(Dantzig); the leaving row comes from Bland's ratio test.  After a run of
-degenerate pivots it enters by Bland's rule until the objective improves, which
-keeps Bland's anti-cycling guarantee.  ``add_equality`` appends a
-block of equality rows, each as a <= row followed by its >= row (the row
-negated).  The simplex serves the one-sided relaxation (REL2) and the low-low
-LP, whose rounding needs its vertex; their builders make each row family in one
-array expression.  ``solve_packing`` maximizes c.x subject to A x <= b, x >= 0
+``solve_lp`` maximizes c.x subject to A x <= b, x >= 0 for b >= 0 with a
+tableau simplex from the slack basis, which b >= 0 makes feasible; it raises
+ValueError on any b < 0 and returns "optimal" or "unbounded".  The tableau is
+dense and column-major, and a pivot updates only the columns where the
+normalized pivot row is nonzero, each one contiguous in memory.  The entering
+column has the most negative reduced cost (Dantzig); the leaving row comes from
+Bland's ratio test.  After a run of degenerate pivots it enters by Bland's rule
+until the objective improves, which keeps Bland's anti-cycling guarantee.
+``add_equality`` appends a block of equality rows, each as a <= row followed by
+its >= row (the row negated); ``solve_lp`` takes them with right-hand side 0.
+The simplex serves the one-sided relaxation (REL2) and the low-low LP, whose
+rounding needs its vertex; their builders make each row family in one array
+expression, and both have b >= 0.
+``solve_packing`` maximizes c.x subject to A x <= b, x >= 0
 for A, b, c >= 0 by a primal-dual interior point (Mehrotra's predictor-corrector
 on the normal equations) and returns a dual certificate, a bound that holds
 whether or not it converged; it serves UB_FA.
@@ -30,7 +33,6 @@ import numpy as np
 from .util import check_deadline
 
 PIVOT_TOL = 1e-9
-RHS_TOL = 1e-8
 
 
 @dataclass
@@ -63,18 +65,18 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: Optional[np.ndarray] = None
     value: Optional[float] = None
     dual: Optional[np.ndarray] = None
     cs_residual: Optional[float] = None
-    pivots: int = 0  # simplex pivots over both phases
+    pivots: int = 0  # simplex pivots
     iterations: int = 0  # interior-point iterations (solve_packing)
 
 
-def _bland_enter(obj_row: np.ndarray, allowed: int) -> int:
+def _bland_enter(obj_row: np.ndarray) -> int:
     """Lowest-index column with a negative reduced cost, or -1."""
-    cols = np.flatnonzero(obj_row[:allowed] < -PIVOT_TOL)
+    cols = np.flatnonzero(obj_row < -PIVOT_TOL)
     return int(cols[0]) if cols.size else -1
 
 
@@ -122,13 +124,13 @@ def _set_objective(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
 DEGENERATE_RUN = 50
 
 
-def _dantzig_enter(obj_row: np.ndarray, allowed: int) -> int:
+def _dantzig_enter(obj_row: np.ndarray) -> int:
     """Column with the most negative reduced cost (lowest index on ties), or -1."""
-    col = int(np.argmin(obj_row[:allowed]))
+    col = int(np.argmin(obj_row))
     return col if obj_row[col] < -PIVOT_TOL else -1
 
 
-def _run(T: np.ndarray, basis: np.ndarray, allowed: int):
+def _run(T: np.ndarray, basis: np.ndarray):
     """Pivot to optimality; returns (status, pivots).  Dantzig entering, and
     Bland's after ``DEGENERATE_RUN`` pivots in a row that leave the objective
     unchanged, until one improves it.  The deadline is polled after every
@@ -136,7 +138,7 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int):
     pivots = degenerate = 0
     while True:
         enter = _bland_enter if degenerate >= DEGENERATE_RUN else _dantzig_enter
-        col = enter(T[-1], allowed)
+        col = enter(T[-1, :-1])
         if col < 0:
             return "optimal", pivots
         row = _bland_leave(T, basis, col)
@@ -150,7 +152,10 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int):
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex; returns statuses instead of raising on infeasible/unbounded."""
+    """The simplex from the slack basis, which is feasible because b >= 0.
+    Raises ValueError on any b < 0; returns "optimal" or "unbounded"."""
+    if (problem.b < 0).any():
+        raise ValueError("solve_lp needs b >= 0: it starts from the slack basis")
     nrows, ncols = problem.A.shape
     if nrows == 0:
         if (problem.c > PIVOT_TOL).any():
@@ -158,48 +163,16 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         x = np.zeros(ncols)
         return LpSolution("optimal", x, 0.0, np.zeros(0), 0.0)
 
-    A = problem.A.copy()
-    b = problem.b.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    slack = np.where(neg, -1.0, 1.0)
-
-    art = np.flatnonzero(neg)
-    total = ncols + nrows + art.size
+    total = ncols + nrows
     T = np.zeros((nrows + 1, total + 1), order="F")
-    T[:-1, :ncols] = A
-    T[:-1, ncols:ncols + nrows] = np.diag(slack)
-    basis = np.arange(ncols, ncols + nrows)
-    basis[art] = ncols + nrows + np.arange(art.size)
-    T[art, basis[art]] = 1.0
-    T[:-1, -1] = b
-
-    pivots = 0
-    if art.size:
-        cost1 = np.zeros(total)
-        cost1[ncols + nrows:] = -1.0
-        _set_objective(T, basis, cost1)
-        status, pivots = _run(T, basis, total)
-        if status != "optimal":  # -sum(artificials) <= 0 bounds phase 1
-            raise RuntimeError(f"simplex phase 1 came back {status}")
-        if T[-1, -1] < -RHS_TOL:
-            return LpSolution("infeasible", pivots=pivots)
-        # Drive leftover artificials out of the basis, each through its first
-        # usable column.  One always exists, so no row is redundant: pivots
-        # keep artificial r's column the exact negation of slack r's, so the
-        # row where r is basic holds -1 in slack r's column.
-        for i in np.flatnonzero(basis >= ncols + nrows):
-            _pivot(T, basis, i, np.flatnonzero(np.abs(T[i, :ncols + nrows]) > PIVOT_TOL)[0])
-            pivots += 1
-        T = np.delete(T, np.s_[ncols + nrows:-1], axis=1)  # stays column-major
-
-    total = T.shape[1] - 1
-    cost2 = np.zeros(total)
-    cost2[:ncols] = problem.c
-    _set_objective(T, basis, cost2)
-    status, phase2 = _run(T, basis, total)
-    pivots += phase2
+    T[:-1, :ncols] = problem.A
+    T[:-1, ncols:-1] = np.eye(nrows)
+    T[:-1, -1] = problem.b
+    basis = np.arange(ncols, total)
+    cost = np.zeros(total)
+    cost[:ncols] = problem.c
+    _set_objective(T, basis, cost)
+    status, pivots = _run(T, basis)
     if status == "unbounded":
         return LpSolution("unbounded", pivots=pivots)
 
@@ -208,7 +181,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     xsol = x[:ncols]
     value = float(problem.c @ xsol)
     # Duals are the reduced costs of the slack columns in the final tableau.
-    dual = T[-1, ncols:ncols + nrows].copy()
+    dual = T[-1, ncols:-1].copy()
     slack_residual = problem.b - problem.A @ xsol
     cs = float(abs(dual @ slack_residual)) + float(abs((dual @ problem.A - problem.c) @ xsol))
     return LpSolution("optimal", xsol, value, dual, cs, pivots)
@@ -359,15 +332,13 @@ def maximize_concave(f: Callable[[np.ndarray], float],
                      iters: int = 500,
                      gap_tol: float = 1e-6,
                      check_gradient: bool = True) -> ConcaveResult:
-    """Frank-Wolfe over {x >= 0 : A x <= b} for concave smooth f.
+    """Frank-Wolfe over {x >= 0 : A x <= b} for concave smooth f, from the
+    origin (b >= 0, as ``solve_lp`` needs).
 
     certified_upper = min_k [f(x_k) + gap_k] is a valid bound on the optimum
     because concavity gives f* <= f(x) + grad(x).(s* - x) <= f(x) + gap(x).
     """
-    start = solve_lp(LpProblem(np.zeros_like(feasible.c), feasible.A, feasible.b))
-    if start.status != "optimal":
-        return ConcaveResult("infeasible")
-    x = start.x
+    x = np.zeros_like(feasible.c)
 
     if check_gradient:
         g = grad(x)

@@ -166,6 +166,31 @@ class OneSidedStaticPolicy:
         raise ContractViolationError("all agents processed")
 
 
+def transposed(instance: Instance) -> Instance:
+    """Swap sides: suppliers become customers and vice versa."""
+    return Instance(instance.m, instance.n, instance.supplier_models, instance.customer_models,
+                    instance.k_supplier, instance.k_customer)
+
+
+def random_tabular(rng: np.random.Generator, num_options: int, alpha: float = 1.0) -> Tabular:
+    """A Tabular model with a row for every assortment, each row drawn from
+    Dirichlet(alpha) over the assortment's options and the outside option, so
+    it is neither MNL nor, in general, regular."""
+    rows = {}
+    for mask in range(1 << num_options):
+        s = [j for j in range(num_options) if mask >> j & 1]
+        p = rng.dirichlet([alpha] * (len(s) + 1))
+        rows[frozenset(s)] = ({j: float(q) for j, q in zip(s, p[:-1])}, float(p[-1]))
+    return Tabular(num_options, rows)
+
+
+def random_tabular_market(rng: np.random.Generator, alpha: float = 1.0) -> Instance:
+    """A 2x2 to 3x3 market of ``random_tabular`` models, customers first."""
+    n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    return Instance(n, m, tuple(random_tabular(rng, m, alpha) for _ in range(n)),
+                    tuple(random_tabular(rng, n, alpha) for _ in range(m)))
+
+
 def distribution_residual(relax) -> float:
     """Worst |sum - 1| over the per-agent distribution rows of a
     ``RelaxationSolution``."""

@@ -1,14 +1,20 @@
 """Test-only reference for the simplex: the two-phase tableau solve that
 ``tsa.lp.solve_lp`` ran before its pivots skipped the pivot row's zero
 columns.  The tableau is row-major and every pivot subtracts the rank-1 term
-from all of it; the entering and leaving rules are ``tsa.lp``'s own.  Status,
-pivot count, value, solution and duals must agree byte for byte."""
+from all of it; the entering and leaving rules are ``tsa.lp``'s own.  Where
+b >= 0 it runs no phase 1, and status, pivot count, value, solution and duals
+must agree byte for byte.  Phase 1 (artificial columns for the rows with
+b < 0) solves the equality form of REL2 the tests compare the relaxation
+against."""
 
 import numpy as np
 
-from tsa.lp import (DEGENERATE_RUN, PIVOT_TOL, RHS_TOL, LpProblem, LpSolution,
-                    _bland_enter, _bland_leave, _dantzig_enter)
+from tsa.lp import (DEGENERATE_RUN, PIVOT_TOL, LpProblem, LpSolution, _bland_enter,
+                    _bland_leave, _dantzig_enter)
 from tsa.util import check_deadline
+
+# Phase 1 ending below -RHS_TOL means the LP is infeasible.
+RHS_TOL = 1e-8
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -28,12 +34,12 @@ def _set_objective(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
     T[-1, :-1] -= cost
 
 
-def _run(T: np.ndarray, basis: np.ndarray, allowed: int):
+def _run(T: np.ndarray, basis: np.ndarray):
     """``tsa.lp._run`` on the reference pivot."""
     pivots = degenerate = 0
     while True:
         enter = _bland_enter if degenerate >= DEGENERATE_RUN else _dantzig_enter
-        col = enter(T[-1], allowed)
+        col = enter(T[-1, :-1])
         if col < 0:
             return "optimal", pivots
         row = _bland_leave(T, basis, col)
@@ -77,7 +83,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         cost1 = np.zeros(total)
         cost1[ncols + nrows:] = -1.0
         _set_objective(T, basis, cost1)
-        status, pivots = _run(T, basis, total)
+        status, pivots = _run(T, basis)
         if status != "optimal":  # -sum(artificials) <= 0 bounds phase 1
             raise RuntimeError(f"simplex phase 1 came back {status}")
         if T[-1, -1] < -RHS_TOL:
@@ -97,7 +103,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     cost2 = np.zeros(total)
     cost2[:ncols] = problem.c
     _set_objective(T, basis, cost2)
-    status, phase2 = _run(T, basis, total)
+    status, phase2 = _run(T, basis)
     pivots += phase2
     if status == "unbounded":
         return LpSolution("unbounded", pivots=pivots)

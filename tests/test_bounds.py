@@ -33,6 +33,30 @@ def test_relaxation_1x1(unit_1x1):
     assert distribution_residual(rel) <= 1e-8
 
 
+@pytest.mark.parametrize("profile", [CardinalityProfile(), CardinalityProfile("two-way", 2, 2)])
+def test_relaxation_reads_row_slack_back_as_the_empty_set(profile, monkeypatch):
+    """REL2's distribution rows are <= 1, and the mass a row leaves is read back
+    onto the empty set, so lam and tau still sum to 1 for every agent.  These
+    draws leave slack in some row."""
+    solved = []
+
+    def spy(problem):
+        solved.append((problem, solve_lp(problem)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(tsa.bounds, "solve_lp", spy)
+    slack = 0.0
+    for seed in range(10):
+        inst = generate_random_instance(3, 3, seed, profile)
+        for side in "CS":
+            rel = lp_relaxation_onesided(inst, side)
+            assert distribution_residual(rel) <= 1e-8
+            assert {a for a, _ in rel.lam} == {a for a, _ in rel.tau} == {0, 1, 2}
+            problem, sol = solved[-1]
+            slack = max(slack, float(np.max(problem.b[:6] - problem.A[:6] @ sol.x)))
+    assert slack > 0.1
+
+
 def test_relaxation_upper_bounds_opt_oa():
     for seed in range(20):
         inst = generate_random_instance(3, 3, seed=seed)

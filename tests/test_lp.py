@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_tabular_market
 from tsa import lp
 from tsa.errors import TimeLimitError
 from tsa.instances import MNL, CardinalityProfile, Instance, generate_random_instance
@@ -60,35 +61,32 @@ def test_low_value_1x1_lp():
 def test_statuses():
     assert solve_lp(LpProblem(np.array([1.0, 1.0]), np.zeros((0, 2)), np.zeros(0))).status == "unbounded"
     infeas = LpProblem(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
-    assert solve_lp(infeas).status == "infeasible"
+    with pytest.raises(ValueError, match="b >= 0"):
+        solve_lp(infeas)
     free = LpProblem(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0]))
     assert solve_lp(free).status == "unbounded"
 
 
 def test_equality_rows():
-    p = LpProblem(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([2.0]))
-    p.add_equality(np.array([0.0, 1.0]), 1.5)
+    # max x0 + x1  s.t.  x0 + x1 <= 2, x0 = 3 x1  ->  x = (1.5, 0.5)
+    p = LpProblem(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([2.0]))
+    p.add_equality(np.array([1.0, -3.0]), 0.0)
     sol = solve_lp(p)
-    assert sol.x[1] == pytest.approx(1.5)
-    assert sol.value == pytest.approx(0.5)
+    np.testing.assert_allclose(sol.x, [1.5, 0.5])
+    assert sol.value == pytest.approx(2.0)
+    p.add_equality(np.array([0.0, 1.0]), 0.25)  # its >= half has b = -0.25
+    with pytest.raises(ValueError, match="b >= 0"):
+        solve_lp(p)
 
 
-def test_repeated_equality_drives_every_artificial_out():
-    """An equality given once more and once doubled leaves artificials basic
-    at zero after phase 1; each pivots out, and the solution is the single
-    equality's, with duals that certify it."""
-    base = LpProblem(np.array([1.0, 2.0, 0.5]), np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]),
-                     np.array([4.0, 3.0]))
-    base.add_equality(np.array([1.0, 0.0, 1.0]), 2.0)
-    rep = LpProblem(base.c, base.A, base.b)
-    rep.add_equality(np.array([1.0, 0.0, 1.0]), 2.0)
-    rep.add_equality(np.array([2.0, 0.0, 2.0]), 4.0)
-    one, sol = solve_lp(base), solve_lp(rep)
-    assert one.status == sol.status == "optimal"
-    assert sol.value == pytest.approx(one.value) == pytest.approx(6.0)
-    np.testing.assert_allclose(sol.x, one.x, atol=1e-12)
-    assert sol.dual @ rep.b == pytest.approx(sol.value)
-    assert (sol.dual >= -1e-12).all() and (sol.dual @ rep.A >= rep.c - 1e-12).all()
+def test_solve_lp_refuses_a_negative_rhs():
+    """The slack basis is the start, so one b < 0, however small, is refused;
+    -0.0 is not negative."""
+    A, c = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="b >= 0"):
+        solve_lp(LpProblem(c, A, np.array([1.0, -1e-300])))
+    sol = solve_lp(LpProblem(c, A, np.array([1.0, -0.0])))
+    assert sol.status == "optimal" and sol.value == pytest.approx(2.0)
 
 
 @given(st.integers(0, 2000))
@@ -103,13 +101,14 @@ def test_matches_vertex_enumeration(seed):
     # Keep the region bounded so both methods agree on a finite optimum.
     A = np.vstack([A, np.ones((1, n))])
     b = np.concatenate([b, [5.0]])
+    if (b < 0).any():
+        with pytest.raises(ValueError, match="b >= 0"):
+            solve_lp(LpProblem(c, A, b))
+        return
     sol = solve_lp(LpProblem(c, A, b))
     best = enumerate_vertices_best(LpProblem(c, A, b))
-    if best is None:
-        assert sol.status == "infeasible"
-    else:
-        assert sol.status == "optimal"
-        assert sol.value == pytest.approx(best, abs=1e-7)
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(best, abs=1e-7)
 
 
 @given(st.integers(0, 500))
@@ -200,13 +199,13 @@ def test_frank_wolfe_gradient_check():
 def test_frank_wolfe_infeasible_region():
     A = np.array([[1.0], [-1.0]])
     b = np.array([1.0, -2.0])
-    res = maximize_concave(lambda x: float(x[0]), lambda x: np.array([1.0]),
-                           LpProblem(np.zeros(1), A, b))
-    assert res.status == "infeasible"
+    with pytest.raises(ValueError, match="b >= 0"):
+        maximize_concave(lambda x: float(x[0]), lambda x: np.array([1.0]),
+                         LpProblem(np.zeros(1), A, b))
 
 
-def _bland_enter_loop(obj_row, allowed):
-    for j in range(allowed):
+def _bland_enter_loop(obj_row):
+    for j in range(obj_row.size):
         if obj_row[j] < -PIVOT_TOL:
             return j
     return -1
@@ -233,7 +232,7 @@ def test_bland_rules_match_row_loops_on_degenerate_tableaux():
         T[rng.random(T.shape) < 0.1] += rng.choice([1e-10, -1e-10, 1e-12])
         basis = rng.permutation(rows + cols)[:rows]
         for allowed in range(cols + 1):
-            assert _bland_enter(T[-1], allowed) == _bland_enter_loop(T[-1], allowed)
+            assert _bland_enter(T[-1, :allowed]) == _bland_enter_loop(T[-1, :allowed])
         for col in range(cols):
             assert _bland_leave(T, basis, col) == _bland_leave_loop(T, basis, col)
 
@@ -278,9 +277,9 @@ def test_solve_lp_stops_at_the_deadline_on_ub_fa_30x30(monkeypatch):
 
 def _random_lp(kind, rng):
     """(c, A, b) for one LP of ``kind``: "feasible" (x = 0 feasible, bounded),
-    "mixed" (negative right-hand sides, so optimal or infeasible), "degenerate"
-    (small integers, many zero right-hand sides and tied ratios), "infeasible"
-    or "unbounded"."""
+    "mixed" (some right-hand sides negative, which ``solve_lp`` refuses),
+    "degenerate" (small integers, many zero right-hand sides and tied ratios),
+    "infeasible" (refused: a.x >= 2 is a row with b = -2) or "unbounded"."""
     n, rows = int(rng.integers(1, 7)), int(rng.integers(1, 9))
     if kind == "degenerate":
         A = rng.integers(-2, 3, size=(rows, n)).astype(float)
@@ -304,22 +303,35 @@ def _random_lp(kind, rng):
     return c, A, b
 
 
-# LP kind -> the statuses its draws must show.
-LP_KINDS = {"feasible": {"optimal"}, "mixed": {"optimal", "infeasible"},
-            "degenerate": {"optimal"}, "infeasible": {"infeasible"},
+# LP kind -> the statuses its draws must show; "refused" is the ValueError
+# ``solve_lp`` raises on a draw with some b < 0.
+LP_KINDS = {"feasible": {"optimal"}, "mixed": {"optimal", "refused"},
+            "degenerate": {"optimal"}, "infeasible": {"refused"},
             "unbounded": {"unbounded"}}
+
+
+def _solve_or_refused(problem):
+    """``solve_lp(problem)``, or None after checking that it refuses b < 0."""
+    if (problem.b < 0).any():
+        with pytest.raises(ValueError, match="b >= 0"):
+            solve_lp(problem)
+        return None
+    return solve_lp(problem)
 
 
 @pytest.mark.parametrize("kind", list(LP_KINDS))
 def test_solve_lp_agrees_with_highs(kind):
     linprog = pytest.importorskip("scipy.optimize").linprog
-    status_of = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    status_of = {0: "optimal", 3: "unbounded"}
     rng = np.random.default_rng(list(LP_KINDS).index(kind))
     seen = set()
     for _ in range(100):
         c, A, b = _random_lp(kind, rng)
+        sol = _solve_or_refused(LpProblem(c, A, b))
+        if sol is None:
+            seen.add("refused")
+            continue
         ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
-        sol = solve_lp(LpProblem(c, A, b))
         assert sol.status == status_of[ref.status]
         if sol.status == "optimal":
             assert sol.value == pytest.approx(-ref.fun, abs=1e-7)
@@ -332,7 +344,7 @@ def test_solve_lp_agrees_with_highs(kind):
 # written out by hand from their constraints.  Row order: per edge (i, j),
 # row-major, its customer row then its supplier row; budget rows last,
 # customers first; each equality as a <= row followed by its >= row (the row
-# and right-hand side negated).
+# and right-hand side negated, so a right-hand side 0 gives -0.0).
 
 
 def _captured_lps(monkeypatch):
@@ -457,23 +469,30 @@ def test_relaxation_layout(monkeypatch):
     # Columns lam[j, C] for j = 0, 1 and C = {}, {0}; then tau[0, S] for
     # S = {}, {0}, {1}, {0, 1}.  The objective is each supplier's demand f_j(C).
     c = [0, 1 / 2, 0, 3 / 4, 0, 0, 0, 0]
-    rows = [[1, 1, 0, 0, 0, 0, 0, 0],  # supplier 0's distribution
+    sums = [[1, 1, 0, 0, 0, 0, 0, 0],  # supplier 0's distribution, <= 1
             [0, 0, 1, 1, 0, 0, 0, 0],  # supplier 1's
-            [0, 0, 0, 0, 1, 1, 1, 1],  # the customer's
-            [0, 1, 0, 0, 0, -1 / 2, 0, -1 / 5],  # flow (0, 0): phi(0 | S) for S containing 0
+            [0, 0, 0, 0, 1, 1, 1, 1]]  # the customer's
+    flow = [[0, 1, 0, 0, 0, -1 / 2, 0, -1 / 5],  # flow (0, 0): phi(0 | S) for S containing 0
             [0, 0, 0, 1, 0, 0, -3 / 4, -3 / 5]]  # flow (0, 1)
+    A, b = _pairs(flow, [0, 0])
     (problem,) = seen
-    _assert_lp(problem, c, *_pairs(rows, [1, 1, 1, 0, 0]))
+    _assert_lp(problem, c, np.vstack([sums, A]), np.concatenate([[1, 1, 1], b]))
 
 
 # ---------------------------------------------------------------------------
 # The pivot against its full-tableau reference (tests/lp_reference.py).
 
 
+def _table_markets():
+    """The table universes: sizes 2-4, seeds 0-13 unbudgeted and 0-5 two-way (2, 2)."""
+    return [generate_random_instance(n, n, seed, profile)
+            for profile, seeds in ((CardinalityProfile(), 14), (CardinalityProfile("two-way", 2, 2), 6))
+            for n in (2, 3, 4) for seed in range(seeds)]
+
+
 def _reference_lps(group, monkeypatch):
     from tsa.bounds import lp_relaxation_onesided, ub_fa
     from tsa.fullystatic import lowlow_lp, partition_edges
-    from tsa.instances import CardinalityProfile, generate_random_instance
 
     if group == "random":
         problems = [LpProblem(*BEALE)]  # runs the Bland fallback
@@ -486,35 +505,83 @@ def _reference_lps(group, monkeypatch):
         for n in range(1, 13):
             ub_fa(generate_random_instance(n, n, n))
         ub_fa(generate_random_instance(16, 16, 0))
-    else:  # the table universes: sizes 2-4, unbudgeted and two-way (2, 2)
-        for profile, seeds in ((CardinalityProfile(), 14), (CardinalityProfile("two-way", 2, 2), 6)):
-            for n in (2, 3, 4):
-                for seed in range(seeds):
-                    inst = generate_random_instance(n, n, seed, profile)
-                    lp_relaxation_onesided(inst, "C")
-                    lp_relaxation_onesided(inst, "S")
-                    lowlow_lp(inst)
-                    low_low = partition_edges(inst)[2]
-                    if low_low:
-                        lowlow_lp(inst, low_low)
+    else:
+        for inst in _table_markets():
+            lp_relaxation_onesided(inst, "C")
+            lp_relaxation_onesided(inst, "S")
+            lowlow_lp(inst)
+            low_low = partition_edges(inst)[2]
+            if low_low:
+                lowlow_lp(inst, low_low)
     return seen
 
 
 @pytest.mark.parametrize("group", ["random", "ub_fa", "tables"])
 def test_solve_lp_matches_full_tableau_reference_bit_for_bit(group, monkeypatch):
     """Skipping the pivot row's zero columns changes no bit: statuses, pivot
-    counts, values, solutions and duals equal the full-tableau simplex's."""
+    counts, values, solutions and duals equal the full-tableau simplex's.
+    Draws with some b < 0 are refused."""
     import lp_reference
 
     problems = _reference_lps(group, monkeypatch)
     assert problems
     for problem in problems:
-        got, want = solve_lp(problem), lp_reference.solve_lp(problem)
+        got = _solve_or_refused(problem)
+        if got is None:
+            continue
+        want = lp_reference.solve_lp(problem)
         assert (got.status, got.pivots) == (want.status, want.pivots)
         if want.status == "optimal":
             assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
             assert got.x.tobytes() == want.x.tobytes()
             assert got.dual.tobytes() == want.dual.tobytes()
+
+
+def _zeroed_market(rng, n, m, profile):
+    """A random MNL market with about 40% of the weights on each side exactly 0."""
+    inst = generate_random_instance(n, m, int(rng.integers(1000)), profile)
+    v, w = inst.mnl_weights()
+    v, w = v * (rng.random(v.shape) < 0.6), w * (rng.random(w.shape) < 0.6)
+    return Instance(n, m, tuple(MNL(tuple(r)) for r in v), tuple(MNL(tuple(r)) for r in w),
+                    inst.k_customer, inst.k_supplier)
+
+
+def _rel2_markets(group):
+    if group == "tables":
+        return _table_markets()
+    profiles = (CardinalityProfile("one-way", 2), CardinalityProfile("two-way", 1, 1),
+                CardinalityProfile("two-way", 2, 2))
+    if group == "budgets":
+        shapes = [(1, 1), (2, 3), (3, 2), (5, 5), (4, 6), (6, 4)]
+        return [generate_random_instance(n, m, seed, profile)
+                for profile in profiles for n, m in shapes for seed in range(2)]
+    rng = np.random.default_rng(37)
+    if group == "zero weights":
+        return [_zeroed_market(rng, n, m, profile) for profile in (CardinalityProfile(),) + profiles
+                for n, m in ((2, 2), (3, 3), (2, 4), (4, 3)) for _ in range(3)]
+    return [random_tabular_market(rng) for _ in range(60)]  # "tabular"
+
+
+@pytest.mark.parametrize("group", ["tables", "budgets", "zero weights", "tabular"])
+def test_rel2_matches_its_equality_form(group, monkeypatch):
+    """REL2 with <= 1 distribution rows is the value of the LP whose every row
+    is an equality (each distribution summing to 1), solved by the two-phase
+    reference, within 1e-12 relative, on both sides."""
+    import lp_reference
+    from tsa.bounds import lp_relaxation_onesided
+
+    seen = _captured_lps(monkeypatch)
+    for inst in _rel2_markets(group):
+        for side in "CS":
+            got = lp_relaxation_onesided(inst, side).value
+            problem, k = seen[-1], inst.n + inst.m  # k distribution rows, then flow pairs
+            assert (problem.b[:k] == 1).all() and (problem.b[k:] == 0).all()
+            equalities = LpProblem(problem.c, np.zeros((0, problem.c.size)), np.zeros(0))
+            equalities.add_equality(np.vstack([problem.A[:k], problem.A[k::2]]),
+                                    np.concatenate([problem.b[:k], problem.b[k::2]]))
+            want = lp_reference.solve_lp(equalities)
+            assert want.status == "optimal"
+            assert abs(got - want.value) <= 1e-12 * abs(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +610,8 @@ def _random_packing_lps(rng, count):
 def _packing_universe(group, monkeypatch):
     if group == "random":
         return list(_random_packing_lps(np.random.default_rng(34), 600))
-    if group == "tables":  # sizes 2-4, unbudgeted and two-way (2, 2)
-        return [_ub_fa_lp(monkeypatch, generate_random_instance(n, n, seed, profile))
-                for profile, seeds in ((CardinalityProfile(), 14),
-                                       (CardinalityProfile("two-way", 2, 2), 6))
-                for n in (2, 3, 4) for seed in range(seeds)]
+    if group == "tables":
+        return [_ub_fa_lp(monkeypatch, inst) for inst in _table_markets()]
     markets = [(n, n, seed) for n in range(1, 13) for seed in range(3)]
     markets += [(n, m, seed) for n, m in ((1, 15), (3, 8), (8, 3)) for seed in range(3)]
     return [_ub_fa_lp(monkeypatch, generate_random_instance(*market))

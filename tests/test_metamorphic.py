@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fs_reference import fs_reference
-from helpers import Draws, stream_uniforms
+from helpers import Draws, stream_uniforms, transposed
 from tsa.exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive,
                        opt_one_sided_static)
 from tsa.greedy import GreedyOneSidedPolicy
@@ -53,7 +53,7 @@ def relabel_customers(inst: Instance, perm) -> Instance:
 @given(markets())
 @settings(max_examples=80, deadline=None)
 def test_transpose_swaps_sides(inst):
-    t = inst.transpose()
+    t = transposed(inst)
     assert abs(opt_fully_adaptive(inst).value - opt_fully_adaptive(t).value) <= TOL
     for side, other in (("C", "S"), ("S", "C")):
         assert abs(opt_one_sided_adaptive(inst, side).value

@@ -10,7 +10,7 @@ import tsa.policies
 
 from conftest import independent_model, nonmonotone_market
 from helpers import (OneSidedStaticPolicy, StaticPolicy, exact_value_deterministic_adaptive,
-                     reaches)
+                     reaches, transposed)
 from tsa.errors import ContractViolationError, SizeRefusalError
 from tsa.greedy import GreedyOneSidedPolicy
 from tsa.instances import (MNL, UNBOUNDED, BetaUniform, CardinalityProfile, Instance, Mixture,
@@ -99,7 +99,7 @@ def test_exact_value_static_side_symmetry():
     inst = generate_random_instance(2, 3, seed=4)
     s = [{0, 2}, {1}]
     c = [{0}, {1}, {0, 1}]
-    swapped = inst.transpose()
+    swapped = transposed(inst)
     assert exact_value_static(inst, s, c) == pytest.approx(exact_value_static(swapped, c, s))
 
 
