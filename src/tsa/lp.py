@@ -6,8 +6,10 @@ ValueError on any b < 0 and returns "optimal" or "unbounded".  The tableau is
 dense and column-major, and a pivot updates only the columns where the
 normalized pivot row is nonzero, each one contiguous in memory.  The entering
 column has the most negative reduced cost (Dantzig); the leaving row comes from
-Bland's ratio test.  After a run of degenerate pivots it enters by Bland's rule
-until the objective improves, which keeps Bland's anti-cycling guarantee.
+a ratio test that skips entries tiny beside the column's largest, ties the rows
+within Harris's bound and breaks the tie by Bland's lowest basic index.  After
+a run of degenerate pivots it enters by Bland's rule until the objective
+improves, which keeps Bland's anti-cycling guarantee.
 ``add_equality`` appends a block of equality rows, each as a <= row followed by
 its >= row (the row negated); ``solve_lp`` takes them with right-hand side 0.
 The simplex serves the one-sided relaxation (REL2) and the low-low LP, whose
@@ -81,22 +83,18 @@ def _bland_enter(obj_row: np.ndarray) -> int:
 
 
 def _bland_leave(T: np.ndarray, basis: np.ndarray, col: int) -> int:
-    """Ratio-test row for ``col``; ratios within PIVOT_TOL tie and go to the
-    lowest basic index, scanned in row order.  -1 when ``col`` is unbounded."""
+    """Ratio-test row for ``col``, or -1 when ``col`` is unbounded.  Entries
+    up to PIVOT_TOL times the column's largest (at least 1) are rounding, not
+    pivots.  Rows whose ratio is within Harris's bound min_i (b_i + PIVOT_TOL)
+    / a_i tie, so no basic value falls below -PIVOT_TOL, and the tie goes to
+    the lowest basic index."""
     a = T[:-1, col]
-    rows = np.flatnonzero(a > PIVOT_TOL)
+    rows = np.flatnonzero(a > PIVOT_TOL * max(1.0, float(a.max())))
     if rows.size == 0:
         return -1
-    ratios = T[rows, -1] / a[rows]
-    near = ratios <= ratios.min() + PIVOT_TOL
-    if np.count_nonzero(near) == 1:
-        return int(rows[np.argmax(near)])
-    best, best_ratio = -1, None
-    for i, ratio in zip(rows.tolist(), ratios.tolist()):
-        if best == -1 or ratio < best_ratio - PIVOT_TOL or (
-                abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best]):
-            best, best_ratio = i, ratio
-    return best
+    a, b = a[rows], T[rows, -1]
+    tied = rows[b / a <= np.min((b + PIVOT_TOL) / a)]
+    return int(tied[np.argmin(basis[tied])])
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:

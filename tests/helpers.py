@@ -1,8 +1,9 @@
 """Test-only code kept out of the package: range-checked choice probability
 and demand, a submodularity checker, the exact evaluator of a deterministic
 policy by its full choice tree, two fixed-assortment policies, the
-distribution residual of a one-sided relaxation, the exact high-value
-subproblem of the fully static approximation, explicit draws for a
+distribution residual of a one-sided relaxation, the exact optimum of a
+small LP in rational arithmetic, the exact high-value subproblem of the
+fully static approximation, explicit draws for a
 batched Monte Carlo kernel, a choice model whose constrained demand is not
 submodular, a probe of whether a solver passes its size check, and the
 paper's sample count T for the sampling side-selector.  No pipeline calls
@@ -10,12 +11,14 @@ them; the tests use them as independent checks."""
 
 import math
 from collections import defaultdict
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
 from tsa.errors import ChoiceModelError, ContractViolationError, SizeRefusalError
 from tsa.instances import MNL, UNBOUNDED, ChoiceSpec, Instance, Mixture, Tabular, is_mnl
+from tsa.lp import LpProblem
 from tsa.oracles import _MAX_ENTRIES, constrained_demand, prob_table
 from tsa.policies import PolicyAction, PolicyState, Streams, _apply_choice, _validate_action
 
@@ -202,6 +205,32 @@ def distribution_residual(relax) -> float:
         for s in sums.values():
             worst = max(worst, abs(s - 1.0))
     return worst
+
+
+def exact_lp_value(problem: LpProblem) -> Optional[Fraction]:
+    """max c.x s.t. A x <= b, x >= 0 for b >= 0 in rational arithmetic, each
+    float taken exactly: the simplex from the slack basis by Bland's rule,
+    which cannot cycle.  None when unbounded.  For LPs of a few dozen rows."""
+    m, n = problem.A.shape
+    rows = [[Fraction(v) for v in problem.A[i]] + [Fraction(int(i == k)) for k in range(m)]
+            + [Fraction(problem.b[i])] for i in range(m)]
+    obj = [-Fraction(v) for v in problem.c] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        col = next((j for j in range(n + m) if obj[j] < 0), None)
+        if col is None:
+            return obj[-1]
+        ties = [(r[-1] / r[col], basis[i], i) for i, r in enumerate(rows) if r[col] > 0]
+        if not ties:
+            return None
+        row = min(ties)[2]
+        pivot = rows[row][col]
+        rows[row] = [v / pivot for v in rows[row]]
+        for r in rows[:row] + rows[row + 1:] + [obj]:
+            f = r[col]
+            if f:
+                r[:] = [v - f * p for v, p in zip(r, rows[row])]
+        basis[row] = col
 
 
 def exact_highvalue_subproblem(instance: Instance, edges, side: str = "C"):

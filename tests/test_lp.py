@@ -212,15 +212,13 @@ def _bland_enter_loop(obj_row):
 
 
 def _bland_leave_loop(T, basis, col):
-    best, best_ratio = -1, None
-    for i in range(T.shape[0] - 1):
-        a = T[i, col]
-        if a > PIVOT_TOL:
-            ratio = T[i, -1] / a
-            if best == -1 or ratio < best_ratio - PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best]):
-                best, best_ratio = i, ratio
-    return best
+    column = [T[i, col] for i in range(T.shape[0] - 1)]
+    tol = PIVOT_TOL * max([1.0] + column)
+    rows = [i for i, a in enumerate(column) if a > tol]
+    if not rows:
+        return -1
+    bound = min((T[i, -1] + PIVOT_TOL) / column[i] for i in rows)
+    return min((basis[i], i) for i in rows if T[i, -1] / column[i] <= bound)[1]
 
 
 def test_bland_rules_match_row_loops_on_degenerate_tableaux():
@@ -235,6 +233,27 @@ def test_bland_rules_match_row_loops_on_degenerate_tableaux():
             assert _bland_enter(T[-1, :allowed]) == _bland_enter_loop(T[-1, :allowed])
         for col in range(cols):
             assert _bland_leave(T, basis, col) == _bland_leave_loop(T, basis, col)
+
+
+def test_ratio_test_takes_no_pivot_tiny_beside_the_column():
+    """Both rows tie at ratio 0; row 0's entry is rounding beside 2.3e7, so
+    row 1 leaves although row 0 has the lower basic index."""
+    T = np.array([[2.6e-9, 0.0], [2.3e7, 0.0], [-1.0, 0.0]])
+    assert _bland_leave(T, np.array([1, 2]), 0) == 1
+    T[1, 0] = 0.5  # beside 1, 2.6e-9 is a pivot
+    assert _bland_leave(T, np.array([1, 2]), 0) == 0
+
+
+def test_ratio_test_keeps_basic_values_above_minus_pivot_tol():
+    """Row 1's ratio exceeds row 0's by 5e-10, within an absolute window of
+    PIVOT_TOL but past Harris's bound (10 + PIVOT_TOL) / 10: pivoting on it
+    would leave row 0 at -5e-9.  Row 0 leaves, and no basic value is negative."""
+    T = np.array([[10.0, 10.0], [1.0, 1.0 + 5e-10], [-1.0, 0.0]], order="F")
+    basis = np.array([2, 1])
+    row = _bland_leave(T, basis, 0)
+    assert row == 0
+    lp._pivot(T, basis, row, 0)
+    assert T[:-1, -1].min() >= -PIVOT_TOL
 
 
 # Beale's LP: Dantzig entering with a ratio test that breaks ties by row cycles
@@ -582,6 +601,47 @@ def test_rel2_matches_its_equality_form(group, monkeypatch):
             want = lp_reference.solve_lp(equalities)
             assert want.status == "optimal"
             assert abs(got - want.value) <= 1e-12 * abs(want.value)
+
+
+# (rng seed, draw, side) of random_tabular_market(rng, alpha=0.3) markets, whose
+# choice probabilities reach 1e-8.  An absolute tie window in the ratio test,
+# or an absolute pivot tolerance, leaves REL2 off its exact value on them by
+# 2e-12 to 2.7%, above it or below it.
+ILL_CONDITIONED = [(7, 32, "S"), (7, 34, "S"), (7, 47, "S"), (8, 149, "C"), (8, 284, "C"),
+                   (8, 306, "S"), (8, 416, "S"), (8, 575, "C")]
+
+
+def _ill_conditioned_rel2(monkeypatch, seed, draws):
+    """(instance, side, REL2 value, its LP) for each draw -> sides in ``draws``
+    of random_tabular_market(default_rng(seed), alpha=0.3)."""
+    from tsa.bounds import lp_relaxation_onesided
+
+    seen = _captured_lps(monkeypatch)
+    rng = np.random.default_rng(seed)
+    for draw in range(max(draws) + 1):
+        inst = random_tabular_market(rng, alpha=0.3)
+        for side in draws.get(draw, ()):
+            yield inst, side, lp_relaxation_onesided(inst, side).value, seen[-1]
+
+
+@pytest.mark.parametrize("seed, draw, side", ILL_CONDITIONED)
+def test_rel2_is_exact_on_ill_conditioned_markets(seed, draw, side, monkeypatch):
+    """REL2 is within 1e-12 relative of the optimum of its LP in rational arithmetic."""
+    from helpers import exact_lp_value
+
+    [(_, _, got, problem)] = _ill_conditioned_rel2(monkeypatch, seed, {draw: side})
+    want = exact_lp_value(problem)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_rel2_is_near_exact_on_dirichlet_03_markets(monkeypatch):
+    """On the first 60 such markets from rng 7, both sides, REL2 is within
+    1e-8 relative of its exact value (rounding alone reaches 5.3e-10 here)."""
+    from helpers import exact_lp_value
+
+    for inst, side, got, problem in _ill_conditioned_rel2(monkeypatch, 7, dict.fromkeys(range(60), "CS")):
+        want = exact_lp_value(problem)
+        assert abs(got - want) <= 1e-8 * want, (inst, side)
 
 
 # ---------------------------------------------------------------------------
