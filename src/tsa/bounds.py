@@ -10,7 +10,8 @@ each block keeps an active set of such prefixes to step away from.  Its two
 orientations advance in turn, and one whose running certificate falls below the
 other's best value is stopped: its final bound could only be lower, so the max
 is the same float as when both run to the end.  UB_FA is a packing LP, solved
-by the interior point ``lp.solve_packing``; the bound it reports is the dual
+by the interior point ``lp.solve_packing``, whose normal matrix it builds from
+the LP's customer and supplier blocks; the bound it reports is the dual
 certificate b.y / min_j (A^T y)_j, valid for any y >= 0.  Both need MNL
 weights.
 """
@@ -214,10 +215,10 @@ def _ub_oa_oriented(v: np.ndarray, w: np.ndarray):
     active = [{empty: [np.zeros(m), 1.0]} for _ in range(n)]  # support -> [load image, weight]
     load = np.zeros((n, m))  # each block's share of z
     z = np.zeros(m)
+    grad = 1.0 / (1.0 + z) ** 2  # kept current with z
     best, certified, gap, it = 0.0, np.inf, np.inf, 0
     for it in range(1, _UB_OA_ITERS + 1):
         check_deadline()
-        grad = 1.0 / (1.0 + z) ** 2
         s = _block_oracle(coef * grad, v)
         image = coef * s
         zd = image.sum(axis=0) - z
@@ -231,12 +232,12 @@ def _ub_oa_oriented(v: np.ndarray, w: np.ndarray):
         keys = [row.tobytes() for row in s > 0]
         t = _line_search(z, zd)
         z = z + t * zd
+        grad = 1.0 / (1.0 + z) ** 2
         load += t * (image - load)
         for i in range(n):
             _move_weight(active[i], keys[i], image[i], t)
         for i in range(n):
             block = active[i]
-            grad = 1.0 / (1.0 + z) ** 2
             lo, away = min((float(atom[0] @ grad), k) for k, atom in block.items())
             if lo < float(load[i] @ grad):  # pairwise: weight moves from a_i to s_i
                 dz = block[away][1] * (image[i] - block[away][0])
@@ -246,6 +247,7 @@ def _ub_oa_oriented(v: np.ndarray, w: np.ndarray):
                 continue
             t = _line_search(z, dz)
             z = z + t * dz
+            grad = 1.0 / (1.0 + z) ** 2
             load[i] += t * dz
             _move_weight(block, keys[i], image[i], t, away)
     best = max(best, float((z / (1.0 + z)).sum()))
@@ -276,11 +278,50 @@ def ub_oa(instance: Instance) -> float:
     return max(floor)
 
 
+@dataclass
+class _UbFaLp(LpProblem):
+    """UB_FA's LP with its weights v (n x m) and w (m x n), from which
+    ``solve_packing`` builds its normal matrix."""
+
+    v: np.ndarray
+    w: np.ndarray
+
+    def normal_matrix(self, rows: np.ndarray, cols: np.ndarray):
+        """d -> A^T diag(d) A from the customer and supplier blocks.  With
+        d_C, d_S the customer and supplier rows' entries of d (n x m), a = d_C v
+        and b = d_S w^T, entry ((i, j), (i', j')) is [i = i'] (sum_l a_il v_il
+        + a_ij + a_ij') + [j = j'] (sum_k b_kj w_jk + b_ij + b_i'j), plus
+        d_C + d_S on the diagonal: O(nm(n+m)) work in place of the dense
+        product's O(n^3 m^3).  The rows presolve drops meet no kept column, so
+        they enter with d = 0 and the kept columns are read off the result."""
+        (n, m), v, w = self.v.shape, self.v, self.w
+        q, col = n * m, np.arange(n * m).reshape(n, m)
+        # Where in M each term lands: the customer blocks by (i, j, j'), the
+        # supplier blocks by (j, i, i'), then the diagonal.
+        at = np.concatenate([(col[:, :, None] * q + col[:, None, :]).ravel(),
+                             (col.T[:, :, None] * q + col.T[:, None, :]).ravel(), col.ravel() * (q + 1)])
+        full = np.zeros(2 * q)
+
+        def build(d):
+            full[rows] = d
+            dc, ds = full[0::2].reshape(n, m), full[1::2].reshape(n, m)
+            a, bt = dc * v, ds.T * w
+            customer = (a * v).sum(axis=1)[:, None, None] + a[:, :, None] + a[:, None, :]
+            supplier = (bt * w).sum(axis=1)[:, None, None] + bt[:, :, None] + bt[:, None, :]
+            terms = np.concatenate([customer.ravel(), supplier.ravel(), (dc + ds).ravel()])
+            M = np.bincount(at, terms, q * q).reshape(q, q)
+            return M if cols.all() else M[np.ix_(cols, cols)]
+
+        return build
+
+
 def ub_fa(instance: Instance) -> float:
     """LP upper bound on the fully adaptive optimum:
     max sum x_ij s.t. x_ij <= v_ij (1 - sum_l x_il), x_ij <= w_ji (1 - sum_k x_kj).
     The value is ``solve_packing``'s dual certificate, a bound on the LP optimum
-    by construction, solved to a certified gap of 1e-11 * max(1, value)."""
+    by construction, solved to a certified gap of 1e-11 * max(1, value).  The
+    interior point's normal matrix comes from the LP's customer and supplier
+    blocks (``_UbFaLp.normal_matrix``)."""
     v, w = instance.require_mnl_weights("this bound")
     n, m = instance.n, instance.m
     if n == 0 or m == 0:
@@ -291,7 +332,7 @@ def ub_fa(instance: Instance) -> float:
     rows = np.stack([v.ravel()[:, None] * (i[:, None] == i) + eye,
                      w.T.ravel()[:, None] * (j[:, None] == j) + eye], axis=1)
     rhs = np.stack([v.ravel(), w.T.ravel()], axis=1)
-    sol = solve_packing(LpProblem(np.ones(n * m), rows.reshape(-1, n * m), rhs.ravel()))
+    sol = solve_packing(_UbFaLp(np.ones(n * m), rows.reshape(-1, n * m), rhs.ravel(), v, w))
     if sol.status != "optimal":
         raise RuntimeError(f"UB_FA LP came back {sol.status}")
     return float(sol.value)

@@ -17,8 +17,9 @@ rounding needs its vertex; their builders make each row family in one array
 expression, and both have b >= 0.
 ``solve_packing`` maximizes c.x subject to A x <= b, x >= 0
 for A, b, c >= 0 by a primal-dual interior point (Mehrotra's predictor-corrector
-on the normal equations) and returns a dual certificate, a bound that holds
-whether or not it converged; it serves UB_FA.
+on the normal equations, whose matrix A^T D A ``LpProblem.normal_matrix``
+supplies) and returns a dual certificate, a bound that holds whether or not it
+converged; it serves UB_FA.
 ``maximize_concave`` runs Frank-Wolfe with the simplex as linear oracle and
 reports a certified upper bound (best iterate value plus duality gap).  It is
 the LP-backed reference the tests compare UB_OA against; UB_OA itself uses the
@@ -63,6 +64,15 @@ class LpProblem:
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
         self.A = np.vstack([self.A, np.stack([rows, -rows], axis=1).reshape(-1, self.c.size)])
         self.b = np.concatenate([self.b, np.stack([rhs, -rhs], axis=1).ravel()])
+
+    def normal_matrix(self, rows: np.ndarray, cols: np.ndarray) -> Callable:
+        """d -> A_K^T diag(d) A_K, the normal matrix of ``solve_packing``, for
+        A_K the rows and columns (boolean masks) its presolve keeps and d over
+        the kept rows.  Formed here as the dense product; a problem whose A has
+        structure overrides it."""
+        A = self.A[np.ix_(rows, cols)]
+        AT = np.ascontiguousarray(A.T)
+        return lambda d: (AT * d) @ A
 
 
 @dataclass
@@ -213,7 +223,9 @@ def solve_packing(problem: LpProblem) -> LpSolution:
     b_k = 0 (both are 0 at an optimum), then the rows left all zero.  Each
     iteration solves the normal equations M dx = r, with
     M = X^-1 Z + A^T (Y S^-1) A, for the affine and the centring-corrector
-    directions, and takes separate primal and dual steps.  The returned
+    directions, and takes separate primal and dual steps.  A^T (Y S^-1) A comes
+    from ``problem.normal_matrix``: the dense product for a plain
+    ``LpProblem``, UB_FA's customer and supplier blocks for its LP.  The returned
     ``value`` is the certificate b.y / min_j (A^T y)_j / c_j over the columns
     with c_j > 0, for y = ``dual``: an upper bound whether or not the solve
     converged.  It stops once that bound is within ``PACKING_GAP`` *
@@ -234,7 +246,8 @@ def solve_packing(problem: LpProblem) -> LpSolution:
     rho, iterations = 1.0, 0
     if cols.any():
         Ar = A[np.ix_(rows, cols)]
-        x[cols], y[rows], iterations = _packing_ipm(Ar, b[rows], c[cols])
+        x[cols], y[rows], iterations = _packing_ipm(Ar, b[rows], c[cols],
+                                                    problem.normal_matrix(rows, cols))
         rho = float(np.min((Ar.T @ y[rows]) / c[cols]))
     # Rows with b_k = 0 cost nothing in b.y: weight them to cover the columns
     # presolve fixed at 0, at the same ratio rho as the kept columns.
@@ -248,10 +261,11 @@ def solve_packing(problem: LpProblem) -> LpSolution:
     return LpSolution("optimal", x, value, y, iterations=iterations)
 
 
-def _packing_ipm(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+def _packing_ipm(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 normal: Callable[[np.ndarray], np.ndarray]):
     """(x, y, iterations) for A > 0 somewhere in every row and column, b > 0
-    and c > 0.  x is the best primal point scaled into the region, y the dual
-    with the lowest certificate."""
+    and c > 0, with ``normal(d)`` = A^T diag(d) A.  x is the best primal point
+    scaled into the region, y the dual with the lowest certificate."""
     q = c.size
     AT = np.ascontiguousarray(A.T)
     x = np.full(q, 0.5 * np.min(b / A.sum(axis=1)))
@@ -284,7 +298,7 @@ def _packing_ipm(A: np.ndarray, b: np.ndarray, c: np.ndarray):
         iterations += 1
 
         h = v / u
-        M = (AT * h[q:]) @ A
+        M = normal(h[q:])
         M.flat[::q + 1] += h[:q]
         mu = complementarity / uv.size
         # The steps keep A x + s = b and A^T y - z = c only up to rounding;

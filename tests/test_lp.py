@@ -678,8 +678,9 @@ def _packing_universe(group, monkeypatch):
             for market in markets + [(16, 16, 0)]]
 
 
-# The most iterations measured: 14 on the table universes, 16 on the markets
-# (at 12x12 and 16x16) and 11 on the random packing LPs.
+# The most iterations measured, with UB_FA's normal matrix built from its
+# blocks: 14 on the table universes, 16 on the markets (at 10x10, 12x12 and
+# 16x16) and 11 on the random packing LPs.
 PACKING_ITERATIONS = 20
 
 
@@ -757,6 +758,35 @@ def test_ub_fa_zero_weights(monkeypatch):
     assert sol.x[1] == sol.x[2] == 0.0
     assert want.value <= sol.value <= want.value + 1e-9
     assert sol.value == _certificate(problem, sol.dual)
+
+
+def _zero_weight_market():
+    """A 3x4 market with zero weights on edges (0, 1), (1, 3) and (2, 0): the
+    first two have v = 0, the last w = 0."""
+    inst = generate_random_instance(3, 4, 0)
+    v, w = inst.mnl_weights()
+    v[0, 1] = v[1, 3] = w[0, 2] = 0.0
+    return Instance(3, 4, tuple(MNL(tuple(r)) for r in v), tuple(MNL(tuple(r)) for r in w))
+
+
+@pytest.mark.parametrize("market", [(1, 1), (1, 5), (5, 1), (3, 7), (4, 4), (12, 12), "zero"])
+def test_ub_fa_normal_matrix_matches_the_dense_product(market, monkeypatch):
+    """UB_FA's LP builds A^T diag(d) A from its customer and supplier blocks.
+    On random d it agrees with the dense (A^T d) @ A of the rows and columns
+    presolve keeps, to 1e-15 of its largest entry."""
+    inst = _zero_weight_market() if market == "zero" else generate_random_instance(*market, 0)
+    problem = _ub_fa_lp(monkeypatch, inst)
+    seen, ipm = [], lp._packing_ipm
+    monkeypatch.setattr(lp, "_packing_ipm", lambda A, b, c, normal: seen.append((A, normal))
+                        or ipm(A, b, c, normal))
+    solve_packing(problem)
+    ((A, normal),) = seen
+    assert A.shape[1] == problem.c.size - 3 * (market == "zero")
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        d = rng.uniform(0.01, 1.0, A.shape[0])
+        want = (A.T * d) @ A
+        assert np.abs(normal(d) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_solve_packing_polls_the_deadline_every_iteration(monkeypatch):
