@@ -10,10 +10,10 @@ each block keeps an active set of such prefixes to step away from.  Its two
 orientations advance in turn, and one whose running certificate falls below the
 other's best value is stopped: its final bound could only be lower, so the max
 is the same float as when both run to the end.  UB_FA is a packing LP, solved
-by the interior point ``lp.solve_packing``, whose normal matrix it builds from
-the LP's customer and supplier blocks; the bound it reports is the dual
-certificate b.y / min_j (A^T y)_j, valid for any y >= 0.  Both need MNL
-weights.
+by the interior point ``lp.packing_ipm``, to which it hands the LP's products
+and normal matrix built from the customer and supplier weights, with no
+constraint matrix; the bound it reports is the dual certificate
+b.y / min_j (A^T y)_j, valid for any y >= 0.  Both need MNL weights.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .exact import (opt_fully_adaptive, opt_fully_static, opt_one_sided_adaptive
 from .fullystatic import approx_fully_static
 from .greedy import GreedyOneSidedPolicy, exact_greedy_value, sampling_side_selector
 from .instances import Instance
-from .lp import LpProblem, solve_lp, solve_packing
+from .lp import LpProblem, packing_ipm, solve_lp
 from .oracles import _budget_counts, _budget_masks, demand_tables, prob_rows, prob_table
 from .policies import (exact_value_one_sided_static, monte_carlo, one_sided_values,
                        simulate_once)
@@ -278,64 +278,52 @@ def ub_oa(instance: Instance) -> float:
     return max(floor)
 
 
-@dataclass
-class _UbFaLp(LpProblem):
-    """UB_FA's LP with its weights v (n x m) and w (m x n), from which
-    ``solve_packing`` builds its normal matrix."""
-
-    v: np.ndarray
-    w: np.ndarray
-
-    def normal_matrix(self, rows: np.ndarray, cols: np.ndarray):
-        """d -> A^T diag(d) A from the customer and supplier blocks.  With
-        d_C, d_S the customer and supplier rows' entries of d (n x m), a = d_C v
-        and b = d_S w^T, entry ((i, j), (i', j')) is [i = i'] (sum_l a_il v_il
-        + a_ij + a_ij') + [j = j'] (sum_k b_kj w_jk + b_ij + b_i'j), plus
-        d_C + d_S on the diagonal: O(nm(n+m)) work in place of the dense
-        product's O(n^3 m^3).  The rows presolve drops meet no kept column, so
-        they enter with d = 0 and the kept columns are read off the result."""
-        (n, m), v, w = self.v.shape, self.v, self.w
-        q, col = n * m, np.arange(n * m).reshape(n, m)
-        # Where in M each term lands: the customer blocks by (i, j, j'), the
-        # supplier blocks by (j, i, i'), then the diagonal.
-        at = np.concatenate([(col[:, :, None] * q + col[:, None, :]).ravel(),
-                             (col.T[:, :, None] * q + col.T[:, None, :]).ravel(), col.ravel() * (q + 1)])
-        full = np.zeros(2 * q)
-
-        def build(d):
-            full[rows] = d
-            dc, ds = full[0::2].reshape(n, m), full[1::2].reshape(n, m)
-            a, bt = dc * v, ds.T * w
-            customer = (a * v).sum(axis=1)[:, None, None] + a[:, :, None] + a[:, None, :]
-            supplier = (bt * w).sum(axis=1)[:, None, None] + bt[:, :, None] + bt[:, None, :]
-            terms = np.concatenate([customer.ravel(), supplier.ravel(), (dc + ds).ravel()])
-            M = np.bincount(at, terms, q * q).reshape(q, q)
-            return M if cols.all() else M[np.ix_(cols, cols)]
-
-        return build
-
-
 def ub_fa(instance: Instance) -> float:
-    """LP upper bound on the fully adaptive optimum:
-    max sum x_ij s.t. x_ij <= v_ij (1 - sum_l x_il), x_ij <= w_ji (1 - sum_k x_kj).
-    The value is ``solve_packing``'s dual certificate, a bound on the LP optimum
-    by construction, solved to a certified gap of 1e-11 * max(1, value).  The
-    interior point's normal matrix comes from the LP's customer and supplier
-    blocks (``_UbFaLp.normal_matrix``)."""
+    """LP upper bound on the fully adaptive optimum: max sum x_ij s.t. edge
+    (i, j)'s customer row x_ij + v_ij sum_l x_il <= v_ij and its supplier row
+    x_ij + w_ji sum_k x_kj <= w_ji.  An edge with v_ij = 0 or w_ji = 0 is 0 in
+    every feasible point, and the other edges' rows imply its rows, so the LP
+    keeps the other edges: their customer rows, then their supplier rows.
+    ``lp.packing_ipm`` solves it from products over the weights, with no
+    constraint matrix, to a certified gap of 1e-11 * max(1, value).  The value
+    is the dual certificate b.y / min_j (A^T y)_j, a bound for any y >= 0."""
     v, w = instance.require_mnl_weights("this bound")
-    n, m = instance.n, instance.m
-    if n == 0 or m == 0:
+    n, m, wt = instance.n, instance.m, w.T
+    keep = (v > 0) & (wt > 0)
+    if not keep.any():
         return 0.0
-    # Per edge (i, j), row-major (column i*m + j): its customer row, then its supplier row.
-    i, j = np.divmod(np.arange(n * m), m)
-    eye = np.eye(n * m)
-    rows = np.stack([v.ravel()[:, None] * (i[:, None] == i) + eye,
-                     w.T.ravel()[:, None] * (j[:, None] == j) + eye], axis=1)
-    rhs = np.stack([v.ravel(), w.T.ravel()], axis=1)
-    sol = solve_packing(_UbFaLp(np.ones(n * m), rows.reshape(-1, n * m), rhs.ravel(), v, w))
-    if sol.status != "optimal":
-        raise RuntimeError(f"UB_FA LP came back {sol.status}")
-    return float(sol.value)
+    (i, j), q = np.nonzero(keep), int(keep.sum())
+    b = np.concatenate([v[keep], wt[keep]])
+    agent = np.concatenate([i, n + j])  # each customer row's i, each supplier row's n + j
+
+    def apply(x):
+        xx = np.concatenate([x, x])
+        return xx + b * np.bincount(agent, xx, n + m)[agent]
+
+    def apply_t(y):
+        z = y + np.bincount(agent, b * y, n + m)[agent]
+        return z[:q] + z[q:]
+
+    def normal(d):
+        """A^T diag(d) A in O(nm(n+m)) work.  With d_C, d_S the customer and
+        supplier rows' d as n x m arrays (0 at a dropped edge), cv = d_C v and
+        sw = d_S^T w, entry ((i, j), (i', j')) over all edges is [i = i']
+        (sum_l cv_il v_il + cv_ij + cv_ij') + [j = j'] (sum_k sw_jk w_jk + sw_ji
+        + sw_ji'), plus d_C + d_S on the diagonal; the kept edges' are returned."""
+        dc, ds = np.zeros((2, n, m))
+        dc[keep], ds[keep] = d[:q], d[q:]
+        cv, sw = dc * v, ds.T * w
+        M = np.zeros((n * m, n * m))
+        M4 = M.reshape(n, m, n, m)
+        customer = (cv * v).sum(axis=1)[:, None, None] + cv[:, :, None] + cv[:, None, :]
+        supplier = (sw * w).sum(axis=1)[:, None, None] + sw[:, :, None] + sw[:, None, :]
+        M4[np.arange(n), :, np.arange(n), :] = customer
+        M4[:, np.arange(m), :, np.arange(m)] += supplier
+        M.flat[::n * m + 1] += (dc + ds).ravel()
+        return M if q == n * m else M[np.ix_(keep.ravel(), keep.ravel())]
+
+    _, y, _ = packing_ipm(b, np.ones(q), apply, apply_t, normal)
+    return float(b @ y) / float(np.min(apply_t(y)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense linear programming and concave maximization, self-contained.
+"""Linear programming and concave maximization, self-contained.
 
 ``solve_lp`` maximizes c.x subject to A x <= b, x >= 0 for b >= 0 with a
 tableau simplex from the slack basis, which b >= 0 makes feasible; it raises
@@ -15,11 +15,12 @@ its >= row (the row negated); ``solve_lp`` takes them with right-hand side 0.
 The simplex serves the one-sided relaxation (REL2) and the low-low LP, whose
 rounding needs its vertex; their builders make each row family in one array
 expression, and both have b >= 0.
-``solve_packing`` maximizes c.x subject to A x <= b, x >= 0
-for A, b, c >= 0 by a primal-dual interior point (Mehrotra's predictor-corrector
-on the normal equations, whose matrix A^T D A ``LpProblem.normal_matrix``
-supplies) and returns a dual certificate, a bound that holds whether or not it
-converged; it serves UB_FA.
+``packing_ipm`` maximizes c.x subject to A x <= b, x >= 0 for b, c > 0 and
+A >= 0 by a primal-dual interior point (Mehrotra's predictor-corrector on the
+normal equations).  It takes A as the caller's products A x, A^T y and
+A^T D A, never as a matrix, and returns a dual whose certificate is a bound
+whether or not it converged; it serves UB_FA, whose products come from its
+weights.
 ``maximize_concave`` runs Frank-Wolfe with the simplex as linear oracle and
 reports a certified upper bound (best iterate value plus duality gap).  It is
 the LP-backed reference the tests compare UB_OA against; UB_OA itself uses the
@@ -65,15 +66,6 @@ class LpProblem:
         self.A = np.vstack([self.A, np.stack([rows, -rows], axis=1).reshape(-1, self.c.size)])
         self.b = np.concatenate([self.b, np.stack([rhs, -rhs], axis=1).ravel()])
 
-    def normal_matrix(self, rows: np.ndarray, cols: np.ndarray) -> Callable:
-        """d -> A_K^T diag(d) A_K, the normal matrix of ``solve_packing``, for
-        A_K the rows and columns (boolean masks) its presolve keeps and d over
-        the kept rows.  Formed here as the dense product; a problem whose A has
-        structure overrides it."""
-        A = self.A[np.ix_(rows, cols)]
-        AT = np.ascontiguousarray(A.T)
-        return lambda d: (AT * d) @ A
-
 
 @dataclass
 class LpSolution:
@@ -83,7 +75,6 @@ class LpSolution:
     dual: Optional[np.ndarray] = None
     cs_residual: Optional[float] = None
     pivots: int = 0  # simplex pivots
-    iterations: int = 0  # interior-point iterations (solve_packing)
 
 
 def _bland_enter(obj_row: np.ndarray) -> int:
@@ -215,70 +206,36 @@ def _step(u: np.ndarray, du: np.ndarray, fraction: float = 1.0) -> float:
     return 1.0 if t <= fraction else fraction / t
 
 
-def solve_packing(problem: LpProblem) -> LpSolution:
-    """max c.x  s.t.  A x <= b, x >= 0 for A, b, c >= 0, by Mehrotra's
-    predictor-corrector from a strictly feasible start.
+def packing_ipm(b: np.ndarray, c: np.ndarray, apply: Callable[[np.ndarray], np.ndarray],
+                apply_t: Callable[[np.ndarray], np.ndarray],
+                normal: Callable[[np.ndarray], np.ndarray]):
+    """max c.x  s.t.  A x <= b, x >= 0, by Mehrotra's predictor-corrector
+    from a strictly feasible start, for b > 0, c > 0 and A >= 0 with a positive
+    entry in every row and column.  A enters only through ``apply(x)`` = A x,
+    ``apply_t(y)`` = A^T y and ``normal(d)`` = A^T diag(d) A, a fresh array the
+    solve may write to.
 
-    Presolve drops the columns with c_j = 0 and those that meet a row with
-    b_k = 0 (both are 0 at an optimum), then the rows left all zero.  Each
-    iteration solves the normal equations M dx = r, with
+    Each iteration solves the normal equations M dx = r, with
     M = X^-1 Z + A^T (Y S^-1) A, for the affine and the centring-corrector
-    directions, and takes separate primal and dual steps.  A^T (Y S^-1) A comes
-    from ``problem.normal_matrix``: the dense product for a plain
-    ``LpProblem``, UB_FA's customer and supplier blocks for its LP.  The returned
-    ``value`` is the certificate b.y / min_j (A^T y)_j / c_j over the columns
-    with c_j > 0, for y = ``dual``: an upper bound whether or not the solve
-    converged.  It stops once that bound is within ``PACKING_GAP`` *
-    max(1, bound) of the best primal point scaled into the region (``x``),
-    once x.z + s.y is ``PACKING_ROUNDING`` of that target, or after
-    ``PACKING_MAX_ITERATIONS``.  The deadline is polled once an iteration."""
-    A, b, c = problem.A, problem.b, problem.c
-    if (A < 0).any() or (b < 0).any() or (c < 0).any():
-        raise ValueError("solve_packing needs A >= 0, b >= 0 and c >= 0")
-    nrows, ncols = A.shape
-    if not (c > 0).any():
-        return LpSolution("optimal", np.zeros(ncols), 0.0, np.zeros(nrows))
-    cols = (c > 0) & ~(A[b == 0] > 0).any(axis=0)
-    rows = (A[:, cols] > 0).any(axis=1)
-    if not (A[:, cols] > 0).any(axis=0).all():  # a column no row limits
-        return LpSolution("unbounded")
-    x, y = np.zeros(ncols), np.zeros(nrows)
-    rho, iterations = 1.0, 0
-    if cols.any():
-        Ar = A[np.ix_(rows, cols)]
-        x[cols], y[rows], iterations = _packing_ipm(Ar, b[rows], c[cols],
-                                                    problem.normal_matrix(rows, cols))
-        rho = float(np.min((Ar.T @ y[rows]) / c[cols]))
-    # Rows with b_k = 0 cost nothing in b.y: weight them to cover the columns
-    # presolve fixed at 0, at the same ratio rho as the kept columns.
-    zero = b == 0
-    if zero.any():
-        Az = A[zero]
-        y[zero] = rho * np.max(np.where(Az > 0, c / np.where(Az > 0, Az, 1.0), 0.0), axis=1)
-    # Every y >= 0 certifies a packing LP: divided by this ratio it is dual feasible.
-    pos = c > 0
-    value = float(b @ y) / float(np.min((A.T @ y)[pos] / c[pos]))
-    return LpSolution("optimal", x, value, y, iterations=iterations)
-
-
-def _packing_ipm(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 normal: Callable[[np.ndarray], np.ndarray]):
-    """(x, y, iterations) for A > 0 somewhere in every row and column, b > 0
-    and c > 0, with ``normal(d)`` = A^T diag(d) A.  x is the best primal point
-    scaled into the region, y the dual with the lowest certificate."""
+    directions, and takes separate primal and dual steps.  It returns
+    (x, y, iterations): x is the best primal point scaled into the region, and
+    y >= 0 the dual with the lowest certificate b.y / min_j (A^T y)_j / c_j, an
+    upper bound whether or not the solve converged.  It stops once that bound
+    is within ``PACKING_GAP`` * max(1, bound) of c.x, once x.z + s.y is
+    ``PACKING_ROUNDING`` of that target, or after ``PACKING_MAX_ITERATIONS``.
+    The deadline is polled once an iteration."""
     q = c.size
-    AT = np.ascontiguousarray(A.T)
-    x = np.full(q, 0.5 * np.min(b / A.sum(axis=1)))
-    y = np.full(b.size, 2.0 * np.max(c / A.sum(axis=0)))
+    x = np.full(q, 0.5 * np.min(b / apply(np.ones(q))))
+    y = np.full(b.size, 2.0 * np.max(c / apply_t(np.ones(b.size))))
     # u = (x, s) and v = (z, y) pair up elementwise: x with z, s with y.
-    u = np.concatenate([x, b - A @ x])
-    v = np.concatenate([AT @ y - c, y])
+    u = np.concatenate([x, b - apply(x)])
+    v = np.concatenate([apply_t(y) - c, y])
     best_upper, best_lower = np.inf, -np.inf
     best_x = best_y = None
     iterations = 0
     while True:
         x, y = u[:q], v[q:]
-        Aty, Ax = AT @ y, A @ x
+        Aty, Ax = apply_t(y), apply(x)
         upper = float(b @ y) / float((Aty / c).min())
         scale = max(1.0, float((Ax / b).max()))
         lower = float(c @ x) / scale
@@ -304,12 +261,12 @@ def _packing_ipm(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         # The steps keep A x + s = b and A^T y - z = c only up to rounding;
         # each direction also takes back what has drifted.
         r_p = b - Ax - u[q:]
-        drift = c - Aty + v[:q] + AT @ (h[q:] * r_p)
+        drift = c - Aty + v[:q] + apply_t(h[q:] * r_p)
 
         def direction(g):
             """The Newton step (du, dv) that moves u * v by g * u and takes back the drift."""
-            dx = np.linalg.solve(M, g[:q] - AT @ g[q:] + drift)
-            du = np.concatenate([dx, r_p - A @ dx])
+            dx = np.linalg.solve(M, g[:q] - apply_t(g[q:]) + drift)
+            du = np.concatenate([dx, r_p - apply(dx)])
             return du, g - h * du
 
         try:

@@ -1,8 +1,8 @@
 """Test-only code kept out of the package: range-checked choice probability
 and demand, a submodularity checker, the exact evaluator of a deterministic
 policy by its full choice tree, two fixed-assortment policies, the
-distribution residual of a one-sided relaxation, the exact optimum of a
-small LP in rational arithmetic, the exact high-value subproblem of the
+distribution residual of a one-sided relaxation, UB_FA's LP as a dense
+matrix, the exact optimum of a small LP in rational arithmetic, the exact high-value subproblem of the
 fully static approximation, explicit draws for a
 batched Monte Carlo kernel, a choice model whose constrained demand is not
 submodular, a probe of whether a solver passes its size check, and the
@@ -205,6 +205,21 @@ def distribution_residual(relax) -> float:
         for s in sums.values():
             worst = max(worst, abs(s - 1.0))
     return worst
+
+
+def ub_fa_lp(instance: Instance) -> LpProblem:
+    """UB_FA's LP with every edge and its dense (2nm x nm) constraint matrix:
+    per edge (i, j), row-major (column i*m + j), its customer row
+    x_ij + v_ij sum_l x_il <= v_ij, then its supplier row
+    x_ij + w_ji sum_k x_kj <= w_ji."""
+    v, w = instance.require_mnl_weights("UB_FA")
+    n, m = instance.n, instance.m
+    i, j = np.divmod(np.arange(n * m), m)
+    eye = np.eye(n * m)
+    rows = np.stack([v.ravel()[:, None] * (i[:, None] == i) + eye,
+                     w.T.ravel()[:, None] * (j[:, None] == j) + eye], axis=1)
+    rhs = np.stack([v.ravel(), w.T.ravel()], axis=1)
+    return LpProblem(np.ones(n * m), rows.reshape(-1, n * m), rhs.ravel())
 
 
 def exact_lp_value(problem: LpProblem) -> Optional[Fraction]:

@@ -1,17 +1,18 @@
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_tabular_market
+from helpers import random_tabular_market, ub_fa_lp
 from tsa import lp
 from tsa.errors import TimeLimitError
 from tsa.instances import MNL, CardinalityProfile, Instance, generate_random_instance
-from tsa.lp import (PIVOT_TOL, LpProblem, LpSolution, _bland_enter, _bland_leave,
-                    maximize_concave, solve_lp, solve_packing)
+from tsa.lp import (PIVOT_TOL, LpProblem, _bland_enter, _bland_leave, maximize_concave,
+                    packing_ipm, solve_lp)
 from tsa.util import Deadline, check_deadline
 
 
@@ -277,17 +278,17 @@ def test_beale_lp_cycles_without_the_fallback(monkeypatch):
         solve_lp(LpProblem(*BEALE))
 
 
-def test_ub_fa_pivots_at_12x12(monkeypatch):
+def test_ub_fa_pivots_at_12x12():
     """Dantzig entering takes UB_FA's LP at 12x12 seed 0 in 283 pivots (805
     under Bland's rule throughout)."""
-    problem = _ub_fa_lp(monkeypatch, generate_random_instance(12, 12, 0))
+    problem = ub_fa_lp(generate_random_instance(12, 12, 0))
     assert solve_lp(problem).pivots <= 400
 
 
-def test_solve_lp_stops_at_the_deadline_on_ub_fa_30x30(monkeypatch):
+def test_solve_lp_stops_at_the_deadline_on_ub_fa_30x30():
     # One dense pivot of the 1,800-row tableau takes tens of milliseconds; the
     # simplex sees the limit within a pivot or two (it needs about 35 s in all).
-    problem = _ub_fa_lp(monkeypatch, generate_random_instance(30, 30, 0))
+    problem = ub_fa_lp(generate_random_instance(30, 30, 0))
     start = time.monotonic()
     with pytest.raises(TimeLimitError), Deadline(1):
         solve_lp(problem)
@@ -359,16 +360,16 @@ def test_solve_lp_agrees_with_highs(kind):
 
 
 # ---------------------------------------------------------------------------
-# The formulations handed to the simplex (UB_FA's to the interior point),
-# written out by hand from their constraints.  Row order: per edge (i, j),
-# row-major, its customer row then its supplier row; budget rows last,
-# customers first; each equality as a <= row followed by its >= row (the row
-# and right-hand side negated, so a right-hand side 0 gives -0.0).
+# The formulations handed to the simplex, and UB_FA's dense LP
+# (``helpers.ub_fa_lp``), written out by hand from their constraints.  Row
+# order: per edge (i, j), row-major, its customer row then its supplier row;
+# budget rows last, customers first; each equality as a <= row followed by
+# its >= row (the row and right-hand side negated, so a right-hand side 0
+# gives -0.0).
 
 
 def _captured_lps(monkeypatch):
-    """Every LP the bounds and the static approximation hand to an LP solver,
-    each solved by the simplex."""
+    """Every LP the bounds and the static approximation hand to the simplex."""
     import tsa.bounds
     import tsa.fullystatic
 
@@ -379,22 +380,8 @@ def _captured_lps(monkeypatch):
         return solve_lp(problem)
 
     monkeypatch.setattr(tsa.bounds, "solve_lp", spy)
-    monkeypatch.setattr(tsa.bounds, "solve_packing", spy)
     monkeypatch.setattr(tsa.fullystatic, "solve_lp", spy)
     return seen
-
-
-def _ub_fa_lp(monkeypatch, inst):
-    """The LP ``ub_fa(inst)`` builds, unsolved."""
-    import tsa.bounds
-
-    seen = []
-    with monkeypatch.context() as patch:
-        patch.setattr(tsa.bounds, "solve_packing",
-                      lambda problem: seen.append(problem) or LpSolution("optimal", value=0.0))
-        tsa.bounds.ub_fa(inst)
-    (problem,) = seen
-    return problem
 
 
 def _assert_lp(problem, c, A, b):
@@ -429,11 +416,7 @@ def test_add_equality_appends_a_block_as_le_ge_pairs():
                [2.0, 3.0, -3.0, 0.0, -0.0])
 
 
-def test_ub_fa_layout(monkeypatch):
-    from tsa.bounds import ub_fa
-
-    seen = _captured_lps(monkeypatch)
-    ub_fa(_market_2x2())
+def test_ub_fa_layout():
     (v00, v01), (v10, v11) = V2
     (w00, w01), (w10, w11) = W2
     # x_ij + v_ij sum_l x_il <= v_ij, then x_ij + w_ji sum_k x_kj <= w_ji;
@@ -442,8 +425,7 @@ def test_ub_fa_layout(monkeypatch):
          [v01, v01 + 1, 0, 0], [0, w10 + 1, 0, w10],
          [0, 0, v10 + 1, v10], [w01, 0, w01 + 1, 0],
          [0, 0, v11, v11 + 1], [0, w11, 0, w11 + 1]]
-    (problem,) = seen
-    _assert_lp(problem, [1, 1, 1, 1], A, [v00, w00, v01, w10, v10, w01, v11, w11])
+    _assert_lp(ub_fa_lp(_market_2x2()), [1, 1, 1, 1], A, [v00, w00, v01, w10, v10, w01, v11, w11])
 
 
 LOWLOW_2X2 = [  # y_ij + sum_l v_il y_il <= 1, then y_ij + sum_k w_jk y_kj <= 1
@@ -510,7 +492,7 @@ def _table_markets():
 
 
 def _reference_lps(group, monkeypatch):
-    from tsa.bounds import lp_relaxation_onesided, ub_fa
+    from tsa.bounds import lp_relaxation_onesided
     from tsa.fullystatic import lowlow_lp, partition_edges
 
     if group == "random":
@@ -519,19 +501,17 @@ def _reference_lps(group, monkeypatch):
             rng = np.random.default_rng(list(LP_KINDS).index(kind))
             problems += [LpProblem(*_random_lp(kind, rng)) for _ in range(100)]
         return problems
-    seen = _captured_lps(monkeypatch)
     if group == "ub_fa":
-        for n in range(1, 13):
-            ub_fa(generate_random_instance(n, n, n))
-        ub_fa(generate_random_instance(16, 16, 0))
-    else:
-        for inst in _table_markets():
-            lp_relaxation_onesided(inst, "C")
-            lp_relaxation_onesided(inst, "S")
-            lowlow_lp(inst)
-            low_low = partition_edges(inst)[2]
-            if low_low:
-                lowlow_lp(inst, low_low)
+        return [ub_fa_lp(generate_random_instance(n, n, n)) for n in range(1, 13)] + [
+            ub_fa_lp(generate_random_instance(16, 16, 0))]
+    seen = _captured_lps(monkeypatch)
+    for inst in _table_markets():
+        lp_relaxation_onesided(inst, "C")
+        lp_relaxation_onesided(inst, "S")
+        lowlow_lp(inst)
+        low_low = partition_edges(inst)[2]
+        if low_low:
+            lowlow_lp(inst, low_low)
     return seen
 
 
@@ -649,9 +629,8 @@ def test_rel2_is_near_exact_on_dirichlet_03_markets(monkeypatch):
 
 
 def _certificate(problem, y):
-    """b.y / min_j (A^T y)_j / c_j over the columns with c_j > 0."""
-    pos = problem.c > 0
-    return float(problem.b @ y) / float(np.min((problem.A.T @ y)[pos] / problem.c[pos]))
+    """b.y / min_j (A^T y)_j / c_j."""
+    return float(problem.b @ y) / float(np.min((problem.A.T @ y) / problem.c))
 
 
 def _random_packing_lps(rng, count):
@@ -667,97 +646,134 @@ def _random_packing_lps(rng, count):
         yield LpProblem(c, A, b)
 
 
-def _packing_universe(group, monkeypatch):
+def _core(problem):
+    """The part of a packing LP that ``packing_ipm`` takes, with the same
+    optimum: the columns with c_j > 0 that meet no row with b_k = 0 (the others
+    are 0 at an optimum) and the rows with b_k > 0 that meet them.  None when
+    no column is left, or when one meets no row and the LP is unbounded."""
+    A, b, c = problem.A, problem.b, problem.c
+    cols = (c > 0) & ~(A[b == 0] > 0).any(axis=0)
+    rows = (b > 0) & (A[:, cols] > 0).any(axis=1)
+    core = LpProblem(c[cols], A[np.ix_(rows, cols)], b[rows])
+    return core if cols.any() and (core.A > 0).any(axis=0).all() else None
+
+
+def _dense_ipm(problem):
+    """``packing_ipm`` on the dense A of ``problem``: (x, y, iterations)."""
+    A, AT = problem.A, np.ascontiguousarray(problem.A.T)
+    return packing_ipm(problem.b, problem.c, lambda x: A @ x, lambda y: AT @ y,
+                       lambda d: (AT * d) @ A)
+
+
+def _ub_fa_run(monkeypatch, inst):
+    """(ub_fa(inst), run): run holds what its interior point was given (b, c,
+    apply, apply_t, normal) and what it returned (x, y, iterations)."""
+    import tsa.bounds
+
+    runs = []
+
+    def spy(b, c, apply, apply_t, normal):
+        x, y, iterations = packing_ipm(b, c, apply, apply_t, normal)
+        runs.append(SimpleNamespace(b=b, c=c, apply=apply, apply_t=apply_t, normal=normal,
+                                    x=x, y=y, iterations=iterations))
+        return x, y, iterations
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tsa.bounds, "packing_ipm", spy)
+        value = tsa.bounds.ub_fa(inst)
+    (run,) = runs
+    return value, run
+
+
+def _kept_lp(inst):
+    """``ub_fa_lp(inst)``, and the columns and rows ``ub_fa`` keeps in its
+    order: the edges with both weights positive, then their customer rows
+    followed by their supplier rows."""
+    v, w = inst.mnl_weights()
+    cols = np.flatnonzero((v > 0) & (w.T > 0))
+    return ub_fa_lp(inst), cols, np.concatenate([2 * cols, 2 * cols + 1])
+
+
+def _packing_universe(group):
+    """Random packing LPs (their cores) or UB_FA's markets."""
     if group == "random":
-        return list(_random_packing_lps(np.random.default_rng(34), 600))
+        return [core for problem in _random_packing_lps(np.random.default_rng(34), 600)
+                if (core := _core(problem)) is not None]
     if group == "tables":
-        return [_ub_fa_lp(monkeypatch, inst) for inst in _table_markets()]
+        return _table_markets()
     markets = [(n, n, seed) for n in range(1, 13) for seed in range(3)]
     markets += [(n, m, seed) for n, m in ((1, 15), (3, 8), (8, 3)) for seed in range(3)]
-    return [_ub_fa_lp(monkeypatch, generate_random_instance(*market))
-            for market in markets + [(16, 16, 0)]]
+    return [generate_random_instance(*market) for market in markets + [(16, 16, 0)]]
 
 
-# The most iterations measured, with UB_FA's normal matrix built from its
-# blocks: 14 on the table universes, 16 on the markets (at 10x10, 12x12 and
-# 16x16) and 11 on the random packing LPs.
+# The most iterations measured: 14 on the table universes, 16 on the markets
+# (at 10x10, 12x12 and 16x16) and 11 on the random packing LPs.
 PACKING_ITERATIONS = 20
 
 
 @pytest.mark.parametrize("group", ["tables", "markets", "random"])
 def test_solve_packing_certifies_the_simplex_optimum(group, monkeypatch):
-    """The returned value is the certificate of the returned dual, bit for bit,
-    and lies within [-1e-12, +1e-9] * max(1, v) of the simplex's optimum v;
-    x is feasible."""
-    statuses = set()
-    for problem in _packing_universe(group, monkeypatch):
-        got, want = solve_packing(problem), solve_lp(problem)
-        assert got.status == want.status
-        statuses.add(got.status)
-        if got.status != "optimal":
-            continue
+    """The certificate of the returned dual lies within [-1e-12, +1e-9] *
+    max(1, v) of the simplex's optimum v, and x is feasible: for UB_FA, whose
+    value is that certificate, against ``ub_fa_lp`` on the table universes and
+    the markets, and for the random packing LPs' cores on their dense A."""
+    for item in _packing_universe(group):
+        if group == "random":
+            problem, cols, rows = item, slice(None), slice(None)
+            x, y, iterations = _dense_ipm(problem)
+            value = _certificate(problem, y)
+        else:
+            value, run = _ub_fa_run(monkeypatch, item)
+            problem, cols, rows = _kept_lp(item)
+            x, y, iterations = run.x, run.y, run.iterations
+        want = solve_lp(problem)
+        assert want.status == "optimal"
         scale = max(1.0, want.value)
-        assert -1e-12 * scale <= got.value - want.value <= 1e-9 * scale
-        assert (got.dual >= 0).all() and (got.x >= 0).all()
-        assert (problem.A @ got.x <= problem.b * (1 + 1e-12)).all()
-        if (problem.c > 0).any():
-            assert got.value == _certificate(problem, got.dual)
-        assert got.iterations <= PACKING_ITERATIONS
-    assert statuses == ({"optimal", "unbounded"} if group == "random" else {"optimal"})
+        assert -1e-12 * scale <= value - want.value <= 1e-9 * scale
+        assert (y >= 0).all() and (x >= 0).all()
+        full_x, full_y = np.zeros(problem.c.size), np.zeros(problem.b.size)
+        full_x[cols], full_y[rows] = x, y
+        assert (problem.A @ full_x <= problem.b * (1 + 1e-12)).all()
+        assert value == pytest.approx(_certificate(problem, full_y), rel=1e-13, abs=0)
+        assert iterations <= PACKING_ITERATIONS
 
 
 def test_solve_packing_takes_back_rounding_drift():
-    """A degenerate LP (11 rows, 10 columns, small integers).  Steps that let
-    A x + s = b and A^T y - z = c drift leave its certificate 6e-10 loose;
-    taking the drift back keeps it within 1e-10.  Near the optimum more steps
-    only add rounding, and the solve stops."""
+    """A degenerate LP of small integers (11 rows and 10 columns, 8 and 8 in
+    its core).  Steps that let A x + s = b and A^T y - z = c drift leave its
+    certificate 6e-10 loose; taking the drift back keeps it within 1e-10.  Near
+    the optimum more steps only add rounding, and the solve stops."""
     *_, problem = _random_packing_lps(np.random.default_rng(0), 337)
-    got, want = solve_packing(problem), solve_lp(problem)
-    assert 0.0 <= got.value - want.value <= 1e-10 * max(1.0, want.value)
-    assert got.iterations <= PACKING_ITERATIONS
-
-
-def test_solve_packing_presolve():
-    """Column 0 has c = 0 and column 1 meets row 0, where b = 0: both are fixed
-    at 0.  Row 2 is all zero.  Row 0's dual covers column 1 at no cost."""
-    problem = LpProblem([0.0, 1.0, 1.0], [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
-                        [0.0, 2.0, 1.0])
-    sol = solve_packing(problem)
-    assert sol.status == "optimal"
-    assert sol.x[0] == sol.x[1] == 0.0
-    assert sol.value == pytest.approx(2.0, abs=1e-10)
-    assert sol.dual[0] > 0 and sol.dual[2] == 0.0
-    assert sol.value == _certificate(problem, sol.dual)
-    free = LpProblem([1.0, 1.0], [[1.0, 0.0]], [1.0])
-    assert solve_packing(free).status == "unbounded"
-    nothing = solve_packing(LpProblem([0.0, 0.0], [[1.0, 1.0]], [1.0]))
-    assert (nothing.status, nothing.value) == ("optimal", 0.0)
-    with pytest.raises(ValueError, match="A >= 0"):
-        solve_packing(LpProblem([1.0], [[-1.0]], [1.0]))
+    problem = _core(problem)
+    _, y, iterations = _dense_ipm(problem)
+    want = solve_lp(problem)
+    assert 0.0 <= _certificate(problem, y) - want.value <= 1e-10 * max(1.0, want.value)
+    assert iterations <= PACKING_ITERATIONS
 
 
 def test_solve_packing_regularizes_a_singular_normal_matrix():
     """Two equal columns: near the optimum the diagonal of M drowns in rounding
     and M turns singular; a ridge lets the solve reach the target gap."""
-    sol = solve_packing(LpProblem([1.0, 1.0], [[2.0, 2.0], [1.0, 1.0]], [1.0, 2.0]))
-    assert 0.5 <= sol.value <= 0.5 * (1 + 1e-11)
+    problem = LpProblem([1.0, 1.0], [[2.0, 2.0], [1.0, 1.0]], [1.0, 2.0])
+    _, y, _ = _dense_ipm(problem)
+    assert 0.5 <= _certificate(problem, y) <= 0.5 * (1 + 1e-11)
 
 
 def test_ub_fa_zero_weights(monkeypatch):
-    """Presolve fixes zero-weight edges at 0; a market of zero weights has
-    UB_FA 0.0."""
+    """An edge with a zero weight is 0 in every feasible point: the interior
+    point sees only the other edges, and UB_FA bounds the simplex's optimum of
+    the whole LP.  A market of zero weights has UB_FA 0.0."""
     from tsa.bounds import ub_fa
 
     assert ub_fa(Instance(1, 1, (MNL((0.0,)),), (MNL((0.0,)),))) == 0.0
     assert ub_fa(Instance(2, 3, (MNL((0.0,) * 3),) * 2, (MNL((0.0,) * 2),) * 3)) == 0.0
     v, w = V2.copy(), W2.copy()
     v[0, 1] = w[0, 1] = 0.0  # edges (0, 1) and (1, 0)
-    problem = _ub_fa_lp(monkeypatch, Instance(2, 2, tuple(MNL(tuple(r)) for r in v),
-                                              tuple(MNL(tuple(r)) for r in w)))
-    sol, want = solve_packing(problem), solve_lp(problem)
-    assert sol.x[1] == sol.x[2] == 0.0
-    assert want.value <= sol.value <= want.value + 1e-9
-    assert sol.value == _certificate(problem, sol.dual)
+    inst = Instance(2, 2, tuple(MNL(tuple(r)) for r in v), tuple(MNL(tuple(r)) for r in w))
+    value, run = _ub_fa_run(monkeypatch, inst)
+    want = solve_lp(ub_fa_lp(inst))
+    assert run.x.size == 2  # edges (0, 0) and (1, 1)
+    assert want.value <= value <= want.value + 1e-9
 
 
 def _zero_weight_market():
@@ -771,28 +787,31 @@ def _zero_weight_market():
 
 @pytest.mark.parametrize("market", [(1, 1), (1, 5), (5, 1), (3, 7), (4, 4), (12, 12), "zero"])
 def test_ub_fa_normal_matrix_matches_the_dense_product(market, monkeypatch):
-    """UB_FA's LP builds A^T diag(d) A from its customer and supplier blocks.
-    On random d it agrees with the dense (A^T d) @ A of the rows and columns
-    presolve keeps, to 1e-15 of its largest entry."""
+    """UB_FA's interior point takes A x, A^T y and A^T diag(d) A from the
+    weights.  On random x, y and d they agree with the products of
+    ``ub_fa_lp``'s dense A at the kept edges' rows and columns, to 1e-15 of
+    the largest entry."""
     inst = _zero_weight_market() if market == "zero" else generate_random_instance(*market, 0)
-    problem = _ub_fa_lp(monkeypatch, inst)
-    seen, ipm = [], lp._packing_ipm
-    monkeypatch.setattr(lp, "_packing_ipm", lambda A, b, c, normal: seen.append((A, normal))
-                        or ipm(A, b, c, normal))
-    solve_packing(problem)
-    ((A, normal),) = seen
-    assert A.shape[1] == problem.c.size - 3 * (market == "zero")
+    _, run = _ub_fa_run(monkeypatch, inst)
+    problem, cols, rows = _kept_lp(inst)
+    A = problem.A[np.ix_(rows, cols)]
+    assert cols.size == problem.c.size - 3 * (market == "zero")
+    np.testing.assert_array_equal(run.b, problem.b[rows])
+    np.testing.assert_array_equal(run.c, problem.c[cols])
     rng = np.random.default_rng(0)
     for _ in range(5):
-        d = rng.uniform(0.01, 1.0, A.shape[0])
-        want = (A.T * d) @ A
-        assert np.abs(normal(d) - want).max() <= 1e-15 * np.abs(want).max()
+        x, (y, d) = rng.uniform(0.01, 1.0, A.shape[1]), rng.uniform(0.01, 1.0, (2, A.shape[0]))
+        for got, want in ((run.apply(x), A @ x), (run.apply_t(y), A.T @ y),
+                          (run.normal(d), (A.T * d) @ A)):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_solve_packing_polls_the_deadline_every_iteration(monkeypatch):
-    """A deadline that passes at the third poll stops the solve there; without
-    one it polls once an iteration."""
-    problem = _ub_fa_lp(monkeypatch, generate_random_instance(4, 4, 0))
+    """A deadline that passes at the third poll stops UB_FA's solve there;
+    without one it polls once an iteration."""
+    from tsa.bounds import ub_fa
+
+    inst = generate_random_instance(4, 4, 0)
     polls = []
 
     def poll():
@@ -803,18 +822,18 @@ def test_solve_packing_polls_the_deadline_every_iteration(monkeypatch):
 
     monkeypatch.setattr(lp, "check_deadline", poll)
     with pytest.raises(TimeLimitError), Deadline(0.2):
-        solve_packing(problem)
+        ub_fa(inst)
     assert len(polls) == 3
     polls.clear()
-    assert solve_packing(problem).iterations == len(polls) > 3
+    assert _ub_fa_run(monkeypatch, inst)[1].iterations == len(polls) > 3
 
 
 @pytest.mark.parametrize("n", [20, 30])
-def test_ub_fa_agrees_with_highs(n, monkeypatch):
+def test_ub_fa_agrees_with_highs(n):
     linprog = pytest.importorskip("scipy.optimize").linprog
     from tsa.bounds import ub_fa
 
-    problem = _ub_fa_lp(monkeypatch, generate_random_instance(n, n, 0))
+    problem = ub_fa_lp(generate_random_instance(n, n, 0))
     ref = linprog(-problem.c, A_ub=problem.A, b_ub=problem.b, bounds=(0, None), method="highs")
     value = ub_fa(generate_random_instance(n, n, 0))
     assert ref.status == 0 and abs(value + ref.fun) <= 1e-9 * value
