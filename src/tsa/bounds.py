@@ -295,6 +295,7 @@ def ub_fa(instance: Instance) -> float:
     (i, j), q = np.nonzero(keep), int(keep.sum())
     b = np.concatenate([v[keep], wt[keep]])
     agent = np.concatenate([i, n + j])  # each customer row's i, each supplier row's n + j
+    at = np.flatnonzero([keep, keep])  # where each row's d goes in the (2, n, m) stack of d_C, d_S
 
     def apply(x):
         xx = np.concatenate([x, x])
@@ -310,8 +311,8 @@ def ub_fa(instance: Instance) -> float:
         sw = d_S^T w, entry ((i, j), (i', j')) over all edges is [i = i']
         (sum_l cv_il v_il + cv_ij + cv_ij') + [j = j'] (sum_k sw_jk w_jk + sw_ji
         + sw_ji'), plus d_C + d_S on the diagonal; the kept edges' are returned."""
-        dc, ds = np.zeros((2, n, m))
-        dc[keep], ds[keep] = d[:q], d[q:]
+        dc, ds = dd = np.zeros((2, n, m))
+        dd.flat[at] = d
         cv, sw = dc * v, ds.T * w
         M = np.zeros((n * m, n * m))
         M4 = M.reshape(n, m, n, m)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ContractViolationError, refuse_past
 from .instances import UNBOUNDED, Instance, is_mnl
 from .oracles import (_mnl_prefix_rows, best_weighted_assortment, constrained_demand,
-                      demand_tables, prob_rows)
+                      demand_tables, kept_sums, prob_rows)
 from .policies import PolicyAction, PolicyState, monte_carlo
 from .util import check_deadline
 
@@ -90,9 +90,10 @@ class GreedyOneSidedPolicy:
         pick moves the picked responder's sum to its grown value.  With no
         budget, a grown sum is the backlog's plus the initiator's weight: the
         additions a run makes on the scalar path, in processing order.  Under
-        budgets a history also carries each backlog's members, and a sum is
-        ``constrained_demand``'s: the K largest-weight members (ties to the
-        lower id), added in id order.  Displays are valued, and draws compared,
+        budgets a history also carries each backlog as a mask of initiators
+        (Python ints past 63 initiators), and a sum is ``kept_sums``' of the
+        grown mask: the K largest-weight members (ties to the lower id), added
+        in id order.  Displays are valued, and draws compared,
         in blocks of ``_ENTRIES`` entries; the deadline is polled once per
         step.
 
@@ -116,22 +117,20 @@ class GreedyOneSidedPolicy:
         sums = [np.zeros(1) for _ in range(nresp)]
         budgeted = self.instance.constrained
         if budgeted:
-            member = np.zeros((1, nresp, ninit), dtype=bool)  # per history: the backlogs
-            by_weight = np.argsort(-resp_w, axis=1, kind="stable")[None]  # ties to the lower id
+            masks = np.zeros((1, nresp), dtype=np.int64 if ninit < 64 else object)  # per history
             budgets = [self.instance.budget(self.resp_side, j) for j in range(nresp)]
-            keep = np.array([[ninit if k is UNBOUNDED else k] for k in budgets])
         rows = max(1, _ENTRIES // nresp)
         for i in self.order:
             check_deadline()
             model, budget = self.instance.model(self.side, i), self.instance.budget(self.side, i)
             u, pick = next(draws), np.empty(runs, dtype=np.int64)
             if budgeted:
-                kept = np.empty((len(member), nresp))  # per history: each responder's grown sum
+                kept = np.empty((len(masks), nresp))  # per history: each responder's grown sum
             for a in range(0, len(sums[0]), rows):
                 block = slice(a, a + rows)
                 base = np.stack([col[block] for col in sums], axis=1)
                 if budgeted:
-                    grown = kept[block] = _kept_sums(resp_w, by_weight, keep, member[block] | (np.arange(ninit) == i))
+                    grown = kept[block] = kept_sums(resp_w, budgets, masks[block] | 1 << i)
                 else:
                     grown = base + resp_w[:, i]
                 theta = np.maximum(grown / (1.0 + grown) - base / (1.0 + base), 0.0)
@@ -157,9 +156,9 @@ class GreedyOneSidedPolicy:
             pick = pick[chose]
             if budgeted:
                 grown = kept[parent[chose], pick]
-                member = member[parent]
-                member[chose, pick, i] = True
                 del kept
+                masks = masks[parent]
+                masks[chose, pick] |= 1 << i
             for j in range(nresp):
                 at = pick == j
                 sums[j] = sums[j][parent]
@@ -188,21 +187,6 @@ def _group(key):
     inverse[order] = np.cumsum(first) - 1
     start = np.append(np.flatnonzero(first), len(key))
     return key[first], inverse, order, start
-
-
-def _kept_sums(resp_w, by_weight, keep, member) -> np.ndarray:
-    """``constrained_demand``'s MNL weight sum per (history, responder j) of
-    backlogs ``member`` (histories, responders, initiators): the weights of
-    the keep[j] members first in ``by_weight`` order, which a member is when
-    at most keep[j] members come up to it there, added in id order one column
-    at a time (``np.sum`` would add pairwise)."""
-    ranked = np.take_along_axis(member, by_weight, axis=2)
-    kept = np.zeros_like(member)
-    np.put_along_axis(kept, by_weight, ranked & (np.cumsum(ranked, axis=2, dtype=np.int32) <= keep), axis=2)
-    total = np.zeros(member.shape[:2])
-    for i in range(member.shape[2]):
-        total = total + np.where(kept[:, :, i], resp_w[:, i], 0.0)
-    return total
 
 
 def _display_probs(model, budget, theta: np.ndarray) -> np.ndarray:

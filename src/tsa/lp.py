@@ -255,6 +255,7 @@ def packing_ipm(b: np.ndarray, c: np.ndarray, apply: Callable[[np.ndarray], np.n
         iterations += 1
 
         h = v / u
+        M = None  # the last iteration's matrix is freed before the next is built
         M = normal(h[q:])
         M.flat[::q + 1] += h[:q]
         mu = complementarity / uv.size

@@ -13,7 +13,8 @@ and enumeration counts the (set, option) entries it evaluates before it
 starts, and refuses past ``_MAX_ENTRIES`` rather than approximate silently.
 The row oracles apply the same rules to many theta vectors at once, bit for
 bit: the adaptive DPs value a layer with them, and greedy's batched kernel
-shows its displays with the prefix rule.
+shows its displays with the prefix rule.  ``kept_sums`` applies the budgeted
+MNL responder rule to backlog bitmasks, for the demand tables and the kernel.
 """
 
 from __future__ import annotations
@@ -130,6 +131,27 @@ def constrained_demand(model: ChoiceSpec, ground: Iterable[int], budget=UNBOUNDE
     return _enumerate_best(model, [1.0] * model.num_options, sorted(ground), budget)
 
 
+def kept_sums(weights: np.ndarray, budgets: Sequence, masks: np.ndarray) -> np.ndarray:
+    """``constrained_demand``'s MNL weight sum W (worth W / (1 + W)) of each
+    backlog masks[..., j], a bitmask over the options of responder j, whose
+    weights are row j of ``weights`` (r, n) and budget budgets[j]: members
+    are walked in (-weight, option) order, each kept while fewer than K are,
+    and the kept weights add in option order (a zero weight ranks last and
+    adds nothing).  Masks past 63 bits are Python ints (object dtype)."""
+    n = weights.shape[1]
+    keep = np.array([n if k is UNBOUNDED else k for k in budgets])
+    bits = np.array([1 << b for b in range(n)], dtype=masks.dtype)
+    count, kept = np.zeros(masks.shape, dtype=np.int32), np.zeros_like(masks)
+    for bit in bits[np.argsort(-weights, axis=1, kind="stable")].T:
+        has = masks & bit != 0
+        count += has
+        kept |= bit * (has & (count <= keep))
+    total = np.zeros(masks.shape)
+    for bit, w in zip(bits, weights.T):
+        total += (kept & bit != 0) * w
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Tables over every subset of a small option universe, indexed by bitmask
 
@@ -139,30 +161,20 @@ def _mask_options(mask: int):
 
 
 def demand_table(model: ChoiceSpec, n_opts: int, budget=UNBOUNDED) -> np.ndarray:
-    """``constrained_demand``'s value on every subset, indexed by bitmask."""
+    """``constrained_demand``'s value on every subset, indexed by bitmask: for
+    MNL under a budget, ``kept_sums`` of every mask."""
     size = 1 << n_opts
     refuse_past("demand_table", size, _MAX_ENTRIES, "entries")
     if is_mnl(model):
-        weights, w = model.weights, np.zeros(size)
         if budget is UNBOUNDED:
             # A mask's weight sum is that of the mask without its lowest bit
             # b, plus weight b: the masks whose lowest bit is b, from the
             # highest b down, each add onto masks already summed.
+            weights, w = model.weights, np.zeros(size)
             for b in reversed(range(n_opts)):
                 w[1 << b::2 << b] = w[::2 << b] + weights[b]
-            return w / (1.0 + w)
-        # ``constrained_demand``'s K largest positive weights, ranked by
-        # (-weight, option): a mask keeps option b if it holds b, w_b > 0 and
-        # fewer than K of its members rank before b.  The kept weights add in
-        # ascending option order, from popcounts summed like the weights above.
-        count, masks = np.zeros(size, dtype=np.int8), np.arange(size, dtype=np.int32)
-        for b in reversed(range(n_opts)):
-            count[1 << b::2 << b] = count[::2 << b] + 1
-        ranked = sorted(range(n_opts), key=lambda j: (-weights[j], j))
-        for b in range(n_opts):
-            if weights[b] > 0:
-                before = sum(1 << j for j in ranked[:ranked.index(b)])
-                w[(masks & 1 << b != 0) & (count[masks & before] < budget)] += weights[b]
+        else:
+            w = kept_sums(np.array([model.weights]), [budget], np.arange(size, dtype=np.int32)[:, None])[:, 0]
         return w / (1.0 + w)
     out = np.zeros(size)
     for mask in range(1, size):

@@ -272,6 +272,21 @@ def test_batch_matches_applies_budgets():
     assert calls == [50]
 
 
+def test_batch_matches_applies_budgets_past_63_initiators():
+    """A budgeted side of 66 initiators, whose backlog masks do not fit in
+    int64, stays on the kernel and matches ``simulate_once`` run for run, as
+    does the other side, of 66 responders."""
+    inst = generate_random_instance(66, 1, seed=3, profile=CardinalityProfile("two-way", 1, 1))
+    uniforms = stream_uniforms([4], 0, 300, inst.n + inst.m)
+    for side in ("C", "S"):
+        pol = GreedyOneSidedPolicy(inst, side)
+        scalar = [simulate_once(inst, pol, np.random.default_rng([4, r]))[0] for r in range(300)]
+        assert pol.batch_matches(Draws(uniforms)).tolist() == scalar
+        calls = _counting_kernel(pol)
+        assert monte_carlo(inst, pol, 300, 4).mean == sum(scalar) / 300
+        assert calls == [300]
+
+
 def test_stream_uniforms_reproduce_default_rng():
     for prefix in ([0], [5], [5, 1], [7, 0, 9], [2 ** 32], [123, 2 ** 64 + 5]):
         for lo, hi in ((0, 40), (4090, 4110), (1, _SEED_BLOCK + 3)):  # the last spans two seeding blocks
@@ -425,3 +440,16 @@ def test_batched_monte_carlo_runs_in_bounded_memory(monkeypatch):
     monkeypatch.setattr(policies, "_PASS", 6 * _PASS)
     assert monte_carlo(small, pol, 5 * _PASS + 37, 0) == passes
     assert calls[6:] == [5 * _PASS + 37]
+
+
+def test_budgeted_monte_carlo_runs_in_bounded_memory():
+    """Under budgets a history also carries one backlog mask per responder
+    (8 bytes, not a row of member flags per initiator) and each responder's
+    grown sum for the step, which goes before the masks are re-indexed: a
+    10,000-run estimate on a random 10x10 market under two-way budgets
+    (2, 2) peaks near 2.8 MB, where (history, responder, initiator) member
+    flags peaked near 3.4 MB."""
+    inst = generate_random_instance(10, 10, seed=0, profile=CardinalityProfile("two-way", 2, 2))
+    pol = GreedyOneSidedPolicy(inst, "C")
+    monte_carlo(inst, pol, 100, 0)
+    assert _traced_peak(lambda: monte_carlo(inst, pol, 10_000, 0)) < 3.1 * 2 ** 20

@@ -13,7 +13,7 @@ from tsa.errors import SizeRefusalError
 from tsa.instances import MNL, UNBOUNDED, BetaUniform, Mixture, UniformNoOutside
 from tsa.oracles import (_budget_masks, _enumeration_rows, _mask_options, _mnl_prefix_rows,
                          _mnl_rows, best_weighted_assortment, constrained_demand, demand_table,
-                         mnl_best, prob_table)
+                         kept_sums, mnl_best, prob_table)
 
 
 def brute_force_weighted(model, theta, budget=None):
@@ -62,6 +62,26 @@ def test_budgeted_mnl_demand_table_matches_mask_loop():
                 loop = [constrained_demand(model, _mask_options(mask), budget).value
                         for mask in range(1 << n)]
                 assert np.array_equal(demand_table(model, n, budget), loop), (n, budget, weights)
+
+
+def test_kept_sums_match_constrained_demand():
+    """Each backlog's kept sum is the weight of ``constrained_demand``'s set,
+    added in ascending option order, bit for bit: several responders with
+    their own weights and budgets (no budget included) at once, zero weights
+    and ties, and masks of 70 options held as Python ints."""
+    rng = np.random.default_rng(5)
+    for n, dtype in ((6, np.int64), (12, np.int64), (70, object)):
+        weights = rng.lognormal(size=(4, n)) * (rng.random((4, n)) >= 0.3)
+        weights[1] = rng.integers(0, 3, size=n) * 0.5
+        budgets = [1, 2, UNBOUNDED, n // 3]
+        members = rng.random((25, 4, n)) < 0.4
+        masks = np.array([[sum(1 << i for i in np.flatnonzero(row).tolist()) for row in h] for h in members],
+                         dtype=dtype)
+        sums = kept_sums(weights, budgets, masks)
+        for h, j in np.ndindex(masks.shape):
+            model = MNL(tuple(float(x) for x in weights[j]))
+            kept = constrained_demand(model, _mask_options(int(masks[h, j])), budgets[j]).assortment
+            assert sums[h, j] == sum(model.weights[i] for i in sorted(kept)), (n, h, j)
 
 
 def test_unconstrained_examples():
